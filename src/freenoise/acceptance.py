@@ -32,7 +32,7 @@ from .process import IntegrandPath, ProcessState
 from .spectral import SpectralDensity
 from .words import WeightSequence, Word, iter_words, normalize
 
-__all__ = ["CriterionResult", "run_all", "CRITERIA"]
+__all__ = ["CriterionResult", "run_all", "CRITERIA", "sparse_element"]
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,9 @@ def criterion_4() -> CriterionResult:
                    f"exact match {exact_ok}, quadrature max err {worst:.2e}", t0)
 
 
-def _sparse_element(rng: np.random.Generator, n_terms: int) -> FockElement:
+def sparse_element(rng: np.random.Generator, n_terms: int = 4) -> FockElement:
+    """Random element of n_terms draws: words of length below 4 over
+    letters 0..7, complex normal coefficients; repeated words add up."""
     terms: dict[Word, complex] = {}
     for _ in range(n_terms):
         length = int(rng.integers(0, 4))
@@ -162,8 +164,8 @@ def criterion_5() -> CriterionResult:
     for p, q in ((0, 2), (1, 3), (2, 5)):
         b = fock.vage_constant(q - p, seq).b
         for _ in range(1000):
-            f = _sparse_element(rng, 4)
-            g = _sparse_element(rng, 4)
+            f = sparse_element(rng)
+            g = sparse_element(rng)
             nf_p = fock.norm(f, -float(p), seq)
             ng_q = fock.norm(g, -float(q), seq)
             nf_q = fock.norm(f, -float(q), seq)

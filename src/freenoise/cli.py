@@ -234,8 +234,8 @@ def cmd_vage(args: argparse.Namespace) -> int:
         worst = 0.0
         violations = 0
         for _ in range(args.trials):
-            f = _random_element(rng)
-            g = _random_element(rng)
+            f = acceptance.sparse_element(rng)
+            g = acceptance.sparse_element(rng)
             nf_p = fock.norm(f, -p, seq)
             ng_q = fock.norm(g, -q, seq)
             nf_q = fock.norm(f, -q, seq)
@@ -254,16 +254,6 @@ def cmd_vage(args: argparse.Namespace) -> int:
             status = 3
     _emit(args, payload)
     return status
-
-
-def _random_element(rng: np.random.Generator, n_terms: int = 4) -> fock.FockElement:
-    terms: dict[words.Word, complex] = {}
-    for _ in range(n_terms):
-        length = int(rng.integers(0, 4))
-        letters = tuple(int(x) for x in rng.integers(0, 8, size=length))
-        w = words.normalize(letters)
-        terms[w] = terms.get(w, 0j) + complex(rng.normal(), rng.normal())
-    return fock.FockElement.from_dict(terms)
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:

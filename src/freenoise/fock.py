@@ -2,9 +2,12 @@
 
 Elements are finitely supported maps from words to complex coefficients;
 the word ``z_{i_1} ... z_{i_k}`` indexes the tensor e_{i_1} x ... x e_{i_k}
-and the empty word indexes the vacuum.  The level-p norm squares the
-coefficients against ``words.weight(w, p, seq)``, so level 0 is the plain
-l^2 norm and negative levels give the distribution-side norms.
+and the empty word indexes the vacuum.  An element holds its coefficients
+in a dict that keeps insertion order, and operations iterate that dict;
+only the ``terms`` view, used where output is rendered, sorts the
+support by the word order.  The level-p norm squares the coefficients
+against ``words.weight(w, p, seq)``, so level 0 is the plain l^2 norm
+and negative levels give the distribution-side norms.
 
 Creation prepends a one-particle vector letterwise, annihilation strips
 the first letter, and ``apply_x`` is their sum, the field operator whose
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import CapExceededError, GapTooSmallError, NotNuclearError
 from .words import EMPTY_WORD, WeightSequence, Word, concat, weight
@@ -39,6 +42,7 @@ __all__ = [
     "norm",
     "inner",
     "tensor",
+    "tensor_slots",
     "creation",
     "annihilation",
     "apply_x",
@@ -55,51 +59,48 @@ DEFAULT_DEGREE_CAP = 12
 
 @dataclass(frozen=True)
 class FockElement:
-    """Immutable sparse vector over words; terms sorted by the word order.
+    """Immutable sparse vector over words.
 
-    Coefficients are dropped only when exactly zero.
+    ``coeffs`` maps each word of the support to its coefficient in
+    insertion order and holds no exact zeros; operations iterate it in
+    that order.  ``terms`` is the word-ordered view used for output.
     """
 
-    terms: tuple[tuple[Word, complex], ...] = ()
+    coeffs: dict[Word, complex] = field(default_factory=dict)
     dropped_mass: float = field(default=0.0, compare=False)
 
     @classmethod
     def from_dict(cls, d: Mapping[Word, complex], dropped_mass: float = 0.0) -> "FockElement":
-        items = tuple(
-            (w, complex(c)) for w, c in sorted(d.items(), key=lambda kv: kv[0].sort_key())
-            if c != 0
-        )
-        return cls(items, dropped_mass)
+        return cls({w: complex(c) for w, c in d.items() if c != 0}, dropped_mass)
+
+    @property
+    def terms(self) -> tuple[tuple[Word, complex], ...]:
+        """(word, coefficient) pairs sorted by the word order."""
+        return tuple(sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key()))
 
     def as_dict(self) -> dict[Word, complex]:
-        return dict(self.terms)
+        return dict(self.coeffs)
 
     def coeff(self, w: Word) -> complex:
-        for word, c in self.terms:
-            if word == w:
-                return c
-        return 0j
+        return self.coeffs.get(w, 0j)
 
     @property
     def degree(self) -> int:
-        return max((w.degree for w, _ in self.terms), default=0)
+        return max((w.degree for w in self.coeffs), default=0)
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def support(self) -> tuple[Word, ...]:
-        return tuple(w for w, _ in self.terms)
+        return not self.coeffs
 
     def truncated(self, cap: int | None) -> "FockElement":
         if cap is None:
             return self
-        kept = {w: c for w, c in self.terms if w.degree <= cap}
-        lost = sum(abs(c) ** 2 for w, c in self.terms if w.degree > cap)
+        kept = {w: c for w, c in self.coeffs.items() if w.degree <= cap}
+        lost = sum(abs(c) ** 2 for w, c in self.coeffs.items() if w.degree > cap)
         return FockElement.from_dict(kept, dropped_mass=self.dropped_mass + lost)
 
     def __add__(self, other: "FockElement") -> "FockElement":
-        d = self.as_dict()
-        for w, c in other.terms:
+        d = dict(self.coeffs)
+        for w, c in other.coeffs.items():
             d[w] = d.get(w, 0j) + c
         return FockElement.from_dict(d)
 
@@ -107,22 +108,22 @@ class FockElement:
         return self + (-1.0) * other
 
     def __mul__(self, scalar: complex) -> "FockElement":
-        return FockElement.from_dict({w: scalar * c for w, c in self.terms})
+        return FockElement.from_dict({w: scalar * c for w, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         return " + ".join(f"({c:.6g})*{w}" for w, c in self.terms)
 
 
 def vacuum() -> FockElement:
-    return FockElement(((EMPTY_WORD, 1.0 + 0j),))
+    return FockElement({EMPTY_WORD: 1.0 + 0j})
 
 
 def basis_vector(w: Word) -> FockElement:
-    return FockElement(((w, 1.0 + 0j),))
+    return FockElement({w: 1.0 + 0j})
 
 
 def norm(f: FockElement, level: float = 0.0, seq: WeightSequence = WeightSequence.linear()) -> float:
@@ -132,7 +133,7 @@ def norm(f: FockElement, level: float = 0.0, seq: WeightSequence = WeightSequenc
     norm(f (x) g, -q) <= B * norm(f, -p) * norm(g, -q).
     """
     acc = 0.0
-    for w, c in f.terms:
+    for w, c in f.coeffs.items():
         acc += abs(c) ** 2 * weight(w, level, seq)
     return math.sqrt(acc)
 
@@ -140,9 +141,9 @@ def norm(f: FockElement, level: float = 0.0, seq: WeightSequence = WeightSequenc
 def inner(f: FockElement, g: FockElement, level: float = 0.0,
           seq: WeightSequence = WeightSequence.linear()) -> complex:
     """Sesquilinear pairing, conjugate-linear in the first slot."""
-    gd = g.as_dict()
+    gd = g.coeffs
     acc = 0j
-    for w, c in f.terms:
+    for w, c in f.coeffs.items():
         other = gd.get(w)
         if other is not None:
             acc += c.conjugate() * other * weight(w, level, seq)
@@ -153,14 +154,30 @@ def tensor(f: FockElement, g: FockElement, cap: int | None = DEFAULT_DEGREE_CAP)
     """Concatenation product; distinct support pairs can land on one word."""
     out: dict[Word, complex] = {}
     lost = 0.0
-    for wf, cf in f.terms:
-        for wg, cg in g.terms:
-            w = concat(wf, wg)
-            if cap is not None and w.degree > cap:
+    right = [(wg, wg.degree, cg) for wg, cg in g.coeffs.items()]
+    for wf, cf in f.coeffs.items():
+        df = wf.degree
+        for wg, dg, cg in right:
+            if cap is not None and df + dg > cap:
                 lost += abs(cf * cg) ** 2
                 continue
+            w = concat(wf, wg)
             out[w] = out.get(w, 0j) + cf * cg
     return FockElement.from_dict(out, dropped_mass=lost)
+
+
+def tensor_slots(left: Sequence[Word], right: Sequence[Word]) -> tuple[list[Word], list[int]]:
+    """Words of every product left[i] (x) right[j], each built once.
+
+    Returns the distinct words in the order first built, row-major over
+    (i, j), and the slot of each pair in that order: pair (i, j) lands
+    on ``words[slots[i * len(right) + j]]``.  Distinct pairs can share
+    a slot, as z0 (x) z1 and z0 z1 (x) 1 do.
+    """
+    index: dict[Word, int] = {}
+    slots = [index.setdefault(concat(wf, wg), len(index))
+             for wf in left for wg in right]
+    return list(index), slots
 
 
 def _letter_items(coeffs) -> list[tuple[int, complex]]:
@@ -174,7 +191,7 @@ def creation(coeffs, u: FockElement, cap: int | None = DEFAULT_DEGREE_CAP) -> Fo
     items = _letter_items(coeffs)
     out: dict[Word, complex] = {}
     lost = 0.0
-    for w, c in u.terms:
+    for w, c in u.coeffs.items():
         if cap is not None and w.degree + 1 > cap:
             lost += abs(c) ** 2 * sum(abs(ci) ** 2 for _, ci in items)
             continue
@@ -188,7 +205,7 @@ def annihilation(coeffs, u: FockElement) -> FockElement:
     """Adjoint of creation: strips the first letter, kills the vacuum."""
     items = dict(_letter_items(coeffs))
     out: dict[Word, complex] = {}
-    for w, c in u.terms:
+    for w, c in u.coeffs.items():
         if w.is_empty():
             continue
         letter, rest = w.drop_first_letter()
@@ -204,7 +221,7 @@ def apply_x(coeffs, u: FockElement, cap: int | None = DEFAULT_DEGREE_CAP) -> Foc
     created = creation(coeffs, u, cap)
     killed = annihilation(coeffs, u)
     total = created + killed
-    return FockElement(total.terms, dropped_mass=created.dropped_mass)
+    return FockElement(total.coeffs, dropped_mass=created.dropped_mass)
 
 
 def one_particle_norm(coeffs, level: float = 0.0,

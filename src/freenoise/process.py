@@ -22,11 +22,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import fock, spectral
 from .errors import LevelTooLowError, NonCauchyError, UncertifiedError, ValidationError
 from .fock import DEFAULT_DEGREE_CAP, FockElement, vacuum
 from .spectral import SpectralDensity, TailReport
-from .words import EMPTY_WORD, WeightSequence
+from .words import WeightSequence, Word
 
 __all__ = [
     "ProcessState",
@@ -170,21 +172,50 @@ class IntegralResult:
 
 def riemann_sum(state: ProcessState, path: IntegrandPath, f: FockElement,
                 a: float, b: float, n_intervals: int) -> FockElement:
-    """Left-tagged Riemann sum with n_intervals equal pieces.
+    """Left-tagged Riemann sum sum_j step * Y(u_j) (x) W(u_j) f.
 
-    Terms are accumulated left to right in a fixed order, so repeated
-    runs reduce identically.
+    The values Y(u_j) and W(u_j) f of all n_intervals tags are laid out
+    as rows over their union supports, in first-seen order, and every
+    product word is built once.  Tag by tag, in tag order, the sum adds
+    step times the tag's outer product; pairs of one tag that land on
+    one word are summed first, in row-major order.  These are the
+    products and additions of the loop over tags of ``fock.tensor`` and
+    ``+``, in the same order whenever each tag lists its support in the
+    union's order, so repeated runs reduce identically.  Words above
+    the degree cap stay out of the result, and the squared norm of the
+    part they make up is its ``dropped_mass``.
     """
     if n_intervals < 1:
         raise ValidationError("need at least one interval")
     step = (b - a) / n_intervals
-    total = FockElement()
-    for j in range(n_intervals):
-        u = a + j * step
-        term = fock.tensor(path.value_at(u), apply_whitenoise(state, u, f),
-                           state.degree_cap)
-        total = total + step * term
-    return total
+    tags = [a + j * step for j in range(n_intervals)]
+    left, y = _rows([path.value_at(u) for u in tags])
+    right, z = _rows([apply_whitenoise(state, u, f) for u in tags])
+    words, slots = fock.tensor_slots(left, right)
+    slots = np.asarray(slots, dtype=np.intp)
+    acc_re = np.zeros(len(words))
+    acc_im = np.zeros(len(words))
+    for y_j, z_j in zip(y, z):
+        # real and imaginary parts formed the way Python multiplies two
+        # complex numbers: numpy's complex multiply may fuse them (FMA)
+        re = np.outer(y_j.real, z_j.real) - np.outer(y_j.imag, z_j.imag)
+        im = np.outer(y_j.real, z_j.imag) + np.outer(y_j.imag, z_j.real)
+        acc_re += step * np.bincount(slots, re.ravel(), len(words))
+        acc_im += step * np.bincount(slots, im.ravel(), len(words))
+    coeffs = map(complex, acc_re.tolist(), acc_im.tolist())
+    return FockElement.from_dict(dict(zip(words, coeffs))).truncated(state.degree_cap)
+
+
+def _rows(values: Sequence[FockElement]) -> tuple[list[Word], np.ndarray]:
+    """Union support in first-seen order, and one coefficient row per value."""
+    index: dict[Word, int] = {}
+    for v in values:
+        for w in v.coeffs:
+            index.setdefault(w, len(index))
+    rows = np.zeros((len(values), len(index)), dtype=complex)
+    for j, v in enumerate(values):
+        rows[j, [index[w] for w in v.coeffs]] = list(v.coeffs.values())
+    return list(index), rows
 
 
 def stochastic_integral(state: ProcessState, path: IntegrandPath,

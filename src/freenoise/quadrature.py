@@ -28,7 +28,6 @@ __all__ = [
     "panel_nodes",
     "gl_integrate",
     "quad_scalar",
-    "quad_half_line",
     "quad_cos_range",
     "quad_semicircle_moment",
 ]
@@ -79,7 +78,8 @@ def gl_integrate(f, osc_scale: float, tail_stop: float = 60.0,
 
     f maps a node vector to an array whose last axis runs over nodes;
     the result drops that axis.  The tail extends by doubling spans
-    until the newest span contributes less than rel_tol of the total.
+    until the newest span contributes less than rel_tol of the total;
+    QuadratureError is raised when max_rounds doublings do not get there.
     """
     nodes, weights = panel_nodes(osc_scale, tail_stop=tail_stop)
     vals = np.asarray(f(nodes))
@@ -102,7 +102,9 @@ def gl_integrate(f, osc_scale: float, tail_stop: float = 60.0,
             return total
         start = stop
         span *= 2.0
-    return total
+    raise QuadratureError(
+        f"tail span did not fall below {rel_tol:g} of the total "
+        f"in {max_rounds} doublings past {tail_stop:g}")
 
 
 def quad_scalar(f, a: float, b: float, abs_tol: float = 1e-11,
@@ -112,16 +114,6 @@ def quad_scalar(f, a: float, b: float, abs_tol: float = 1e-11,
         raise QuadratureError(
             f"quad error {err:.2e} too large for integral {val:.6e} on [{a}, {b}]")
     return val
-
-
-def quad_half_line(f, abs_tol: float = 1e-11, rel_tol: float = 1e-11,
-                   split: float = 1.0) -> float:
-    """Adaptive integral of f over (0, inf), split to isolate the origin."""
-    head = quad_scalar(f, 0.0, split, abs_tol, rel_tol)
-    val, err = _si.quad(f, split, np.inf, epsabs=abs_tol, epsrel=rel_tol, limit=400)
-    if err > max(abs_tol, rel_tol * abs(val)) * 50:
-        raise QuadratureError(f"tail quad error {err:.2e} too large")
-    return head + val
 
 
 def quad_cos_range(f, omega: float, a: float, b: float,

@@ -170,3 +170,47 @@ def test_zero_integrand_gives_zero_integral():
     res = stochastic_integral(state, path, vacuum(), 0.0, 1.0, 4)
     assert res.converged
     assert res.value.is_zero()
+
+
+def _tensor_loop(state, path, f, a, b, n_intervals, cap):
+    """The per-tag loop riemann_sum replaces: sum_j step * tensor(Y(u_j), W(u_j) f)."""
+    step = (b - a) / n_intervals
+    total = FockElement()
+    for j in range(n_intervals):
+        u = a + j * step
+        total = total + step * fock.tensor(path.value_at(u),
+                                           apply_whitenoise(state, u, f), cap)
+    return total
+
+
+def _mixed_integrand(t):
+    # vacuum, degree-1 and degree-2 terms, always listed in this order
+    return (vacuum() * (1.0 + t)
+            + basis_vector(normalize([0])) * complex(t, -0.5)
+            + basis_vector(normalize([1])) * (0.25 - t * t)
+            + basis_vector(normalize([0, 2])) * complex(0.3, t)
+            + basis_vector(normalize([2, 1])) * (t - 0.7))
+
+
+# f = z2 gives W f degree-0 and degree-2 parts; adding the vacuum gives it
+# a degree-1 part too, so z0 (x) z2, z0 z2 (x) 1 and 1 (x) z0 z2 share a word
+@pytest.mark.parametrize("f", [
+    basis_vector(normalize([2])) * 0.8,
+    vacuum() * 0.5 + basis_vector(normalize([2])) * (0.3 - 0.6j),
+])
+@pytest.mark.parametrize("cap", [12, 3])
+def test_riemann_sum_equals_per_tag_tensor_loop(f, cap):
+    state = ProcessState(SpectralDensity.lebesgue(), n_max=16, degree_cap=cap)
+    grid = IntegrandPath.dyadic(_mixed_integrand, 0.0, 1.0, 3)
+    # the tag at 0.375 carries the zero element
+    values = tuple(FockElement() if t == 0.375 else v
+                   for t, v in zip(grid.times, grid.values))
+    path = IntegrandPath(grid.times, values)
+    for n in (1, 2, 8):
+        got = riemann_sum(state, path, f, 0.0, 1.0, n)
+        want = _tensor_loop(state, path, f, 0.0, 1.0, n, cap)
+        assert got.as_dict() == want.as_dict()
+        full = _tensor_loop(state, path, f, 0.0, 1.0, n, None)
+        discarded = full - want
+        assert got.dropped_mass == pytest.approx(norm(discarded) ** 2, rel=1e-12)
+        assert (got.dropped_mass > 0) == (cap == 3)
