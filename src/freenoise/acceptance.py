@@ -226,16 +226,8 @@ def criterion_8() -> CriterionResult:
     slopes = []
     for dens in (SpectralDensity.lebesgue(), SpectralDensity.fbm(0.75)):
         state = ProcessState(dens, n_max=400, degree_cap=6)
-        p = float(state.level)
-        t = 0.7
-        base = process.apply_process(state, t, vacuum())
-        noise = process.apply_whitenoise(state, t, vacuum())
         hs = (1e-2, 1e-3, 1e-4)
-        errs = []
-        for h in hs:
-            shifted = process.apply_process(state, t + h, vacuum())
-            diff = (1.0 / h) * (shifted - base) - noise
-            errs.append(fock.norm(diff, -p, state.seq))
+        errs = process.derivative_errors(state, 0.7, hs)
         fit = spectral.fit_power_law([1.0 / h for h in hs], errs)
         slopes.append(-fit.exponent)
     ok = all(abs(s - 1.0) <= 0.1 for s in slopes)
@@ -254,7 +246,7 @@ def criterion_9() -> CriterionResult:
     path1 = IntegrandPath.dyadic(lambda t: vacuum(), 0.0, 1.0, levels)
     res1 = process.stochastic_integral(state, path1, vacuum(), 0.0, 1.0, levels)
     oracle1 = spectral.alpha_vector(leb, 1.0, n_max)
-    err1 = max(abs(res1.extrapolated.coeff(Word(((i, 1),))) - oracle1[i])
+    err1 = max(abs(res1.extrapolated.coeff(Word((i,))) - oracle1[i])
                for i in range(n_max))
 
     def path_fn(t: float) -> FockElement:
@@ -271,8 +263,8 @@ def criterion_9() -> CriterionResult:
     err2 = 0.0
     for j in range(n_max):
         for k in range(n_max):
-            wd = Word(((j, 2),)) if j == k else Word(((j, 1), (k, 1)))
-            err2 = max(err2, abs(res2.extrapolated.coeff(wd) - oracle2[j, k]))
+            err2 = max(err2, abs(res2.extrapolated.coeff(Word((j, k)))
+                                 - oracle2[j, k]))
 
     ratios_ok = res1.converged and res2.converged \
         and all(r <= 0.6 for r in res1.ratios[-3:]) \

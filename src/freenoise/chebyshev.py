@@ -49,18 +49,9 @@ class ChebPoly:
         items = tuple(sorted((int(n), Fraction(c)) for n, c in d.items() if c != 0))
         return cls(items)
 
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.coeffs)
-
     @property
     def degrees(self) -> tuple[int, ...]:
         return tuple(n for n, _ in self.coeffs)
-
-    def __add__(self, other: "ChebPoly") -> "ChebPoly":
-        d = self.as_dict()
-        for n, c in other.coeffs:
-            d[n] = d.get(n, Fraction(0)) + c
-        return ChebPoly.from_dict(d)
 
 
 def catalan(n: int) -> int:

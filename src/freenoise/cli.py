@@ -222,6 +222,8 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 
 def cmd_vage(args: argparse.Namespace) -> int:
+    if args.trials < 0:
+        raise ValidationError("--trials must be non-negative")
     seq = _weight_seq(args.seq)
     vc = fock.vage_constant(args.d, seq)
     payload = {"seq": args.seq, "d": args.d,
@@ -306,17 +308,9 @@ def cmd_tmcoeff(args: argparse.Namespace) -> int:
 def cmd_derivative_check(args: argparse.Namespace) -> int:
     dens = _resolve_density(args)
     state = process.ProcessState(dens, n_max=args.n_max, degree_cap=6)
-    p = float(state.level)
-    base = process.apply_process(state, args.t, fock.vacuum())
-    noise = process.apply_whitenoise(state, args.t, fock.vacuum())
     hs = _parse_grid(args.h)
-    if any(h <= 0 for h in hs):
-        raise ValidationError("step sizes must be positive")
-    rows = []
-    for h in hs:
-        shifted = process.apply_process(state, args.t + h, fock.vacuum())
-        diff = (1.0 / h) * (shifted - base) - noise
-        rows.append({"h": h, "error": fock.norm(diff, -p, state.seq)})
+    rows = [{"h": h, "error": e}
+            for h, e in zip(hs, process.derivative_errors(state, args.t, hs))]
     payload: dict = {"density": dens.label(), "t": args.t,
                      "level": state.level, "n_max": args.n_max}
     status = 0
@@ -335,6 +329,8 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     dens = _resolve_density(args)
     if args.b <= args.a:
         raise ValidationError("need --b greater than --a")
+    if args.max_terms < 0:
+        raise ValidationError("--max-terms must be non-negative")
     state = process.ProcessState(dens, n_max=args.n_max, degree_cap=6,
                                  level=args.p)
     if args.integrand == "vacuum":

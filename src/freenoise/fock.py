@@ -196,7 +196,7 @@ def creation(coeffs, u: FockElement, cap: int | None = DEFAULT_DEGREE_CAP) -> Fo
             lost += abs(c) ** 2 * sum(abs(ci) ** 2 for _, ci in items)
             continue
         for i, ci in items:
-            nw = w.prepend_letter(i)
+            nw = Word((i,) + w)
             out[nw] = out.get(nw, 0j) + ci * c
     return FockElement.from_dict(out, dropped_mass=lost)
 
@@ -208,10 +208,10 @@ def annihilation(coeffs, u: FockElement) -> FockElement:
     for w, c in u.coeffs.items():
         if w.is_empty():
             continue
-        letter, rest = w.drop_first_letter()
-        ci = items.get(letter)
+        ci = items.get(w[0])
         if ci is None:
             continue
+        rest = Word(w[1:])
         out[rest] = out.get(rest, 0j) + ci.conjugate() * c
     return FockElement.from_dict(out)
 

@@ -37,6 +37,7 @@ __all__ = [
     "apply_process",
     "apply_whitenoise",
     "covariance",
+    "derivative_errors",
     "riemann_sum",
     "stochastic_integral",
 ]
@@ -115,6 +116,26 @@ def covariance(state: ProcessState, s: float, t: float) -> float:
     vs = apply_process(state, s, vacuum())
     vt = apply_process(state, t, vacuum())
     return float(fock.inner(vs, vt).real)
+
+
+def derivative_errors(state: ProcessState, t: float,
+                      steps: Sequence[float]) -> list[float]:
+    """Finite-difference errors of the white noise as the process derivative.
+
+    For each step h, the level -p norm of (1/h)(X(t+h) - X(t)) - W(t)
+    applied to the vacuum; first order means the errors fall like h.
+    """
+    if any(h <= 0 for h in steps):
+        raise ValidationError("step sizes must be positive")
+    p = float(state.level)
+    base = apply_process(state, t, vacuum())
+    noise = apply_whitenoise(state, t, vacuum())
+    errors = []
+    for h in steps:
+        shifted = apply_process(state, t + h, vacuum())
+        diff = (1.0 / h) * (shifted - base) - noise
+        errors.append(fock.norm(diff, -p, state.seq))
+    return errors
 
 
 @dataclass(frozen=True)

@@ -63,13 +63,18 @@ def panel_nodes(osc_scale: float, tail_start: float = 1.0,
     while x < tail_stop:
         x = min(x + width, tail_stop)
         edges.append(x)
-    edges_arr = np.asarray(edges)
-    mid = 0.5 * (edges_arr[1:] + edges_arr[:-1])
-    half = 0.5 * (edges_arr[1:] - edges_arr[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    weights = (half[:, None] * _GL_W[None, :]).ravel()
+    nodes, weights = _composite_rule(np.asarray(edges))
     keep = weights > 0
     return nodes[keep], weights[keep]
+
+
+def _composite_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GL-16 nodes and weights on the panels between consecutive edges."""
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
+    weights = (half[:, None] * _GL_W[None, :]).ravel()
+    return nodes, weights
 
 
 def gl_integrate(f, osc_scale: float, tail_stop: float = 60.0,
@@ -86,15 +91,11 @@ def gl_integrate(f, osc_scale: float, tail_stop: float = 60.0,
     total = vals @ weights
     span = tail_stop
     start = tail_stop
+    width = 6.0 / osc_scale
     for _ in range(max_rounds):
         stop = start + span
-        width = 6.0 / osc_scale
         n_panels = max(int(np.ceil(span / width)), 1)
-        edges = np.linspace(start, stop, n_panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        nodes_t = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-        weights_t = (half[:, None] * _GL_W[None, :]).ravel()
+        nodes_t, weights_t = _composite_rule(np.linspace(start, stop, n_panels + 1))
         piece = np.asarray(f(nodes_t)) @ weights_t
         total = total + piece
         scale = np.max(np.abs(total)) + 1e-300

@@ -35,11 +35,10 @@ from typing import Mapping, Sequence
 from . import fock
 from .chebyshev import linearize, orthonormal_poly
 from .errors import CapExceededError
-from .fock import DEFAULT_DEGREE_CAP, FockElement, apply_x, basis_vector, vacuum
+from .fock import DEFAULT_DEGREE_CAP, FockElement, apply_x, vacuum
 from .words import EMPTY_WORD, Word, normalize
 
 __all__ = [
-    "UWord",
     "TraceResult",
     "trace_reduction",
     "trace_pairings",
@@ -53,10 +52,6 @@ __all__ = [
     "trace_uword_fock",
     "trace_monomial_all",
 ]
-
-# A U-word is an ordinary normal-form word read as the label of U_alpha.
-UWord = Word
-
 
 @dataclass(frozen=True)
 class TraceResult:
@@ -80,18 +75,23 @@ def trace_reduction(beta: Word, alpha: Word) -> Fraction:
     if alpha.is_empty():
         # tau(U_beta^*) is the conjugate of tau(U_beta), zero by the base case
         return Fraction(0)
-    (j, b), beta_rest = beta.split_first_run()
-    (i, a), alpha_rest = alpha.split_first_run()
-    if i != j:
+    i = alpha[0]
+    if beta[0] != i:
         return Fraction(0)
+    b, a = _lead_run(beta), _lead_run(alpha)
+    beta_rest = Word(beta[b:])
     total = Fraction(0)
     for deg in linearize(b, a).degrees:
-        if deg == 0:
-            new_alpha = alpha_rest
-        else:
-            new_alpha = Word(((i, deg),) + alpha_rest.runs)
-        total += trace_reduction(beta_rest, new_alpha)
+        total += trace_reduction(beta_rest, Word((i,) * deg + alpha[a:]))
     return total
+
+
+def _lead_run(letters: Sequence[int]) -> int:
+    """Exponent of the run that starts a nonempty letter sequence."""
+    n = 1
+    while n < len(letters) and letters[n] == letters[0]:
+        n += 1
+    return n
 
 
 @lru_cache(maxsize=None)
@@ -135,17 +135,18 @@ def u_mult(a: Word, b: Word) -> tuple[tuple[Word, Fraction], ...]:
         return ((b, Fraction(1)),)
     if b.is_empty():
         return ((a, Fraction(1)),)
-    a_head, (la, ea) = a.split_last_run()
-    (lb, eb), b_tail = b.split_first_run()
-    if la != lb:
-        return ((Word(a.runs + b.runs), Fraction(1)),)
+    letter = a[-1]
+    if b[0] != letter:
+        return ((Word(a + b), Fraction(1)),)
+    ea, eb = _lead_run(a[::-1]), _lead_run(b)
+    a_head, b_tail = Word(a[:-ea]), Word(b[eb:])
     out: dict[Word, Fraction] = {}
     for deg in linearize(ea, eb).degrees:
         if deg == 0:
             for w, c in u_mult(a_head, b_tail):
                 out[w] = out.get(w, Fraction(0)) + c
         else:
-            w = Word(a_head.runs + ((la, deg),) + b_tail.runs)
+            w = Word(a_head + (letter,) * deg + b_tail)
             out[w] = out.get(w, Fraction(0)) + 1
     return tuple(sorted(out.items(), key=lambda kv: kv[0].sort_key()))
 
@@ -154,7 +155,7 @@ def monomial_to_uwords(letters: Sequence[int]) -> dict[Word, Fraction]:
     """Expansion of X_{i_1} ... X_{i_k} in the U-word basis, exact."""
     acc: dict[Word, Fraction] = {EMPTY_WORD: Fraction(1)}
     for letter in letters:
-        step = Word(((int(letter), 1),))
+        step = Word((int(letter),))
         nxt: dict[Word, Fraction] = {}
         for w, c in acc.items():
             for prod, pc in u_mult(w, step):
@@ -247,10 +248,7 @@ def trace_uword_fock(beta: Word, alpha: Word,
 def trace_monomial_all(word_or_letters, cap: int | None = DEFAULT_DEGREE_CAP,
                        radius: Fraction | int = 2) -> list[TraceResult]:
     """All three engines on one monomial; exact engines return Fractions."""
-    if isinstance(word_or_letters, Word):
-        letters = word_or_letters.letters()
-    else:
-        letters = normalize(word_or_letters).letters()
+    letters = normalize(word_or_letters).letters()
     return [
         TraceResult("reduction", trace_monomial_reduction(letters)),
         TraceResult("pairing", trace_pairings(letters, radius)),

@@ -1,11 +1,12 @@
 """Words of the free monoid over generator indices.
 
-A word is a finite product of generators z_i (i in N_0) stored in run
-form: ``z0^2 z1`` is ``((0, 2), (1, 1))``.  Adjacent runs carry distinct
-letters and the empty word is the monoid identity, spelled ``"1"`` in
-text form.  Words are immutable, hashable and totally ordered (graded,
-then lexicographic on flattened letters), so they can key sorted sparse
-maps deterministically.
+A word is a finite product of generators z_i (i in N_0) stored as the
+tuple of its letters: ``z0^2 z1`` is ``(0, 0, 1)``.  The empty word is
+the monoid identity, spelled ``"1"`` in text form.  Run form, the
+(letter, exponent) pairs of ``Word.runs``, serves weights, printing and
+the Chebyshev factors of a U-word.  Words are immutable, hashable and
+totally ordered (graded, then lexicographic on letters), so they can
+key sorted sparse maps deterministically.
 
 The same module holds the weight sequences a_1 <= a_2 <= ... that grade
 the Fock norms.  The weight of a word at exponent p multiplies
@@ -124,37 +125,39 @@ class WeightSequence:
         return sum(a ** (-d) for a in self.table)
 
 
-@dataclass(frozen=True, order=False)
-class Word:
-    """Normal-form word: runs of (letter, exponent) with adjacent letters distinct."""
+class Word(tuple):
+    """Word as the tuple of its letters: ``z0^2 z1`` is ``(0, 0, 1)``.
 
-    runs: tuple[tuple[int, int], ...] = ()
+    Equality and hashing are the tuple's; the order is graded.  The
+    constructor does not check its letters, ``normalize`` does.
+    """
 
-    def __post_init__(self):
-        prev = -1
-        for letter, exp in self.runs:
-            if letter < 0 or exp < 1:
-                raise ValueError(f"bad run ({letter}, {exp})")
-            if letter == prev:
-                raise ValueError("adjacent runs must carry distinct letters")
-            prev = letter
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
-        return sum(e for _, e in self.runs)
+        return len(self)
 
     def is_empty(self) -> bool:
-        return not self.runs
+        return not self
 
     def letters(self) -> tuple[int, ...]:
-        """Flattened letter sequence with multiplicity."""
-        out: list[int] = []
-        for letter, exp in self.runs:
-            out.extend([letter] * exp)
+        """Letter sequence with multiplicity, as a plain tuple."""
+        return tuple(self)
+
+    @property
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        """Run form: (letter, exponent) pairs, adjacent letters distinct."""
+        out: list[tuple[int, int]] = []
+        for letter in self:
+            if out and out[-1][0] == letter:
+                out[-1] = (letter, out[-1][1] + 1)
+            else:
+                out.append((letter, 1))
         return tuple(out)
 
     def sort_key(self):
-        return (self.degree, self.letters())
+        return (len(self), tuple(self))
 
     def __lt__(self, other: "Word"):
         return self.sort_key() < other.sort_key()
@@ -168,32 +171,8 @@ class Word:
     def __ge__(self, other: "Word"):
         return self.sort_key() >= other.sort_key()
 
-    def split_first_run(self) -> tuple[tuple[int, int], "Word"]:
-        """((letter, exp), rest); undefined on the empty word."""
-        if not self.runs:
-            raise ValueError("empty word has no first run")
-        return self.runs[0], Word(self.runs[1:])
-
-    def split_last_run(self) -> tuple["Word", tuple[int, int]]:
-        if not self.runs:
-            raise ValueError("empty word has no last run")
-        return Word(self.runs[:-1]), self.runs[-1]
-
-    def prepend_letter(self, letter: int) -> "Word":
-        if self.runs and self.runs[0][0] == letter:
-            (l0, e0), *rest = self.runs
-            return Word(((l0, e0 + 1),) + tuple(rest))
-        return Word(((letter, 1),) + self.runs)
-
-    def drop_first_letter(self) -> tuple[int, "Word"]:
-        """(first letter, word with one copy of it removed)."""
-        (letter, exp), rest = self.split_first_run()
-        if exp == 1:
-            return letter, rest
-        return letter, Word(((letter, exp - 1),) + rest.runs)
-
     def __str__(self) -> str:
-        if not self.runs:
+        if not self:
             return "1"
         return " ".join(
             f"z{l}^{e}" if e > 1 else f"z{l}" for l, e in self.runs
@@ -204,30 +183,16 @@ EMPTY_WORD = Word()
 
 
 def normalize(letters: Sequence[int]) -> Word:
-    """Word from a raw letter sequence, merging equal adjacent letters."""
-    runs: list[tuple[int, int]] = []
-    for letter in letters:
-        letter = int(letter)
-        if letter < 0:
-            raise ValueError("letters are non-negative indices")
-        if runs and runs[-1][0] == letter:
-            runs[-1] = (letter, runs[-1][1] + 1)
-        else:
-            runs.append((letter, 1))
-    return Word(tuple(runs))
+    """Word from a raw letter sequence, checking every letter."""
+    w = Word(int(letter) for letter in letters)
+    if any(letter < 0 for letter in w):
+        raise ValueError("letters are non-negative indices")
+    return w
 
 
 def concat(a: Word, b: Word) -> Word:
-    """Monoid product; merges the boundary runs when letters agree."""
-    if not a.runs:
-        return b
-    if not b.runs:
-        return a
-    if a.runs[-1][0] == b.runs[0][0]:
-        letter = a.runs[-1][0]
-        merged = (letter, a.runs[-1][1] + b.runs[0][1])
-        return Word(a.runs[:-1] + (merged,) + b.runs[1:])
-    return Word(a.runs + b.runs)
+    """Monoid product."""
+    return Word(a + b)
 
 
 def weight(w: Word, p: float, seq: WeightSequence) -> float:
@@ -263,20 +228,20 @@ def parse_word(text: str) -> Word:
 
 
 def iter_words(max_degree: int, n_letters: int) -> Iterator[Word]:
-    """All normal-form words of degree <= max_degree over letters 0..n_letters-1.
+    """All words of degree <= max_degree over letters 0..n_letters-1.
 
     Deterministic order: by degree of the first run, then letter, depth first.
     Count for (degree 5, 3 letters) is 364 including the empty word.
     """
     yield EMPTY_WORD
 
-    def rec(prefix: tuple[tuple[int, int], ...], last: int, left: int):
+    def rec(prefix: tuple[int, ...], last: int, left: int):
         for letter in range(n_letters):
             if letter == last:
                 continue
             for exp in range(1, left + 1):
-                runs = prefix + ((letter, exp),)
-                yield Word(runs)
-                yield from rec(runs, letter, left - exp)
+                letters = prefix + (letter,) * exp
+                yield Word(letters)
+                yield from rec(letters, letter, left - exp)
 
     yield from rec((), -1, max_degree)

@@ -22,6 +22,16 @@ def test_linearize_rejects_negative_degree(capsys):
     assert run(["linearize", "-3", "1"]) == 2
 
 
+def test_vage_rejects_negative_trials(capsys):
+    assert run(["vage", "--d", "2", "--trials", "-4"]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "validation"
+
+
+def test_integrate_rejects_negative_max_terms(capsys):
+    assert run(["integrate", "--max-terms", "-2"]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "validation"
+
+
 def test_unknown_subcommand_exits_two():
     assert run(["frobnicate"]) == 2
 

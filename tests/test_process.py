@@ -15,6 +15,7 @@ from freenoise.process import (
     apply_process,
     apply_whitenoise,
     covariance,
+    derivative_errors,
     riemann_sum,
     stochastic_integral,
 )
@@ -77,6 +78,14 @@ def test_covariance_approximates_kernel():
         state = ProcessState(dens, n_max=200)
         assert covariance(state, 0.7, 0.4) == pytest.approx(
             kernel(dens, 0.7, 0.4), abs=0.05)
+
+
+def test_derivative_errors_fall_with_the_step():
+    state = ProcessState(SpectralDensity.lebesgue(), n_max=24)
+    errs = derivative_errors(state, 0.8, (1e-2, 1e-3))
+    assert 5.0 < errs[0] / errs[1] < 20.0
+    with pytest.raises(ValidationError):
+        derivative_errors(state, 0.8, (1e-2, 0.0))
 
 
 def test_path_validation():
@@ -214,3 +223,26 @@ def test_riemann_sum_equals_per_tag_tensor_loop(f, cap):
         discarded = full - want
         assert got.dropped_mass == pytest.approx(norm(discarded) ** 2, rel=1e-12)
         assert (got.dropped_mass > 0) == (cap == 3)
+
+
+def test_every_built_key_is_a_word():
+    # a plain-tuple key would print as "(0, 1)" rather than "z0 z1"
+    from freenoise.trace import monomial_to_uwords
+    from freenoise.words import Word
+
+    def keys_are_words(keys):
+        keys = list(keys)
+        assert keys and all(type(w) is Word for w in keys)
+
+    state = ProcessState(SpectralDensity.lebesgue(), n_max=16, degree_cap=6)
+    f = vacuum() + basis_vector(normalize([0, 1])) * 0.5
+    g = basis_vector(normalize([1])) * 2.0 + vacuum()
+    keys_are_words(fock.tensor(f, g).coeffs)
+    keys_are_words(fock.creation([0.5, 1.0], f).coeffs)
+    keys_are_words(fock.annihilation([0.5, 1.0], f).coeffs)
+    keys_are_words(fock.apply_x([0.5, 1.0], f).coeffs)
+    keys_are_words((f + g).coeffs)
+    path = IntegrandPath.dyadic(_mixed_integrand, 0.0, 1.0, 2)
+    keys_are_words(riemann_sum(state, path, f, 0.0, 1.0, 4).coeffs)
+    keys_are_words(fock.from_json_terms(fock.to_json_terms(f)).coeffs)
+    keys_are_words(monomial_to_uwords([0, 0, 1, 1, 0]))

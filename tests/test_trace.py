@@ -16,7 +16,7 @@ from freenoise.trace import (
     u_mult,
     wick_word_vector,
 )
-from freenoise.words import EMPTY_WORD, Word, concat, iter_words, normalize
+from freenoise.words import EMPTY_WORD, iter_words, normalize
 
 
 def _pairings(idx):

@@ -33,13 +33,18 @@ def test_empty_word():
     assert str(EMPTY_WORD) == "1"
 
 
-def test_word_rejects_bad_runs():
+def test_checked_entry_points_reject_negative_letters():
     with pytest.raises(ValueError):
-        Word(((0, 0),))
+        normalize([0, -1])
     with pytest.raises(ValueError):
-        Word(((-1, 2),))
-    with pytest.raises(ValueError):
-        Word(((1, 2), (1, 1)))
+        parse_word("z0 z-1")
+
+
+def test_word_is_its_letter_tuple():
+    w = Word((0, 0, 1))
+    assert w == (0, 0, 1) and hash(w) == hash((0, 0, 1))
+    assert str(w) == "z0^2 z1"
+    assert parse_word("z0^2 z1") == w
 
 
 @given(letter_lists)
