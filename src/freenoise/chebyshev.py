@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import QuadratureError
 
@@ -97,6 +96,7 @@ def eval_u(n: int, y):
     return cur
 
 
+@lru_cache(maxsize=None)
 def linearize(m: int, n: int) -> ChebPoly:
     """Product expansion U_m U_n = sum over |m-n|+2k, k = 0..min(m,n)."""
     if m < 0 or n < 0:
@@ -165,6 +165,8 @@ def orthonormal_check(
 
     Raises QuadratureError when the quadrature error estimate exceeds tol.
     """
+    from scipy.integrate import quad
+
     r = float(law.radius)
 
     def integrand(x):

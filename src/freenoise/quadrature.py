@@ -4,9 +4,13 @@ Two engines share the work:
 
 * a composite Gauss-Legendre rule on graded panels, built for smooth
   oscillatory integrands with a possible power singularity at the
-  origin, which evaluates a whole vector of integrands in one pass; and
+  origin, for integrands that factor into rows times scalar factors:
+  every row-factor product is integrated by one matrix product of the
+  weighted factors against the rows, so the products themselves are
+  never formed; and
 * thin wrappers around scipy's adaptive QUADPACK routines for scalar
-  integrals, used where an independent error estimate matters.
+  integrals, used where an independent error estimate matters.  They
+  import scipy on first use, so importing the package does not load it.
 
 The panel layout grades geometrically toward zero (integrable
 singularities u^{-b}, b < 1) and caps panel width by the oscillation
@@ -20,7 +24,6 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate as _si
 
 from .errors import QuadratureError
 
@@ -79,24 +82,27 @@ def _composite_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def gl_integrate(f, osc_scale: float, tail_stop: float = 60.0,
                  rel_tol: float = 1e-11, max_rounds: int = 8):
-    """Integral of f over (0, inf) by the composite rule with tail growth.
+    """Integrals over (0, inf) of every product factors[k] * rows[n].
 
-    f maps a node vector to an array whose last axis runs over nodes;
-    the result drops that axis.  The tail extends by doubling spans
-    until the newest span contributes less than rel_tol of the total;
-    QuadratureError is raised when max_rounds doublings do not get there.
+    f maps a node vector to a pair (rows, factors), both with nodes on
+    the last axis; the result, indexed (k, n), is (factors * weights) @
+    rows.T summed over the panels and tail spans.  The tail extends by
+    doubling spans until the newest span contributes less than rel_tol
+    of the total; QuadratureError is raised when max_rounds doublings do
+    not get there.
     """
-    nodes, weights = panel_nodes(osc_scale, tail_stop=tail_stop)
-    vals = np.asarray(f(nodes))
-    total = vals @ weights
+    def contract(nodes, weights):
+        rows, factors = f(nodes)
+        return (factors * weights) @ rows.T
+
+    total = contract(*panel_nodes(osc_scale, tail_stop=tail_stop))
     span = tail_stop
     start = tail_stop
     width = 6.0 / osc_scale
     for _ in range(max_rounds):
         stop = start + span
         n_panels = max(int(np.ceil(span / width)), 1)
-        nodes_t, weights_t = _composite_rule(np.linspace(start, stop, n_panels + 1))
-        piece = np.asarray(f(nodes_t)) @ weights_t
+        piece = contract(*_composite_rule(np.linspace(start, stop, n_panels + 1)))
         total = total + piece
         scale = np.max(np.abs(total)) + 1e-300
         if np.max(np.abs(piece)) <= rel_tol * scale:
@@ -110,7 +116,9 @@ def gl_integrate(f, osc_scale: float, tail_stop: float = 60.0,
 
 def quad_scalar(f, a: float, b: float, abs_tol: float = 1e-11,
                 rel_tol: float = 1e-11) -> float:
-    val, err = _si.quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=400)
+    from scipy.integrate import quad
+
+    val, err = quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=400)
     if err > max(abs_tol, rel_tol * abs(val)) * 50:
         raise QuadratureError(
             f"quad error {err:.2e} too large for integral {val:.6e} on [{a}, {b}]")
@@ -126,8 +134,10 @@ def quad_cos_range(f, omega: float, a: float, b: float,
     """
     if omega == 0.0:
         return quad_scalar(f, a, b, abs_tol, abs_tol)
-    val, err = _si.quad(f, a, b, weight="cos", wvar=omega,
-                        epsabs=abs_tol, epsrel=abs_tol, limit=400)
+    from scipy.integrate import quad
+
+    val, err = quad(f, a, b, weight="cos", wvar=omega,
+                    epsabs=abs_tol, epsrel=abs_tol, limit=400)
     if err > 1e-6:
         raise QuadratureError(f"oscillatory quad error {err:.2e} too large")
     return val
@@ -143,10 +153,12 @@ def quad_semicircle_moment(order: int, radius: float = 2.0,
     """
     if order < 0:
         raise QuadratureError("moment order must be non-negative")
+    from scipy.integrate import quad
+
     pref = 2.0 / (math.pi * radius * radius)
-    val, err = _si.quad(lambda x: pref * x ** order, -radius, radius,
-                        weight="alg", wvar=(0.5, 0.5), epsabs=abs_tol,
-                        epsrel=1e-11)
+    val, err = quad(lambda x: pref * x ** order, -radius, radius,
+                    weight="alg", wvar=(0.5, 0.5), epsabs=abs_tol,
+                    epsrel=1e-11)
     if err > 1e-8 * max(1.0, abs(val)):
         raise QuadratureError(f"moment quad error {err:.2e} too large")
     return val

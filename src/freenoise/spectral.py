@@ -15,8 +15,10 @@ power preset scales exactly like |t|^{2H}.
 Because sqrt(m) is even for every supported density, the multiplier
 applied to a real Hermite function is real, and the Fourier phase
 (-i)^{n-1} collapses to a four-periodic sign pattern over half-line
-cosine and sine integrals.  All coefficient vectors are computed that
-way in a single composite Gauss-Legendre pass per time point.
+cosine and sine integrals.  All coefficient vectors at one time point
+come from a single composite Gauss-Legendre pass whose integrands
+factor into Hermite rows times four scalar factors, so the pass is one
+matrix product of the weighted factors against the Hermite matrix.
 """
 
 from __future__ import annotations
@@ -250,26 +252,18 @@ def _tail_stop(n_max: int) -> float:
 def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Multiplier values and their time integrals for indices 1..n_max.
 
-    One composite pass evaluates every Hermite row at once; the
+    One composite pass contracts the Hermite rows against the four
+    factors sqrt(m) * {cos, sin, sin / u, 2 sin^2(u t / 2) / u}; the
     four-periodic phase pattern then selects the cosine or sine
     integral per index.
     """
-    def rows(nodes):
-        psi = hermite_fn_matrix(n_max, nodes)
-        root_m = np.sqrt(dens(nodes))
-        base = psi * root_m[None, :]
-        ct = np.cos(t * nodes)
+    def integrand(nodes):
         st = np.sin(t * nodes)
-        if t == 0.0:
-            ratio_s = np.full_like(nodes, 0.0)
-        else:
-            ratio_s = st / nodes
         half = np.sin(0.5 * t * nodes)
-        ratio_k = 2.0 * half * half / nodes
-        return np.stack([base * ct[None, :], base * st[None, :],
-                         base * ratio_s[None, :], base * ratio_k[None, :]])
+        factors = np.stack([np.cos(t * nodes), st, st / nodes, 2.0 * half * half / nodes])
+        return hermite_fn_matrix(n_max, nodes), factors * np.sqrt(dens(nodes))
 
-    ints = gl_integrate(rows, _osc_scale(n_max, t), _tail_stop(n_max))
+    ints = gl_integrate(integrand, _osc_scale(n_max, t), _tail_stop(n_max))
     cos_i, sin_i, s_i, k_i = (_HALF_LINE_PREF * ints[j] for j in range(4))
     phase = np.arange(n_max) % 4
     tm = np.select([phase == 0, phase == 1, phase == 2, phase == 3],
@@ -347,15 +341,22 @@ def _r_cached(dens: SpectralDensity, t: float, abs_tol: float) -> float:
         return 2.0 * half * half * float(dens(u)) / (u * u)
 
     value = quad_scalar(head, 0.0, 1.0, abs_tol, abs_tol)
-
-    def tail_amp(u):
-        return float(dens(u)) / (u * u)
-
     hi = dens.cutoff_high
     if hi > 1.0:
-        value += quad_scalar(tail_amp, 1.0, hi, abs_tol, abs_tol)
-        value -= quad_cos_range(tail_amp, t, 1.0, hi, abs_tol)
+        value += _r_tail_mass(dens, abs_tol)
+        value -= quad_cos_range(lambda u: _tail_amp(dens, u), t, 1.0, hi, abs_tol)
     return value / math.pi
+
+
+def _tail_amp(dens: SpectralDensity, u: float) -> float:
+    return float(dens(u)) / (u * u)
+
+
+@lru_cache(maxsize=64)
+def _r_tail_mass(dens: SpectralDensity, abs_tol: float) -> float:
+    """The t-independent part of r's tail: integral over (1, hi) of m(u) / u^2."""
+    return quad_scalar(lambda u: _tail_amp(dens, u), 1.0, dens.cutoff_high,
+                       abs_tol, abs_tol)
 
 
 def r_function(dens: SpectralDensity, t: float, abs_tol: float = 1e-9) -> float:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import freenoise
 from freenoise.errors import QuadratureError
 from freenoise.quadrature import gl_integrate
 
@@ -8,9 +14,31 @@ from freenoise.quadrature import gl_integrate
 def test_gl_integrate_extends_the_tail_until_it_settles():
     # integral of exp(-u / 40) over (0, inf) is 40; the tail past the
     # initial stop at 60 needs several doublings
-    assert gl_integrate(lambda u: np.exp(-u / 40.0), 1.0) == pytest.approx(40.0, rel=1e-10)
+    assert gl_integrate(lambda u: (np.exp(-u / 40.0), np.ones_like(u)),
+                        1.0) == pytest.approx(40.0, rel=1e-10)
 
 
 def test_gl_integrate_raises_when_the_tail_does_not_settle():
     with pytest.raises(QuadratureError):
-        gl_integrate(lambda u: np.exp(-u / 40.0), 1.0, max_rounds=2)
+        gl_integrate(lambda u: (np.exp(-u / 40.0), np.ones_like(u)), 1.0,
+                     max_rounds=2)
+
+
+def test_gl_integrate_contracts_every_factor_against_every_row():
+    # rows e^{-u/40}, e^{-u}; factors 1, u: result[k, n] = int factor_k row_n
+    def integrand(u):
+        return np.stack([np.exp(-u / 40.0), np.exp(-u)]), np.stack([np.ones_like(u), u])
+
+    got = gl_integrate(integrand, 1.0)
+    assert got.shape == (2, 2)
+    assert got == pytest.approx(np.array([[40.0, 1.0], [1600.0, 1.0]]), rel=1e-10)
+
+
+def test_importing_the_package_does_not_load_scipy_integrate():
+    src = Path(freenoise.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, freenoise, freenoise.cli; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -6,9 +6,14 @@ from scipy import integrate as si
 from scipy import special as ssp
 
 from freenoise.errors import DivergenceError, ValidationError
-from freenoise.hermite import hermite_fn
+from freenoise.hermite import hermite_fn, hermite_fn_matrix
+from freenoise.quadrature import _composite_rule, panel_nodes
 from freenoise.spectral import (
+    _HALF_LINE_PREF,
     SpectralDensity,
+    _osc_scale,
+    _tail_stop,
+    _tm_and_alpha,
     alpha,
     alpha_prime,
     alpha_vector,
@@ -113,6 +118,68 @@ def test_alpha_lebesgue_matches_quadrature():
         expected, _ = si.quad(lambda s: hermite_fn(n, s), 0.0, 0.9)
         assert alpha(leb, n, 0.9) == pytest.approx(expected, abs=1e-10)
     assert np.all(alpha_vector(leb, 0.0, 6) == 0.0)
+
+
+_FLAT_TIMES = (0.3, 1.0, 2.5, 7.0, 12.0)
+
+
+@pytest.mark.parametrize("t", _FLAT_TIMES)
+def test_flat_multiplier_is_the_hermite_function_to_n_400(t):
+    leb = SpectralDensity.lebesgue()
+    expected = hermite_fn_matrix(400, [t])[:, 0]
+    assert np.max(np.abs(tm_values(leb, t, 400) - expected)) <= 5e-14
+
+
+@pytest.mark.parametrize("t", _FLAT_TIMES)
+def test_flat_alpha_is_the_integral_of_the_hermite_function_to_n_400(t):
+    x, w = np.polynomial.legendre.leggauss(200)
+    nodes = 0.5 * t * (x + 1.0)
+    expected = hermite_fn_matrix(400, nodes) @ (0.5 * t * w)
+    leb = SpectralDensity.lebesgue()
+    assert np.max(np.abs(alpha_vector(leb, t, 400) - expected)) <= 1e-12
+
+
+def _stacked_reference(dens, t, n_max):
+    """tm and alpha with every integrand product formed, then contracted.
+
+    The same panels and tail doublings as gl_integrate, but the four
+    (n_max x nodes) integrands are built and stacked before the
+    weighted sum over the nodes.
+    """
+    def integrand(nodes):
+        base = hermite_fn_matrix(n_max, nodes) * np.sqrt(dens(nodes))
+        half = np.sin(0.5 * t * nodes)
+        factors = (np.cos(t * nodes), np.sin(t * nodes),
+                   np.sin(t * nodes) / nodes, 2.0 * half * half / nodes)
+        return np.stack([base * g for g in factors])
+
+    osc, stop = _osc_scale(n_max, t), _tail_stop(n_max)
+    nodes, weights = panel_nodes(osc, tail_stop=stop)
+    total = integrand(nodes) @ weights
+    start, span = stop, stop
+    while True:
+        n_panels = max(int(np.ceil(span * osc / 6.0)), 1)
+        nodes, weights = _composite_rule(np.linspace(start, start + span, n_panels + 1))
+        piece = integrand(nodes) @ weights
+        total = total + piece
+        if np.max(np.abs(piece)) <= 1e-11 * np.max(np.abs(total)):
+            break
+        start, span = start + span, 2.0 * span
+    cos_i, sin_i, s_i, k_i = _HALF_LINE_PREF * total
+    sign = np.array([1.0, 1.0, -1.0, -1.0])[np.arange(n_max) % 4]
+    even = np.arange(n_max) % 2 == 0
+    return (sign * np.where(even, cos_i, sin_i), sign * np.where(even, s_i, k_i))
+
+
+@pytest.mark.parametrize("n_max", [64, 400])
+@pytest.mark.parametrize("dens", [SpectralDensity.lebesgue(), SpectralDensity.fbm(0.3),
+                                  SpectralDensity.fbm(0.75)], ids=lambda d: d.label())
+def test_multiplier_pass_matches_the_stacked_integrand(dens, n_max):
+    for t in (0.7, 3.1):
+        tm, al = _tm_and_alpha(dens, t, n_max)
+        ref_tm, ref_al = _stacked_reference(dens, t, n_max)
+        assert np.max(np.abs(tm - ref_tm)) <= 1e-13
+        assert np.max(np.abs(al - ref_al)) <= 1e-13
 
 
 def test_alpha_prime_is_the_multiplier():
