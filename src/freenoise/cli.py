@@ -366,7 +366,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     word = words.parse_word(args.word)
     letters = word.letters()
-    gens = args.gens if args.gens else max(letters, default=0) + 1
+    gens = args.gens if args.gens is not None else max(letters, default=0) + 1
     cfg = matmodel.EnsembleConfig(dim=args.dim, n_generators=gens,
                                   n_samples=args.samples, seed=args.seed,
                                   radius=args.radius)

@@ -16,7 +16,16 @@ with u1 flipped to (0, 1] so the log is finite.  A Hermitian sample is
 H = (A + A*)/2 with A filled by independent standard complex normals,
 so off-diagonal entries have unit second moment and the spectrum of
 H/sqrt(dim) fills the radius-2 semicircle; the configured radius
-rescales that support.
+rescales that support.  Samples are written in place into caller
+buffers, in the same floating-point operation order as that formula.
+
+Traces of many words share each sample.  Words are split in half, and
+because the generators are Hermitian, the product of a reversed word is
+the conjugate transpose of the word's product.  So tr(P_l P_r) is an
+entrywise inner product of P_l with P_reverse(r), and one Gram matrix
+over the identity, the left halves and the reversed right halves gives
+every trace of the sample; a half whose reverse is already built is a
+conjugate-transpose copy rather than a matrix product.
 """
 
 from __future__ import annotations
@@ -56,8 +65,8 @@ class EnsembleConfig:
             raise ValidationError("matrix dimension must be >= 2")
         if self.n_generators < 1 or self.n_samples < 1:
             raise ValidationError("need at least one generator and one sample")
-        if self.radius <= 0:
-            raise ValidationError("radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValidationError("radius must be positive and finite")
 
 
 class TraceEstimate(NamedTuple):
@@ -70,28 +79,53 @@ def _stream(seed: int, sample: int, gen_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
+def _standard_normals(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill the flat float buffer with normals: cosine half, then sine half."""
+    count = out.size
     half = (count + 1) // 2
-    u1 = 1.0 - rng.random(half)
-    u2 = rng.random(half)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * math.pi * u2
-    return np.concatenate([radius * np.cos(angle),
-                           radius * np.sin(angle)])[:count]
+    rest = count - half
+    radius = rng.random(half)  # u1, flipped to (0, 1] next
+    angle = rng.random(half)  # u2
+    np.subtract(1.0, radius, out=radius)
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * math.pi
+    np.cos(angle, out=out[:half])
+    out[:half] *= radius
+    np.sin(angle, out=angle)
+    np.multiply(radius[:rest], angle[:rest], out=out[half:])
 
 
-def gue_matrix(cfg: EnsembleConfig, sample: int, gen_index: int) -> np.ndarray:
+def gue_matrix(cfg: EnsembleConfig, sample: int, gen_index: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """One Hermitian sample, written into out when given.
+
+    The scaling repeats the operation order of (radius/2) (A + A*)/2 /
+    sqrt(dim) on the float view, so every entry is bit for bit what
+    that complex expression gives; numpy divides a complex array by a
+    real scalar through the reciprocal, hence the last factor.
+    """
     rng = _stream(cfg.seed, sample, gen_index)
     d = cfg.dim
-    re = _standard_normals(rng, d * d).reshape(d, d)
-    im = _standard_normals(rng, d * d).reshape(d, d)
-    a = re + 1j * im
-    h = 0.5 * (a + a.conj().T)
-    return (cfg.radius / 2.0) * h / math.sqrt(d)
+    h = np.empty((d, d), np.complex128) if out is None else out
+    normals = np.empty((d, d))
+    _standard_normals(rng, normals.reshape(-1))
+    np.add(normals, normals.T, out=h.real)
+    _standard_normals(rng, normals.reshape(-1))
+    np.subtract(normals, normals.T, out=h.imag)
+    flat = h.view(np.float64)
+    flat *= 0.5
+    flat *= cfg.radius / 2.0
+    flat *= 1.0 / math.sqrt(d)
+    return h
 
 
-def sample_generators(cfg: EnsembleConfig, sample: int) -> list[np.ndarray]:
-    return [gue_matrix(cfg, sample, g) for g in range(cfg.n_generators)]
+def sample_generators(cfg: EnsembleConfig, sample: int,
+                      out: np.ndarray | None = None) -> list[np.ndarray]:
+    """The sample's generators, written into the leading rows of out when given."""
+    return [gue_matrix(cfg, sample, g, None if out is None else out[g])
+            for g in range(cfg.n_generators)]
 
 
 def _check_word(cfg: EnsembleConfig, letters: tuple[int, ...]) -> None:
@@ -103,28 +137,41 @@ def _check_word(cfg: EnsembleConfig, letters: tuple[int, ...]) -> None:
             raise ValidationError(f"letter {i} outside the generator range")
 
 
-def _prefix_closure(halves: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Every prefix of length two or more, parents before children."""
+def _gram_rows(halves: set[tuple[int, ...]],
+               n_letters: int) -> list[tuple[int, ...]]:
+    """Pool row labels: the identity, every letter, then every prefix of
+    length two or more of the halves, ordered by (length, letters)."""
     need = {t[:k] for t in halves for k in range(2, len(t) + 1)}
-    return sorted(need, key=lambda t: (len(t), t))
+    return [()] + [(i,) for i in range(n_letters)] \
+        + sorted(need, key=lambda t: (len(t), t))
 
 
 def _half_products(mats: Sequence[np.ndarray],
                    halves: set[tuple[int, ...]],
-                   pool: Sequence[np.ndarray] | None = None,
+                   pool: np.ndarray,
                    ) -> dict[tuple[int, ...], np.ndarray]:
-    """Matrix products for every requested prefix, built by prefix reuse.
+    """Fill the pool rows past the letters with their products.
 
-    A pool of one buffer per prefix-closure entry keeps the sampling
-    loop free of large allocations; repeated fresh outputs here grow
-    the resident set without bound on glibc.  Single letters alias the
-    input matrices and are never written.
+    Row k of pool holds the product labelled by entry k of _gram_rows;
+    the identity and letter rows are already in place, and mats aliases
+    the letter rows.  The generators are Hermitian, so the product of a
+    reversed word is the conjugate transpose of the word's product: a
+    row whose reverse is an earlier row is copied that way, and every
+    other row is its prefix times its last letter.  The returned dict
+    holds the letters and the matmul products only, so its length
+    beyond len(mats) is the number of matmuls made.
     """
+    labels = _gram_rows(halves, len(mats))
+    index = {t: k for k, t in enumerate(labels)}
     memo: dict[tuple[int, ...], np.ndarray] = {
         (i,): m for i, m in enumerate(mats)}
-    for k, t in enumerate(_prefix_closure(halves)):
-        out = None if pool is None else pool[k]
-        memo[t] = np.matmul(memo[t[:-1]], mats[t[-1]], out=out)
+    for k in range(1 + len(mats), len(labels)):
+        t = labels[k]
+        rev = index.get(t[::-1], k)
+        if rev < k:
+            np.conjugate(pool[rev].T, out=pool[k])
+        else:
+            memo[t] = np.matmul(pool[index[t[:-1]]], mats[t[-1]], out=pool[k])
     return memo
 
 
@@ -140,42 +187,51 @@ def estimate_trace_many(cfg: EnsembleConfig,
                         words: Sequence[Sequence[int]]) -> list[TraceEstimate]:
     """Monte Carlo traces of many words over shared sample matrices.
 
-    Each word is split in half so only products of half length are ever
-    multiplied; the closing trace tr(L R) contracts entrywise, sum_ij
-    L_ij R_ji, quadratic instead of cubic in the dimension.  All words
-    of one call see the same matrices, so estimates are correlated
-    across words but each is unbiased, and the result is deterministic
-    in the seed alone: sample streams are counter-based, so the worker
-    count never changes a digit.
+    Each word w = l r is split at mid = (len + 1) // 2, so only products
+    of half length are ever multiplied.  For Hermitian generators the
+    product of reverse(r) is the conjugate transpose of the product of
+    r, so
+
+        Re tr(P_l P_r) = Re <P_reverse(r), P_l>,
+
+    a real inner product of the two matrices' entries.  The identity,
+    every left half and every reversed right half, closed under
+    prefixes, are the rows of one (rows, dim, dim) pool; seen as real
+    vectors of length 2 dim^2 they give every trace of a sample at once
+    through one Gram matrix F F^T, which numpy computes with a single
+    symmetric rank-k BLAS update.  All words of one call see the same
+    matrices, so estimates are correlated across words but each is
+    unbiased, and the result is deterministic in the seed alone: sample
+    streams are counter-based, so the worker count never changes a
+    digit.
     """
     tuples = [tuple(int(i) for i in w) for w in words]
     for t in tuples:
         _check_word(cfg, t)
-    halves: set[tuple[int, ...]] = set()
+    splits = []
     for t in tuples:
         mid = (len(t) + 1) // 2
-        halves.add(t[:mid])
-        halves.add(t[mid:])
-    pool_size = len(_prefix_closure(halves))
+        splits.append((t[:mid], t[mid:][::-1]))
+    halves = {h for pair in splits for h in pair}
+    labels = _gram_rows(halves, cfg.n_generators)
+    index = {t: k for k, t in enumerate(labels)}
+    left = np.array([index[lh] for lh, _ in splits], dtype=np.intp)
+    right = np.array([index[rh] for _, rh in splits], dtype=np.intp)
+    letters = slice(1, 1 + cfg.n_generators)
 
     def run_slice(samples: range) -> np.ndarray:
-        pool = [np.empty((cfg.dim, cfg.dim), np.complex128)
-                for _ in range(pool_size)]
+        # one pool per worker: fresh per-sample outputs grow the resident
+        # set without bound on glibc
+        pool = np.empty((len(labels), cfg.dim, cfg.dim), np.complex128)
+        pool[0] = 0.0
+        np.fill_diagonal(pool[0], 1.0)
+        flat = pool.reshape(len(labels), -1).view(np.float64)
         rows = np.empty((len(samples), len(tuples)))
         for row, sample in enumerate(samples):
-            mats = sample_generators(cfg, sample)
-            prods = _half_products(mats, halves, pool)
-            for k, t in enumerate(tuples):
-                if not t:
-                    rows[row, k] = 1.0
-                    continue
-                mid = (len(t) + 1) // 2
-                left, right = t[:mid], t[mid:]
-                if not right:
-                    rows[row, k] = np.trace(prods[left]).real / cfg.dim
-                else:
-                    rows[row, k] = np.einsum(
-                        "ij,ji->", prods[left], prods[right]).real / cfg.dim
+            mats = sample_generators(cfg, sample, pool[letters])
+            _half_products(mats, halves, pool)
+            gram = flat @ flat.T
+            rows[row] = gram[right, left] / cfg.dim
         return rows
 
     table = np.concatenate(ordered_map(run_slice, _sample_slices(cfg)))
@@ -184,13 +240,7 @@ def estimate_trace_many(cfg: EnsembleConfig,
         ses = table.std(axis=0, ddof=1) / math.sqrt(cfg.n_samples)
     else:
         ses = np.zeros(len(tuples))
-    out = []
-    for k, t in enumerate(tuples):
-        if not t:
-            out.append(TraceEstimate(1.0, 0.0))
-        else:
-            out.append(TraceEstimate(float(means[k]), float(ses[k])))
-    return out
+    return [TraceEstimate(float(m), float(se)) for m, se in zip(means, ses)]
 
 
 def estimate_trace(cfg: EnsembleConfig, letters: Sequence[int]) -> TraceEstimate:

@@ -181,6 +181,14 @@ def test_simulate_chebyshev_mode(capsys):
     assert out["mode"] == "chebyshev"
 
 
+
+@pytest.mark.parametrize("flags", [["--radius", "inf"], ["--radius", "nan"],
+                                   ["--radius", "-1"], ["--gens", "0"]])
+def test_simulate_rejects_bad_ensemble(flags, capsys):
+    assert run(["simulate", "--word", "z0 z0", "--dim", "8",
+                "--samples", "2", *flags]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "validation"
+
 def test_selftest_text_output(capsys):
     assert run(["selftest", "--only", "1,4"]) == 0
     out = capsys.readouterr().out
