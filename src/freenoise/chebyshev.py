@@ -20,8 +20,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import QuadratureError
-
 __all__ = [
     "ChebPoly",
     "SemicircleLaw",
@@ -31,7 +29,6 @@ __all__ = [
     "linearize",
     "poly_mul",
     "cheb_to_monomial",
-    "orthonormal_check",
     "semicircle_moment",
     "catalan",
 ]
@@ -153,29 +150,3 @@ def semicircle_moment(k: int, law: SemicircleLaw = SemicircleLaw()) -> Fraction:
     n = k // 2
     half = Fraction(law.radius) / 2
     return catalan(n) * half ** (2 * n)
-
-
-def orthonormal_check(
-    m: int,
-    n: int,
-    law: SemicircleLaw = SemicircleLaw(),
-    tol: float = 1e-12,
-) -> float:
-    """Adaptive quadrature of integral p_m p_n d(law); near delta_{mn}.
-
-    Raises QuadratureError when the quadrature error estimate exceeds tol.
-    """
-    from scipy.integrate import quad
-
-    r = float(law.radius)
-
-    def integrand(x):
-        y = x / r
-        return float(eval_u(m, y) * eval_u(n, y)) * float(law.density(x))
-
-    val, err = quad(integrand, -r, r, epsabs=tol * 0.1, epsrel=1e-13, limit=400)
-    if err > tol:
-        raise QuadratureError(
-            f"orthonormality quadrature for ({m},{n}) reached error {err:g} > tol {tol:g}"
-        )
-    return val

@@ -33,7 +33,7 @@ CSV_FORMAT = "freenoise-csv/1"
 _EPILOG = """\
 density flags (kernel, rfun, tmcoeff, derivative-check, integrate):
   --density lebesgue|fbm|exp|custom, with --H (fbm), --rate (exp),
-  --scale, --origin-exponent and --class-index (custom),
+  --origin-exponent and --class-index (custom), --scale (every kind),
   --cutoff-low / --cutoff-high.
   --density-config FILE reads 'key = value' lines instead, keys
   kind, H, b, N, C1 (scale), C2 (rate), cutoffs (low,high);
@@ -147,7 +147,7 @@ def _resolve_density(args: argparse.Namespace) -> SpectralDensity:
             return spectral.parse_density_config(fh.read())
     kind = args.density
     if kind == "lebesgue":
-        dens = SpectralDensity.lebesgue()
+        dens = SpectralDensity.lebesgue(args.scale)
     elif kind == "fbm":
         if args.H is None:
             raise ValidationError("--density fbm needs --H")

@@ -66,11 +66,24 @@ def hermite_fn_matrix(n_max: int, u) -> np.ndarray:
         raise ValueError("need at least one function")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     out = np.empty((n_max,) + u.shape)
-    out[0] = _PI_QUARTER * np.exp(-0.5 * u * u)
+    # Rows are filled in place, in the operation order of
+    # c * e^{-u u / 2} and c1 * u * hfn_{j} - c2 * hfn_{j-1}, so every
+    # row is bit-identical to that formula.
+    first = out[0]
+    np.multiply(u, -0.5, out=first)
+    first *= u
+    np.exp(first, out=first)
+    first *= _PI_QUARTER
     if n_max > 1:
-        out[1] = math.sqrt(2.0) * u * out[0]
+        np.multiply(u, math.sqrt(2.0), out=out[1])
+        out[1] *= first
+    scratch = np.empty(u.shape)
     for j in range(2, n_max):
-        out[j] = math.sqrt(2.0 / j) * u * out[j - 1] - math.sqrt((j - 1) / j) * out[j - 2]
+        row = out[j]
+        np.multiply(u, math.sqrt(2.0 / j), out=row)
+        row *= out[j - 1]
+        np.multiply(out[j - 2], math.sqrt((j - 1) / j), out=scratch)
+        row -= scratch
     return out
 
 
@@ -115,20 +128,12 @@ def mehler_sum(u: float, v: float, s: float, n_terms: int = 400) -> float:
 
 
 class HermiteBasis:
-    """Cached evaluations of hfn_1..hfn_{max_index} plus their Gram matrix."""
+    """The Hermite functions hfn_1..hfn_{max_index} and their Gram matrix."""
 
     def __init__(self, max_index: int):
         if max_index < 1:
             raise ValueError("need at least one basis function")
         self.max_index = max_index
-        self._grids: dict[bytes, np.ndarray] = {}
-
-    def on_grid(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        key = u.tobytes()
-        if key not in self._grids:
-            self._grids[key] = hermite_fn_matrix(self.max_index, u)
-        return self._grids[key]
 
     def gram(self) -> np.ndarray:
         """Integrals of hfn_j hfn_k via Gauss-Hermite, exact at this size.

@@ -89,11 +89,17 @@ def gl_integrate(f, osc_scale: float, tail_stop: float = 60.0,
     rows.T summed over the panels and tail spans.  The tail extends by
     doubling spans until the newest span contributes less than rel_tol
     of the total; QuadratureError is raised when max_rounds doublings do
-    not get there.
+    not get there, or as soon as a contraction is not finite.
     """
     def contract(nodes, weights):
         rows, factors = f(nodes)
-        return (factors * weights) @ rows.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (factors * weights) @ rows.T
+        if not np.isfinite(out).all():
+            raise QuadratureError(
+                f"integrand overflows on ({nodes[0]:.4g}, {nodes[-1]:.4g}): "
+                "the contraction is not finite")
+        return out
 
     total = contract(*panel_nodes(osc_scale, tail_stop=tail_stop))
     span = tail_stop

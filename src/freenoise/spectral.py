@@ -86,24 +86,24 @@ class SpectralDensity:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown density kind {self.kind!r}")
-        if self.scale <= 0:
-            raise ValidationError("density scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValidationError("density scale must be positive and finite")
         if not self.origin_exponent < 2:
             raise ValidationError(
                 f"origin singularity exponent {self.origin_exponent} too strong, need < 2")
         if self.kind == "fbm":
             if self.hurst is None or not 0.0 < self.hurst < 1.0:
                 raise ValidationError("fbm preset needs 0 < H < 1")
-        if self.kind == "exponential" and self.rate <= 0:
-            raise ValidationError("exponential density needs rate > 0")
+        if self.kind == "exponential" and not (math.isfinite(self.rate) and self.rate > 0):
+            raise ValidationError("exponential density needs a finite rate > 0")
         if self.class_index < 0:
             raise ValidationError("growth class index must be >= 0")
         if not 0.0 <= self.cutoff_low < self.cutoff_high:
             raise ValidationError("cutoffs must satisfy 0 <= low < high")
 
     @classmethod
-    def lebesgue(cls) -> "SpectralDensity":
-        return cls(kind="lebesgue")
+    def lebesgue(cls, scale: float = 1.0) -> "SpectralDensity":
+        return cls(kind="lebesgue", scale=scale)
 
     @classmethod
     def fbm(cls, hurst: float, scale: float = 1.0) -> "SpectralDensity":
@@ -160,19 +160,64 @@ class SpectralDensity:
             if power < 0:
                 out = np.where(u == 0.0, np.inf, out)
         elif self.kind == "exponential":
-            # cap the exponent so overflow cannot poison products with
-            # underflowed Hermite values further out
-            out = self.scale * np.exp(np.minimum(self.rate * u, 700.0))
+            with np.errstate(over="ignore"):
+                out = self.scale * np.exp(self.rate * u)
         else:
             b = self.origin_exponent
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore"):
                 head = np.power(u, -b) if b != 0 else np.ones_like(u)
-            out = self.scale * head * np.power(1.0 + u * u,
-                                               self.class_index + 0.5 * b)
+                out = self.scale * head * np.power(1.0 + u * u,
+                                                   self.class_index + 0.5 * b)
+        return self._window(u, out)
+
+    def root(self, u):
+        """sqrt(m(u)) on an array.
+
+        The exponential kind is evaluated as sqrt(scale) e^{rate |u| / 2},
+        which stays finite twice as far out as m itself; every other kind
+        is np.sqrt of __call__.
+        """
+        if self.kind != "exponential":
+            return np.sqrt(self(u))
+        u = np.abs(np.asarray(u, dtype=float))
+        with np.errstate(over="ignore"):
+            out = math.sqrt(self.scale) * np.exp(0.5 * self.rate * u)
+        return self._window(u, out)
+
+    def _window(self, u, out):
         if self.cutoff_low > 0.0 or self.cutoff_high < math.inf:
             out = np.where((u >= self.cutoff_low) & (u <= self.cutoff_high),
                            out, 0.0)
         return out
+
+    def at(self, u: float) -> float:
+        """m(u) at one float, with math in place of numpy.
+
+        This is the evaluator for the QUADPACK callbacks, which call it
+        once per node.  It has the zeros, infinities and cutoff edges of
+        __call__; values agree except where libm pow rounds differently
+        from numpy's in the last bit.
+        """
+        u = abs(u)
+        if not self.cutoff_low <= u <= self.cutoff_high:
+            return 0.0
+        try:
+            if self.kind == "lebesgue":
+                return self.scale
+            if self.kind == "fbm":
+                power = 1.0 - 2.0 * self.hurst
+                if u == 0.0 and power < 0:
+                    return math.inf
+                return self.scale * u ** power
+            if self.kind == "exponential":
+                return self.scale * math.exp(self.rate * u)
+            b = self.origin_exponent
+            if u == 0.0 and b > 0:
+                return math.inf
+            head = u ** -b if b != 0 else 1.0
+            return self.scale * head * (1.0 + u * u) ** (self.class_index + 0.5 * b)
+        except OverflowError:
+            return math.inf
 
 
 def parse_density_config(text: str) -> SpectralDensity:
@@ -226,7 +271,7 @@ def parse_density_config(text: str) -> SpectralDensity:
         raise ValidationError(f"unknown config keys: {sorted(values)}")
 
     if kind == "lebesgue":
-        base = SpectralDensity(kind="lebesgue", scale=scale)
+        base = SpectralDensity.lebesgue(scale)
     elif kind == "fbm":
         base = SpectralDensity.fbm(hurst, scale)
     elif kind == "exponential":
@@ -261,7 +306,7 @@ def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarr
         st = np.sin(t * nodes)
         half = np.sin(0.5 * t * nodes)
         factors = np.stack([np.cos(t * nodes), st, st / nodes, 2.0 * half * half / nodes])
-        return hermite_fn_matrix(n_max, nodes), factors * np.sqrt(dens(nodes))
+        return hermite_fn_matrix(n_max, nodes), factors * dens.root(nodes)
 
     ints = gl_integrate(integrand, _osc_scale(n_max, t), _tail_stop(n_max))
     cos_i, sin_i, s_i, k_i = (_HALF_LINE_PREF * ints[j] for j in range(4))
@@ -336,27 +381,30 @@ def _r_cached(dens: SpectralDensity, t: float, abs_tol: float) -> float:
         return 0.0
     t = abs(t)
 
+    m = dens.at
+
     def head(u):
         half = math.sin(0.5 * t * u)
-        return 2.0 * half * half * float(dens(u)) / (u * u)
+        return 2.0 * half * half * m(u) / (u * u)
 
     value = quad_scalar(head, 0.0, 1.0, abs_tol, abs_tol)
     hi = dens.cutoff_high
     if hi > 1.0:
         value += _r_tail_mass(dens, abs_tol)
-        value -= quad_cos_range(lambda u: _tail_amp(dens, u), t, 1.0, hi, abs_tol)
+        value -= quad_cos_range(_tail_amp(dens), t, 1.0, hi, abs_tol)
     return value / math.pi
 
 
-def _tail_amp(dens: SpectralDensity, u: float) -> float:
-    return float(dens(u)) / (u * u)
+def _tail_amp(dens: SpectralDensity):
+    """The scalar integrand u |-> m(u) / u^2 of r's tail."""
+    m = dens.at
+    return lambda u: m(u) / (u * u)
 
 
 @lru_cache(maxsize=64)
 def _r_tail_mass(dens: SpectralDensity, abs_tol: float) -> float:
     """The t-independent part of r's tail: integral over (1, hi) of m(u) / u^2."""
-    return quad_scalar(lambda u: _tail_amp(dens, u), 1.0, dens.cutoff_high,
-                       abs_tol, abs_tol)
+    return quad_scalar(_tail_amp(dens), 1.0, dens.cutoff_high, abs_tol, abs_tol)
 
 
 def r_function(dens: SpectralDensity, t: float, abs_tol: float = 1e-9) -> float:

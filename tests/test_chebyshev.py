@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import integrate as si
 
 from freenoise.chebyshev import (
     SemicircleLaw,
@@ -12,12 +13,12 @@ from freenoise.chebyshev import (
     cheb_to_monomial,
     eval_u,
     linearize,
-    orthonormal_check,
     orthonormal_poly,
     poly_mul,
     semicircle_moment,
     u_poly,
 )
+from freenoise.errors import QuadratureError
 from freenoise.quadrature import quad_semicircle_moment
 
 degrees = st.integers(0, 40)
@@ -106,6 +107,21 @@ def test_moment_quadrature_agrees(radius):
     for k in range(11):
         quad = quad_semicircle_moment(k, radius)
         assert quad == pytest.approx(float(semicircle_moment(k, law)), abs=1e-9)
+
+
+def orthonormal_check(m, n, law=SemicircleLaw(), tol=1e-12):
+    """Adaptive quadrature of integral p_m p_n d(law); near delta_{mn}."""
+    r = float(law.radius)
+
+    def integrand(x):
+        y = x / r
+        return float(eval_u(m, y) * eval_u(n, y)) * float(law.density(x))
+
+    val, err = si.quad(integrand, -r, r, epsabs=tol * 0.1, epsrel=1e-13, limit=400)
+    if err > tol:
+        raise QuadratureError(
+            f"orthonormality quadrature for ({m},{n}) reached error {err:g} > tol {tol:g}")
+    return val
 
 
 def test_orthonormal_check_clean():

@@ -106,6 +106,29 @@ def test_rfun_divergent_density_exits_two(capsys):
     assert json.loads(capsys.readouterr().err)["kind"] == "validation"
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--density", "fbm", "--H", "0.3", "--scale", "nan", "--t", "1.0"],
+    ["kernel", "--density", "lebesgue", "--scale", "inf", "--t", "1.0"],
+    ["tmcoeff", "--density", "exp", "--rate", "inf", "--t", "1.0"],
+    ["tmcoeff", "--density", "exp", "--rate", "nan", "--t", "1.0"],
+])
+def test_non_finite_density_parameters_exit_two(argv, capsys):
+    assert run(argv) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "validation"
+
+
+def test_scale_applies_to_the_lebesgue_density(capsys):
+    assert run(["rfun", "--density", "lebesgue", "--scale", "2", "--t", "1.0"]) == 0
+    assert float(_json_out(capsys)["rows"][0]["r"]) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_overflowing_exponential_density_exits_three(capsys):
+    assert run(["tmcoeff", "--density", "exp", "--rate", "60", "--t", "1.0",
+                "--n-max", "64"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "numerical" and "not finite" in err["error"]
+
+
 def test_fbm_requires_hurst(capsys):
     assert run(["rfun", "--density", "fbm", "--t", "1.0"]) == 2
 

@@ -17,6 +17,7 @@ from freenoise.hermite import (
     mehler_closed,
     mehler_sum,
 )
+from freenoise.quadrature import panel_nodes
 
 
 @given(st.integers(0, 12), st.floats(-4.0, 4.0))
@@ -54,10 +55,23 @@ def test_gram_is_identity():
     assert np.allclose(basis.gram(), np.eye(10), atol=1e-12)
 
 
-def test_on_grid_caches():
-    basis = HermiteBasis(4)
-    u = np.linspace(0.0, 1.0, 5)
-    assert basis.on_grid(u) is basis.on_grid(u.copy())
+def _allocating_fn_matrix(n_max, u):
+    """The row formula hermite_fn_matrix fills in place, one temporary per op."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    out = np.empty((n_max,) + u.shape)
+    out[0] = math.pi ** -0.25 * np.exp(-0.5 * u * u)
+    if n_max > 1:
+        out[1] = math.sqrt(2.0) * u * out[0]
+    for j in range(2, n_max):
+        out[j] = math.sqrt(2.0 / j) * u * out[j - 1] - math.sqrt((j - 1) / j) * out[j - 2]
+    return out
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 400])
+def test_in_place_fill_is_bit_identical(n_max):
+    nodes, _ = panel_nodes(2.0 * math.sqrt(400) + 2.0, tail_stop=40.0)
+    u = np.concatenate([nodes, [2.0 ** -60, 0.0, -0.3, -7.25], -nodes[::97]])
+    assert hermite_fn_matrix(n_max, u).tobytes() == _allocating_fn_matrix(n_max, u).tobytes()
 
 
 def test_fourier_hermite_matches_numeric_transform():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from scipy import integrate as si
 from scipy import special as ssp
 
-from freenoise.errors import DivergenceError, ValidationError
+from freenoise.errors import DivergenceError, QuadratureError, ValidationError
 from freenoise.hermite import hermite_fn, hermite_fn_matrix
 from freenoise.quadrature import _composite_rule, panel_nodes
 from freenoise.spectral import (
@@ -55,6 +56,57 @@ def test_density_validation():
         SpectralDensity.custom(class_index=-1)
     with pytest.raises(ValidationError):
         SpectralDensity(kind="lebesgue", cutoff_low=2.0, cutoff_high=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            SpectralDensity(kind="lebesgue", scale=bad)
+        with pytest.raises(ValidationError):
+            SpectralDensity.fbm(0.3, scale=bad)
+        with pytest.raises(ValidationError):
+            SpectralDensity.exponential(rate=bad)
+        with pytest.raises(ValidationError):
+            SpectralDensity.exponential(scale=bad)
+
+
+# u = 0, negative u, both cutoff edges and their neighbours in floats,
+# and points far enough out that the exponential kind overflows.
+_EDGES = (0.5, 3.0)
+_AT_GRID = [0.0, 1e-300, 0.3, 1.0, 2.5, 37.0, 700.0, 710.0, 800.0, 1e10, 1e200]
+_AT_GRID += [v for e in _EDGES
+             for v in (e, math.nextafter(e, 0.0), math.nextafter(e, math.inf))]
+_AT_GRID += [-u for u in _AT_GRID]
+
+
+@pytest.mark.parametrize("dens", [
+    SpectralDensity.lebesgue(),
+    SpectralDensity.fbm(0.3),
+    SpectralDensity.fbm(0.75),
+    SpectralDensity.exponential(1.0),
+    SpectralDensity.custom(origin_exponent=0.5, class_index=1),
+    SpectralDensity.custom(origin_exponent=0.5, class_index=1,
+                           cutoff_low=_EDGES[0], cutoff_high=_EDGES[1]),
+    dataclasses.replace(SpectralDensity.fbm(0.75), cutoff_low=_EDGES[0],
+                        cutoff_high=_EDGES[1]),
+], ids=lambda d: f"{d.label()}[{d.cutoff_low:g},{d.cutoff_high:g}]")
+def test_scalar_evaluator_matches_the_vector_one(dens):
+    # equal, or within 2 ulp where libm pow and numpy's pow may round apart
+    ulps = 2 if dens.kind in ("fbm", "custom") else 0
+    vector = dens(np.array(_AT_GRID))
+    for u, want in zip(_AT_GRID, vector):
+        got = dens.at(u)
+        assert type(got) is float
+        assert math.isinf(got) == math.isinf(want) and (got == 0.0) == (want == 0.0)
+        assert got == want or abs(got - want) <= ulps * math.ulp(want), u
+
+
+def test_exponential_density_is_never_clamped():
+    # e^{60 u / 2} overflows inside the panels, so the pass refuses
+    # instead of integrating a clamped density
+    for rate in (40.0, 60.0):
+        with pytest.raises(QuadratureError, match="not finite"):
+            tm_values(SpectralDensity.exponential(rate), 1.0, 64)
+    # sqrt(m) is formed directly, so rate 20 stays finite where m overflows
+    assert np.all(np.isfinite(tm_values(SpectralDensity.exponential(20.0), 1.0, 64)))
+    assert math.isinf(SpectralDensity.exponential(60.0)(np.array([20.0]))[0])
 
 
 def test_density_pointwise_values():
