@@ -9,7 +9,6 @@ Monte Carlo oracle.  The ``freenoise`` command line exposes each piece.
 """
 
 from .chebyshev import (
-    ChebPoly,
     SemicircleLaw,
     catalan,
     linearize,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapExceededError",
-    "ChebPoly",
     "DivergenceError",
     "EMPTY_WORD",
     "EnsembleConfig",

@@ -7,7 +7,8 @@ the default operator convention in this package is radius 2, where the
 p_n are monic with integer coefficients (p_2 = x^2 - 1, p_3 = x^3 - 2x).
 
 The product rule U_m U_n = sum_{k=0}^{min(m,n)} U_{|m-n|+2k} has all
-coefficients equal to one; ``linearize`` returns it exactly.
+coefficients equal to one (Clebsch-Gordan for SU(2)), so ``linearize``
+returns just its degrees.
 """
 
 from __future__ import annotations
@@ -16,38 +17,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
 
 import numpy as np
 
 __all__ = [
-    "ChebPoly",
     "SemicircleLaw",
     "u_poly",
     "orthonormal_poly",
     "eval_u",
     "linearize",
     "poly_mul",
-    "cheb_to_monomial",
     "semicircle_moment",
     "catalan",
 ]
-
-
-@dataclass(frozen=True)
-class ChebPoly:
-    """Finite combination of U_n with exact rational coefficients."""
-
-    coeffs: tuple[tuple[int, Fraction], ...]  # (degree, coefficient), sorted
-
-    @classmethod
-    def from_dict(cls, d: Mapping[int, Fraction]) -> "ChebPoly":
-        items = tuple(sorted((int(n), Fraction(c)) for n, c in d.items() if c != 0))
-        return cls(items)
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(n for n, _ in self.coeffs)
 
 
 def catalan(n: int) -> int:
@@ -55,17 +37,17 @@ def catalan(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def u_poly(n: int) -> tuple[Fraction, ...]:
-    """Monomial coefficients of U_n, low degree first, exact."""
+def u_poly(n: int) -> tuple[int, ...]:
+    """Monomial coefficients of U_n, low degree first."""
     if n < 0:
         raise ValueError("degree must be non-negative")
     if n == 0:
-        return (Fraction(1),)
+        return (1,)
     if n == 1:
-        return (Fraction(0), Fraction(2))
+        return (0, 2)
     prev2 = u_poly(n - 2)
     prev1 = u_poly(n - 1)
-    out = [Fraction(0)] * (n + 1)
+    out = [0] * (n + 1)
     for j, c in enumerate(prev1):
         out[j + 1] += 2 * c
     for j, c in enumerate(prev2):
@@ -93,34 +75,20 @@ def eval_u(n: int, y):
     return cur
 
 
-@lru_cache(maxsize=None)
-def linearize(m: int, n: int) -> ChebPoly:
-    """Product expansion U_m U_n = sum over |m-n|+2k, k = 0..min(m,n)."""
+def linearize(m: int, n: int) -> range:
+    """Degrees of U_m U_n = sum of U_d, d = |m-n|, |m-n|+2, ..., m+n."""
     if m < 0 or n < 0:
         raise ValueError("degrees must be non-negative")
-    lo = abs(m - n)
-    return ChebPoly.from_dict({lo + 2 * k: Fraction(1) for k in range(min(m, n) + 1)})
+    return range(abs(m - n), m + n + 1, 2)
 
 
-def poly_mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:
             continue
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
-    return tuple(out)
-
-
-def cheb_to_monomial(p: ChebPoly) -> tuple[Fraction, ...]:
-    """Expand a U-combination in the monomial basis, exactly."""
-    if not p.coeffs:
-        return (Fraction(0),)
-    top = max(n for n, _ in p.coeffs)
-    out = [Fraction(0)] * (top + 1)
-    for n, c in p.coeffs:
-        for j, u in enumerate(u_poly(n)):
-            out[j] += c * u
     return tuple(out)
 
 

@@ -165,12 +165,10 @@ def _resolve_density(args: argparse.Namespace) -> SpectralDensity:
 
 
 def cmd_linearize(args: argparse.Namespace) -> int:
-    if args.m < 0 or args.n < 0:
-        raise ValidationError("degrees must be non-negative")
-    poly = chebyshev.linearize(args.m, args.n)
+    degrees = chebyshev.linearize(args.m, args.n)
     _emit(args, {
-        "terms": [f"U{deg}" for deg in poly.degrees],
-        "coefficients": [str(c) for deg, c in poly.coeffs],
+        "terms": [f"U{deg}" for deg in degrees],
+        "coefficients": ["1"] * len(degrees),
     })
     return 0
 

@@ -9,20 +9,22 @@ with adjacent letters distinct labels the basis element
 where p_n(x) = U_n(x/2) is the radius-2 orthonormal Chebyshev family.
 These are orthonormal for the trace pairing; the recursive engine proves
 it case by case, the Fock engine checks it by applying operators to the
-vacuum, and the pairing engine counts non-crossing matchings.
+vacuum, and the pairing engine counts non-crossing matchings.  At radius
+2 every product U_m U_n is a sum of U_d with unit coefficients, so the
+recursive engines count in integers.
 
 Engines:
 
-* ``trace_reduction(beta, alpha)`` evaluates tau(U_beta^* U_alpha)
-  exactly by induction on the degree of beta.
+* ``trace_reduction(beta, alpha)`` evaluates tau(U_beta^* U_alpha),
+  0 or 1, by induction on the degree of beta.
 * ``trace_pairings(letters)`` evaluates tau(X_{i_1} ... X_{i_k}) as the
   number of letter-matched non-crossing pair partitions, times
   (radius/2)^2 per pair.
-* ``trace_fock(...)`` applies an operator polynomial to the vacuum and
+* ``trace_fock(letters)`` applies X_{i_1} ... X_{i_k} to the vacuum and
   reads off the vacuum coefficient, in floating point.
 * ``trace_monomial_reduction(letters)`` expands the monomial in the
   U-word basis through the product linearization and reads the constant
-  coefficient, exactly.
+  coefficient, as a Fraction.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import fock
 from .chebyshev import linearize, orthonormal_poly
@@ -46,10 +48,8 @@ __all__ = [
     "monomial_to_uwords",
     "trace_monomial_reduction",
     "apply_monomial",
-    "apply_operator_polynomial",
     "trace_fock",
     "wick_word_vector",
-    "trace_uword_fock",
     "trace_monomial_all",
 ]
 
@@ -60,7 +60,7 @@ class TraceResult:
 
 
 @lru_cache(maxsize=None)
-def trace_reduction(beta: Word, alpha: Word) -> Fraction:
+def trace_reduction(beta: Word, alpha: Word) -> int:
     """tau(U_beta^* U_alpha) = delta_{beta,alpha}, by induction on |beta|.
 
     Base case: an alternating product of trace-zero factors has trace
@@ -71,19 +71,17 @@ def trace_reduction(beta: Word, alpha: Word) -> Fraction:
     and, for distinct exponents, never appears.
     """
     if beta.is_empty():
-        return Fraction(1 if alpha.is_empty() else 0)
+        return 1 if alpha.is_empty() else 0
     if alpha.is_empty():
         # tau(U_beta^*) is the conjugate of tau(U_beta), zero by the base case
-        return Fraction(0)
+        return 0
     i = alpha[0]
     if beta[0] != i:
-        return Fraction(0)
+        return 0
     b, a = _lead_run(beta), _lead_run(alpha)
     beta_rest = Word(beta[b:])
-    total = Fraction(0)
-    for deg in linearize(b, a).degrees:
-        total += trace_reduction(beta_rest, Word((i,) * deg + alpha[a:]))
-    return total
+    return sum(trace_reduction(beta_rest, Word((i,) * deg + alpha[a:]))
+               for deg in linearize(b, a))
 
 
 def _lead_run(letters: Sequence[int]) -> int:
@@ -124,54 +122,52 @@ def trace_pairings(letters: Sequence[int], radius: Fraction | int = 2) -> Fracti
 
 
 @lru_cache(maxsize=None)
-def u_mult(a: Word, b: Word) -> tuple[tuple[Word, Fraction], ...]:
-    """Product U_a U_b expanded over U-words, exact.
+def u_mult(a: Word, b: Word) -> tuple[tuple[Word, int], ...]:
+    """Product U_a U_b expanded over U-words, with integer coefficients.
 
     Concatenation except at the boundary: equal boundary letters
     linearize, and a degree-zero middle term can make the neighbours
     touch, which resolves recursively.
     """
     if a.is_empty():
-        return ((b, Fraction(1)),)
+        return ((b, 1),)
     if b.is_empty():
-        return ((a, Fraction(1)),)
+        return ((a, 1),)
     letter = a[-1]
     if b[0] != letter:
-        return ((Word(a + b), Fraction(1)),)
+        return ((Word(a + b), 1),)
     ea, eb = _lead_run(a[::-1]), _lead_run(b)
     a_head, b_tail = Word(a[:-ea]), Word(b[eb:])
-    out: dict[Word, Fraction] = {}
-    for deg in linearize(ea, eb).degrees:
+    out: dict[Word, int] = {}
+    for deg in linearize(ea, eb):
         if deg == 0:
             for w, c in u_mult(a_head, b_tail):
-                out[w] = out.get(w, Fraction(0)) + c
+                out[w] = out.get(w, 0) + c
         else:
             w = Word(a_head + (letter,) * deg + b_tail)
-            out[w] = out.get(w, Fraction(0)) + 1
+            out[w] = out.get(w, 0) + 1
     return tuple(sorted(out.items(), key=lambda kv: kv[0].sort_key()))
 
 
-def monomial_to_uwords(letters: Sequence[int]) -> dict[Word, Fraction]:
-    """Expansion of X_{i_1} ... X_{i_k} in the U-word basis, exact."""
-    acc: dict[Word, Fraction] = {EMPTY_WORD: Fraction(1)}
+def monomial_to_uwords(letters: Sequence[int]) -> dict[Word, int]:
+    """Expansion of X_{i_1} ... X_{i_k} in the U-word basis.
+
+    Every coefficient is a positive count, so no term ever cancels.
+    """
+    acc: dict[Word, int] = {EMPTY_WORD: 1}
     for letter in letters:
         step = Word((int(letter),))
-        nxt: dict[Word, Fraction] = {}
+        nxt: dict[Word, int] = {}
         for w, c in acc.items():
             for prod, pc in u_mult(w, step):
-                nxt[prod] = nxt.get(prod, Fraction(0)) + c * pc
-        acc = {w: c for w, c in nxt.items() if c != 0}
+                nxt[prod] = nxt.get(prod, 0) + c * pc
+        acc = nxt
     return acc
 
 
 def trace_monomial_reduction(letters: Sequence[int]) -> Fraction:
     """Constant coefficient of the U-word expansion of the monomial."""
-    return monomial_to_uwords(letters).get(EMPTY_WORD, Fraction(0))
-
-
-# Operator polynomials: mapping from letter tuples to coefficients,
-# the tuple (i_1, ..., i_k) standing for X_{i_1} ... X_{i_k}.
-OperatorPolynomial = Mapping[tuple[int, ...], complex]
+    return Fraction(monomial_to_uwords(letters).get(EMPTY_WORD, 0))
 
 
 def apply_monomial(letters: Sequence[int], vec: FockElement,
@@ -183,31 +179,15 @@ def apply_monomial(letters: Sequence[int], vec: FockElement,
     return out
 
 
-def apply_operator_polynomial(expr: OperatorPolynomial, vec: FockElement,
-                              cap: int | None = DEFAULT_DEGREE_CAP) -> FockElement:
-    total = FockElement()
-    for letters, c in expr.items():
-        if c == 0:
-            continue
-        total = total + complex(c) * apply_monomial(letters, vec, cap)
-    return total
+def trace_fock(letters: Sequence[int], cap: int | None = DEFAULT_DEGREE_CAP) -> float:
+    """Vacuum coefficient of X_{i_1} ... X_{i_k} applied to the vacuum.
 
-
-def trace_fock(expr: OperatorPolynomial | Sequence[int],
-               cap: int | None = DEFAULT_DEGREE_CAP) -> float:
-    """Vacuum coefficient of the expression applied to the vacuum.
-
-    Intermediate degrees stay below the expression degree, so the result
+    Intermediate degrees stay below the monomial degree, so the result
     is exact up to rounding once the cap admits it; a too-small cap
     raises instead of silently truncating.
     """
-    if not isinstance(expr, Mapping):
-        expr = {tuple(int(x) for x in expr): 1.0}
-    top = max((len(letters) for letters in expr), default=0)
-    fock.require_cap(top, cap)
-    result = apply_operator_polynomial(expr, vacuum(), cap)
-    value = result.coeff(EMPTY_WORD)
-    return float(value.real)
+    fock.require_cap(len(letters), cap)
+    return float(apply_monomial(letters, vacuum(), cap).coeff(EMPTY_WORD).real)
 
 
 def _poly_powers(letter: int, top_power: int, vec: FockElement,
@@ -232,17 +212,9 @@ def wick_word_vector(alpha: Word, cap: int | None = DEFAULT_DEGREE_CAP) -> FockE
         combo = FockElement()
         for j, c in enumerate(orthonormal_poly(exp, 2)):
             if c != 0:
-                combo = combo + complex(Fraction(c)) * powers[j]
+                combo = combo + complex(c) * powers[j]
         vec = combo
     return vec
-
-
-def trace_uword_fock(beta: Word, alpha: Word,
-                     cap: int | None = DEFAULT_DEGREE_CAP) -> float:
-    """tau(U_beta^* U_alpha) as the Fock pairing of the two vacuum vectors."""
-    vb = wick_word_vector(beta, cap)
-    va = wick_word_vector(alpha, cap)
-    return float(fock.inner(vb, va).real)
 
 
 def trace_monomial_all(word_or_letters, cap: int | None = DEFAULT_DEGREE_CAP,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -33,14 +32,7 @@ __all__ = [
 ]
 
 # Bernoulli numbers B_2, B_4, ... used by the Euler-Maclaurin tail.
-_BERNOULLI = (
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-)
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
 
 
 def zeta(s: float, n_direct: int = 24) -> float:
@@ -57,7 +49,7 @@ def zeta(s: float, n_direct: int = 24) -> float:
     total += 0.5 * n ** float(-s) + n ** float(1 - s) / (s - 1)
     rising = s  # s (s+1) ... (s + 2j - 2)
     for j, b in enumerate(_BERNOULLI, start=1):
-        total += float(b) / math.factorial(2 * j) * rising * n ** float(1 - s - 2 * j)
+        total += b / math.factorial(2 * j) * rising * n ** float(1 - s - 2 * j)
         rising *= (s + 2 * j - 1) * (s + 2 * j)
     return total
 

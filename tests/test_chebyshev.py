@@ -10,7 +10,6 @@ from scipy import integrate as si
 from freenoise.chebyshev import (
     SemicircleLaw,
     catalan,
-    cheb_to_monomial,
     eval_u,
     linearize,
     orthonormal_poly,
@@ -48,19 +47,19 @@ def test_eval_u_matches_sine_ratio(n, theta):
 
 @given(degrees, degrees)
 def test_linearize_structure(m, n):
-    poly = linearize(m, n)
+    degrees = linearize(m, n)
     lo, hi = abs(m - n), m + n
-    assert poly.degrees == tuple(range(lo, hi + 1, 2))
-    assert all(c == 1 for _, c in poly.coeffs)
-    assert len(poly.coeffs) == min(m, n) + 1
+    assert tuple(degrees) == tuple(range(lo, hi + 1, 2))
+    assert len(degrees) == min(m, n) + 1
 
 
 @given(degrees, degrees)
 def test_linearize_equals_product(m, n):
-    expanded = [Fraction(0)] * (m + n + 1)
-    for deg, coeff in linearize(m, n).coeffs:
+    # every coefficient of the product rule is one
+    expanded = [0] * (m + n + 1)
+    for deg in linearize(m, n):
         for k, c in enumerate(u_poly(deg)):
-            expanded[k] += coeff * c
+            expanded[k] += c
     assert tuple(expanded) == poly_mul(u_poly(m), u_poly(n))
 
 
@@ -80,12 +79,6 @@ def test_orthonormal_poly_is_monic_integer():
         coeffs = orthonormal_poly(n, 2)
         assert coeffs[-1] == 1
         assert all(c.denominator == 1 for c in coeffs)
-
-
-def test_cheb_to_monomial_round_trip():
-    poly = linearize(3, 5)
-    mono = cheb_to_monomial(poly)
-    assert tuple(mono) == poly_mul(u_poly(3), u_poly(5))
 
 
 def test_semicircle_moments_are_catalan():

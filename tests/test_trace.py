@@ -6,13 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from freenoise.chebyshev import catalan
+from freenoise.fock import inner
 from freenoise.trace import (
     monomial_to_uwords,
     trace_fock,
     trace_monomial_all,
     trace_pairings,
     trace_reduction,
-    trace_uword_fock,
     u_mult,
     wick_word_vector,
 )
@@ -145,13 +145,31 @@ def test_wick_vector_is_basis_vector():
 
 def test_uword_fock_orthonormality():
     small = list(iter_words(3, 2))
+    vectors = {w: wick_word_vector(w) for w in small}
     for beta in small:
         for alpha in small:
             expected = 1.0 if beta == alpha else 0.0
-            assert trace_uword_fock(beta, alpha) == pytest.approx(
+            assert inner(vectors[beta], vectors[alpha]).real == pytest.approx(
                 expected, abs=1e-12)
 
 
 def test_fock_engine_on_words_and_letter_lists():
     assert trace_fock([0, 0, 1, 1]) == pytest.approx(1.0, abs=1e-12)
     assert trace_fock([0, 1, 0, 1]) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_exact_layer_counts_in_int_and_answers_in_fractions():
+    # every binary monomial of length 1 to 10: the recursive engines count
+    # in int, and the public exact engines still return equal Fractions
+    for length in range(1, 11):
+        for letters in itertools.product((0, 1), repeat=length):
+            by_name = {r.engine: r.value for r in trace_monomial_all(letters)}
+            assert type(by_name["reduction"]) is Fraction
+            assert type(by_name["pairing"]) is Fraction
+            assert by_name["reduction"] == by_name["pairing"]
+            assert all(type(c) is int for c in monomial_to_uwords(letters).values())
+            word = normalize(letters)
+            head, tail = normalize(letters[:length // 2]), normalize(letters[length // 2:])
+            assert type(trace_reduction(word, word)) is int
+            assert type(trace_reduction(head, tail)) is int
+            assert all(type(c) is int for _, c in u_mult(head, tail))
