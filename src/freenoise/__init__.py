@@ -23,7 +23,6 @@ from .errors import (
     GapTooSmallError,
     LevelTooLowError,
     NonCauchyError,
-    NotNuclearError,
     QuadratureError,
     UncertifiedError,
     ValidationError,
@@ -51,9 +50,6 @@ from .process import (
 from .spectral import (
     SpectralDensity,
     TailReport,
-    alpha,
-    alpha_prime,
-    apply_Tm,
     certify_tail,
     kernel,
     parse_density_config,
@@ -76,7 +72,6 @@ __all__ = [
     "IntegrandPath",
     "LevelTooLowError",
     "NonCauchyError",
-    "NotNuclearError",
     "ProcessState",
     "QuadratureError",
     "SemicircleLaw",
@@ -88,9 +83,6 @@ __all__ = [
     "ValidationError",
     "WeightSequence",
     "Word",
-    "alpha",
-    "alpha_prime",
-    "apply_Tm",
     "apply_process",
     "apply_whitenoise",
     "basis_vector",

@@ -161,22 +161,9 @@ def criterion_5() -> CriterionResult:
     violations = 0
     checked = 0
     for p, q in ((0, 2), (1, 3), (2, 5)):
-        b = fock.vage_constant(q - p, seq).b
-        for _ in range(1000):
-            f = sparse_element(rng)
-            g = sparse_element(rng)
-            nf_p = fock.norm(f, -float(p), seq)
-            ng_q = fock.norm(g, -float(q), seq)
-            nf_q = fock.norm(f, -float(q), seq)
-            ng_p = fock.norm(g, -float(p), seq)
-            lhs_fg = fock.norm(fock.tensor(f, g, cap=None), -float(q), seq)
-            lhs_gf = fock.norm(fock.tensor(g, f, cap=None), -float(q), seq)
-            checked += 1
-            slack = 1.0 + 1e-12
-            if lhs_fg > b * nf_p * ng_q * slack:
-                violations += 1
-            if lhs_gf > b * ng_p * nf_q * slack:
-                violations += 1
+        pairs = [(sparse_element(rng), sparse_element(rng)) for _ in range(1000)]
+        violations += fock.product_bound_check(pairs, float(p), q - p, seq)[1]
+        checked += len(pairs)
     ok = formula_err <= 1e-10 and monotone and 0 < approach < 2e-4 \
         and enum_err <= 1e-12 and violations == 0
     return _result("5", "product-bound constant and inequality", ok,

@@ -177,14 +177,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
     word = words.parse_word(args.word)
     letters = word.letters()
     if args.engine == "all":
-        results = trace.trace_monomial_all(letters, cap=args.cap)
-        values = {r.engine: float(r.value) for r in results}
+        results = {r.engine: r.value for r in trace.trace_monomial_all(letters, cap=args.cap)}
     elif args.engine == "reduction":
-        values = {"reduction": float(trace.trace_monomial_reduction(letters))}
+        results = {"reduction": trace.trace_monomial_reduction(letters)}
     elif args.engine == "pairing":
-        values = {"pairing": float(trace.trace_pairings(letters))}
+        results = {"pairing": trace.trace_pairings(letters)}
     else:
-        values = {"fock": trace.trace_fock(letters, cap=args.cap)}
+        results = {"fock": trace.trace_fock(letters, cap=args.cap)}
+    values = {engine: float(v) for engine, v in results.items()}
     spread = max(values.values()) - min(values.values())
     agree = spread <= 1e-9
     _emit(args, {
@@ -193,8 +193,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         "engines": values,
         "max_spread": spread,
         "agree": agree,
-        "exact": str(trace.trace_monomial_reduction(letters))
-                 if "reduction" in values else None,
+        "exact": str(results["reduction"]) if "reduction" in results else None,
     })
     return 0 if agree else 3
 
@@ -230,25 +229,10 @@ def cmd_vage(args: argparse.Namespace) -> int:
     if args.trials > 0:
         rng = np.random.default_rng(args.seed)
         p = float(args.p)
-        q = p + args.d
-        worst = 0.0
-        violations = 0
-        for _ in range(args.trials):
-            f = acceptance.sparse_element(rng)
-            g = acceptance.sparse_element(rng)
-            nf_p = fock.norm(f, -p, seq)
-            ng_q = fock.norm(g, -q, seq)
-            nf_q = fock.norm(f, -q, seq)
-            ng_p = fock.norm(g, -p, seq)
-            prod = fock.norm(fock.tensor(f, g, cap=None), -q, seq)
-            for bound in (vc.b * nf_p * ng_q, vc.b * nf_q * ng_p):
-                if bound == 0.0:
-                    continue
-                ratio = prod / bound
-                worst = max(worst, ratio)
-                if ratio > 1.0 + 1e-12:
-                    violations += 1
-        payload.update({"trials": args.trials, "levels": [p, q],
+        pairs = ((acceptance.sparse_element(rng), acceptance.sparse_element(rng))
+                 for _ in range(args.trials))
+        worst, violations = fock.product_bound_check(pairs, p, args.d, seq)
+        payload.update({"trials": args.trials, "levels": [p, p + args.d],
                         "worst_ratio": worst, "violations": violations})
         if violations:
             status = 3

@@ -28,10 +28,6 @@ class GapTooSmallError(ValidationError):
     """Weight gap d has inverse-power sum >= 1, so no product bound exists."""
 
 
-class NotNuclearError(ValidationError):
-    """No admissible gap d below the configured cap."""
-
-
 class LevelTooLowError(ValidationError):
     """Pairing level q is below the p + 2 threshold of the product bound."""
 

@@ -18,7 +18,7 @@ For a weight gap d with s = sum a_n^{-d} < 1 the tensor product obeys
     norm(f (x) g, -q) <= B_d * norm(f, -p) * norm(g, -q),  q - p = d,
 
 in both orders, with B_d^2 = 1/(1 - s); ``vage_constant`` returns it and
-``nuclearity_index`` finds the least admissible d.
+``product_bound_check`` tests the inequality on given pairs.
 
 Every operator application takes an explicit degree cap (default 12);
 coefficient mass discarded by the cap is reported on the result's
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import CapExceededError, GapTooSmallError, NotNuclearError
+from .errors import CapExceededError, GapTooSmallError
 from .words import EMPTY_WORD, WeightSequence, Word, concat, weight
 
 __all__ = [
@@ -48,10 +48,8 @@ __all__ = [
     "apply_x",
     "VageConstant",
     "vage_constant",
-    "nuclearity_index",
-    "one_particle_norm",
+    "product_bound_check",
     "to_json_terms",
-    "from_json_terms",
 ]
 
 DEFAULT_DEGREE_CAP = 12
@@ -224,15 +222,6 @@ def apply_x(coeffs, u: FockElement, cap: int | None = DEFAULT_DEGREE_CAP) -> Foc
     return FockElement(total.coeffs, dropped_mass=created.dropped_mass)
 
 
-def one_particle_norm(coeffs, level: float = 0.0,
-                      seq: WeightSequence = WeightSequence.linear()) -> float:
-    """Norm of sum_i coeffs[i] e_i, letter i weighted by a_{i+1}**level."""
-    acc = 0.0
-    for i, c in _letter_items(coeffs):
-        acc += abs(c) ** 2 * seq.value(i + 1) ** level
-    return math.sqrt(acc)
-
-
 class VageConstant(NamedTuple):
     b: float
     b_squared: float
@@ -252,12 +241,30 @@ def vage_constant(d: float, seq: WeightSequence = WeightSequence.linear()) -> Va
     return VageConstant(math.sqrt(b2), b2)
 
 
-def nuclearity_index(seq: WeightSequence, max_gap: int = 64) -> int:
-    """Least integer d >= 1 with sum a_n^{-d} < 1; both stock sequences give 2."""
-    for d in range(1, max_gap + 1):
-        if seq.inverse_power_sum(d) < 1.0:
-            return d
-    raise NotNuclearError(f"no admissible gap up to {max_gap}")
+def product_bound_check(pairs: Iterable[tuple[FockElement, FockElement]], p: float,
+                        d: float, seq: WeightSequence) -> tuple[float, int]:
+    """Worst ratio and violation count of the product bound over pairs.
+
+    With q = p + d, each pair (f, g) is checked in both orders:
+    norm(f (x) g, -q) against B_d norm(f, -p) norm(g, -q) and against
+    B_d norm(f, -q) norm(g, -p).  A ratio above 1 + 1e-12 is a
+    violation; a zero bound is skipped.
+    """
+    b = vage_constant(d, seq).b
+    q = p + d
+    worst = 0.0
+    violations = 0
+    for f, g in pairs:
+        prod = norm(tensor(f, g, cap=None), -q, seq)
+        for bound in (b * norm(f, -p, seq) * norm(g, -q, seq),
+                      b * norm(f, -q, seq) * norm(g, -p, seq)):
+            if bound == 0.0:
+                continue
+            ratio = prod / bound
+            worst = max(worst, ratio)
+            if ratio > 1.0 + 1e-12:
+                violations += 1
+    return worst, violations
 
 
 def require_cap(expression_degree: int, cap: int | None) -> None:
@@ -274,13 +281,3 @@ def to_json_terms(f: FockElement) -> list[dict]:
         {"word": str(w), "re": c.real, "im": c.imag}
         for w, c in f.terms
     ]
-
-
-def from_json_terms(items: Iterable[Mapping]) -> FockElement:
-    from .words import parse_word
-
-    d: dict[Word, complex] = {}
-    for item in items:
-        w = parse_word(item["word"])
-        d[w] = d.get(w, 0j) + complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
-    return FockElement.from_dict(d)

@@ -1,7 +1,7 @@
-"""Probabilists' Hermite polynomials and the orthonormal Hermite functions.
+"""The orthonormal Hermite functions.
 
-The polynomials satisfy h_0 = 1, h_1 = u, h_{k+1} = u h_k - k h_{k-1}.
-The Hermite functions are indexed from 1:
+With the probabilists' Hermite polynomials h_0 = 1, h_1 = u,
+h_{k+1} = u h_k - k h_{k-1}, the Hermite functions are indexed from 1:
 
     hfn_k(u) = h_{k-1}(sqrt(2) u) e^{-u^2/2} / (pi^{1/4} sqrt((k-1)!))
 
@@ -33,7 +33,6 @@ import numpy as np
 from .errors import DivergenceError
 
 __all__ = [
-    "hermite_poly",
     "hermite_fn",
     "hermite_fn_matrix",
     "fourier_hermite",
@@ -44,20 +43,6 @@ __all__ = [
 
 _PI_QUARTER = math.pi ** -0.25
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def hermite_poly(k: int, u):
-    """Probabilists' Hermite polynomial h_k(u); h_2 = u^2 - 1, h_3 = u^3 - 3u."""
-    if k < 0:
-        raise ValueError("index must be non-negative")
-    u = np.asarray(u, dtype=float)
-    prev = np.ones_like(u)
-    if k == 0:
-        return prev if prev.shape else float(prev)
-    cur = u.copy()
-    for j in range(1, k):
-        prev, cur = cur, u * cur - j * prev
-    return cur if cur.shape else float(cur)
 
 
 def hermite_fn_matrix(n_max: int, u) -> np.ndarray:

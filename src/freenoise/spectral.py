@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivergenceError, QuadratureError, ValidationError
+from .errors import DivergenceError, ValidationError
 from .hermite import hermite_fn_matrix
 from .quadrature import gl_integrate, quad_cos_range, quad_scalar
 from .words import WeightSequence
@@ -40,10 +40,7 @@ __all__ = [
     "SpectralDensity",
     "parse_density_config",
     "tm_values",
-    "apply_Tm",
     "alpha_vector",
-    "alpha",
-    "alpha_prime",
     "tm_sup_over_t",
     "r_function",
     "kernel",
@@ -339,23 +336,6 @@ def alpha_vector(dens: SpectralDensity, t: float, n_max: int) -> np.ndarray:
     if t == 0.0:
         return np.zeros(n_max)
     return _tm_and_alpha(dens, float(t), int(n_max))[1]
-
-
-def apply_Tm(dens: SpectralDensity, n: int, t: float) -> float:
-    if n < 1:
-        raise ValidationError("Hermite index must be >= 1")
-    return float(tm_values(dens, t, n)[n - 1])
-
-
-def alpha(dens: SpectralDensity, n: int, t: float) -> float:
-    if n < 1:
-        raise ValidationError("Hermite index must be >= 1")
-    return float(alpha_vector(dens, t, n)[n - 1])
-
-
-def alpha_prime(dens: SpectralDensity, n: int, t: float) -> float:
-    """Time derivative of alpha_n; equals the multiplier value at t."""
-    return apply_Tm(dens, n, t)
 
 
 def tm_sup_over_t(dens: SpectralDensity, n_max: int, t_grid) -> np.ndarray:

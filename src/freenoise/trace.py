@@ -59,7 +59,10 @@ class TraceResult:
     value: Fraction | float
 
 
-@lru_cache(maxsize=None)
+# Stores nothing: callers that relabel letters rarely repeat a pair, and
+# an unbounded cache only grew.  cache_info() still counts the calls for
+# perfbench's trace.reduction metrics.
+@lru_cache(maxsize=0)
 def trace_reduction(beta: Word, alpha: Word) -> int:
     """tau(U_beta^* U_alpha) = delta_{beta,alpha}, by induction on |beta|.
 
@@ -217,12 +220,11 @@ def wick_word_vector(alpha: Word, cap: int | None = DEFAULT_DEGREE_CAP) -> FockE
     return vec
 
 
-def trace_monomial_all(word_or_letters, cap: int | None = DEFAULT_DEGREE_CAP,
-                       radius: Fraction | int = 2) -> list[TraceResult]:
+def trace_monomial_all(word_or_letters, cap: int | None = DEFAULT_DEGREE_CAP) -> list[TraceResult]:
     """All three engines on one monomial; exact engines return Fractions."""
     letters = normalize(word_or_letters).letters()
     return [
         TraceResult("reduction", trace_monomial_reduction(letters)),
-        TraceResult("pairing", trace_pairings(letters, radius)),
+        TraceResult("pairing", trace_pairings(letters)),
         TraceResult("fock", trace_fock(letters, cap)),
     ]

@@ -13,17 +13,10 @@ from freenoise.hermite import (
     fourier_hermite,
     hermite_fn,
     hermite_fn_matrix,
-    hermite_poly,
     mehler_closed,
     mehler_sum,
 )
 from freenoise.quadrature import panel_nodes
-
-
-@given(st.integers(0, 12), st.floats(-4.0, 4.0))
-def test_hermite_poly_matches_scipy(k, u):
-    assert hermite_poly(k, u) == pytest.approx(sp.eval_hermitenorm(k, u),
-                                               rel=1e-10, abs=1e-10)
 
 
 @given(st.integers(1, 25), st.floats(-5.0, 5.0))
@@ -121,7 +114,5 @@ def test_high_index_recurrence_stays_bounded():
 def test_index_validation():
     with pytest.raises(ValueError):
         hermite_fn(0, 0.0)
-    with pytest.raises(ValueError):
-        hermite_poly(-1, 0.0)
     with pytest.raises(ValueError):
         hermite_fn_matrix(0, np.zeros(3))

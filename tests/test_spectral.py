@@ -15,10 +15,7 @@ from freenoise.spectral import (
     _osc_scale,
     _tail_stop,
     _tm_and_alpha,
-    alpha,
-    alpha_prime,
     alpha_vector,
-    apply_Tm,
     certify_tail,
     dual_route_kernel,
     fit_power_law,
@@ -166,9 +163,10 @@ def test_lebesgue_multiplier_is_identity():
 
 def test_alpha_lebesgue_matches_quadrature():
     leb = SpectralDensity.lebesgue()
+    got = alpha_vector(leb, 0.9, 5)
     for n in (1, 2, 5):
         expected, _ = si.quad(lambda s: hermite_fn(n, s), 0.0, 0.9)
-        assert alpha(leb, n, 0.9) == pytest.approx(expected, abs=1e-10)
+        assert got[n - 1] == pytest.approx(expected, abs=1e-10)
     assert np.all(alpha_vector(leb, 0.0, 6) == 0.0)
 
 
@@ -237,11 +235,9 @@ def test_multiplier_pass_matches_the_stacked_integrand(dens, n_max):
 def test_alpha_prime_is_the_multiplier():
     f = SpectralDensity.fbm(0.6)
     h = 1e-4
-    for n in (1, 3):
-        for t in (0.5, 1.2):
-            diff = (alpha(f, n, t + h) - alpha(f, n, t - h)) / (2.0 * h)
-            assert alpha_prime(f, n, t) == pytest.approx(diff, abs=1e-7)
-            assert alpha_prime(f, n, t) == apply_Tm(f, n, t)
+    for t in (0.5, 1.2):
+        diff = (alpha_vector(f, t + h, 3) - alpha_vector(f, t - h, 3)) / (2.0 * h)
+        assert tm_values(f, t, 3) == pytest.approx(diff, abs=1e-7)
 
 
 def test_fbm_r_function_closed_form():

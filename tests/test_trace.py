@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ from freenoise.trace import (
     u_mult,
     wick_word_vector,
 )
-from freenoise.words import EMPTY_WORD, iter_words, normalize
+from freenoise.words import EMPTY_WORD, Word, iter_words, normalize
 
 
 def _pairings(idx):
@@ -173,3 +175,20 @@ def test_exact_layer_counts_in_int_and_answers_in_fractions():
             assert type(trace_reduction(word, word)) is int
             assert type(trace_reduction(head, tail)) is int
             assert all(type(c) is int for _, c in u_mult(head, tail))
+
+
+def test_trace_reduction_retains_nothing():
+    # letters no other test uses: a cache would have to grow by every pair
+    uwords = [Word(tuple(1000 + x for x in w)) for w in iter_words(5, 3)]
+    assert len(uwords) == 364
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        hits = sum(trace_reduction(a, b) for a in uwords for b in uwords)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert hits == len(uwords)
+    assert retained < 1 << 20
