@@ -19,13 +19,25 @@ H/sqrt(dim) fills the radius-2 semicircle; the configured radius
 rescales that support.  Samples are written in place into caller
 buffers, in the same floating-point operation order as that formula.
 
+The last generator of a sample is drawn diagonal, with the same law.
+Write a GUE matrix B as U D U* with U Haar and D its eigenvalues, and
+conjugate the pair (A, B) by U*: the pair becomes (U* A U, D).  A is
+unitarily invariant and independent of (U, D), so (U* A U, D) has the
+law of (A, D), and every trace expectation of words in the pair is
+unchanged.  D is the spectrum of the beta = 2 tridiagonal model of
+Dumitriu and Edelman ("Matrix models for beta ensembles", J. Math.
+Phys. 43, 2002), which needs no dim x dim matrix.  The finite-N traces
+this law gives are counted by genus in trace.trace_genus (Mingo and
+Speicher, "Free Probability and Random Matrices", 2017, ch. 1).
+
 Traces of many words share each sample.  Words are split in half, and
 because the generators are Hermitian, the product of a reversed word is
 the conjugate transpose of the word's product.  So tr(P_l P_r) is an
 entrywise inner product of P_l with P_reverse(r), and one Gram matrix
 over the identity, the left halves and the reversed right halves gives
 every trace of the sample; a half whose reverse is already built is a
-conjugate-transpose copy rather than a matrix product.
+conjugate-transpose copy, and a product with the diagonal generator
+scales rows or columns, so only dense times dense is a matrix product.
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .chebyshev import eval_u
 from .errors import ValidationError
 from .parallel import ordered_map, thread_count
 from .words import Word
@@ -44,6 +57,7 @@ __all__ = [
     "EnsembleConfig",
     "TraceEstimate",
     "gue_matrix",
+    "gue_spectrum",
     "sample_generators",
     "estimate_trace",
     "estimate_trace_many",
@@ -121,11 +135,44 @@ def gue_matrix(cfg: EnsembleConfig, sample: int, gen_index: int,
     return h
 
 
+def gue_spectrum(cfg: EnsembleConfig, sample: int, gen_index: int) -> np.ndarray:
+    """Eigenvalues of one GUE sample, scaled as gue_matrix scales its matrix.
+
+    The beta = 2 tridiagonal model has independent N(0, 1) diagonal
+    entries and off-diagonal entries chi_{2k}/sqrt(2), k = dim-1, ..., 1;
+    chi_{2k}^2 / 2 is a Gamma(k) variable.  Its eigenvalues have the law
+    of those of gue_matrix before scaling, and cost O(dim^2).  The draws
+    come from the (seed, sample, gen_index) stream.
+    """
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    rng = _stream(cfg.seed, sample, gen_index)
+    d = cfg.dim
+    diag = rng.standard_normal(d)
+    off = np.sqrt(rng.standard_gamma(np.arange(d - 1, 0, -1, dtype=float)))
+    evals = eigvalsh_tridiagonal(diag, off)
+    evals *= cfg.radius / 2.0
+    evals *= 1.0 / math.sqrt(d)
+    return evals
+
+
 def sample_generators(cfg: EnsembleConfig, sample: int,
                       out: np.ndarray | None = None) -> list[np.ndarray]:
-    """The sample's generators, written into the leading rows of out when given."""
-    return [gue_matrix(cfg, sample, g, None if out is None else out[g])
-            for g in range(cfg.n_generators)]
+    """The sample's generators: gue_matrix draws, then one gue_spectrum.
+
+    The last generator is the diagonal matrix of its gue_spectrum draw
+    and is returned as that real vector; the others are dense.  When out
+    is given, its leading rows receive every generator as a dense
+    matrix.
+    """
+    last = cfg.n_generators - 1
+    mats = [gue_matrix(cfg, sample, g, None if out is None else out[g])
+            for g in range(last)]
+    spectrum = gue_spectrum(cfg, sample, last)
+    if out is not None:
+        out[last] = 0.0
+        np.fill_diagonal(out[last], spectrum)
+    return mats + [spectrum]
 
 
 def _check_word(cfg: EnsembleConfig, letters: tuple[int, ...]) -> None:
@@ -147,32 +194,50 @@ def _gram_rows(halves: set[tuple[int, ...]],
 
 
 def _half_products(mats: Sequence[np.ndarray],
-                   halves: set[tuple[int, ...]],
+                   labels: Sequence[tuple[int, ...]],
                    pool: np.ndarray,
                    ) -> dict[tuple[int, ...], np.ndarray]:
     """Fill the pool rows past the letters with their products.
 
-    Row k of pool holds the product labelled by entry k of _gram_rows;
-    the identity and letter rows are already in place, and mats aliases
-    the letter rows.  The generators are Hermitian, so the product of a
-    reversed word is the conjugate transpose of the word's product: a
-    row whose reverse is an earlier row is copied that way, and every
-    other row is its prefix times its last letter.  The returned dict
-    holds the letters and the matmul products only, so its length
-    beyond len(mats) is the number of matmuls made.
+    Row k of pool holds the product labelled by labels[k], the rows of
+    _gram_rows.  The identity and letter rows are already in place, and
+    mats is what sample_generators returned for the letters: dense
+    letters alias their rows, and the diagonal letter is its real vector
+    of entries.  The
+    generators are Hermitian, so the product of a reversed word is the
+    conjugate transpose of the word's product: a row whose reverse is an
+    earlier row is copied that way.  A row ending in the diagonal letter
+    is its prefix with columns scaled; a row that starts with a power of
+    the diagonal letter, followed by an earlier row, is that row with
+    rows scaled; every other row is its prefix times its last letter.
+    The returned dict holds the letters and the matmul products only, so
+    its length beyond len(mats) is the number of matmuls made.
     """
-    labels = _gram_rows(halves, len(mats))
     index = {t: k for k, t in enumerate(labels)}
     memo: dict[tuple[int, ...], np.ndarray] = {
         (i,): m for i, m in enumerate(mats)}
     for k in range(1 + len(mats), len(labels)):
         t = labels[k]
         rev = index.get(t[::-1], k)
+        last = mats[t[-1]]
         if rev < k:
             np.conjugate(pool[rev].T, out=pool[k])
+        elif last.ndim == 1:
+            np.multiply(pool[index[t[:-1]]], last, out=pool[k])
+        elif (lead := _diagonal_lead(mats, t)) and t[lead:] in index:
+            scale = mats[t[0]] ** lead
+            np.multiply(pool[index[t[lead:]]], scale[:, None], out=pool[k])
         else:
-            memo[t] = np.matmul(pool[index[t[:-1]]], mats[t[-1]], out=pool[k])
+            memo[t] = np.matmul(pool[index[t[:-1]]], last, out=pool[k])
     return memo
+
+
+def _diagonal_lead(mats: Sequence[np.ndarray], t: tuple[int, ...]) -> int:
+    """Length of the run of diagonal letters that starts t."""
+    n = 0
+    while n < len(t) and mats[t[n]].ndim == 1:
+        n += 1
+    return n
 
 
 def _sample_slices(cfg: EnsembleConfig) -> list[range]:
@@ -229,7 +294,7 @@ def estimate_trace_many(cfg: EnsembleConfig,
         rows = np.empty((len(samples), len(tuples)))
         for row, sample in enumerate(samples):
             mats = sample_generators(cfg, sample, pool[letters])
-            _half_products(mats, halves, pool)
+            _half_products(mats, labels, pool)
             gram = flat @ flat.T
             rows[row] = gram[right, left] / cfg.dim
         return rows
@@ -292,6 +357,17 @@ def estimate_trace_uword(cfg: EnsembleConfig, word: Word) -> TraceEstimate:
             mats = sample_generators(cfg, sample)
             total = None
             for letter, exp in word.runs:
+                if mats[letter].ndim == 1:
+                    # U_n of a diagonal matrix acts entrywise, and a
+                    # diagonal right factor scales columns
+                    factor = eval_u(exp, mats[letter] / cfg.radius)
+                    if total is None:
+                        total = acc[0]
+                        total[:] = 0.0
+                        np.fill_diagonal(total, factor)
+                    else:
+                        total *= factor
+                    continue
                 factor = _cheb_of_matrix(mats[letter], exp, cfg.radius, work)
                 if total is None:
                     np.copyto(acc[0], factor)

@@ -2,7 +2,7 @@
 
 Each test prints one [PASS]/[FAIL] line with the criterion's measured
 detail so a verbose run doubles as the acceptance report.  The slow
-matrix-model criterion runs last and takes about a minute.
+matrix-model criterion runs last and takes about half a minute.
 """
 
 from freenoise import acceptance

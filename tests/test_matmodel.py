@@ -17,8 +17,10 @@ from freenoise.matmodel import (
     estimate_trace_many,
     estimate_trace_uword,
     gue_matrix,
+    gue_spectrum,
     sample_generators,
 )
+from freenoise.trace import trace_genus
 from freenoise.words import EMPTY_WORD, normalize
 
 
@@ -69,9 +71,80 @@ def test_spectrum_close_to_configured_radius():
     assert np.abs(np.linalg.eigvalsh(gue_matrix(half, 0, 0))).max() < 1.25
 
 
+def _finite_n_trace(letters, dim, radius=2.0):
+    # exact E tr_dim of the word in independent GUE matrices, by genus
+    counts = trace_genus(letters)
+    return (radius / 2.0) ** len(letters) * sum(
+        c * float(dim) ** (-2 * g) for g, c in enumerate(counts))
+
+
+def _mean_se(vals):
+    vals = np.asarray(vals)
+    return vals.mean(axis=0), vals.std(axis=0, ddof=1) / np.sqrt(len(vals))
+
+
+@pytest.mark.parametrize("radius", [2.0, 1.7])
+def test_spectrum_moments_match_gue_scaling(radius):
+    # 400 draws at dim 40, 4 SE: the tridiagonal spectrum and gue_matrix
+    # both match E tr D^2 = (r/2)^2 and E tr D^4 = (r/2)^4 (2 + dim^-2)
+    cfg = EnsembleConfig(dim=40, n_generators=1, n_samples=1, seed=31,
+                         radius=radius)
+    exact = np.array([_finite_n_trace((0,) * p, cfg.dim, radius) for p in (2, 4)])
+    spec, dense = [], []
+    for s in range(400):
+        d = gue_spectrum(cfg, s, 0)
+        spec.append([np.mean(d ** 2), np.mean(d ** 4)])
+        h = gue_matrix(cfg, s, 0)
+        h2 = h @ h
+        dense.append([np.trace(h2).real, np.vdot(h2, h2).real])
+    dense = np.asarray(dense) / cfg.dim
+    for vals in (spec, dense):
+        mean, se = _mean_se(vals)
+        assert np.all(np.abs(mean - exact) <= 4.0 * se)
+
+
+def test_spectrum_is_keyed_by_seed_sample_and_generator():
+    cfg = EnsembleConfig(dim=30, n_generators=2, n_samples=1, seed=11)
+    again = gue_spectrum(cfg, 0, 1)
+    assert again.shape == (30,) and again.dtype == np.float64
+    assert np.array_equal(gue_spectrum(cfg, 0, 1), again)
+    other = EnsembleConfig(dim=30, n_generators=2, n_samples=1, seed=12)
+    assert not np.array_equal(gue_spectrum(other, 0, 1), again)
+    assert not np.array_equal(gue_spectrum(cfg, 1, 1), again)
+    assert not np.array_equal(gue_spectrum(cfg, 0, 0), again)
+
+
+def test_finite_n_law_of_the_old_and_new_pair():
+    # 5,000 samples at N = 4, 4 SE: two dense GUE matrices, and the
+    # dense-diagonal pair estimate_trace_many draws, both match the exact
+    # genus expansion; ABAB's free limit 0 sits outside the bound
+    cfg = EnsembleConfig(dim=4, n_generators=2, n_samples=5_000, seed=2026)
+    words = [(0, 1, 0, 1), (0, 0, 0, 0), (1, 1, 1, 1), (0, 0, 1, 1),
+             (0,) * 6, (1,) * 6, (0, 0, 1, 0, 0, 1), (0, 1, 0, 1, 0, 1)]
+    exact = np.array([_finite_n_trace(w, cfg.dim) for w in words])
+    assert exact[0] == 1.0 / 16.0
+    pairs = np.empty((2, cfg.n_samples, cfg.dim, cfg.dim), np.complex128)
+    for s in range(cfg.n_samples):
+        for g in range(2):
+            gue_matrix(cfg, s, g, pairs[g, s])
+    old = [np.trace(reduce(np.matmul, [pairs[i] for i in w]),
+                    axis1=1, axis2=2).real for w in words]
+    old_mean, old_se = _mean_se(np.transpose(old) / cfg.dim)
+    new = estimate_trace_many(cfg, words)
+    new_mean = np.array([e.mean for e in new])
+    new_se = np.array([e.se for e in new])
+    for mean, se in ((old_mean, old_se), (new_mean, new_se)):
+        assert np.all(np.abs(mean - exact) <= 4.0 * se)
+        assert abs(mean[0]) > 4.0 * se[0]
+
+
 def _words_up_to(n_letters, max_len):
     return [w for n in range(max_len + 1)
             for w in itertools.product(range(n_letters), repeat=n)]
+
+
+def _dense(mats):
+    return [m if m.ndim == 2 else np.diag(m).astype(np.complex128) for m in mats]
 
 
 def test_estimates_match_direct_products():
@@ -85,11 +158,18 @@ def test_estimates_match_direct_products():
     words += [(0, 1, 2, 2, 1, 0, 2, 1), (2, 1, 0, 1, 2, 2, 1, 0),
               (2, 0, 1, 1, 2, 0, 1, 0, 0, 2, 1, 2),
               (1, 1, 0, 2, 0, 1, 2, 2, 1, 0, 0, 1)]
+    # rows (2, 0, 1) and (2, 1, 2, 0) above, and (2, 2, 1) here, have no
+    # reverse among the rows: a power of the diagonal letter 2 times an
+    # earlier row
+    words += [(2, 2, 1, 0, 1, 0, 0, 1)]
     got = estimate_trace_many(cfg, words)
     for k, letters in enumerate(words):
         vals = []
         for s in range(cfg.n_samples):
-            mats = sample_generators(cfg, s)
+            # the new pair: two dense generators and one diagonal
+            gens = sample_generators(cfg, s)
+            assert [m.ndim for m in gens] == [2, 2, 1]
+            mats = _dense(gens)
             prod = reduce(np.matmul, [mats[i] for i in letters],
                           np.eye(cfg.dim))
             vals.append(np.trace(prod).real / cfg.dim)
@@ -101,18 +181,22 @@ def test_estimates_match_direct_products():
 
 def test_half_products_reuse_conjugate_transposes():
     # the 127 binary words up to length 6 need every word of length 1-3;
-    # of the 12 of length 2-3, three reverse pairs are conjugate copies
+    # of the 12 of length 2-3, three reverse pairs are conjugate copies,
+    # six end in the diagonal letter and scale columns, and only 00, 000
+    # and 010 are matrix products
     cfg = EnsembleConfig(dim=16, n_generators=2, n_samples=1, seed=4)
     halves = set(_words_up_to(2, 3))
     labels = _gram_rows(halves, cfg.n_generators)
     assert len(labels) == 15
     pool = np.empty((len(labels), cfg.dim, cfg.dim), np.complex128)
     pool[0] = np.eye(cfg.dim)
+    pool[1:3] = np.nan
     mats = sample_generators(cfg, 0, pool[1:3])
-    prods = _half_products(mats, halves, pool)
-    assert len(prods) - len(mats) == 9
+    prods = _half_products(mats, labels, pool)
+    assert sorted(prods) == [(0,), (0, 0), (0, 0, 0), (0, 1, 0), (1,)]
+    dense = _dense(mats)
     for label, row in zip(labels, pool):
-        direct = reduce(np.matmul, [mats[i] for i in label], np.eye(cfg.dim))
+        direct = reduce(np.matmul, [dense[i] for i in label], np.eye(cfg.dim))
         assert np.allclose(row, direct, rtol=0.0, atol=1e-13)
 
 
@@ -194,6 +278,12 @@ def test_uword_estimate_shifts_the_monomial():
     uest = estimate_trace_uword(cfg, normalize([0, 0]))
     assert uest.mean == pytest.approx(mono.mean - 1.0, abs=1e-12)
     assert uest.se == pytest.approx(mono.se, abs=1e-12)
+    # with a dense letter 0 and the diagonal letter 1, the basis element
+    # z1^2 z0 z1 is (x1^2 - 1) x0 x1
+    pair = EnsembleConfig(dim=60, n_generators=2, n_samples=6, seed=17)
+    long, short = estimate_trace_many(pair, [(1, 1, 0, 1), (0, 1)])
+    uest = estimate_trace_uword(pair, normalize([1, 1, 0, 1]))
+    assert uest.mean == pytest.approx(long.mean - short.mean, abs=1e-12)
 
 
 def test_uword_traces_vanish_asymptotically():

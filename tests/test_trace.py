@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from freenoise.fock import inner
 from freenoise.trace import (
     monomial_to_uwords,
     trace_fock,
+    trace_genus,
     trace_monomial_all,
     trace_pairings,
     trace_reduction,
@@ -192,3 +194,38 @@ def test_trace_reduction_retains_nothing():
         tracemalloc.stop()
     assert hits == len(uwords)
     assert retained < 1 << 20
+
+
+def test_genus_zero_is_the_pairing_count():
+    # permutation cycles against the non-crossing recursion, on every
+    # binary monomial of length 1 to 10
+    for length in range(1, 11):
+        for letters in itertools.product((0, 1), repeat=length):
+            counts = trace_genus(letters)
+            assert len(counts) == length // 4 + 1
+            assert counts[0] == trace_pairings(letters)
+
+
+def test_genus_counts_of_small_words():
+    assert trace_genus([]) == (1,)
+    assert trace_genus([0, 0, 0, 0]) == (2, 1)
+    assert trace_genus([0, 1, 0, 1]) == (0, 1)
+    assert trace_genus([0] * 6) == (5, 10)
+    assert trace_genus([0, 1, 0]) == (0,)
+    assert trace_genus([0, 1]) == (0,)
+
+
+def test_one_letter_genus_counts_follow_harer_zagier():
+    # (k+1) e_g(k) = (4k-2) e_g(k-1) + (k-1)(2k-1)(2k-3) e_{g-1}(k-2),
+    # and every pairing of 2k points has some genus: sum_g e_g(k) = (2k-1)!!
+    eps = {k: trace_genus([0] * (2 * k)) for k in range(7)}
+
+    def e(g, k):
+        return eps[k][g] if 0 <= g < len(eps[k]) else 0
+
+    for k in range(7):
+        assert sum(eps[k]) == math.prod(range(1, 2 * k, 2))
+    for k in range(2, 7):
+        for g in range(len(eps[k])):
+            assert (k + 1) * e(g, k) == (4 * k - 2) * e(g, k - 1) \
+                + (k - 1) * (2 * k - 1) * (2 * k - 3) * e(g - 1, k - 2)
