@@ -11,15 +11,7 @@ import argparse
 import csv
 import sys
 
-from freenoise.spectral import SpectralDensity, dual_route_kernel, kernel
-
-
-def build_density(name: str, hurst: float) -> SpectralDensity:
-    if name == "lebesgue":
-        return SpectralDensity.lebesgue()
-    if name == "fbm":
-        return SpectralDensity.fbm(hurst)
-    raise SystemExit(f"unsupported density {name!r}")
+from freenoise.spectral import DensitySpec, dual_route_kernel, kernel
 
 
 def main() -> None:
@@ -32,7 +24,7 @@ def main() -> None:
                     help="comma list of t:s time pairs")
     args = ap.parse_args()
 
-    dens = build_density(args.density, args.H)
+    dens = DensitySpec(args.density, H=args.H).build()
     cutoffs = [int(x) for x in args.cutoffs.split(",")]
     pairs = [tuple(float(v) for v in p.split(":"))
              for p in args.pairs.split(",")]

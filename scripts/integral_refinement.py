@@ -14,7 +14,7 @@ import sys
 from freenoise import fock
 from freenoise.process import IntegrandPath, ProcessState, apply_process, \
     stochastic_integral
-from freenoise.spectral import SpectralDensity
+from freenoise.spectral import DensitySpec
 
 
 def main() -> None:
@@ -28,8 +28,7 @@ def main() -> None:
     ap.add_argument("--n-max", type=int, default=48)
     args = ap.parse_args()
 
-    dens = SpectralDensity.lebesgue() if args.density == "lebesgue" \
-        else SpectralDensity.fbm(args.H)
+    dens = DensitySpec(args.density, H=args.H).build()
     state = ProcessState(dens, n_max=args.n_max)
     path = IntegrandPath.dyadic(
         lambda t: apply_process(state, t, fock.vacuum()),

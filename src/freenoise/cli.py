@@ -25,7 +25,7 @@ import numpy as np
 from . import acceptance, chebyshev, fock, matmodel, process, quadrature, spectral, trace, words
 from .errors import FreenoiseError, ValidationError
 from .parallel import thread_count
-from .spectral import SpectralDensity
+from .spectral import DensitySpec, SpectralDensity
 from .words import WeightSequence
 
 CSV_FORMAT = "freenoise-csv/1"
@@ -144,24 +144,17 @@ def _density_flags(parser: argparse.ArgumentParser) -> None:
 def _resolve_density(args: argparse.Namespace) -> SpectralDensity:
     if args.density_config:
         with open(args.density_config) as fh:
-            return spectral.parse_density_config(fh.read())
-    kind = args.density
-    if kind == "lebesgue":
-        dens = SpectralDensity.lebesgue(args.scale)
-    elif kind == "fbm":
-        if args.H is None:
-            raise ValidationError("--density fbm needs --H")
-        dens = SpectralDensity.fbm(args.H, scale=args.scale)
-    elif kind in ("exp", "exponential"):
-        dens = SpectralDensity.exponential(rate=args.rate, scale=args.scale)
+            spec = DensitySpec.from_config(fh.read())
+        # echo the spec the file gave, not the flag defaults it overrode
+        resolved = dataclasses.asdict(spec)
+        resolved["density"] = resolved.pop("kind")
+        vars(args).update(resolved)
     else:
-        dens = SpectralDensity.custom(origin_exponent=args.origin_exponent,
-                                      class_index=args.class_index,
-                                      scale=args.scale)
-    if args.cutoff_low != 0.0 or math.isfinite(args.cutoff_high):
-        dens = dataclasses.replace(dens, cutoff_low=args.cutoff_low,
-                                   cutoff_high=args.cutoff_high)
-    return dens
+        spec = DensitySpec(args.density, H=args.H, scale=args.scale, rate=args.rate,
+                           origin_exponent=args.origin_exponent,
+                           class_index=args.class_index,
+                           cutoff_low=args.cutoff_low, cutoff_high=args.cutoff_high)
+    return spec.build()
 
 
 def cmd_linearize(args: argparse.Namespace) -> int:
@@ -368,7 +361,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_selftest(args: argparse.Namespace) -> int:
     only = [s.strip() for s in args.only.split(",")] if args.only else None
     results = acceptance.run_all(only=only)
-    if args.format == "json":
+    if args.format != "text":
         rows = [{"id": r.ident, "title": r.title, "passed": r.passed,
                  "elapsed": r.elapsed, "detail": r.detail} for r in results]
         _emit(args, {"passed": sum(r.passed for r in results),

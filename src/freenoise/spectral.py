@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -38,6 +38,7 @@ from .words import WeightSequence
 
 __all__ = [
     "SpectralDensity",
+    "DensitySpec",
     "parse_density_config",
     "tm_values",
     "alpha_vector",
@@ -64,11 +65,13 @@ _KINDS = ("lebesgue", "fbm", "exponential", "custom")
 class SpectralDensity:
     """Even weight u |-> m(u) with its origin and growth classification.
 
+    Every kind is one law, m(u) = scale |u|^power (1 + u^2)^bracket
+    e^{rate |u|} times the cutoff window, with (power, bracket) fixed at
+    construction: (1 - 2H, 0) for fbm, (-b, N + b / 2) for custom and
+    (0, 0) otherwise; only the exponential kind has a rate.
     origin_exponent is the power b with m(u) ~ scale * |u|^-b near 0
     (b < 2 required); class_index is the integer N with polynomial
-    growth at most |u|^{2N}; the exponential kind grows like
-    scale * e^{rate |u|} instead.  Optional hard cutoffs window the
-    support.
+    growth at most |u|^{2N}.
     """
 
     kind: str
@@ -79,6 +82,8 @@ class SpectralDensity:
     class_index: int = 0
     cutoff_low: float = 0.0
     cutoff_high: float = math.inf
+    _power: float = field(init=False, repr=False, compare=False)
+    _bracket: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -91,12 +96,23 @@ class SpectralDensity:
         if self.kind == "fbm":
             if self.hurst is None or not 0.0 < self.hurst < 1.0:
                 raise ValidationError("fbm preset needs 0 < H < 1")
-        if self.kind == "exponential" and not (math.isfinite(self.rate) and self.rate > 0):
-            raise ValidationError("exponential density needs a finite rate > 0")
+        if self.kind == "exponential":
+            if not (math.isfinite(self.rate) and self.rate > 0):
+                raise ValidationError("exponential density needs a finite rate > 0")
+        elif self.rate != 0.0:
+            raise ValidationError(f"a {self.kind} density has no rate")
         if self.class_index < 0:
             raise ValidationError("growth class index must be >= 0")
         if not 0.0 <= self.cutoff_low < self.cutoff_high:
             raise ValidationError("cutoffs must satisfy 0 <= low < high")
+        power, bracket = 0.0, 0.0
+        if self.kind == "fbm":
+            power = 1.0 - 2.0 * self.hurst
+        elif self.kind == "custom":
+            power = -self.origin_exponent
+            bracket = self.class_index + 0.5 * self.origin_exponent
+        object.__setattr__(self, "_power", power)
+        object.__setattr__(self, "_bracket", bracket)
 
     @classmethod
     def lebesgue(cls, scale: float = 1.0) -> "SpectralDensity":
@@ -131,13 +147,10 @@ class SpectralDensity:
         """Power of the large-u growth; -inf when a high cutoff truncates."""
         if self.cutoff_high < math.inf:
             return -math.inf
-        if self.kind == "lebesgue":
-            return 0.0
-        if self.kind == "fbm":
-            return 1.0 - 2.0 * self.hurst
-        if self.kind == "custom":
-            return 2.0 * self.class_index
-        return math.inf
+        if self.kind == "exponential":
+            return math.inf
+        # 2N exactly, where power + 2 bracket could round away from it
+        return 2.0 * self.class_index if self.kind == "custom" else self._power
 
     def label(self) -> str:
         if self.kind == "fbm":
@@ -147,41 +160,23 @@ class SpectralDensity:
         return self.kind
 
     def __call__(self, u):
-        u = np.abs(np.asarray(u, dtype=float))
-        if self.kind == "lebesgue":
-            out = np.full_like(u, self.scale)
-        elif self.kind == "fbm":
-            power = 1.0 - 2.0 * self.hurst
-            with np.errstate(divide="ignore"):
-                out = self.scale * np.power(u, power)
-            if power < 0:
-                out = np.where(u == 0.0, np.inf, out)
-        elif self.kind == "exponential":
-            with np.errstate(over="ignore"):
-                out = self.scale * np.exp(self.rate * u)
-        else:
-            b = self.origin_exponent
-            with np.errstate(divide="ignore", over="ignore"):
-                head = np.power(u, -b) if b != 0 else np.ones_like(u)
-                out = self.scale * head * np.power(1.0 + u * u,
-                                                   self.class_index + 0.5 * b)
-        return self._window(u, out)
+        return self._evaluate(u, root=False)
 
     def root(self, u):
-        """sqrt(m(u)) on an array.
+        """sqrt(m(u)) on an array; the exponential factor is halved,
+        e^{rate |u| / 2}, so it stays finite twice as far out as m."""
+        return self._evaluate(u, root=True)
 
-        The exponential kind is evaluated as sqrt(scale) e^{rate |u| / 2},
-        which stays finite twice as far out as m itself; every other kind
-        is np.sqrt of __call__.
-        """
-        if self.kind != "exponential":
-            return np.sqrt(self(u))
+    def _evaluate(self, u, root):
         u = np.abs(np.asarray(u, dtype=float))
-        with np.errstate(over="ignore"):
-            out = math.sqrt(self.scale) * np.exp(0.5 * self.rate * u)
-        return self._window(u, out)
-
-    def _window(self, u, out):
+        with np.errstate(divide="ignore", over="ignore"):
+            out = self.scale * np.power(u, self._power) \
+                * np.power(1.0 + u * u, self._bracket)
+            if root:
+                out = np.sqrt(out)
+            # a zero rate has no factor, not even exp(0 * inf) = nan at |u| = inf
+            if self.rate:
+                out = out * np.exp((0.5 * self.rate if root else self.rate) * u)
         if self.cutoff_low > 0.0 or self.cutoff_high < math.inf:
             out = np.where((u >= self.cutoff_low) & (u <= self.cutoff_high),
                            out, 0.0)
@@ -198,88 +193,97 @@ class SpectralDensity:
         u = abs(u)
         if not self.cutoff_low <= u <= self.cutoff_high:
             return 0.0
+        if u == 0.0 and self._power < 0:
+            return math.inf
         try:
-            if self.kind == "lebesgue":
-                return self.scale
-            if self.kind == "fbm":
-                power = 1.0 - 2.0 * self.hurst
-                if u == 0.0 and power < 0:
-                    return math.inf
-                return self.scale * u ** power
-            if self.kind == "exponential":
-                return self.scale * math.exp(self.rate * u)
-            b = self.origin_exponent
-            if u == 0.0 and b > 0:
-                return math.inf
-            head = u ** -b if b != 0 else 1.0
-            return self.scale * head * (1.0 + u * u) ** (self.class_index + 0.5 * b)
+            m = self.scale * u ** self._power * (1.0 + u * u) ** self._bracket
+            return m * math.exp(self.rate * u) if self.rate else m
         except OverflowError:
             return math.inf
+
+
+# config key -> (DensitySpec field, conversion)
+_CONFIG_KEYS = {"kind": ("kind", str.lower), "H": ("H", float), "C1": ("scale", float),
+                "C2": ("rate", float), "b": ("origin_exponent", float),
+                "N": ("class_index", int), "cutoff_low": ("cutoff_low", float),
+                "cutoff_high": ("cutoff_high", float)}
+
+
+@dataclass(frozen=True)
+class DensitySpec:
+    """The parameters that select a density, from CLI flags or a config file.
+
+    build() is the only map from a spec to a density; a kind ignores the
+    parameters it has no use for.
+    """
+
+    kind: str
+    H: float | None = None
+    scale: float = 1.0
+    rate: float = 1.0
+    origin_exponent: float = 0.0
+    class_index: int = 0
+    cutoff_low: float = 0.0
+    cutoff_high: float = math.inf
+
+    @classmethod
+    def from_config(cls, text: str) -> "DensitySpec":
+        """Read the ``key = value`` lines of parse_density_config."""
+        values: dict[str, str] = {}
+        for raw in text.splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValidationError(f"expected 'key = value', got {line!r}")
+            key, _, val = line.partition("=")
+            values[key.strip()] = val.strip()
+        if "kind" not in values:
+            raise ValidationError("density config needs a 'kind' line")
+        if "cutoffs" in values:
+            parts = values.pop("cutoffs").split(",")
+            if len(parts) != 2:
+                raise ValidationError("cutoffs takes two comma-separated numbers")
+            # cutoff_low / cutoff_high lines override the pair
+            values = {"cutoff_low": parts[0], "cutoff_high": parts[1], **values}
+        unknown = sorted(set(values) - set(_CONFIG_KEYS))
+        if unknown:
+            raise ValidationError(f"unknown config keys: {unknown}")
+        fields = {}
+        for key, val in values.items():
+            name, convert = _CONFIG_KEYS[key]
+            try:
+                fields[name] = convert(val)
+            except ValueError as exc:
+                raise ValidationError(f"bad value for {key}: {val!r}") from exc
+        return cls(**fields)
+
+    def build(self) -> SpectralDensity:
+        if self.kind == "lebesgue":
+            dens = SpectralDensity.lebesgue(self.scale)
+        elif self.kind == "fbm":
+            if self.H is None:
+                raise ValidationError("--density fbm needs --H")
+            dens = SpectralDensity.fbm(self.H, self.scale)
+        elif self.kind in ("exp", "exponential"):
+            dens = SpectralDensity.exponential(self.rate, self.scale)
+        elif self.kind == "custom":
+            dens = SpectralDensity.custom(self.origin_exponent, self.class_index,
+                                          self.scale)
+        else:
+            raise ValidationError(f"unknown density kind {self.kind!r}")
+        return dataclasses.replace(dens, cutoff_low=self.cutoff_low,
+                                   cutoff_high=self.cutoff_high)
 
 
 def parse_density_config(text: str) -> SpectralDensity:
     """Build a density from ``key = value`` lines.
 
-    Keys: kind (lebesgue | fbm | exponential | custom), H, b, N, C1
-    (overall scale), C2 (exponential rate), cutoffs (low,high) or
-    cutoff_low / cutoff_high.  '#' starts a comment.
+    Keys: kind (lebesgue | fbm | exp | exponential | custom), H, b, N
+    (an integer), C1 (overall scale), C2 (exponential rate), cutoffs
+    (low,high) or cutoff_low / cutoff_high.  '#' starts a comment.
     """
-    values: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValidationError(f"expected 'key = value', got {line!r}")
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
-
-    kind = values.pop("kind", None)
-    if kind is None:
-        raise ValidationError("density config needs a 'kind' line")
-    kind = kind.lower()
-
-    def take_float(key, default):
-        if key in values:
-            try:
-                return float(values.pop(key))
-            except ValueError as exc:
-                raise ValidationError(f"bad number for {key}") from exc
-        return default
-
-    cut_lo, cut_hi = 0.0, math.inf
-    if "cutoffs" in values:
-        parts = values.pop("cutoffs").split(",")
-        if len(parts) != 2:
-            raise ValidationError("cutoffs takes two comma-separated numbers")
-        try:
-            cut_lo, cut_hi = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise ValidationError("bad number in cutoffs") from exc
-    cut_lo = take_float("cutoff_low", cut_lo)
-    cut_hi = take_float("cutoff_high", cut_hi)
-
-    hurst = take_float("H", None if kind != "fbm" else 0.5)
-    scale = take_float("C1", 1.0)
-    rate = take_float("C2", 1.0)
-    b = take_float("b", 0.0)
-    n_class = int(take_float("N", 0))
-    if values:
-        raise ValidationError(f"unknown config keys: {sorted(values)}")
-
-    if kind == "lebesgue":
-        base = SpectralDensity.lebesgue(scale)
-    elif kind == "fbm":
-        base = SpectralDensity.fbm(hurst, scale)
-    elif kind == "exponential":
-        base = SpectralDensity.exponential(rate, scale)
-    elif kind == "custom":
-        base = SpectralDensity.custom(b, n_class, scale)
-    else:
-        raise ValidationError(f"unknown density kind {kind!r}")
-    if cut_lo > 0.0 or cut_hi < math.inf:
-        base = dataclasses.replace(base, cutoff_low=cut_lo, cutoff_high=cut_hi)
-    return base
+    return DensitySpec.from_config(text).build()
 
 
 def _osc_scale(n_max: int, t: float) -> float:

@@ -149,6 +149,25 @@ def test_density_config_file(tmp_path, capsys):
     assert run(["rfun", "--density-config", str(cfg), "--t", "1.0"]) == 0
     out = _json_out(capsys)
     assert out["density"] == "fbm(H=0.6)"
+    assert out["config"]["density"] == "fbm" and out["config"]["H"] == 0.6
+
+    # the echo carries the spec the file gave, not the unused flag defaults
+    cfg.write_text("kind = custom\nb = 0.5\nN = 1\ncutoffs = 0.1, 40\n")
+    assert run(["tmcoeff", "--density-config", str(cfg), "--n-max", "4",
+                "--scale", "3"]) == 0
+    echo = _json_out(capsys)["config"]
+    assert {k: echo[k] for k in ("density", "origin_exponent", "class_index",
+                                 "cutoff_low", "cutoff_high", "scale", "H")} == {
+        "density": "custom", "origin_exponent": 0.5, "class_index": 1,
+        "cutoff_low": 0.1, "cutoff_high": 40.0, "scale": 1.0, "H": None}
+
+
+@pytest.mark.parametrize("text", ["kind = custom\nN = 0.9", "kind = fbm"])
+def test_density_config_follows_the_flag_rules(tmp_path, capsys, text):
+    cfg = tmp_path / "dens.cfg"
+    cfg.write_text(text)
+    assert run(["rfun", "--density-config", str(cfg), "--t", "1.0"]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "validation"
 
 
 def test_tmcoeff_certified_exit(capsys):
@@ -217,6 +236,15 @@ def test_selftest_text_output(capsys):
     out = capsys.readouterr().out
     assert "[PASS]" in out
     assert "passed 2 of 2" in out
+
+
+def test_selftest_csv_output(capsys):
+    assert run(["selftest", "--only", "4", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"# {CSV_FORMAT}"
+    body = [line for line in lines if not line.startswith("#")]
+    assert body[0] == "id,title,passed,elapsed,detail"
+    assert len(body) == 2 and body[1].startswith("4,") and ",True," in body[1]
 
 
 def test_selftest_json_output(capsys):

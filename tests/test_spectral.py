@@ -73,7 +73,7 @@ _AT_GRID += [v for e in _EDGES
 _AT_GRID += [-u for u in _AT_GRID]
 
 
-@pytest.mark.parametrize("dens", [
+_DENSITIES = [
     SpectralDensity.lebesgue(),
     SpectralDensity.fbm(0.3),
     SpectralDensity.fbm(0.75),
@@ -83,7 +83,14 @@ _AT_GRID += [-u for u in _AT_GRID]
                            cutoff_low=_EDGES[0], cutoff_high=_EDGES[1]),
     dataclasses.replace(SpectralDensity.fbm(0.75), cutoff_low=_EDGES[0],
                         cutoff_high=_EDGES[1]),
-], ids=lambda d: f"{d.label()}[{d.cutoff_low:g},{d.cutoff_high:g}]")
+]
+
+
+def _density_id(dens):
+    return f"{dens.label()}[{dens.cutoff_low:g},{dens.cutoff_high:g}]"
+
+
+@pytest.mark.parametrize("dens", _DENSITIES, ids=_density_id)
 def test_scalar_evaluator_matches_the_vector_one(dens):
     # equal, or within 2 ulp where libm pow and numpy's pow may round apart
     ulps = 2 if dens.kind in ("fbm", "custom") else 0
@@ -93,6 +100,71 @@ def test_scalar_evaluator_matches_the_vector_one(dens):
         assert type(got) is float
         assert math.isinf(got) == math.isinf(want) and (got == 0.0) == (want == 0.0)
         assert got == want or abs(got - want) <= ulps * math.ulp(want), u
+    # the root is sqrt(m) bit for bit, except that the exponential factor
+    # is halved instead of rooted
+    grid = np.array(_AT_GRID)
+    if dens.kind == "exponential":
+        u = np.abs(grid)
+        with np.errstate(over="ignore"):
+            want = math.sqrt(dens.scale) * np.exp(0.5 * dens.rate * u)
+        want = np.where((u >= dens.cutoff_low) & (u <= dens.cutoff_high), want, 0.0)
+    else:
+        want = np.sqrt(vector)
+    assert np.array_equal(dens.root(grid), want)
+
+
+# tm_values(dens, 1.0, 8) and r_function(dens, 1.5) as float.hex, taken
+# from the per-kind evaluators before they became one formula; None
+# marks a covariance that diverges.  The multiplier pass is a BLAS
+# product, so a different BLAS build may move a last bit of tm.
+_FROZEN = {
+    "lebesgue[0,inf]": (
+        ["0x1.d283bd5be9db6p-2", "0x1.49e02a22b61c1p-1", "0x1.49e02a22b61c2p-2",
+         "-0x1.0d57a33d5d99ap-2", "-0x1.dc226d2886986p-2", "-0x1.e1d0706d250edp-5",
+         "0x1.8fe09bd12e497p-2", "0x1.0d80ab07dd9a8p-2"],
+        "0x1.7ffffffffeff3p-1"),
+    "fbm(H=0.3)[0,inf]": (
+        ["0x1.72e47ec4f8e83p-2", "0x1.576731f6b4e51p-1", "0x1.3fa42cf432185p-2",
+         "-0x1.59b0fae4afd58p-2", "-0x1.355de92da2c8fp-1", "-0x1.47fe8027ec257p-4",
+         "0x1.eb7b63acd69d1p-2", "0x1.57c887e04249ep-2"],
+        "0x1.c3af329bcc721p-1"),
+    "fbm(H=0.75)[0,inf]": (
+        ["0x1.499725c057184p-1", "0x1.3da2e26b7898ep-1", "0x1.923787abf8f7cp-2",
+         "-0x1.6bb01bf5657bcp-3", "-0x1.1c4dad7e73144p-2", "-0x1.fd424862a2c91p-6",
+         "0x1.63dd74fd31c05p-2", "0x1.9bd48b9489b79p-3"],
+        "0x1.f454378578a48p-1"),
+    "exponential(rate=1)[0,inf]": (
+        ["0x1.0ef213d49d8bcp-1", "0x1.4951ee010b88cp+0", "0x1.adc002494f54bp-1",
+         "-0x1.d03f73320f536p-1", "-0x1.f3d94f851494ep+0", "-0x1.50a7e4756a35fp-2",
+         "0x1.17c1739118f8ep+1", "0x1.bdd7adef3dd61p+0"],
+        None),
+    "custom[0,inf]": (
+        ["0x1.617a617214af4p-1", "0x1.298596d963bdep+0", "0x1.8c7e0c2135340p-1",
+         "-0x1.78e274bb25034p-1", "-0x1.5a39717b5e4b0p+0", "-0x1.6146ce8c01099p-3",
+         "0x1.7c155967f3bcdp+0", "0x1.06ae632232956p+0"],
+        None),
+    "custom[0.5,3]": (
+        ["0x1.e0a50803b839ep-3", "0x1.1f7895485aa42p+0", "0x1.9baa6030ea7b7p-2",
+         "-0x1.b1a0057b7eaa3p-1", "-0x1.1e801eea373c9p+0", "0x1.2863397127e04p-4",
+         "0x1.cbaf6f685223cp-3", "0x1.137387b24c2e4p-3"],
+        "0x1.cf20d1ceec043p+0"),
+    "fbm(H=0.75)[0.5,3]": (
+        ["0x1.9a6da5f0aa321p-3", "0x1.28e2b280230d1p-1", "0x1.9696a3eed5a89p-4",
+         "-0x1.e10857ad7972ep-3", "-0x1.9165ec87aadf1p-2", "-0x1.99d484209c3f5p-6",
+         "-0x1.2eb9847c6e06fp-5", "0x1.6f4b63dcb714ap-7"],
+        "0x1.c6701377e3eaap-2"),
+}
+
+
+@pytest.mark.parametrize("dens", _DENSITIES, ids=_density_id)
+def test_multiplier_and_r_are_frozen(dens):
+    tm_hex, r_hex = _FROZEN[_density_id(dens)]
+    assert [float(v).hex() for v in tm_values(dens, 1.0, 8)] == tm_hex
+    if r_hex is None:
+        with pytest.raises(DivergenceError):
+            r_function(dens, 1.5)
+    else:
+        assert r_function(dens, 1.5).hex() == r_hex
 
 
 def test_exponential_density_is_never_clamped():
@@ -135,6 +207,8 @@ def test_parse_density_config_round_trip():
     assert custom.class_index == 2
     assert custom.cutoff_low == pytest.approx(0.1)
     assert custom.cutoff_high == pytest.approx(40.0)
+    # the CLI's kind names, exp among them
+    assert parse_density_config("kind = exp\nC2 = 2.5") == SpectralDensity.exponential(2.5)
 
 
 def test_parse_density_config_errors():
@@ -150,6 +224,11 @@ def test_parse_density_config_errors():
         parse_density_config("kind = weird")
     with pytest.raises(ValidationError):
         parse_density_config("no equals sign here")
+    # the config follows the flags' rules: N is an integer, fbm needs H
+    with pytest.raises(ValidationError, match="N"):
+        parse_density_config("kind = custom\nN = 0.9")
+    with pytest.raises(ValidationError, match="needs --H"):
+        parse_density_config("kind = fbm")
 
 
 def test_lebesgue_multiplier_is_identity():
