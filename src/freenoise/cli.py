@@ -37,7 +37,7 @@ density flags (kernel, rfun, tmcoeff, derivative-check, integrate):
   --cutoff-low / --cutoff-high.
   --density-config FILE reads 'key = value' lines instead, keys
   kind, H, b, N, C1 (scale), C2 (rate), cutoffs (low,high);
-  '#' starts a comment.
+  '#' starts a comment.  A density flag beside it exits 2.
 
 grids: a time flag accepts a single number, a comma list '0,0.5,1',
 or start:stop:count such as '0:2:9'.
@@ -124,32 +124,47 @@ def _weight_seq(name: str) -> WeightSequence:
     raise ValidationError(f"unknown weight sequence {name!r}")
 
 
+# density flag dest -> default; the flags default to None so that a flag
+# given beside --density-config can be told from one left out
+_DENSITY_DEFAULTS = {"density": "lebesgue", "H": None, "scale": 1.0,
+                     "rate": 1.0, "origin_exponent": 0.0, "class_index": 0,
+                     "cutoff_low": 0.0, "cutoff_high": math.inf}
+
+
 def _density_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--density", default="lebesgue",
+    parser.add_argument("--density", default=None,
                         choices=["lebesgue", "fbm", "exp", "exponential", "custom"])
     parser.add_argument("--H", type=float, default=None,
                         help="Hurst index for --density fbm")
-    parser.add_argument("--scale", type=float, default=1.0)
-    parser.add_argument("--rate", type=float, default=1.0,
+    parser.add_argument("--scale", type=float, default=None)
+    parser.add_argument("--rate", type=float, default=None,
                         help="decay rate for --density exp")
-    parser.add_argument("--origin-exponent", type=float, default=0.0,
+    parser.add_argument("--origin-exponent", type=float, default=None,
                         help="config key b, for --density custom")
-    parser.add_argument("--class-index", type=int, default=0,
+    parser.add_argument("--class-index", type=int, default=None,
                         help="config key N, for --density custom")
-    parser.add_argument("--cutoff-low", type=float, default=0.0)
-    parser.add_argument("--cutoff-high", type=float, default=math.inf)
+    parser.add_argument("--cutoff-low", type=float, default=None)
+    parser.add_argument("--cutoff-high", type=float, default=None)
     parser.add_argument("--density-config", default=None, metavar="FILE")
 
 
 def _resolve_density(args: argparse.Namespace) -> SpectralDensity:
+    given = [name for name in _DENSITY_DEFAULTS if getattr(args, name) is not None]
     if args.density_config:
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise ValidationError(f"{flags} given with --density-config, "
+                                  "which sets the whole density")
         with open(args.density_config) as fh:
             spec = DensitySpec.from_config(fh.read())
-        # echo the spec the file gave, not the flag defaults it overrode
+        # echo the spec the file gave
         resolved = dataclasses.asdict(spec)
         resolved["density"] = resolved.pop("kind")
         vars(args).update(resolved)
     else:
+        for name, default in _DENSITY_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
         spec = DensitySpec(args.density, H=args.H, scale=args.scale, rate=args.rate,
                            origin_exponent=args.origin_exponent,
                            class_index=args.class_index,

@@ -50,7 +50,9 @@ def hermite_fn_matrix(n_max: int, u) -> np.ndarray:
     if n_max < 1:
         raise ValueError("need at least one function")
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    out = np.empty((n_max,) + u.shape)
+    shape = (n_max,) + u.shape
+    u = u.ravel()
+    out = np.empty((n_max, u.size))
     # Rows are filled in place, in the operation order of
     # c * e^{-u u / 2} and c1 * u * hfn_{j} - c2 * hfn_{j-1}, so every
     # row is bit-identical to that formula.
@@ -59,17 +61,27 @@ def hermite_fn_matrix(n_max: int, u) -> np.ndarray:
     first *= u
     np.exp(first, out=first)
     first *= _PI_QUARTER
+    # Where u > 0 and the Gaussian has underflowed to +0.0, the formula
+    # gives +0.0 in every later row as long as u sqrt(2) is finite, so
+    # the recurrence runs only between the first and last other nodes.
+    with np.errstate(over="ignore"):
+        dead = (first == 0.0) & (u > 0.0) & np.isfinite(u * math.sqrt(2.0))
+    live = np.flatnonzero(~dead)
+    lo, hi = (live[0], live[-1] + 1) if live.size else (0, 0)
+    out[1:, :lo] = 0.0
+    out[1:, hi:] = 0.0
+    u, first = u[lo:hi], first[lo:hi]
     if n_max > 1:
-        np.multiply(u, math.sqrt(2.0), out=out[1])
-        out[1] *= first
+        np.multiply(u, math.sqrt(2.0), out=out[1, lo:hi])
+        out[1, lo:hi] *= first
     scratch = np.empty(u.shape)
     for j in range(2, n_max):
-        row = out[j]
+        row = out[j, lo:hi]
         np.multiply(u, math.sqrt(2.0 / j), out=row)
-        row *= out[j - 1]
-        np.multiply(out[j - 2], math.sqrt((j - 1) / j), out=scratch)
+        row *= out[j - 1, lo:hi]
+        np.multiply(out[j - 2, lo:hi], math.sqrt((j - 1) / j), out=scratch)
         row -= scratch
-    return out
+    return out.reshape(shape)
 
 
 def hermite_fn(k: int, u):

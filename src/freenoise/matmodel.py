@@ -38,6 +38,10 @@ over the identity, the left halves and the reversed right halves gives
 every trace of the sample; a half whose reverse is already built is a
 conjugate-transpose copy, and a product with the diagonal generator
 scales rows or columns, so only dense times dense is a matrix product.
+The halves that are powers of the diagonal generator, the identity
+included, are diagonal themselves: their Gram entries need only the
+diagonals of the dense halves, so only the dense halves are stored as
+matrices and enter the Gram product.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .chebyshev import eval_u
-from .errors import ValidationError
+from .errors import FreenoiseError, ValidationError
 from .parallel import ordered_map, thread_count
 from .words import Word
 
@@ -141,16 +145,20 @@ def gue_spectrum(cfg: EnsembleConfig, sample: int, gen_index: int) -> np.ndarray
     The beta = 2 tridiagonal model has independent N(0, 1) diagonal
     entries and off-diagonal entries chi_{2k}/sqrt(2), k = dim-1, ..., 1;
     chi_{2k}^2 / 2 is a Gamma(k) variable.  Its eigenvalues have the law
-    of those of gue_matrix before scaling, and cost O(dim^2).  The draws
-    come from the (seed, sample, gen_index) stream.
+    of those of gue_matrix before scaling, and cost O(dim^2) through
+    LAPACK's root-free QR (dsterf, which scipy's eigvalsh_tridiagonal
+    also ends in).  The draws come from the (seed, sample, gen_index)
+    stream.
     """
-    from scipy.linalg import eigvalsh_tridiagonal
+    from scipy.linalg.lapack import dsterf
 
     rng = _stream(cfg.seed, sample, gen_index)
     d = cfg.dim
     diag = rng.standard_normal(d)
     off = np.sqrt(rng.standard_gamma(np.arange(d - 1, 0, -1, dtype=float)))
-    evals = eigvalsh_tridiagonal(diag, off)
+    evals, info = dsterf(diag, off, overwrite_d=True)
+    if info != 0:
+        raise FreenoiseError(f"tridiagonal eigenvalues failed: dsterf info {info}")
     evals *= cfg.radius / 2.0
     evals *= 1.0 / math.sqrt(d)
     return evals
@@ -161,18 +169,13 @@ def sample_generators(cfg: EnsembleConfig, sample: int,
     """The sample's generators: gue_matrix draws, then one gue_spectrum.
 
     The last generator is the diagonal matrix of its gue_spectrum draw
-    and is returned as that real vector; the others are dense.  When out
-    is given, its leading rows receive every generator as a dense
-    matrix.
+    and is returned as that real vector; the others are dense, and are
+    written into the leading rows of out when it is given.
     """
     last = cfg.n_generators - 1
     mats = [gue_matrix(cfg, sample, g, None if out is None else out[g])
             for g in range(last)]
-    spectrum = gue_spectrum(cfg, sample, last)
-    if out is not None:
-        out[last] = 0.0
-        np.fill_diagonal(out[last], spectrum)
-    return mats + [spectrum]
+    return mats + [gue_spectrum(cfg, sample, last)]
 
 
 def _check_word(cfg: EnsembleConfig, letters: tuple[int, ...]) -> None:
@@ -186,11 +189,16 @@ def _check_word(cfg: EnsembleConfig, letters: tuple[int, ...]) -> None:
 
 def _gram_rows(halves: set[tuple[int, ...]],
                n_letters: int) -> list[tuple[int, ...]]:
-    """Pool row labels: the identity, every letter, then every prefix of
-    length two or more of the halves, ordered by (length, letters)."""
+    """Pool row labels: every dense letter, then every prefix of length
+    two or more of the halves that holds a dense letter, ordered by
+    (length, letters).  The last letter is the diagonal one: the
+    identity and the powers of that letter are diagonal and are not
+    pool rows (see _gram)."""
+    diag = n_letters - 1
     need = {t[:k] for t in halves for k in range(2, len(t) + 1)}
-    return [()] + [(i,) for i in range(n_letters)] \
-        + sorted(need, key=lambda t: (len(t), t))
+    return [(i,) for i in range(diag)] + sorted(
+        (t for t in need if t.count(diag) < len(t)),
+        key=lambda t: (len(t), t))
 
 
 def _half_products(mats: Sequence[np.ndarray],
@@ -200,23 +208,22 @@ def _half_products(mats: Sequence[np.ndarray],
     """Fill the pool rows past the letters with their products.
 
     Row k of pool holds the product labelled by labels[k], the rows of
-    _gram_rows.  The identity and letter rows are already in place, and
-    mats is what sample_generators returned for the letters: dense
-    letters alias their rows, and the diagonal letter is its real vector
-    of entries.  The
-    generators are Hermitian, so the product of a reversed word is the
-    conjugate transpose of the word's product: a row whose reverse is an
-    earlier row is copied that way.  A row ending in the diagonal letter
-    is its prefix with columns scaled; a row that starts with a power of
-    the diagonal letter, followed by an earlier row, is that row with
-    rows scaled; every other row is its prefix times its last letter.
-    The returned dict holds the letters and the matmul products only, so
-    its length beyond len(mats) is the number of matmuls made.
+    _gram_rows.  The dense letter rows are already in place, and mats is
+    what sample_generators returned for the letters: dense letters alias
+    their rows, and the diagonal letter is its real vector of entries.
+    The generators are Hermitian, so the product of a reversed word is
+    the conjugate transpose of the word's product: a row whose reverse
+    is an earlier row is copied that way.  A row ending in the diagonal
+    letter is its prefix with columns scaled; a row that starts with a
+    power of the diagonal letter, followed by an earlier row, is that
+    row with rows scaled; every other row is its prefix times its last
+    letter.  The returned dict holds the letters and the matmul products
+    only, so its length beyond len(mats) is the number of matmuls made.
     """
     index = {t: k for k, t in enumerate(labels)}
     memo: dict[tuple[int, ...], np.ndarray] = {
         (i,): m for i, m in enumerate(mats)}
-    for k in range(1 + len(mats), len(labels)):
+    for k in range(len(mats) - 1, len(labels)):
         t = labels[k]
         rev = index.get(t[::-1], k)
         last = mats[t[-1]]
@@ -230,6 +237,22 @@ def _half_products(mats: Sequence[np.ndarray],
         else:
             memo[t] = np.matmul(pool[index[t[:-1]]], last, out=pool[k])
     return memo
+
+
+def _gram(flat: np.ndarray, diagonals: np.ndarray,
+          powers: np.ndarray) -> np.ndarray:
+    """Gram matrix of the pool rows, then of the diagonal rows D^p.
+
+    flat holds the pool rows as real vectors of length 2 dim^2 and
+    diagonals their real diagonals; powers holds the entries of each
+    D^p.  Entry (a, b) is the real inner product Re <row_a, row_b> of
+    the two matrices' entries.  A diagonal row meets a pool row X only
+    on its diagonal, Re <X, D^p> = sum_i Re X_ii d_i^p, and two
+    diagonal rows give sum_i d_i^p d_i^q, so only the pool rows need
+    a product over all 2 dim^2 entries.
+    """
+    cross = diagonals @ powers.T
+    return np.block([[flat @ flat.T, cross], [cross.T, powers @ powers.T]])
 
 
 def _diagonal_lead(mats: Sequence[np.ndarray], t: tuple[int, ...]) -> int:
@@ -259,16 +282,18 @@ def estimate_trace_many(cfg: EnsembleConfig,
 
         Re tr(P_l P_r) = Re <P_reverse(r), P_l>,
 
-    a real inner product of the two matrices' entries.  The identity,
-    every left half and every reversed right half, closed under
-    prefixes, are the rows of one (rows, dim, dim) pool; seen as real
-    vectors of length 2 dim^2 they give every trace of a sample at once
-    through one Gram matrix F F^T, which numpy computes with a single
-    symmetric rank-k BLAS update.  All words of one call see the same
-    matrices, so estimates are correlated across words but each is
-    unbiased, and the result is deterministic in the seed alone: sample
-    streams are counter-based, so the worker count never changes a
-    digit.
+    a real inner product of the two matrices' entries.  Every left half
+    and every reversed right half, closed under prefixes, that holds a
+    dense letter is a row of one (rows, dim, dim) pool; seen as real
+    vectors of length 2 dim^2 they give their traces through one Gram
+    matrix F F^T, which numpy computes with a single symmetric rank-k
+    BLAS update.  The halves that are powers D^p of the diagonal
+    letter, the identity included, are diagonal, so their Gram entries
+    come from the pool rows' diagonals in O(dim) each (see _gram).
+    All words of one call see the same matrices, so estimates are
+    correlated across words but each is unbiased, and the result is
+    deterministic in the seed alone: sample streams are counter-based,
+    so the worker count never changes a digit.
     """
     tuples = [tuple(int(i) for i in w) for w in words]
     for t in tuples:
@@ -278,24 +303,25 @@ def estimate_trace_many(cfg: EnsembleConfig,
         mid = (len(t) + 1) // 2
         splits.append((t[:mid], t[mid:][::-1]))
     halves = {h for pair in splits for h in pair}
+    diag = cfg.n_generators - 1
     labels = _gram_rows(halves, cfg.n_generators)
-    index = {t: k for k, t in enumerate(labels)}
+    powers = sorted({len(h) for h in halves if h.count(diag) == len(h)})
+    index = {t: k for k, t in enumerate(labels + [(diag,) * p for p in powers])}
     left = np.array([index[lh] for lh, _ in splits], dtype=np.intp)
     right = np.array([index[rh] for _, rh in splits], dtype=np.intp)
-    letters = slice(1, 1 + cfg.n_generators)
+    exponents = np.array(powers, dtype=float)[:, None]
 
     def run_slice(samples: range) -> np.ndarray:
         # one pool per worker: fresh per-sample outputs grow the resident
         # set without bound on glibc
         pool = np.empty((len(labels), cfg.dim, cfg.dim), np.complex128)
-        pool[0] = 0.0
-        np.fill_diagonal(pool[0], 1.0)
-        flat = pool.reshape(len(labels), -1).view(np.float64)
+        flat = pool.reshape(len(labels), cfg.dim * cfg.dim).view(np.float64)
+        diagonals = pool.diagonal(axis1=1, axis2=2).real
         rows = np.empty((len(samples), len(tuples)))
         for row, sample in enumerate(samples):
-            mats = sample_generators(cfg, sample, pool[letters])
+            mats = sample_generators(cfg, sample, pool)
             _half_products(mats, labels, pool)
-            gram = flat @ flat.T
+            gram = _gram(flat, diagonals, mats[-1] ** exponents)
             rows[row] = gram[right, left] / cfg.dim
         return rows
 

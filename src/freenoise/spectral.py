@@ -71,7 +71,8 @@ class SpectralDensity:
     (0, 0) otherwise; only the exponential kind has a rate.
     origin_exponent is the power b with m(u) ~ scale * |u|^-b near 0
     (b < 2 required); class_index is the integer N with polynomial
-    growth at most |u|^{2N}.
+    growth at most |u|^{2N}.  For fbm both follow from H at
+    construction: b = max(0, 2H - 1), and N = 0 for H >= 1/2, else 1.
     """
 
     kind: str
@@ -90,12 +91,16 @@ class SpectralDensity:
             raise ValidationError(f"unknown density kind {self.kind!r}")
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValidationError("density scale must be positive and finite")
-        if not self.origin_exponent < 2:
-            raise ValidationError(
-                f"origin singularity exponent {self.origin_exponent} too strong, need < 2")
         if self.kind == "fbm":
             if self.hurst is None or not 0.0 < self.hurst < 1.0:
                 raise ValidationError("fbm preset needs 0 < H < 1")
+            # the classification follows H, whatever the caller passed
+            object.__setattr__(self, "origin_exponent",
+                               max(0.0, 2.0 * self.hurst - 1.0))
+            object.__setattr__(self, "class_index", 0 if self.hurst >= 0.5 else 1)
+        if not self.origin_exponent < 2:
+            raise ValidationError(
+                f"origin singularity exponent {self.origin_exponent} too strong, need < 2")
         if self.kind == "exponential":
             if not (math.isfinite(self.rate) and self.rate > 0):
                 raise ValidationError("exponential density needs a finite rate > 0")
@@ -120,10 +125,7 @@ class SpectralDensity:
 
     @classmethod
     def fbm(cls, hurst: float, scale: float = 1.0) -> "SpectralDensity":
-        hurst = float(hurst)
-        return cls(kind="fbm", hurst=hurst, scale=scale,
-                   origin_exponent=max(0.0, 2.0 * hurst - 1.0),
-                   class_index=0 if hurst >= 0.5 else 1)
+        return cls(kind="fbm", hurst=float(hurst), scale=scale)
 
     @classmethod
     def exponential(cls, rate: float = 1.0, scale: float = 1.0) -> "SpectralDensity":

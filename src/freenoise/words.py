@@ -191,10 +191,20 @@ def weight(w: Word, p: float, seq: WeightSequence) -> float:
     """Product of a_{letter+1}**p over letter occurrences of w.
 
     Letter i contributes the weight a_{i+1}, so letter 0 carries a_1.
+    Each run of one letter contributes one power, a_{i+1}**(p * exp),
+    read off the letters without building Word.runs.
     """
     out = 1.0
-    for letter, exp in w.runs:
-        out *= seq.value(letter + 1) ** (p * exp)
+    prev, exp = -1, 0
+    for letter in w:
+        if letter == prev:
+            exp += 1
+            continue
+        if exp:
+            out *= seq.value(prev + 1) ** (p * exp)
+        prev, exp = letter, 1
+    if exp:
+        out *= seq.value(prev + 1) ** (p * exp)
     return out
 
 

@@ -151,10 +151,9 @@ def test_density_config_file(tmp_path, capsys):
     assert out["density"] == "fbm(H=0.6)"
     assert out["config"]["density"] == "fbm" and out["config"]["H"] == 0.6
 
-    # the echo carries the spec the file gave, not the unused flag defaults
+    # the echo carries the spec the file gave, not the flag defaults
     cfg.write_text("kind = custom\nb = 0.5\nN = 1\ncutoffs = 0.1, 40\n")
-    assert run(["tmcoeff", "--density-config", str(cfg), "--n-max", "4",
-                "--scale", "3"]) == 0
+    assert run(["tmcoeff", "--density-config", str(cfg), "--n-max", "4"]) == 0
     echo = _json_out(capsys)["config"]
     assert {k: echo[k] for k in ("density", "origin_exponent", "class_index",
                                  "cutoff_low", "cutoff_high", "scale", "H")} == {
@@ -168,6 +167,20 @@ def test_density_config_follows_the_flag_rules(tmp_path, capsys, text):
     cfg.write_text(text)
     assert run(["rfun", "--density-config", str(cfg), "--t", "1.0"]) == 2
     assert json.loads(capsys.readouterr().err)["kind"] == "validation"
+
+
+@pytest.mark.parametrize("flag", [["--scale", "3"], ["--scale", "1"],
+                                  ["--H", "0.3"], ["--density", "lebesgue"],
+                                  ["--cutoff-high", "40"], ["--class-index", "0"]])
+def test_density_flag_beside_config_exits_two(tmp_path, capsys, flag):
+    # a flag the file would override is rejected, even at its default
+    cfg = tmp_path / "dens.cfg"
+    cfg.write_text("kind = lebesgue\n")
+    assert run(["rfun", "--density-config", str(cfg), "--t", "1.0"] + flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["kind"] == "validation" and flag[0] in err["error"]
 
 
 def test_tmcoeff_certified_exit(capsys):

@@ -16,7 +16,7 @@ from freenoise.hermite import (
     mehler_closed,
     mehler_sum,
 )
-from freenoise.quadrature import panel_nodes
+from freenoise.quadrature import _composite_rule, panel_nodes
 
 
 @given(st.integers(1, 25), st.floats(-5.0, 5.0))
@@ -65,6 +65,26 @@ def test_in_place_fill_is_bit_identical(n_max):
     nodes, _ = panel_nodes(2.0 * math.sqrt(400) + 2.0, tail_stop=40.0)
     u = np.concatenate([nodes, [2.0 ** -60, 0.0, -0.3, -7.25], -nodes[::97]])
     assert hermite_fn_matrix(n_max, u).tobytes() == _allocating_fn_matrix(n_max, u).tobytes()
+
+
+def test_underflowed_columns_are_bit_identical():
+    # gl_integrate's first tail span at n_max 400, where the Gaussian
+    # has underflowed at every node, and a mixed grid whose negative,
+    # infinite and nan nodes keep the full recurrence
+    stop = math.sqrt(801.0) + 12.0
+    n_panels = math.ceil(stop / (6.0 / (2.0 * math.sqrt(400) + 2.0)))
+    tail, _ = _composite_rule(np.linspace(stop, 2.0 * stop, n_panels + 1))
+    assert stop < tail[0] and tail[-1] < 2.0 * stop
+    # u sqrt(2) overflows at 1.5e308, where the formula gives nan
+    mixed = np.array([50.0, 1.0, -50.0, 60.0, np.inf, 38.0, np.nan, -np.inf,
+                      0.0, -0.0, 1e300, 2.0 ** -1074, 39.0, -1e300, 1.5e308, 45.0])
+    for u in (tail, mixed, mixed.reshape(4, 4), mixed[::-1]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = hermite_fn_matrix(400, u)
+            want = _allocating_fn_matrix(400, u)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert not hermite_fn_matrix(400, tail)[1:].any()
 
 
 def test_fourier_hermite_matches_numeric_transform():

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from freenoise.chebyshev import eval_u
-from freenoise.errors import ValidationError
+from freenoise.errors import FreenoiseError, ValidationError
 from freenoise.matmodel import (
     EnsembleConfig,
     _cheb_of_matrix,
+    _gram,
     _gram_rows,
     _half_products,
     _stream,
@@ -114,6 +115,32 @@ def test_spectrum_is_keyed_by_seed_sample_and_generator():
     assert not np.array_equal(gue_spectrum(cfg, 0, 0), again)
 
 
+@pytest.mark.parametrize("dim", [2, 4, 7, 64, 600])
+def test_spectrum_matches_eigvalsh_tridiagonal(dim):
+    # the same draws through scipy's general tridiagonal eigensolver
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    cfg = EnsembleConfig(dim=dim, n_generators=2, n_samples=1, seed=23,
+                         radius=1.7)
+    rng = _stream(cfg.seed, 5, 1)
+    diag = rng.standard_normal(dim)
+    off = np.sqrt(rng.standard_gamma(np.arange(dim - 1, 0, -1, dtype=float)))
+    ref = eigvalsh_tridiagonal(diag, off)
+    ref *= cfg.radius / 2.0
+    ref *= 1.0 / math.sqrt(dim)
+    assert gue_spectrum(cfg, 5, 1).tobytes() == ref.tobytes()
+
+
+def test_spectrum_failure_raises(monkeypatch):
+    # a LAPACK failure is a numerical error (CLI exit 3), never a fallback
+    import scipy.linalg.lapack as lapack
+
+    monkeypatch.setattr(lapack, "dsterf", lambda d, e, overwrite_d: (d, 2))
+    cfg = EnsembleConfig(dim=8, n_generators=1, n_samples=1)
+    with pytest.raises(FreenoiseError, match="dsterf info 2"):
+        gue_spectrum(cfg, 0, 0)
+
+
 def test_finite_n_law_of_the_old_and_new_pair():
     # 5,000 samples at N = 4, 4 SE: two dense GUE matrices, and the
     # dense-diagonal pair estimate_trace_many draws, both match the exact
@@ -181,23 +208,47 @@ def test_estimates_match_direct_products():
 
 def test_half_products_reuse_conjugate_transposes():
     # the 127 binary words up to length 6 need every word of length 1-3;
-    # of the 12 of length 2-3, three reverse pairs are conjugate copies,
-    # six end in the diagonal letter and scale columns, and only 00, 000
-    # and 010 are matrix products
+    # the pool holds the 11 that contain the dense letter 0.  Of its 10
+    # of length 2-3, three reverse pairs are conjugate copies, four end
+    # in the diagonal letter and scale columns, and only 00, 000 and 010
+    # are matrix products
     cfg = EnsembleConfig(dim=16, n_generators=2, n_samples=1, seed=4)
     halves = set(_words_up_to(2, 3))
     labels = _gram_rows(halves, cfg.n_generators)
-    assert len(labels) == 15
-    pool = np.empty((len(labels), cfg.dim, cfg.dim), np.complex128)
-    pool[0] = np.eye(cfg.dim)
-    pool[1:3] = np.nan
-    mats = sample_generators(cfg, 0, pool[1:3])
+    assert len(labels) == 11
+    assert all(0 in label for label in labels)
+    pool = np.full((len(labels), cfg.dim, cfg.dim), np.nan, np.complex128)
+    mats = sample_generators(cfg, 0, pool)
     prods = _half_products(mats, labels, pool)
     assert sorted(prods) == [(0,), (0, 0), (0, 0, 0), (0, 1, 0), (1,)]
     dense = _dense(mats)
     for label, row in zip(labels, pool):
         direct = reduce(np.matmul, [dense[i] for i in label], np.eye(cfg.dim))
         assert np.allclose(row, direct, rtol=0.0, atol=1e-13)
+
+
+def test_gram_of_diagonal_rows_matches_direct_products():
+    # every Gram entry, the diagonal rows I, D, D^2 and D^3 included,
+    # against the real inner products of directly multiplied matrices
+    cfg = EnsembleConfig(dim=24, n_generators=3, n_samples=1, seed=8,
+                         radius=1.7)
+    halves = set(_words_up_to(3, 3))
+    labels = _gram_rows(halves, cfg.n_generators)
+    assert len(labels) == 36
+    pool = np.empty((len(labels), cfg.dim, cfg.dim), np.complex128)
+    mats = sample_generators(cfg, 0, pool)
+    _half_products(mats, labels, pool)
+    powers = np.arange(4.0)[:, None]
+    gram = _gram(pool.reshape(len(labels), -1).view(np.float64),
+                 pool.diagonal(axis1=1, axis2=2).real, mats[2] ** powers)
+    dense = _dense(mats)
+    rows = labels + [(2,) * p for p in range(4)]
+    direct = np.array([reduce(np.matmul, [dense[i] for i in label],
+                              np.eye(cfg.dim)) for label in rows])
+    flat = direct.reshape(len(rows), -1)
+    want = (flat @ flat.conj().T).real
+    assert gram.shape == want.shape == (40, 40)
+    assert np.allclose(gram, want, rtol=0.0, atol=1e-12)
 
 
 def _reference_gue(cfg, sample, gen_index):

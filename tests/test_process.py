@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from freenoise import fock
@@ -25,6 +27,22 @@ def test_default_level_is_class_index_plus_three():
     assert ProcessState(SpectralDensity.lebesgue()).level == 3
     assert ProcessState(SpectralDensity.fbm(0.25)).level == 4
     assert ProcessState(SpectralDensity.fbm(0.75)).level == 3
+
+
+@pytest.mark.parametrize("hurst", [0.25, 0.3, 0.5, 0.75])
+def test_fbm_classification_follows_h_on_every_route(hurst):
+    # the preset, the plain constructor and a replaced H all classify
+    # from H, so the level a state picks never comes from a stale class
+    preset = SpectralDensity.fbm(hurst)
+    b = max(0.0, 2.0 * hurst - 1.0)
+    n = 0 if hurst >= 0.5 else 1
+    assert (preset.origin_exponent, preset.class_index) == (b, n)
+    for other in (SpectralDensity(kind="fbm", hurst=hurst),
+                  dataclasses.replace(SpectralDensity.fbm(0.75), hurst=hurst),
+                  dataclasses.replace(SpectralDensity.fbm(0.25), hurst=hurst)):
+        assert other == preset
+        assert (other.origin_exponent, other.class_index) == (b, n)
+        assert ProcessState(other).level == n + 3
 
 
 def test_low_level_rejected_at_construction():

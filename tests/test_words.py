@@ -87,6 +87,19 @@ def test_weight_sequences():
         WeightSequence.custom([0.5])
 
 
+@pytest.mark.parametrize("seq", [WeightSequence.linear(), WeightSequence.exponential()])
+@pytest.mark.parametrize("p", [-2.0, -0.5, 0.0, 1.5])
+def test_weight_is_bit_equal_to_the_run_form(seq, p):
+    # one power per run, a_{letter+1} ** (p * exp), as Word.runs lists them
+    words = list(iter_words(5, 3))
+    assert len(words) == 364
+    for w in words:
+        want = 1.0
+        for letter, exp in w.runs:
+            want *= seq.value(letter + 1) ** (p * exp)
+        assert weight(w, p, seq) == want
+
+
 def test_inverse_power_sum_matches_partial_sums():
     # partial sums alone converge too slowly near d = 1, so add the
     # integral tail beyond the last term; the residual is O(N^-d)
