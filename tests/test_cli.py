@@ -151,7 +151,7 @@ def test_density_config_file(tmp_path, capsys):
     assert out["density"] == "fbm(H=0.6)"
     assert out["config"]["density"] == "fbm" and out["config"]["H"] == 0.6
 
-    # the echo carries the spec the file gave, not the flag defaults
+    # the echo carries the spec the file gave, not the unused flag defaults
     cfg.write_text("kind = custom\nb = 0.5\nN = 1\ncutoffs = 0.1, 40\n")
     assert run(["tmcoeff", "--density-config", str(cfg), "--n-max", "4"]) == 0
     echo = _json_out(capsys)["config"]
