@@ -9,9 +9,11 @@ support by the word order.  The level-p norm squares the coefficients
 against ``words.weight(w, p, seq)``, so level 0 is the plain l^2 norm
 and negative levels give the distribution-side norms.
 
-Creation prepends a one-particle vector letterwise, annihilation strips
-the first letter, and ``apply_x`` is their sum, the field operator whose
-vacuum distribution is the radius-2 semicircle law.
+Creation prepends a one-particle vector letterwise and annihilation
+strips the first letter.  ``apply_x`` applies their sum, the field
+operator whose vacuum distribution is the radius-2 semicircle law, in
+one pass over the element; its result equals ``creation + annihilation``
+term for term and in the same order.
 
 For a weight gap d with s = sum a_n^{-d} < 1 the tensor product obeys
 
@@ -28,8 +30,9 @@ coefficient mass discarded by the cap is reported on the result's
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceededError, GapTooSmallError
 from .words import EMPTY_WORD, WeightSequence, Word, concat, weight
@@ -215,11 +218,41 @@ def annihilation(coeffs, u: FockElement) -> FockElement:
 
 
 def apply_x(coeffs, u: FockElement, cap: int | None = DEFAULT_DEGREE_CAP) -> FockElement:
-    """Field operator: creation plus annihilation for the same vector."""
-    created = creation(coeffs, u, cap)
-    killed = annihilation(coeffs, u)
-    total = created + killed
-    return FockElement(total.coeffs, dropped_mass=created.dropped_mass)
+    """Field operator: creation plus annihilation for the same vector.
+
+    Both parts are built in one pass over u, then merged as
+    ``creation(coeffs, u, cap) + annihilation(coeffs, u)`` merges them:
+    the nonzero created terms in order, then each nonzero annihilated
+    term added in.  The dropped mass is the creation part's.
+    """
+    items = _letter_items(coeffs)
+    firsts = dict(items)
+    item_mass = sum(abs(ci) ** 2 for _, ci in items)
+    created: dict[Word, complex] = {}
+    killed: dict[Word, complex] = {}
+    lost = 0.0
+    for w, c in u.coeffs.items():
+        if cap is not None and len(w) >= cap:
+            lost += abs(c) ** 2 * item_mass
+        else:
+            for i, ci in items:
+                nw = Word((i,) + w)
+                created[nw] = created.get(nw, 0j) + ci * c
+        if w:
+            ci = firsts.get(w[0])
+            if ci is not None:
+                rest = Word(w[1:])
+                killed[rest] = killed.get(rest, 0j) + ci.conjugate() * c
+    out = {w: c for w, c in created.items() if c != 0}
+    for w, c in killed.items():
+        if c != 0:
+            total = out.get(w, 0j) + c
+            if total != 0:
+                out[w] = total
+            else:
+                # only a created term can cancel, and no later term lands on w
+                del out[w]
+    return FockElement(out, dropped_mass=lost)
 
 
 class VageConstant(NamedTuple):

@@ -35,6 +35,7 @@ from .errors import DivergenceError
 __all__ = [
     "hermite_fn",
     "hermite_fn_matrix",
+    "hermite_vanishes",
     "fourier_hermite",
     "mehler_closed",
     "mehler_sum",
@@ -57,16 +58,9 @@ def hermite_fn_matrix(n_max: int, u) -> np.ndarray:
     # c * e^{-u u / 2} and c1 * u * hfn_{j} - c2 * hfn_{j-1}, so every
     # row is bit-identical to that formula.
     first = out[0]
-    np.multiply(u, -0.5, out=first)
-    first *= u
-    np.exp(first, out=first)
-    first *= _PI_QUARTER
-    # Where u > 0 and the Gaussian has underflowed to +0.0, the formula
-    # gives +0.0 in every later row as long as u sqrt(2) is finite, so
-    # the recurrence runs only between the first and last other nodes.
-    with np.errstate(over="ignore"):
-        dead = (first == 0.0) & (u > 0.0) & np.isfinite(u * math.sqrt(2.0))
-    live = np.flatnonzero(~dead)
+    # The recurrence runs only between the first and last nodes where
+    # some row is not +0.0.
+    live = np.flatnonzero(~_vanishing(u, first))
     lo, hi = (live[0], live[-1] + 1) if live.size else (0, 0)
     out[1:, :lo] = 0.0
     out[1:, hi:] = 0.0
@@ -82,6 +76,30 @@ def hermite_fn_matrix(n_max: int, u) -> np.ndarray:
         np.multiply(out[j - 2, lo:hi], math.sqrt((j - 1) / j), out=scratch)
         row -= scratch
     return out.reshape(shape)
+
+
+def _vanishing(u: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Fill first with hfn_1(u); mark the nodes where every row is +0.0.
+
+    Where u > 0 and the Gaussian has underflowed to +0.0, the formula
+    gives +0.0 in every later row as long as u sqrt(2) is finite.
+    """
+    np.multiply(u, -0.5, out=first)
+    first *= u
+    np.exp(first, out=first)
+    first *= _PI_QUARTER
+    with np.errstate(over="ignore"):
+        return (first == 0.0) & (u > 0.0) & np.isfinite(u * math.sqrt(2.0))
+
+
+def hermite_vanishes(u) -> bool:
+    """True when hermite_fn_matrix(n, u) is +0.0 everywhere, for every n."""
+    u = np.asarray(u, dtype=float).ravel()
+    # hfn_1(u) is still positive (about 2e-314) at u = 38, so a grid
+    # whose smallest node lies below (or is nan) is live without a scan
+    if u.size and not u.min() >= 38.0:
+        return False
+    return bool(_vanishing(u, np.empty(u.shape)).all())
 
 
 def hermite_fn(k: int, u):

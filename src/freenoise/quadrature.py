@@ -86,15 +86,22 @@ def gl_integrate(f, osc_scale: float, tail_stop: float = 60.0,
 
     f maps a node vector to a pair (rows, factors), both with nodes on
     the last axis; the result, indexed (k, n), is (factors * weights) @
-    rows.T summed over the panels and tail spans.  The tail extends by
-    doubling spans until the newest span contributes less than rel_tol
-    of the total; QuadratureError is raised when max_rounds doublings do
-    not get there, or as soon as a contraction is not finite.
+    rows.T summed over the panels and tail spans.  Rows of None say that
+    every row is +0.0 on those nodes: the span then adds exactly zero
+    and its product is skipped.  The tail extends by doubling spans
+    until the newest span contributes less than rel_tol of the total;
+    QuadratureError is raised when max_rounds doublings do not get
+    there, or as soon as a contraction is not finite, which for zero
+    rows is whenever a weighted factor is not.
     """
     def contract(nodes, weights):
         rows, factors = f(nodes)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = (factors * weights) @ rows.T
+            weighted = factors * weights
+            if rows is None:
+                out = 0.0 if np.isfinite(weighted).all() else math.nan
+            else:
+                out = weighted @ rows.T
         if not np.isfinite(out).all():
             raise QuadratureError(
                 f"integrand overflows on ({nodes[0]:.4g}, {nodes[-1]:.4g}): "

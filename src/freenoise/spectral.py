@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .hermite import hermite_fn_matrix
+from .hermite import hermite_fn_matrix, hermite_vanishes
 from .quadrature import gl_integrate, quad_cos_range, quad_scalar
 from .words import WeightSequence
 
@@ -309,7 +309,8 @@ def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarr
         st = np.sin(t * nodes)
         half = np.sin(0.5 * t * nodes)
         factors = np.stack([np.cos(t * nodes), st, st / nodes, 2.0 * half * half / nodes])
-        return hermite_fn_matrix(n_max, nodes), factors * dens.root(nodes)
+        rows = None if hermite_vanishes(nodes) else hermite_fn_matrix(n_max, nodes)
+        return rows, factors * dens.root(nodes)
 
     ints = gl_integrate(integrand, _osc_scale(n_max, t), _tail_stop(n_max))
     cos_i, sin_i, s_i, k_i = (_HALF_LINE_PREF * ints[j] for j in range(4))

@@ -77,19 +77,39 @@ def trace_reduction(beta: Word, alpha: Word) -> int:
     When they agree the adjacent Chebyshev factors linearize into a sum
     over degrees |a-b|+2k; the degree-zero term continues the recursion
     and, for distinct exponents, never appears.
+
+    This entry answers the empty words and differing lead letters; the
+    induction itself runs in ``_reduce`` on plain letter tuples.
     """
-    if beta.is_empty():
-        return 1 if alpha.is_empty() else 0
-    if alpha.is_empty():
+    if not beta:
+        return 1 if not alpha else 0
+    if not alpha:
         # tau(U_beta^*) is the conjugate of tau(U_beta), zero by the base case
         return 0
-    i = alpha[0]
-    if beta[0] != i:
+    if beta[0] != alpha[0]:
         return 0
+    return _reduce(beta, alpha)
+
+
+def _reduce(beta: tuple[int, ...], alpha: tuple[int, ...]) -> int:
+    """trace_reduction's induction step for nonempty words with one lead letter.
+
+    A term where either word is empty is answered by the base case, and
+    a term whose lead letter differs from that of beta's rest is zero, so
+    the recursion only ever sees two nonempty words with one lead letter.
+    """
+    i = alpha[0]
     b, a = _lead_run(beta), _lead_run(alpha)
-    beta_rest = Word(beta[b:])
-    return sum(trace_reduction(beta_rest, Word((i,) * deg + alpha[a:]))
-               for deg in linearize(b, a))
+    beta_rest, alpha_rest = beta[b:], alpha[a:]
+    total = 0
+    for deg in linearize(b, a):
+        nxt = (i,) * deg + alpha_rest
+        if beta_rest and nxt:
+            if nxt[0] == beta_rest[0]:
+                total += _reduce(beta_rest, nxt)
+        elif not beta_rest and not nxt:
+            total += 1
+    return total
 
 
 def _lead_run(letters: Sequence[int]) -> int:
@@ -100,7 +120,10 @@ def _lead_run(letters: Sequence[int]) -> int:
     return n
 
 
-@lru_cache(maxsize=None)
+# 4,096 entries hold the 2,047 sub-words of every monomial of length
+# <= 10 over two letters twice over; callers that keep relabelling
+# letters evict old entries instead of growing the cache.
+@lru_cache(maxsize=4096)
 def _noncrossing_matched(letters: tuple[int, ...]) -> int:
     """Number of non-crossing pair partitions matching equal letters."""
     if not letters:
@@ -181,7 +204,10 @@ def trace_genus(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@lru_cache(maxsize=None)
+# 4,096 entries hold the 2,557 products that expanding every monomial of
+# length <= 10 over two letters needs; relabelled letters evict old
+# entries instead of growing the cache.
+@lru_cache(maxsize=4096)
 def u_mult(a: Word, b: Word) -> tuple[tuple[Word, int], ...]:
     """Product U_a U_b expanded over U-words, with integer coefficients.
 

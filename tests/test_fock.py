@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from freenoise.fock import (
     vacuum,
     vage_constant,
 )
-from freenoise.words import EMPTY_WORD, WeightSequence, concat, normalize, parse_word
+from freenoise.words import EMPTY_WORD, WeightSequence, Word, concat, normalize, parse_word
 
 words = st.lists(st.integers(0, 3), max_size=4).map(normalize)
 coeffs = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
@@ -74,6 +75,37 @@ def test_apply_x_symmetric_for_real_coefficients(u, v):
     rhs = inner(u, apply_x(c, v, cap=None))
     assert lhs.real == pytest.approx(rhs.real, abs=1e-10)
     assert lhs.imag == pytest.approx(rhs.imag, abs=1e-10)
+
+
+# Small alphabets and coefficients of one magnitude, so created and
+# annihilated terms often land on one word and cancel to exactly 0.
+_units = st.sampled_from([1.0, -1.0, 2.0, -2.0, 1j, -1j, 0.0])
+_short_words = st.lists(st.integers(0, 1), max_size=4).map(normalize)
+_letter_vectors = st.one_of(
+    st.dictionaries(st.integers(0, 2), _units, max_size=3),
+    st.lists(_units, max_size=3).map(lambda c: np.array(c, dtype=complex)),
+)
+
+
+@given(_letter_vectors,
+       st.dictionaries(_short_words, _units, max_size=6).map(FockElement.from_dict),
+       st.sampled_from([None, 3, 12]))
+def test_apply_x_is_creation_plus_annihilation_term_for_term(c, u, cap):
+    want = creation(c, u, cap)
+    total = want + annihilation(c, u)
+    got = apply_x(c, u, cap)
+    assert list(got.coeffs.items()) == list(total.coeffs.items())
+    assert all(type(w) is Word for w in got.coeffs)
+    assert got.dropped_mass == want.dropped_mass
+
+
+def test_apply_x_drops_terms_that_cancel():
+    # creation sends the vacuum to e_0, annihilation sends -e_00 to
+    # -e_0, and the cap drops the created -e_000 with its mass 1
+    u = vacuum() - basis_vector(normalize([0, 0]))
+    out = apply_x({0: 1.0}, u, cap=2)
+    assert out.as_dict() == {}
+    assert out.dropped_mass == 1.0
 
 
 def test_annihilation_kills_vacuum():

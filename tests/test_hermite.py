@@ -13,6 +13,7 @@ from freenoise.hermite import (
     fourier_hermite,
     hermite_fn,
     hermite_fn_matrix,
+    hermite_vanishes,
     mehler_closed,
     mehler_sum,
 )
@@ -85,6 +86,20 @@ def test_underflowed_columns_are_bit_identical():
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     assert not hermite_fn_matrix(400, tail)[1:].any()
+
+
+def test_vanishing_grids_are_exactly_the_all_zero_ones():
+    # 38 and 38.5 are still live; inf, nan, negative nodes and an
+    # overflowing u sqrt(2) keep a grid live as well
+    grids = ([39.0, 50.0, 80.0], [38.0, 50.0], [38.5], [38.7, 1e300],
+             [50.0, np.nan], [50.0, np.inf], [50.0, 1.5e308], [50.0, -50.0],
+             [60.0, 2.0 ** -1074], [[45.0, 46.0], [47.0, 48.0]])
+    for u in grids:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = hermite_fn_matrix(400, u)
+            vanishes = hermite_vanishes(u)
+        assert vanishes == (not rows.any() and not np.signbit(rows).any())
+    assert hermite_vanishes([39.0, 50.0]) and not hermite_vanishes([38.5, 50.0])
 
 
 def test_fourier_hermite_matches_numeric_transform():

@@ -34,6 +34,29 @@ def test_gl_integrate_contracts_every_factor_against_every_row():
     assert got == pytest.approx(np.array([[40.0, 1.0], [1600.0, 1.0]]), rel=1e-10)
 
 
+def test_gl_integrate_skips_a_span_whose_rows_are_all_zero():
+    # rows e^{-u/10} cut to exactly 0 from u = 120, so the second tail
+    # span (120, 240] is all zero: returning None there gives the same
+    # bytes, and a factor that overflows there still raises
+    def rows(u):
+        return np.where(u < 120.0, np.exp(-u / 10.0), 0.0)[None, :]
+
+    def integrand(skip, overflow):
+        def f(u):
+            factors = np.stack([np.ones_like(u), np.where(u > 150.0, overflow, u)])
+            return (None if skip and u.min() >= 120.0 else rows(u)), factors
+        return f
+
+    full = gl_integrate(integrand(False, 1.0), 1.0)
+    cut = np.exp(-12.0)
+    assert full == pytest.approx(np.array([[10.0 * (1.0 - cut)], [100.0 * (1.0 - 13.0 * cut)]]),
+                                 rel=1e-10)
+    assert gl_integrate(integrand(True, 1.0), 1.0).tobytes() == full.tobytes()
+    for skip in (False, True):
+        with pytest.raises(QuadratureError, match="not finite"):
+            gl_integrate(integrand(skip, np.inf), 1.0)
+
+
 def test_importing_the_package_does_not_load_scipy_integrate():
     # no scipy module at all: quadrature and the matrix model import it
     # on first use

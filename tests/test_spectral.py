@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy import integrate as si
 from scipy import special as ssp
 
+from freenoise import spectral
 from freenoise.errors import DivergenceError, QuadratureError, ValidationError
 from freenoise.hermite import hermite_fn, hermite_fn_matrix
 from freenoise.quadrature import _composite_rule, panel_nodes
@@ -165,6 +167,55 @@ def test_multiplier_and_r_are_frozen(dens):
             r_function(dens, 1.5)
     else:
         assert r_function(dens, 1.5).hex() == r_hex
+
+
+# SHA-256 of the bytes of tm_values and alpha_vector at n_max 400,
+# recorded before tail spans past the Gaussian underflow were skipped:
+# (density, t) -> (tm, alpha).
+_FROZEN_N400 = {
+    ("lebesgue", 0.5): (
+        "be8a93a02eabfea2c2d79f855c2a57df8edcb47b31634915dadf6b70c02d6c69",
+        "157e3397b1eea671936f54936801500d7166f7fd2849c84fef80448ffb048eea"),
+    ("lebesgue", 2.5): (
+        "19c74361a1f9b63a99509031299be8d8d1e15389ebd43bf86947c95d35b641f3",
+        "c3e11e2b10795390fd922e79a86e8ad2180d7adc886bfb3f07b12b8d2754b7f7"),
+    ("fbm(H=0.3)", 0.5): (
+        "4408063105731f59554cba62c6deae8ce94dec8cf752c082570f46c509fa1289",
+        "44b1d854aa78b8655c6ab2da8c2508dabe1334f2b473ddeef26ab12da8cc20fd"),
+    ("fbm(H=0.3)", 2.5): (
+        "4ba0994de8c9625ee08a9cdb7189ee69b2624747e589c1c919784c610dd143db",
+        "3931eb195d14988ac23c5631b9f1994eb5ee3226854a7cb03b23a9d8ee250427"),
+    ("fbm(H=0.75)", 0.5): (
+        "951ede7b7a73eee21eef525c37db8a5b567ead1b286ec4983fb45b8aa20984df",
+        "ebbbd3619f6502b85fd806ff12e605de419c61902175bf118d2e648b91a56c9a"),
+    ("fbm(H=0.75)", 2.5): (
+        "200034d164c163b918e896085e7708c99e9453ab5f064a7d6d027014d67f4d06",
+        "9e192feac354f912a63a5145e68dcdd8e769f3c0a6dbaccacc200e53ca02e4ac"),
+}
+
+
+@pytest.mark.parametrize("dens", [SpectralDensity.lebesgue(), SpectralDensity.fbm(0.3),
+                                  SpectralDensity.fbm(0.75)], ids=lambda d: d.label())
+def test_skipping_underflowed_tail_spans_changes_no_bit(dens, monkeypatch):
+    # at n_max 400 the first tail span, (40.3, 80.6], is wholly past the
+    # Gaussian underflow; the pass must give the recorded bytes, and the
+    # same bytes when that span is contracted like any other
+    for t in (0.5, 2.5):
+        tm, al = tm_values(dens, t, 400), alpha_vector(dens, t, 400)
+        digests = tuple(hashlib.sha256(v.tobytes()).hexdigest() for v in (tm, al))
+        assert digests == _FROZEN_N400[(dens.label(), t)]
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "hermite_vanishes", lambda u: False)
+            full_tm, full_al = _tm_and_alpha.__wrapped__(dens, t, 400)
+        assert (tm.tobytes(), al.tobytes()) == (full_tm.tobytes(), full_al.tobytes())
+
+
+def test_skipped_tail_span_still_checks_for_overflow():
+    # at rate 18, sqrt(m) = e^{9 u} overflows only past u = 78.9, inside
+    # the first tail span at n_max 400, where every Hermite row is 0
+    with pytest.raises(QuadratureError, match=r"\(40\.3\d*, 80\.6\d*\)"):
+        tm_values(SpectralDensity.exponential(18.0), 1.0, 400)
+    assert np.all(np.isfinite(tm_values(SpectralDensity.exponential(16.0), 1.0, 400)))
 
 
 def test_exponential_density_is_never_clamped():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from freenoise.chebyshev import catalan
 from freenoise.fock import inner
 from freenoise.trace import (
+    _noncrossing_matched,
     monomial_to_uwords,
     trace_fock,
     trace_genus,
@@ -97,11 +98,14 @@ def test_freeness_examples():
 
 
 def test_reduction_engine_is_orthonormality():
-    small = list(iter_words(4, 2))
-    for beta in small:
-        for alpha in small:
-            expected = Fraction(1 if beta == alpha else 0)
-            assert trace_reduction(beta, alpha) == expected
+    # every U-word of degree <= 5 over three letters, relabelled to
+    # letters no other test uses: exactly the identity, counted in int
+    uwords = [Word(tuple(2000 + 7 * x for x in w)) for w in iter_words(5, 3)]
+    for i, beta in enumerate(uwords):
+        for j, alpha in enumerate(uwords):
+            value = trace_reduction(beta, alpha)
+            assert type(value) is int
+            assert value == (1 if i == j else 0)
 
 
 def test_u_mult_single_run_matches_chebyshev_linearization():
@@ -193,6 +197,37 @@ def test_trace_reduction_retains_nothing():
     finally:
         tracemalloc.stop()
     assert hits == len(uwords)
+    assert retained < 1 << 20
+
+
+def _binary_monomial_pass(x, y):
+    for length in range(1, 11):
+        for code in itertools.product((x, y), repeat=length):
+            monomial_to_uwords(code)
+            trace_pairings(code)
+
+
+def test_product_and_pairing_caches_stay_bounded():
+    # Each pass relabels the 2,046 binary monomials of length 1 to 10 to
+    # letters no other test uses; two passes fill both caches, and later
+    # passes must evict instead of growing them.  Tracing starts before
+    # the filling passes, so the entries evicted later count as freed.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for k in range(2):
+            _binary_monomial_pass(3000 + 2 * k, 3001 + 2 * k)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(2, 4):
+            _binary_monomial_pass(3000 + 2 * k, 3001 + 2 * k)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    for cache in (u_mult, _noncrossing_matched):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
     assert retained < 1 << 20
 
 
