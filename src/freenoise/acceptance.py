@@ -25,6 +25,7 @@ import numpy as np
 
 from . import fock, hermite, matmodel, process, quadrature, spectral, trace
 from .chebyshev import SemicircleLaw, catalan, linearize, poly_mul, semicircle_moment, u_poly
+from .errors import ValidationError
 from .fock import FockElement, vacuum
 from .matmodel import EnsembleConfig
 from .process import IntegrandPath, ProcessState
@@ -386,6 +387,9 @@ CRITERIA: tuple[tuple[str, Callable[[], CriterionResult]], ...] = (
 
 def run_all(only: Iterable[str] | None = None) -> list[CriterionResult]:
     wanted = None if only is None else {str(x) for x in only}
+    unknown = sorted((wanted or set()) - {ident for ident, _ in CRITERIA})
+    if unknown:
+        raise ValidationError(f"unknown criterion ids: {', '.join(unknown)}")
     out = []
     for ident, fn in CRITERIA:
         if wanted is not None and ident not in wanted:

@@ -509,7 +509,7 @@ def run(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": str(exc), "kind": "numerical"}),
               file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(json.dumps({"error": str(exc), "kind": "validation"}),
               file=sys.stderr)
         return 2

@@ -42,17 +42,26 @@ The halves that are powers of the diagonal generator, the identity
 included, are diagonal themselves: their Gram entries need only the
 diagonals of the dense halves, so only the dense halves are stored as
 matrices and enter the Gram product.
+
+U-words, the orthonormal basis elements p_{a1}(X_{i1}) ... p_{ak}(X_{ik})
+with p_n(x) = U_n(x / radius), reach the same Gram table as fixed
+combinations of monomials.  Each run contributes the coefficients of
+chebyshev.orthonormal_poly, exact for the binary radius; their products
+are summed exactly and each rounded once, and every sample's U-word
+trace is that combination of its monomial traces.  The empty word is the
+single monomial (), whose Gram entry is dim itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .chebyshev import eval_u
+from .chebyshev import orthonormal_poly
 from .errors import FreenoiseError, ValidationError
 from .parallel import ordered_map, thread_count
 from .words import Word
@@ -271,35 +280,26 @@ def _sample_slices(cfg: EnsembleConfig) -> list[range]:
     return [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
-def estimate_trace_many(cfg: EnsembleConfig,
-                        words: Sequence[Sequence[int]]) -> list[TraceEstimate]:
-    """Monte Carlo traces of many words over shared sample matrices.
+def _trace_table(cfg: EnsembleConfig,
+                 words: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Normalized trace of every word in every sample, samples x words.
 
     Each word w = l r is split at mid = (len + 1) // 2, so only products
-    of half length are ever multiplied.  For Hermitian generators the
-    product of reverse(r) is the conjugate transpose of the product of
-    r, so
+    of half length are ever multiplied, and for Hermitian generators
 
         Re tr(P_l P_r) = Re <P_reverse(r), P_l>,
 
     a real inner product of the two matrices' entries.  Every left half
     and every reversed right half, closed under prefixes, that holds a
-    dense letter is a row of one (rows, dim, dim) pool; seen as real
-    vectors of length 2 dim^2 they give their traces through one Gram
-    matrix F F^T, which numpy computes with a single symmetric rank-k
-    BLAS update.  The halves that are powers D^p of the diagonal
-    letter, the identity included, are diagonal, so their Gram entries
-    come from the pool rows' diagonals in O(dim) each (see _gram).
-    All words of one call see the same matrices, so estimates are
-    correlated across words but each is unbiased, and the result is
-    deterministic in the seed alone: sample streams are counter-based,
-    so the worker count never changes a digit.
+    dense letter is a row of one (rows, dim, dim) pool, and one Gram
+    matrix F F^T of the rows seen as real vectors, a single symmetric
+    rank-k BLAS update, gives their traces; the diagonal halves D^p
+    enter through the rows' diagonals (see _gram).  Sample streams are
+    counter-based, so the worker count never changes a digit.
     """
-    tuples = [tuple(int(i) for i in w) for w in words]
-    for t in tuples:
-        _check_word(cfg, t)
     splits = []
-    for t in tuples:
+    for t in words:
+        _check_word(cfg, t)
         mid = (len(t) + 1) // 2
         splits.append((t[:mid], t[mid:][::-1]))
     halves = {h for pair in splits for h in pair}
@@ -317,7 +317,7 @@ def estimate_trace_many(cfg: EnsembleConfig,
         pool = np.empty((len(labels), cfg.dim, cfg.dim), np.complex128)
         flat = pool.reshape(len(labels), cfg.dim * cfg.dim).view(np.float64)
         diagonals = pool.diagonal(axis1=1, axis2=2).real
-        rows = np.empty((len(samples), len(tuples)))
+        rows = np.empty((len(samples), len(words)))
         for row, sample in enumerate(samples):
             mats = sample_generators(cfg, sample, pool)
             _half_products(mats, labels, pool)
@@ -325,44 +325,42 @@ def estimate_trace_many(cfg: EnsembleConfig,
             rows[row] = gram[right, left] / cfg.dim
         return rows
 
-    table = np.concatenate(ordered_map(run_slice, _sample_slices(cfg)))
-    means = table.mean(axis=0)
-    if cfg.n_samples > 1:
-        ses = table.std(axis=0, ddof=1) / math.sqrt(cfg.n_samples)
-    else:
-        ses = np.zeros(len(tuples))
-    return [TraceEstimate(float(m), float(se)) for m, se in zip(means, ses)]
+    return np.concatenate(ordered_map(run_slice, _sample_slices(cfg)))
+
+
+def _estimates(table: np.ndarray) -> list[TraceEstimate]:
+    """Mean and standard error of each column of a samples x words table."""
+    n = len(table)
+    ses = table.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(table.shape[1])
+    return [TraceEstimate(float(m), float(se)) for m, se in zip(table.mean(axis=0), ses)]
+
+
+def estimate_trace_many(cfg: EnsembleConfig,
+                        words: Sequence[Sequence[int]]) -> list[TraceEstimate]:
+    """Monte Carlo traces of many words over shared sample matrices.
+
+    Estimates are correlated across words but each is unbiased, and the
+    result is deterministic in the seed alone.
+    """
+    return _estimates(_trace_table(cfg, [tuple(int(i) for i in w) for w in words]))
 
 
 def estimate_trace(cfg: EnsembleConfig, letters: Sequence[int]) -> TraceEstimate:
     return estimate_trace_many(cfg, [letters])[0]
 
 
-def _cheb_of_matrix(mat: np.ndarray, degree: int, radius: float,
-                    work: list[np.ndarray] | None = None) -> np.ndarray:
-    """Orthonormal Chebyshev polynomial of a Hermitian matrix.
-
-    Matrix form of the recurrence for U_n(x/radius): q_{n+1} =
-    (2/radius) x q_n - q_{n-1}, started at q_0 = I.  With a three-entry
-    work list the whole recurrence runs in the caller's buffers; the
-    result aliases one of them and must be consumed before the next
-    call reuses it.
-    """
-    d = mat.shape[0]
-    if work is None:
-        work = [np.empty((d, d), dtype=mat.dtype) for _ in range(3)]
-    prev, cur, nxt = work
-    prev[:] = 0.0
-    np.fill_diagonal(prev, 1.0)
-    if degree == 0:
-        return prev
-    np.multiply(mat, 2.0 / radius, out=cur)
-    for _ in range(degree - 1):
-        np.matmul(mat, cur, out=nxt)
-        nxt *= 2.0 / radius
-        nxt -= prev
-        prev, cur, nxt = cur, nxt, prev
-    return cur
+def _monomials(word: Word, radius: Fraction) -> dict[tuple[int, ...], Fraction]:
+    """Exact monomial coefficients of the U-word, run by run."""
+    terms = {(): Fraction(1)}
+    for letter, exp in word.runs:
+        poly = orthonormal_poly(exp, radius)
+        grown: dict[tuple[int, ...], Fraction] = {}
+        for mono, c in terms.items():
+            for j, a in enumerate(poly):
+                key = mono + (letter,) * j
+                grown[key] = grown.get(key, 0) + c * a
+        terms = grown
+    return {mono: c for mono, c in terms.items() if c}
 
 
 def estimate_trace_uword(cfg: EnsembleConfig, word: Word) -> TraceEstimate:
@@ -372,40 +370,6 @@ def estimate_trace_uword(cfg: EnsembleConfig, word: Word) -> TraceEstimate:
     quantifies how fast the matrix model approaches that.
     """
     _check_word(cfg, word.letters())
-    if word.is_empty():
-        return TraceEstimate(1.0, 0.0)
-
-    def run_slice(samples: range) -> np.ndarray:
-        work = [np.empty((cfg.dim, cfg.dim), np.complex128) for _ in range(3)]
-        acc = [np.empty((cfg.dim, cfg.dim), np.complex128) for _ in range(2)]
-        out = np.empty(len(samples))
-        for row, sample in enumerate(samples):
-            mats = sample_generators(cfg, sample)
-            total = None
-            for letter, exp in word.runs:
-                if mats[letter].ndim == 1:
-                    # U_n of a diagonal matrix acts entrywise, and a
-                    # diagonal right factor scales columns
-                    factor = eval_u(exp, mats[letter] / cfg.radius)
-                    if total is None:
-                        total = acc[0]
-                        total[:] = 0.0
-                        np.fill_diagonal(total, factor)
-                    else:
-                        total *= factor
-                    continue
-                factor = _cheb_of_matrix(mats[letter], exp, cfg.radius, work)
-                if total is None:
-                    np.copyto(acc[0], factor)
-                    total = acc[0]
-                else:
-                    spare = acc[1] if total is acc[0] else acc[0]
-                    np.matmul(total, factor, out=spare)
-                    total = spare
-            out[row] = np.trace(total).real / cfg.dim
-        return out
-
-    vals = np.concatenate(ordered_map(run_slice, _sample_slices(cfg)))
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(cfg.n_samples)) if cfg.n_samples > 1 else 0.0
-    return TraceEstimate(mean, se)
+    terms = _monomials(word, Fraction(cfg.radius))
+    coeffs = np.array([float(c) for c in terms.values()])
+    return _estimates((_trace_table(cfg, list(terms)) @ coeffs)[:, None])[0]

@@ -305,6 +305,9 @@ def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarr
     four-periodic phase pattern then selects the cosine or sine
     integral per index.
     """
+    if not math.isfinite(t):
+        raise ValidationError(f"time must be finite, got {t}")
+
     def integrand(nodes):
         st = np.sin(t * nodes)
         half = np.sin(0.5 * t * nodes)
@@ -400,6 +403,8 @@ def r_function(dens: SpectralDensity, t: float, abs_tol: float = 1e-9) -> float:
     The kernel identity K(t,s) = r(t) + r(s) - r(t-s) holds exactly at
     the integrand level with the normalization shared by both routes.
     """
+    if not math.isfinite(t):
+        raise ValidationError(f"time must be finite, got {t}")
     _require_kernel_integrable(dens)
     return _r_cached(dens, float(t), abs_tol)
 
@@ -407,12 +412,8 @@ def r_function(dens: SpectralDensity, t: float, abs_tol: float = 1e-9) -> float:
 def kernel(dens: SpectralDensity, t: float, s: float,
            abs_tol: float = 1e-9) -> float:
     """Stationary-increment covariance kernel at (t, s)."""
-    _require_kernel_integrable(dens)
-    if t == 0.0 or s == 0.0:
-        return 0.0
-    return (_r_cached(dens, float(t), abs_tol)
-            + _r_cached(dens, float(s), abs_tol)
-            - _r_cached(dens, float(t - s), abs_tol))
+    return (r_function(dens, t, abs_tol) + r_function(dens, s, abs_tol)
+            - r_function(dens, t - s, abs_tol))
 
 
 def dual_route_kernel(dens: SpectralDensity, t: float, s: float,

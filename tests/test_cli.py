@@ -117,6 +117,21 @@ def test_non_finite_density_parameters_exit_two(argv, capsys):
     assert json.loads(capsys.readouterr().err)["kind"] == "validation"
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--t", "nan"],
+    ["kernel", "--t", "1.0", "--s", "inf"],
+    ["rfun", "--t", "nan"],
+    ["tmcoeff", "--t", "nan"],
+    ["tmcoeff", "--t", "inf", "--n-max", "4"],
+    ["derivative-check", "--t", "nan"],
+    ["integrate", "--b", "inf"],
+])
+def test_non_finite_times_exit_two(argv, capsys):
+    assert run(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "validation" and "finite" in err["error"]
+
+
 def test_scale_applies_to_the_lebesgue_density(capsys):
     assert run(["rfun", "--density", "lebesgue", "--scale", "2", "--t", "1.0"]) == 0
     assert float(_json_out(capsys)["rows"][0]["r"]) == pytest.approx(1.0, abs=1e-8)
@@ -237,6 +252,13 @@ def test_simulate_chebyshev_mode(capsys):
 
 
 
+def test_simulate_unallocatable_dimension_exits_two(capsys):
+    # two generators, so the first allocation is the dense pool
+    assert run(["simulate", "--word", "z0 z1", "--dim", "100000000",
+                "--samples", "1"]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "validation"
+
+
 @pytest.mark.parametrize("flags", [["--radius", "inf"], ["--radius", "nan"],
                                    ["--radius", "-1"], ["--gens", "0"]])
 def test_simulate_rejects_bad_ensemble(flags, capsys):
@@ -249,6 +271,12 @@ def test_selftest_text_output(capsys):
     out = capsys.readouterr().out
     assert "[PASS]" in out
     assert "passed 2 of 2" in out
+
+
+@pytest.mark.parametrize("only", ["99", "1,x"])
+def test_selftest_unknown_id_exits_two(only, capsys):
+    assert run(["selftest", "--only", only]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "validation"
 
 
 def test_selftest_csv_output(capsys):

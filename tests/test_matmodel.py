@@ -9,7 +9,6 @@ from freenoise.chebyshev import eval_u
 from freenoise.errors import FreenoiseError, ValidationError
 from freenoise.matmodel import (
     EnsembleConfig,
-    _cheb_of_matrix,
     _gram,
     _gram_rows,
     _half_products,
@@ -311,14 +310,38 @@ def test_moments_approach_free_limit():
     assert abs(alternating.mean) <= max(4.0 * alternating.se, 0.05)
 
 
-def test_cheb_of_matrix_matches_eigen_oracle():
-    cfg = EnsembleConfig(dim=30, n_generators=1, n_samples=1, seed=13)
-    h = gue_matrix(cfg, 0, 0)
-    evals, vecs = np.linalg.eigh(h)
-    for degree in (0, 1, 2, 5):
-        oracle = (vecs * eval_u(degree, evals / 2.0)) @ vecs.conj().T
-        got = _cheb_of_matrix(h, degree, 2.0)
-        assert np.allclose(got, oracle, atol=1e-10)
+def _uword_oracle(cfg, word):
+    # per sample, U_e(H / r) of each run's letter: from eigh for a dense
+    # letter, entrywise for the diagonal one; no monomial expansion
+    vals = []
+    for s in range(cfg.n_samples):
+        mats = sample_generators(cfg, s)
+        prod = np.eye(cfg.dim, dtype=np.complex128)
+        for letter, exp in word.runs:
+            if mats[letter].ndim == 1:
+                prod = prod * eval_u(exp, mats[letter] / cfg.radius)
+            else:
+                evals, vecs = np.linalg.eigh(mats[letter])
+                poly = (vecs * eval_u(exp, evals / cfg.radius)) @ vecs.conj().T
+                prod = prod @ poly
+        vals.append(np.trace(prod).real / cfg.dim)
+    return _mean_se(vals)
+
+
+@pytest.mark.parametrize("letters", [
+    (0,) * 12,
+    (1, 1, 1, 0, 2, 2, 0, 1, 2, 2, 2),
+    (2, 2, 0, 0, 0, 1, 2, 1, 1, 0, 0, 2),
+    (),
+])
+def test_uword_estimate_matches_eigen_oracle(letters):
+    cfg = EnsembleConfig(dim=24, n_generators=3, n_samples=4, seed=13,
+                         radius=1.7)
+    word = normalize(letters)
+    mean, se = _uword_oracle(cfg, word)
+    est = estimate_trace_uword(cfg, word)
+    assert est.mean == pytest.approx(mean, abs=1e-10)
+    assert est.se == pytest.approx(se, abs=1e-10)
 
 
 def test_uword_estimate_shifts_the_monomial():
