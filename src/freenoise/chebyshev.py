@@ -24,7 +24,6 @@ __all__ = [
     "SemicircleLaw",
     "u_poly",
     "orthonormal_poly",
-    "eval_u",
     "linearize",
     "poly_mul",
     "semicircle_moment",
@@ -61,18 +60,6 @@ def orthonormal_poly(n: int, radius: Fraction | int = 2) -> tuple[Fraction, ...]
     if r <= 0:
         raise ValueError("radius must be positive")
     return tuple(c / r ** j for j, c in enumerate(u_poly(n)))
-
-
-def eval_u(n: int, y):
-    """U_n(y) by the three-term recurrence; accepts scalars or arrays."""
-    y = np.asarray(y, dtype=float)
-    prev = np.ones_like(y)
-    if n == 0:
-        return prev
-    cur = 2.0 * y
-    for _ in range(n - 1):
-        prev, cur = cur, 2.0 * y * cur - prev
-    return cur
 
 
 def linearize(m: int, n: int) -> range:

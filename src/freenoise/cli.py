@@ -181,18 +181,28 @@ def cmd_linearize(args: argparse.Namespace) -> int:
     return 0
 
 
+# engine name -> its trace of a letter sequence under a degree cap
+_TRACE_ENGINES = {
+    "reduction": lambda letters, cap: trace.trace_monomial_reduction(letters),
+    "pairing": lambda letters, cap: trace.trace_pairings(letters),
+    "fock": lambda letters, cap: trace.trace_fock(letters, cap=cap),
+}
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
     word = words.parse_word(args.word)
     letters = word.letters()
-    if args.engine == "all":
-        results = {r.engine: r.value for r in trace.trace_monomial_all(letters, cap=args.cap)}
-    elif args.engine == "reduction":
-        results = {"reduction": trace.trace_monomial_reduction(letters)}
-    elif args.engine == "pairing":
-        results = {"pairing": trace.trace_pairings(letters)}
-    else:
-        results = {"fock": trace.trace_fock(letters, cap=args.cap)}
-    values = {engine: float(v) for engine, v in results.items()}
+    names = list(_TRACE_ENGINES) if args.engine == "all" else [args.engine]
+    results, values = {}, {}
+    for name in names:
+        try:
+            results[name] = _TRACE_ENGINES[name](letters, args.cap)
+            values[name] = float(results[name])
+        except (RecursionError, OverflowError) as exc:
+            # a long word recurses too deep in the pairing count, or has
+            # an exact trace beyond the float range
+            raise FreenoiseError(f"{name} engine failed on a word of degree "
+                                 f"{word.degree}: {exc}") from exc
     spread = max(values.values()) - min(values.values())
     agree = spread <= 1e-9
     _emit(args, {

@@ -369,8 +369,6 @@ def _require_kernel_integrable(dens: SpectralDensity) -> None:
 def _r_cached(dens: SpectralDensity, t: float, abs_tol: float) -> float:
     if t == 0.0:
         return 0.0
-    t = abs(t)
-
     m = dens.at
 
     def head(u):
@@ -406,7 +404,8 @@ def r_function(dens: SpectralDensity, t: float, abs_tol: float = 1e-9) -> float:
     if not math.isfinite(t):
         raise ValidationError(f"time must be finite, got {t}")
     _require_kernel_integrable(dens)
-    return _r_cached(dens, float(t), abs_tol)
+    # r is even: one cache entry, and one QUADPACK run, per |t|
+    return _r_cached(dens, abs(float(t)), abs_tol)
 
 
 def kernel(dens: SpectralDensity, t: float, s: float,

@@ -29,10 +29,18 @@ Engines:
   every genus, which gives the exact trace of GUE matrices at each
   finite size; its genus-0 count is the free trace.  It is not part of
   ``trace_monomial_all``, whose engines answer the free trace alone.
+
+The Fock and U-word routes reuse affixes: each keeps the vector of
+every suffix applied to the vacuum, or the expansion of every prefix,
+that its walks pass, and starts a word from its longest kept affix.
+Each keeps at most 1,024 proper affixes of at most 16 letters, the
+least recently used evicted first.  Each engine reuses only its own
+work, so the engines still check each other.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -235,25 +243,66 @@ def u_mult(a: Word, b: Word) -> tuple[tuple[Word, int], ...]:
     return tuple(sorted(out.items(), key=lambda kv: kv[0].sort_key()))
 
 
-def monomial_to_uwords(letters: Sequence[int]) -> dict[Word, int]:
-    """Expansion of X_{i_1} ... X_{i_k} in the U-word basis.
+# Affix caches of the U-word and Fock routes (module docstring): the
+# 2,046 binary monomials of length <= 10 pass 1,022 proper affixes per
+# pair of letters.  The walks' starting points are not entries, so no
+# eviction removes them.  Longer affixes are not stored: a vector's
+# support can grow exponentially with its length (X_a X_a X_b X_b ...
+# has 2^{k/2} terms), so an entry bound bounds memory only if each
+# entry is bounded.
+_AFFIX_ENTRIES = 1024
+_AFFIX_LETTERS = 16
+_prefix_expansions: OrderedDict[tuple[int, ...], dict[Word, int]] = OrderedDict()
+_suffix_vectors: OrderedDict[tuple[int, ...], FockElement] = OrderedDict()
 
-    Every coefficient is a positive count, so no term ever cancels.
-    """
-    acc: dict[Word, int] = {EMPTY_WORD: 1}
-    for letter in letters:
-        step = Word((int(letter),))
+
+def _longest_cached(cache: OrderedDict, keys):
+    """First of ``keys`` held by ``cache`` and its value, else ((), None)."""
+    for key in keys:
+        value = cache.get(key)
+        if value is not None:
+            cache.move_to_end(key)
+            return key, value
+    return (), None
+
+
+def _store(cache: OrderedDict, key: tuple[int, ...], value) -> None:
+    cache[key] = value
+    if len(cache) > _AFFIX_ENTRIES:
+        cache.popitem(last=False)
+
+
+def _uword_expansion(letters: tuple[int, ...]) -> dict[Word, int]:
+    """U-word expansion of the monomial; may be a cache entry, do not mutate."""
+    k = len(letters)
+    prefix, acc = _longest_cached(
+        _prefix_expansions, (letters[:j] for j in range(min(k, _AFFIX_LETTERS), 0, -1)))
+    if acc is None:
+        acc = {EMPTY_WORD: 1}
+    for j in range(len(prefix), k):
+        step = Word((letters[j],))
         nxt: dict[Word, int] = {}
         for w, c in acc.items():
             for prod, pc in u_mult(w, step):
                 nxt[prod] = nxt.get(prod, 0) + c * pc
         acc = nxt
+        if j + 1 < k and j < _AFFIX_LETTERS:
+            _store(_prefix_expansions, letters[:j + 1], acc)
     return acc
+
+
+def monomial_to_uwords(letters: Sequence[int]) -> dict[Word, int]:
+    """Expansion of X_{i_1} ... X_{i_k} in the U-word basis.
+
+    Every coefficient is a positive count, so no term ever cancels.
+    The caller gets a copy of what the prefix cache may hold.
+    """
+    return dict(_uword_expansion(tuple(int(x) for x in letters)))
 
 
 def trace_monomial_reduction(letters: Sequence[int]) -> Fraction:
     """Constant coefficient of the U-word expansion of the monomial."""
-    return Fraction(monomial_to_uwords(letters).get(EMPTY_WORD, 0))
+    return Fraction(_uword_expansion(tuple(int(x) for x in letters)).get(EMPTY_WORD, 0))
 
 
 def apply_monomial(letters: Sequence[int], vec: FockElement,
@@ -270,10 +319,21 @@ def trace_fock(letters: Sequence[int], cap: int | None = DEFAULT_DEGREE_CAP) -> 
 
     Intermediate degrees stay below the monomial degree, so the result
     is exact up to rounding once the cap admits it; a too-small cap
-    raises instead of silently truncating.
+    raises instead of silently truncating.  Nothing is truncated, so a
+    suffix's vector does not depend on the cap and is cached without it.
     """
     fock.require_cap(len(letters), cap)
-    return float(apply_monomial(letters, vacuum(), cap).coeff(EMPTY_WORD).real)
+    letters = tuple(int(x) for x in letters)
+    k = len(letters)
+    suffix, vec = _longest_cached(
+        _suffix_vectors, (letters[j:] for j in range(max(0, k - _AFFIX_LETTERS), k)))
+    if vec is None:
+        vec = vacuum()
+    for j in range(k - len(suffix) - 1, -1, -1):
+        vec = apply_x({letters[j]: 1.0}, vec, cap)
+        if j and k - j <= _AFFIX_LETTERS:
+            _store(_suffix_vectors, letters[j:], vec)
+    return float(vec.coeff(EMPTY_WORD).real)
 
 
 def _poly_powers(letter: int, top_power: int, vec: FockElement,

@@ -7,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate as si
 
+from chebyshev_oracle import eval_u
 from freenoise.chebyshev import (
     SemicircleLaw,
     catalan,
-    eval_u,
     linearize,
     orthonormal_poly,
     poly_mul,

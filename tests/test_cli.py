@@ -52,6 +52,20 @@ def test_trace_rejects_malformed_word(capsys):
     assert json.loads(err)["kind"] == "validation"
 
 
+def test_trace_pairing_too_deep_exits_three(capsys):
+    # the non-crossing count recurses once per pair of letters
+    assert run(["trace", "--word", "z0^1000", "--engine", "pairing"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "numerical" and "pairing engine" in err["error"]
+
+
+def test_trace_reduction_beyond_float_range_exits_three(capsys):
+    # the exact trace, Catalan(520), is finite but has no float value
+    assert run(["trace", "--word", "z0^1040", "--engine", "reduction"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "numerical" and "reduction engine" in err["error"]
+
+
 def test_moments_match_catalan(capsys):
     assert run(["moments", "--n-max", "8"]) == 0
     out = _json_out(capsys)

@@ -5,7 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from freenoise.chebyshev import eval_u
+from chebyshev_oracle import eval_u
 from freenoise.errors import FreenoiseError, ValidationError
 from freenoise.matmodel import (
     EnsembleConfig,

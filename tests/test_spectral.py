@@ -15,6 +15,7 @@ from freenoise.spectral import (
     _HALF_LINE_PREF,
     SpectralDensity,
     _osc_scale,
+    _r_cached,
     _tail_stop,
     _tm_and_alpha,
     alpha_vector,
@@ -388,6 +389,14 @@ def test_fbm_r_function_closed_form():
             c_frozen * 2.0 ** (2.0 * hurst), rel=1e-8)
     assert r_function(SpectralDensity.fbm(0.5), -1.5) == r_function(
         SpectralDensity.fbm(0.5), 1.5)
+
+
+def test_r_of_minus_t_reuses_r_of_t():
+    # r is even, so r(-t) is read from the entry r(t) wrote
+    dens = SpectralDensity.fbm(0.65)
+    misses = _r_cached.cache_info().misses
+    assert r_function(dens, 0.8125) == r_function(dens, -0.8125)
+    assert _r_cached.cache_info().misses == misses + 1
 
 
 def test_lebesgue_r_and_kernel():

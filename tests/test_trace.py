@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from freenoise import trace
 from freenoise.chebyshev import catalan
-from freenoise.fock import inner
+from freenoise.fock import inner, vacuum
 from freenoise.trace import (
     _noncrossing_matched,
+    apply_monomial,
     monomial_to_uwords,
     trace_fock,
     trace_genus,
@@ -229,6 +231,72 @@ def test_product_and_pairing_caches_stay_bounded():
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
     assert retained < 1 << 20
+
+
+def _binary_affix_pass(x, y):
+    for length in range(1, 11):
+        for code in itertools.product((x, y), repeat=length):
+            monomial_to_uwords(code)
+            trace_fock(code)
+
+
+def test_affix_caches_stay_bounded():
+    # The same relabelled passes through the U-word and Fock routes: two
+    # passes fill the prefix and suffix caches (1,022 affixes a pass),
+    # and later passes must evict instead of growing them.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for k in range(2):
+            _binary_affix_pass(5000 + 2 * k, 5001 + 2 * k)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(2, 4):
+            _binary_affix_pass(5000 + 2 * k, 5001 + 2 * k)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    for cache in (trace._prefix_expansions, trace._suffix_vectors):
+        assert len(cache) == trace._AFFIX_ENTRIES
+    assert retained < 1 << 20
+    # the walks still start from the empty word and the vacuum
+    assert monomial_to_uwords([5001, 5001]) == {Word((5001, 5001)): 1, EMPTY_WORD: 1}
+    assert trace_fock([5001, 5001]) == 1.0
+
+
+def test_mutating_an_expansion_leaves_the_cache_alone():
+    # (7001, 7002, 7001) is stored as a prefix of the longer word, and
+    # the empty word is where every expansion starts
+    monomial_to_uwords([7001, 7002, 7001, 7001])
+    for letters in ((7001, 7002, 7001), ()):
+        got = monomial_to_uwords(letters)
+        want = dict(got)
+        got.clear()
+        got[Word((7003,))] = 99
+        assert monomial_to_uwords(letters) == want
+    assert monomial_to_uwords([7001, 7001]) == {Word((7001, 7001)): 1, EMPTY_WORD: 1}
+
+
+def test_fock_engine_walks_long_words_without_recursion():
+    assert trace_fock([0, 1] * 1500, cap=3000) == 0.0
+
+
+def test_fock_values_do_not_depend_on_walk_order_or_cap():
+    # criterion 3's bit-reversed order at cap 8, then the benchmark's
+    # order at cap 12, over letters no other test uses; both equal the
+    # uncached product applied to the vacuum, bit for bit
+    pair = (7100, 7101)
+    reversed_order = [tuple(pair[(code >> k) & 1] for k in range(length))
+                      for length in range(1, 9) for code in range(2 ** length)]
+    first = {w: trace_fock(w, cap=8) for w in reversed_order}
+    bench_order = [tuple(pair[i] for i in code)
+                   for length in range(1, 9)
+                   for code in itertools.product((0, 1), repeat=length)]
+    second = {w: trace_fock(w, cap=12) for w in bench_order}
+    assert first == second
+    for w, value in first.items():
+        assert value == apply_monomial(w, vacuum(), None).coeff(EMPTY_WORD).real
 
 
 def test_genus_zero_is_the_pairing_count():
