@@ -9,7 +9,6 @@ Monte Carlo oracle.  The ``freenoise`` command line exposes each piece.
 """
 
 from .chebyshev import (
-    SemicircleLaw,
     catalan,
     linearize,
     orthonormal_poly,
@@ -74,7 +73,6 @@ __all__ = [
     "NonCauchyError",
     "ProcessState",
     "QuadratureError",
-    "SemicircleLaw",
     "SpectralDensity",
     "TailReport",
     "TraceEstimate",

@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import fock, hermite, matmodel, process, quadrature, spectral, trace
-from .chebyshev import SemicircleLaw, catalan, linearize, poly_mul, semicircle_moment, u_poly
+from .chebyshev import catalan, linearize, poly_mul, semicircle_moment, u_poly
 from .errors import ValidationError
 from .fock import FockElement, vacuum
 from .matmodel import EnsembleConfig
@@ -102,22 +102,21 @@ def criterion_3() -> CriterionResult:
 
 def criterion_4() -> CriterionResult:
     t0 = time.perf_counter()
-    law = SemicircleLaw(radius=2.0)
-    exact_ok = all(semicircle_moment(2 * n, law) == catalan(n) for n in range(11))
+    exact_ok = all(semicircle_moment(2 * n) == catalan(n) for n in range(11))
     worst = 0.0
     for n in range(11):
-        val = quadrature.quad_semicircle_moment(2 * n, float(law.radius))
+        val = quadrature.quad_semicircle_moment(2 * n, 2.0)
         worst = max(worst, abs(val - float(catalan(n))))
     ok = exact_ok and worst <= 1e-10
     return _result("4", "semicircle moments are Catalan numbers", ok,
                    f"exact match {exact_ok}, quadrature max err {worst:.2e}", t0)
 
 
-def sparse_element(rng: np.random.Generator, n_terms: int = 4) -> FockElement:
-    """Random element of n_terms draws: words of length below 4 over
-    letters 0..7, complex normal coefficients; repeated words add up."""
+def sparse_element(rng: np.random.Generator) -> FockElement:
+    """Random element of 4 draws: words of length below 4 over letters
+    0..7, complex normal coefficients; repeated words add up."""
     terms: dict[Word, complex] = {}
-    for _ in range(n_terms):
+    for _ in range(4):
         length = int(rng.integers(0, 4))
         letters = tuple(int(x) for x in rng.integers(0, 8, size=length))
         w = normalize(letters)
@@ -274,11 +273,13 @@ _GROWTH_PRESETS = (
 _SUP_GRID = np.linspace(0.0, 12.0, 121)
 
 
-def _sup_exponent(dens: SpectralDensity, n_top: int = 60) -> spectral.PowerFit:
-    sup = spectral.tm_sup_over_t(dens, n_top, _SUP_GRID)
-    ns = np.arange(1, n_top + 1)
+def _sup_exponent(dens: SpectralDensity,
+                  fit=spectral.fit_power_law) -> spectral.PowerFit:
+    """Growth fit of the multiplier supremum over the grid, n = 12..60."""
+    sup = spectral.tm_sup_over_t(dens, 60, _SUP_GRID)
+    ns = np.arange(1, 61)
     keep = ns >= 12
-    return spectral.fit_power_law(ns[keep], sup[keep])
+    return fit(ns[keep], sup[keep])
 
 
 def criterion_10a() -> CriterionResult:
@@ -298,11 +299,8 @@ def criterion_10a() -> CriterionResult:
 
 def criterion_10b() -> CriterionResult:
     t0 = time.perf_counter()
-    dens = SpectralDensity.exponential(rate=1.0)
-    sup = spectral.tm_sup_over_t(dens, 60, _SUP_GRID)
-    ns = np.arange(1, 61)
-    keep = ns >= 12
-    fit = spectral.fit_sqrt_exponential(ns[keep], sup[keep])
+    fit = _sup_exponent(SpectralDensity.exponential(rate=1.0),
+                        spectral.fit_sqrt_exponential)
     ok = fit.exponent > 0 and fit.r_squared >= 0.9
     return _result("10b", "sqrt-exponential growth for the growing preset", ok,
                    f"rate {fit.exponent:.3f} per sqrt(n), R^2 {fit.r_squared:.4f}",
@@ -358,8 +356,11 @@ def criterion_12() -> CriterionResult:
                 closed = hermite.mehler_closed(float(u), float(v), s)
                 series = hermite.mehler_sum(float(u), float(v), s, n_terms=400)
                 worst = max(worst, abs(closed - series))
-    basis = hermite.HermiteBasis(40)
-    gram = basis.gram()
+    # Gauss-Hermite with 82 nodes integrates the pair products of
+    # hfn_1..hfn_40, polynomials times e^{-x^2}, exactly
+    x, w = np.polynomial.hermite.hermgauss(82)
+    rows = hermite.hermite_fn_matrix(40, x)
+    gram = (rows * (w * np.exp(x * x))) @ rows.T
     gram_err = float(np.max(np.abs(gram - np.eye(40))))
     ok = worst <= 1e-8 and gram_err <= 1e-9
     return _result("12", "kernel identity and Gram orthonormality", ok,

@@ -14,14 +14,10 @@ returns just its degrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 __all__ = [
-    "SemicircleLaw",
     "u_poly",
     "orthonormal_poly",
     "linearize",
@@ -79,29 +75,18 @@ def poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SemicircleLaw:
-    """Semicircle law of the given radius, density (2/(pi r^2)) sqrt(r^2 - x^2)."""
+def semicircle_moment(k: int, radius: Fraction | int | float = 2) -> Fraction:
+    """k-th moment of the semicircle law of the given radius, exact.
 
-    radius: Fraction | int | float = 2
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-
-    def density(self, x):
-        r = float(self.radius)
-        x = np.asarray(x, dtype=float)
-        inside = np.clip(r * r - x * x, 0.0, None)
-        return 2.0 / (math.pi * r * r) * np.sqrt(inside)
-
-
-def semicircle_moment(k: int, law: SemicircleLaw = SemicircleLaw()) -> Fraction:
-    """k-th moment, exact: odd moments vanish, moment 2n is C_n (r/2)^{2n}."""
+    The density is (2/(pi r^2)) sqrt(r^2 - x^2); odd moments vanish and
+    moment 2n is C_n (r/2)^{2n}.
+    """
+    if radius <= 0:
+        raise ValueError("radius must be positive")
     if k < 0:
         raise ValueError("moment order must be non-negative")
     if k % 2 == 1:
         return Fraction(0)
     n = k // 2
-    half = Fraction(law.radius) / 2
+    half = Fraction(radius) / 2
     return catalan(n) * half ** (2 * n)

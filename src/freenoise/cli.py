@@ -181,26 +181,20 @@ def cmd_linearize(args: argparse.Namespace) -> int:
     return 0
 
 
-# engine name -> its trace of a letter sequence under a degree cap
-_TRACE_ENGINES = {
-    "reduction": lambda letters, cap: trace.trace_monomial_reduction(letters),
-    "pairing": lambda letters, cap: trace.trace_pairings(letters),
-    "fock": lambda letters, cap: trace.trace_fock(letters, cap=cap),
-}
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     word = words.parse_word(args.word)
     letters = word.letters()
-    names = list(_TRACE_ENGINES) if args.engine == "all" else [args.engine]
+    names = list(trace.ENGINES) if args.engine == "all" else [args.engine]
     results, values = {}, {}
     for name in names:
         try:
-            results[name] = _TRACE_ENGINES[name](letters, args.cap)
+            results[name] = trace.ENGINES[name](letters, args.cap)
             values[name] = float(results[name])
+            if not math.isfinite(values[name]):
+                raise OverflowError(f"the value {values[name]} is not finite")
         except (RecursionError, OverflowError) as exc:
             # a long word recurses too deep in the pairing count, or has
-            # an exact trace beyond the float range
+            # a trace beyond the float range
             raise FreenoiseError(f"{name} engine failed on a word of degree "
                                  f"{word.degree}: {exc}") from exc
     spread = max(values.values()) - min(values.values())
@@ -219,10 +213,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_moments(args: argparse.Namespace) -> int:
     if args.n_max < 0:
         raise ValidationError("--n-max must be non-negative")
-    law = chebyshev.SemicircleLaw(args.radius)
     rows = []
     for k in range(args.n_max + 1):
-        exact = chebyshev.semicircle_moment(k, law)
+        exact = chebyshev.semicircle_moment(k, args.radius)
         quad = quadrature.quad_semicircle_moment(k, args.radius)
         rows.append({
             "order": k,

@@ -33,17 +33,13 @@ import numpy as np
 from .errors import DivergenceError
 
 __all__ = [
-    "hermite_fn",
     "hermite_fn_matrix",
     "hermite_vanishes",
-    "fourier_hermite",
     "mehler_closed",
     "mehler_sum",
-    "HermiteBasis",
 ]
 
 _PI_QUARTER = math.pi ** -0.25
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def hermite_fn_matrix(n_max: int, u) -> np.ndarray:
@@ -102,26 +98,6 @@ def hermite_vanishes(u) -> bool:
     return bool(_vanishing(u, np.empty(u.shape)).all())
 
 
-def hermite_fn(k: int, u):
-    """hfn_k(u), k >= 1; hfn_1(0) = pi^{-1/4}."""
-    if k < 1:
-        raise ValueError("Hermite functions are indexed from 1")
-    scalar = np.isscalar(u) or np.asarray(u).ndim == 0
-    vals = hermite_fn_matrix(k, u)[k - 1]
-    return float(vals[0]) if scalar else vals
-
-
-def fourier_hermite(k: int, u) -> complex | np.ndarray:
-    """Fourier transform value of hfn_k: sqrt(2 pi) (-i)^{k-1} hfn_k(u).
-
-    Real for k = 1 mod 4 and k = 3 mod 4, purely imaginary otherwise;
-    checked in the tests against direct numerical Fourier integrals.
-    """
-    phase = (-1j) ** ((k - 1) % 4)
-    vals = _SQRT_2PI * phase * hermite_fn(k, u)
-    return complex(vals) if np.isscalar(vals) or np.asarray(vals).ndim == 0 else vals
-
-
 def mehler_closed(u: float, v: float, s: float) -> float:
     """Closed form of the Hermite-function kernel sum; requires |s| < 1."""
     if abs(s) >= 1.0:
@@ -141,29 +117,3 @@ def mehler_sum(u: float, v: float, s: float, n_terms: int = 400) -> float:
     powers = s ** np.arange(n_terms)
     return float(np.sum(grid[:, 0] * grid[:, 1] * powers))
 
-
-class HermiteBasis:
-    """The Hermite functions hfn_1..hfn_{max_index} and their Gram matrix."""
-
-    def __init__(self, max_index: int):
-        if max_index < 1:
-            raise ValueError("need at least one basis function")
-        self.max_index = max_index
-
-    def gram(self) -> np.ndarray:
-        """Integrals of hfn_j hfn_k via Gauss-Hermite, exact at this size.
-
-        The Gaussian factors of the pair are exactly the e^{-x^2} weight,
-        so the remaining polynomial part is integrated exactly once the
-        node count exceeds the top polynomial degree.
-        """
-        nodes = max(2 * self.max_index + 2, 40)
-        x, w = np.polynomial.hermite.hermgauss(nodes)
-        # polynomial parts: p_k(x) = hfn_k(x) e^{x^2/2}, same recurrence
-        p = np.empty((self.max_index, x.size))
-        p[0] = _PI_QUARTER * np.ones_like(x)
-        if self.max_index > 1:
-            p[1] = math.sqrt(2.0) * x * p[0]
-        for j in range(2, self.max_index):
-            p[j] = math.sqrt(2.0 / j) * x * p[j - 1] - math.sqrt((j - 1) / j) * p[j - 2]
-        return (p * w) @ p.T

@@ -38,12 +38,13 @@ __all__ = [
 _GL_ORDER = 16
 _GL_X, _GL_W = leggauss(_GL_ORDER)
 
-# Geometric grading exponent range near zero.
-_MIN_EXP = -60
+# gl_integrate's tail: doublings allowed, and the share of the total
+# below which the newest span stops them
+_TAIL_ROUNDS = 8
+_TAIL_REL_TOL = 1e-11
 
 
-def panel_nodes(osc_scale: float, tail_start: float = 1.0,
-                tail_stop: float = 60.0) -> tuple[np.ndarray, np.ndarray]:
+def panel_nodes(osc_scale: float, tail_stop: float = 60.0) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite rule on (0, tail_stop].
 
     osc_scale bounds the panel width away from zero: panels are at most
@@ -53,14 +54,8 @@ def panel_nodes(osc_scale: float, tail_start: float = 1.0,
     if osc_scale <= 0:
         raise QuadratureError("oscillation scale must be positive")
     width = 6.0 / osc_scale
-    edges = [0.0]
-    # graded region: 2^-60 up to min(1, tail_start)
-    lo = min(1.0, tail_start)
-    k = 0
-    while lo * 2.0 ** (-k) > 2.0 ** _MIN_EXP:
-        k += 1
-    graded = [lo * 2.0 ** (-j) for j in range(k, -1, -1)]
-    edges.extend(graded)
+    # graded region: 0, 2^-60, ..., 1/2, 1
+    edges = [0.0] + [2.0 ** -j for j in range(60, -1, -1)]
     # oscillation-limited region out to tail_stop
     x = edges[-1]
     while x < tail_stop:
@@ -80,8 +75,7 @@ def _composite_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def gl_integrate(f, osc_scale: float, tail_stop: float = 60.0,
-                 rel_tol: float = 1e-11, max_rounds: int = 8):
+def gl_integrate(f, osc_scale: float, tail_stop: float = 60.0):
     """Integrals over (0, inf) of every product factors[k] * rows[n].
 
     f maps a node vector to a pair (rows, factors), both with nodes on
@@ -89,10 +83,10 @@ def gl_integrate(f, osc_scale: float, tail_stop: float = 60.0,
     rows.T summed over the panels and tail spans.  Rows of None say that
     every row is +0.0 on those nodes: the span then adds exactly zero
     and its product is skipped.  The tail extends by doubling spans
-    until the newest span contributes less than rel_tol of the total;
-    QuadratureError is raised when max_rounds doublings do not get
-    there, or as soon as a contraction is not finite, which for zero
-    rows is whenever a weighted factor is not.
+    until the newest span contributes less than 1e-11 of the total;
+    QuadratureError is raised when 8 doublings do not get there, or as
+    soon as a contraction is not finite, which for zero rows is
+    whenever a weighted factor is not.
     """
     def contract(nodes, weights):
         rows, factors = f(nodes)
@@ -112,27 +106,27 @@ def gl_integrate(f, osc_scale: float, tail_stop: float = 60.0,
     span = tail_stop
     start = tail_stop
     width = 6.0 / osc_scale
-    for _ in range(max_rounds):
+    for _ in range(_TAIL_ROUNDS):
         stop = start + span
         n_panels = max(int(np.ceil(span / width)), 1)
         piece = contract(*_composite_rule(np.linspace(start, stop, n_panels + 1)))
         total = total + piece
         scale = np.max(np.abs(total)) + 1e-300
-        if np.max(np.abs(piece)) <= rel_tol * scale:
+        if np.max(np.abs(piece)) <= _TAIL_REL_TOL * scale:
             return total
         start = stop
         span *= 2.0
     raise QuadratureError(
-        f"tail span did not fall below {rel_tol:g} of the total "
-        f"in {max_rounds} doublings past {tail_stop:g}")
+        f"tail span did not fall below {_TAIL_REL_TOL:g} of the total "
+        f"in {_TAIL_ROUNDS} doublings past {tail_stop:g}")
 
 
-def quad_scalar(f, a: float, b: float, abs_tol: float = 1e-11,
-                rel_tol: float = 1e-11) -> float:
+def quad_scalar(f, a: float, b: float, abs_tol: float = 1e-11) -> float:
+    """Integral of f over (a, b) by QUADPACK, abs_tol also the relative tolerance."""
     from scipy.integrate import quad
 
-    val, err = quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=400)
-    if err > max(abs_tol, rel_tol * abs(val)) * 50:
+    val, err = quad(f, a, b, epsabs=abs_tol, epsrel=abs_tol, limit=400)
+    if err > max(abs_tol, abs_tol * abs(val)) * 50:
         raise QuadratureError(
             f"quad error {err:.2e} too large for integral {val:.6e} on [{a}, {b}]")
     return val
@@ -146,7 +140,7 @@ def quad_cos_range(f, omega: float, a: float, b: float,
     as an analytic weight instead of sampling through the oscillation.
     """
     if omega == 0.0:
-        return quad_scalar(f, a, b, abs_tol, abs_tol)
+        return quad_scalar(f, a, b, abs_tol)
     from scipy.integrate import quad
 
     val, err = quad(f, a, b, weight="cos", wvar=omega,

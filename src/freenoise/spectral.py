@@ -375,7 +375,7 @@ def _r_cached(dens: SpectralDensity, t: float, abs_tol: float) -> float:
         half = math.sin(0.5 * t * u)
         return 2.0 * half * half * m(u) / (u * u)
 
-    value = quad_scalar(head, 0.0, 1.0, abs_tol, abs_tol)
+    value = quad_scalar(head, 0.0, 1.0, abs_tol)
     hi = dens.cutoff_high
     if hi > 1.0:
         value += _r_tail_mass(dens, abs_tol)
@@ -392,7 +392,7 @@ def _tail_amp(dens: SpectralDensity):
 @lru_cache(maxsize=64)
 def _r_tail_mass(dens: SpectralDensity, abs_tol: float) -> float:
     """The t-independent part of r's tail: integral over (1, hi) of m(u) / u^2."""
-    return quad_scalar(_tail_amp(dens), 1.0, dens.cutoff_high, abs_tol, abs_tol)
+    return quad_scalar(_tail_amp(dens), 1.0, dens.cutoff_high, abs_tol)
 
 
 def r_function(dens: SpectralDensity, t: float, abs_tol: float = 1e-9) -> float:
@@ -515,8 +515,6 @@ def certify_tail(dens: SpectralDensity, p: int, t: float, n_max: int = 240,
     """
     if seq is None:
         seq = WeightSequence.linear()
-    if seq.kind == "custom":
-        raise ValidationError("tail certification needs an unbounded weight sequence")
     p = int(p)
     if p < 0:
         raise ValidationError("weight level must be >= 0")

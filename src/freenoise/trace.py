@@ -60,9 +60,9 @@ __all__ = [
     "u_mult",
     "monomial_to_uwords",
     "trace_monomial_reduction",
-    "apply_monomial",
     "trace_fock",
     "wick_word_vector",
+    "ENGINES",
     "trace_monomial_all",
 ]
 
@@ -305,15 +305,6 @@ def trace_monomial_reduction(letters: Sequence[int]) -> Fraction:
     return Fraction(_uword_expansion(tuple(int(x) for x in letters)).get(EMPTY_WORD, 0))
 
 
-def apply_monomial(letters: Sequence[int], vec: FockElement,
-                   cap: int | None = DEFAULT_DEGREE_CAP) -> FockElement:
-    """X_{i_1} ... X_{i_k} applied to vec, rightmost factor first."""
-    out = vec
-    for letter in reversed(tuple(letters)):
-        out = apply_x({int(letter): 1.0}, out, cap)
-    return out
-
-
 def trace_fock(letters: Sequence[int], cap: int | None = DEFAULT_DEGREE_CAP) -> float:
     """Vacuum coefficient of X_{i_1} ... X_{i_k} applied to the vacuum.
 
@@ -363,11 +354,17 @@ def wick_word_vector(alpha: Word, cap: int | None = DEFAULT_DEGREE_CAP) -> FockE
     return vec
 
 
+# engine name -> its trace of a letter sequence under a Fock degree cap;
+# each entry looks its engine up by name when called, so a wrapper put
+# in place of the module attribute sees every call
+ENGINES = {
+    "reduction": lambda letters, cap: trace_monomial_reduction(letters),
+    "pairing": lambda letters, cap: trace_pairings(letters),
+    "fock": lambda letters, cap: trace_fock(letters, cap),
+}
+
+
 def trace_monomial_all(word_or_letters, cap: int | None = DEFAULT_DEGREE_CAP) -> list[TraceResult]:
     """All three engines on one monomial; exact engines return Fractions."""
     letters = normalize(word_or_letters).letters()
-    return [
-        TraceResult("reduction", trace_monomial_reduction(letters)),
-        TraceResult("pairing", trace_pairings(letters)),
-        TraceResult("fock", trace_fock(letters, cap)),
-    ]
+    return [TraceResult(name, engine(letters, cap)) for name, engine in ENGINES.items()]

@@ -35,16 +35,15 @@ __all__ = [
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
 
 
-def zeta(s: float, n_direct: int = 24) -> float:
+def zeta(s: float) -> float:
     """Riemann zeta for s > 1 via Euler-Maclaurin accelerated partial sums.
 
-    Direct terms up to ``n_direct`` plus the integral, midpoint and
-    Bernoulli corrections; accurate to ~1e-15 for s >= 2.  Returns inf
-    for s <= 1.
+    Direct terms up to 24 plus the integral, midpoint and Bernoulli
+    corrections; accurate to ~1e-15 for s >= 2.  Returns inf for s <= 1.
     """
     if s <= 1:
         return math.inf
-    n = n_direct
+    n = 24
     total = sum(k ** float(-s) for k in range(1, n))
     total += 0.5 * n ** float(-s) + n ** float(1 - s) / (s - 1)
     rising = s  # s (s+1) ... (s + 2j - 2)
@@ -58,27 +57,14 @@ def zeta(s: float, n_direct: int = 24) -> float:
 class WeightSequence:
     """Non-decreasing sequence a_1 <= a_2 <= ... with a_n >= 1.
 
-    ``linear`` is a_n = 2n, ``exponential`` is a_n = 2**n, and
-    ``custom`` carries a finite explicit table (sums below run over the
-    table only, so they are always finite).
+    ``linear`` is a_n = 2n and ``exponential`` is a_n = 2**n.
     """
 
     kind: str
-    table: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("linear", "exponential", "custom"):
+        if self.kind not in ("linear", "exponential"):
             raise ValueError(f"unknown weight sequence kind {self.kind!r}")
-        if self.kind == "custom":
-            if not self.table:
-                raise ValueError("custom weight sequence needs a non-empty table")
-            prev = 1.0
-            for a in self.table:
-                if a < 1.0:
-                    raise ValueError("weights must be >= 1")
-                if a < prev:
-                    raise ValueError("weights must be non-decreasing")
-                prev = a
 
     @classmethod
     def linear(cls) -> "WeightSequence":
@@ -88,21 +74,13 @@ class WeightSequence:
     def exponential(cls) -> "WeightSequence":
         return cls("exponential")
 
-    @classmethod
-    def custom(cls, values: Sequence[float]) -> "WeightSequence":
-        return cls("custom", tuple(float(v) for v in values))
-
     def value(self, n: int) -> float:
         """a_n for n >= 1."""
         if n < 1:
             raise ValueError("weight index starts at 1")
         if self.kind == "linear":
             return 2.0 * n
-        if self.kind == "exponential":
-            return float(2 ** n)
-        if n > len(self.table):
-            raise ValueError(f"custom table has no entry a_{n}")
-        return self.table[n - 1]
+        return float(2 ** n)
 
     def inverse_power_sum(self, d: float) -> float:
         """Sum of a_n**(-d) over the whole sequence; may be inf."""
@@ -110,11 +88,9 @@ class WeightSequence:
             if d <= 1:
                 return math.inf
             return 2.0 ** (-d) * zeta(d)
-        if self.kind == "exponential":
-            if d <= 0:
-                return math.inf
-            return 1.0 / (2.0 ** d - 1.0)
-        return sum(a ** (-d) for a in self.table)
+        if d <= 0:
+            return math.inf
+        return 1.0 / (2.0 ** d - 1.0)
 
 
 class Word(tuple):

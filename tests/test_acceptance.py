@@ -5,7 +5,7 @@ detail so a verbose run doubles as the acceptance report.  The slow
 matrix-model criterion runs last and takes about half a minute.
 """
 
-from freenoise import acceptance
+from freenoise import acceptance, hermite
 
 
 def _check(result):
@@ -72,3 +72,20 @@ def test_criterion_11_matrix_model_reproduces_traces():
 
 def test_criterion_12_kernel_identity_and_gram():
     _check(acceptance.criterion_12())
+
+
+def test_criterion_12_checks_the_hermite_rows_the_program_uses(monkeypatch):
+    # one part in a million on hfn_40 barely moves the kernel identity,
+    # whose series weights that row by s^39, but breaks orthonormality
+    real = hermite.hermite_fn_matrix
+
+    def scaled(n_max, u):
+        rows = real(n_max, u)
+        if n_max >= 40:
+            rows[39] *= 1.0 + 1e-6
+        return rows
+
+    monkeypatch.setattr(hermite, "hermite_fn_matrix", scaled)
+    result = acceptance.criterion_12()
+    assert not result.passed
+    assert "Gram err 2.00e-06" in result.detail

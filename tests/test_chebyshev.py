@@ -7,9 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate as si
 
-from chebyshev_oracle import eval_u
+from chebyshev_oracle import eval_u, semicircle_density
 from freenoise.chebyshev import (
-    SemicircleLaw,
     catalan,
     linearize,
     orthonormal_poly,
@@ -82,35 +81,32 @@ def test_orthonormal_poly_is_monic_integer():
 
 
 def test_semicircle_moments_are_catalan():
-    law = SemicircleLaw(2)
     for n in range(9):
-        assert semicircle_moment(2 * n, law) == catalan(n)
-        assert semicircle_moment(2 * n + 1, law) == 0
+        assert semicircle_moment(2 * n, 2) == catalan(n)
+        assert semicircle_moment(2 * n + 1, 2) == 0
 
 
 def test_semicircle_moments_scale_with_radius():
-    law = SemicircleLaw(Fraction(3))
     for n in range(6):
-        assert semicircle_moment(2 * n, law) == catalan(n) * Fraction(3, 2) ** (2 * n)
+        assert semicircle_moment(2 * n, Fraction(3)) == catalan(n) * Fraction(3, 2) ** (2 * n)
 
 
 @pytest.mark.parametrize("radius", [2.0, 3.0])
 def test_moment_quadrature_agrees(radius):
-    law = SemicircleLaw(radius)
     for k in range(11):
         quad = quad_semicircle_moment(k, radius)
-        assert quad == pytest.approx(float(semicircle_moment(k, law)), abs=1e-9)
+        assert quad == pytest.approx(float(semicircle_moment(k, radius)), abs=1e-9)
 
 
-def orthonormal_check(m, n, law=SemicircleLaw(), tol=1e-12):
-    """Adaptive quadrature of integral p_m p_n d(law); near delta_{mn}."""
-    r = float(law.radius)
+def orthonormal_check(m, n, tol=1e-12):
+    """Adaptive quadrature of p_m p_n against the radius-2 semicircle law;
+    near delta_{mn}."""
 
     def integrand(x):
-        y = x / r
-        return float(eval_u(m, y) * eval_u(n, y)) * float(law.density(x))
+        y = x / 2.0
+        return float(eval_u(m, y) * eval_u(n, y)) * float(semicircle_density(x))
 
-    val, err = si.quad(integrand, -r, r, epsabs=tol * 0.1, epsrel=1e-13, limit=400)
+    val, err = si.quad(integrand, -2.0, 2.0, epsabs=tol * 0.1, epsrel=1e-13, limit=400)
     if err > tol:
         raise QuadratureError(
             f"orthonormality quadrature for ({m},{n}) reached error {err:g} > tol {tol:g}")

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from freenoise import trace
 from freenoise.cli import CSV_FORMAT, run
 
 
@@ -64,6 +65,30 @@ def test_trace_reduction_beyond_float_range_exits_three(capsys):
     assert run(["trace", "--word", "z0^1040", "--engine", "reduction"]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "numerical" and "reduction engine" in err["error"]
+
+
+def test_trace_value_beyond_float_range_exits_three(monkeypatch, capsys):
+    # a fake engine stands in for the Fock engine on a word like z0^1040,
+    # whose coefficients overflow
+    monkeypatch.setitem(trace.ENGINES, "fock", lambda letters, cap: math.inf)
+    assert run(["trace", "--word", "z0^4 z1^2"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    err = json.loads(out.err)
+    assert err["kind"] == "numerical"
+    assert err["error"].startswith("fock engine failed on a word of degree 6")
+
+
+@pytest.mark.parametrize("radius, message", [
+    ("0", "radius must be positive"),
+    ("-1", "radius must be positive"),
+    ("nan", "cannot convert NaN to integer ratio"),
+])
+def test_moments_rejects_a_radius_that_is_not_positive(radius, message, capsys):
+    assert run(["moments", "--radius", radius]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {"error": message, "kind": "validation"}
 
 
 def test_moments_match_catalan(capsys):

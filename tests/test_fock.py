@@ -138,7 +138,8 @@ def test_vage_constant_rejects_small_gap():
     with pytest.raises(GapTooSmallError):
         vage_constant(1.2)
     with pytest.raises(GapTooSmallError):
-        vage_constant(2.0, WeightSequence.custom([1.0, 1.0]))
+        # sum 2^-n = 1 exactly, not strictly below it
+        vage_constant(1.0, WeightSequence.exponential())
 
 
 @given(elements(), elements())

@@ -9,15 +9,17 @@ from scipy import special as sp
 
 from freenoise.errors import DivergenceError
 from freenoise.hermite import (
-    HermiteBasis,
-    fourier_hermite,
-    hermite_fn,
     hermite_fn_matrix,
     hermite_vanishes,
     mehler_closed,
     mehler_sum,
 )
 from freenoise.quadrature import _composite_rule, panel_nodes
+
+
+def hermite_fn(k, u):
+    """hfn_k(u) at one point, the last row of hermite_fn_matrix(k, u)."""
+    return float(hermite_fn_matrix(k, u)[k - 1, 0])
 
 
 @given(st.integers(1, 25), st.floats(-5.0, 5.0))
@@ -45,8 +47,12 @@ def test_hermite_fn_l2_normalized():
 
 
 def test_gram_is_identity():
-    basis = HermiteBasis(10)
-    assert np.allclose(basis.gram(), np.eye(10), atol=1e-12)
+    # the trapezoid rule on a uniform grid converges geometrically for
+    # these entire, Gaussian-decaying products; criterion 12 checks the
+    # same matrix by Gauss-Hermite
+    u, step = np.linspace(-20.0, 20.0, 801, retstep=True)
+    rows = hermite_fn_matrix(10, u)
+    assert np.allclose(step * rows @ rows.T, np.eye(10), atol=1e-12)
 
 
 def _allocating_fn_matrix(n_max, u):
@@ -102,25 +108,19 @@ def test_vanishing_grids_are_exactly_the_all_zero_ones():
     assert hermite_vanishes([39.0, 50.0]) and not hermite_vanishes([38.5, 50.0])
 
 
-def test_fourier_hermite_matches_numeric_transform():
-    # oracle: direct integral of hfn_k(x) e^{-iux} over the real line
+def test_hermite_functions_are_fourier_eigenvectors():
+    # direct integral of hfn_k(x) e^{-iux} over the real line against
+    # sqrt(2 pi) (-i)^{k-1} hfn_k(u), the phase pattern the multiplier
+    # pass in spectral relies on
     for k in (1, 2, 3, 4, 5):
         for u in (0.0, 0.7, -1.3):
             re, _ = si.quad(lambda x: hermite_fn(k, x) * math.cos(u * x),
                             -15.0, 15.0, limit=200)
             im, _ = si.quad(lambda x: -hermite_fn(k, x) * math.sin(u * x),
                             -15.0, 15.0, limit=200)
-            got = fourier_hermite(k, u)
-            assert got.real == pytest.approx(re, abs=1e-9)
-            assert got.imag == pytest.approx(im, abs=1e-9)
-
-
-def test_fourier_hermite_phase_pattern():
-    u = 0.4
-    base = math.sqrt(2.0 * math.pi)
-    for k, phase in ((1, 1.0), (2, -1j), (3, -1.0), (4, 1j), (5, 1.0)):
-        assert fourier_hermite(k, u) == pytest.approx(
-            base * phase * hermite_fn(k, u), abs=1e-12)
+            want = math.sqrt(2.0 * math.pi) * (-1j) ** (k - 1) * hermite_fn(k, u)
+            assert re == pytest.approx(want.real, abs=1e-9)
+            assert im == pytest.approx(want.imag, abs=1e-9)
 
 
 @given(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5),
@@ -147,7 +147,5 @@ def test_high_index_recurrence_stays_bounded():
 
 
 def test_index_validation():
-    with pytest.raises(ValueError):
-        hermite_fn(0, 0.0)
     with pytest.raises(ValueError):
         hermite_fn_matrix(0, np.zeros(3))

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from freenoise import trace
 from freenoise.chebyshev import catalan
-from freenoise.fock import inner, vacuum
+from freenoise.fock import apply_x, inner, vacuum
 from freenoise.trace import (
     _noncrossing_matched,
-    apply_monomial,
     monomial_to_uwords,
     trace_fock,
     trace_genus,
@@ -24,6 +23,14 @@ from freenoise.trace import (
     wick_word_vector,
 )
 from freenoise.words import EMPTY_WORD, Word, iter_words, normalize
+
+
+def apply_monomial(letters, vec, cap):
+    """X_{i_1} ... X_{i_k} applied to vec, rightmost factor first, with no
+    cache: the oracle for the Fock engine's suffix walk."""
+    for letter in reversed(tuple(letters)):
+        vec = apply_x({int(letter): 1.0}, vec, cap)
+    return vec
 
 
 def _pairings(idx):

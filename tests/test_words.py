@@ -79,12 +79,8 @@ def test_weight_sequences():
     exp = WeightSequence.exponential()
     assert [lin.value(n) for n in (1, 2, 5)] == [2.0, 4.0, 10.0]
     assert [exp.value(n) for n in (1, 2, 5)] == [2.0, 4.0, 32.0]
-    with pytest.raises(ValueError):
-        WeightSequence.custom([])
-    with pytest.raises(ValueError):
-        WeightSequence.custom([2.0, 1.5])
-    with pytest.raises(ValueError):
-        WeightSequence.custom([0.5])
+    with pytest.raises(ValueError, match="unknown weight sequence kind"):
+        WeightSequence("custom")
 
 
 @pytest.mark.parametrize("seq", [WeightSequence.linear(), WeightSequence.exponential()])
