@@ -83,6 +83,8 @@ def semicircle_moment(k: int, radius: Fraction | int | float = 2) -> Fraction:
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
+    if radius == math.inf:
+        raise ValueError("radius must be finite")
     if k < 0:
         raise ValueError("moment order must be non-negative")
     if k % 2 == 1:

@@ -11,7 +11,8 @@ limit of left-tagged dyadic Riemann sums
     sum_j Y(u_j) (x) (W(u_j) f) * delta,
 
 measured in a weighted norm two levels above the state's own, where
-the tensor-product inequality controls each term.
+the tensor-product inequality controls each term.  The sums of all
+levels come from one pass over the tags of the finest partition.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -193,50 +195,62 @@ class IntegralResult:
 
 def riemann_sum(state: ProcessState, path: IntegrandPath, f: FockElement,
                 a: float, b: float, n_intervals: int) -> FockElement:
-    """Left-tagged Riemann sum sum_j step * Y(u_j) (x) W(u_j) f.
-
-    The values Y(u_j) and W(u_j) f of all n_intervals tags are laid out
-    as rows over their union supports, in first-seen order, and every
-    product word is built once.  Tag by tag, in tag order, the sum adds
-    step times the tag's outer product; pairs of one tag that land on
-    one word are summed first, in row-major order.  These are the
-    products and additions of the loop over tags of ``fock.tensor`` and
-    ``+``, in the same order whenever each tag lists its support in the
-    union's order, so repeated runs reduce identically.  Words above
-    the degree cap stay out of the result, and the squared norm of the
-    part they make up is its ``dropped_mass``.
-    """
+    """Left-tagged Riemann sum sum_j step * Y(u_j) (x) W(u_j) f."""
     if n_intervals < 1:
         raise ValidationError("need at least one interval")
+    return _riemann_sums(state, path, f, a, b, n_intervals, 1)[0]
+
+
+def _riemann_sums(state: ProcessState, path: IntegrandPath, f: FockElement,
+                  a: float, b: float, n_intervals: int,
+                  depth: int) -> list[FockElement]:
+    """The sums at n_intervals / 2^k intervals, for k = depth - 1, ..., 0.
+
+    Each tag's values, outer product and product words are formed once.
+    Tag by tag, every sum whose partition has the tag adds its own step
+    times the outer product, whose pairs on one word are summed first,
+    in the row-major order of the tag's supports: the operations of the
+    loop of ``fock.tensor`` and ``+`` over the sum's tags.  Each sum
+    lists its words in the order its own tags build them, and leaves
+    those above the degree cap to its ``dropped_mass``.
+    """
     step = (b - a) / n_intervals
     tags = [a + j * step for j in range(n_intervals)]
-    left, y = _rows([path.value_at(u) for u in tags])
-    right, z = _rows([apply_whitenoise(state, u, f) for u in tags])
+    left, y = _supports([path.value_at(u) for u in tags])
+    right, z = _supports([apply_whitenoise(state, u, f) for u in tags])
     words, slots = fock.tensor_slots(left, right)
-    slots = np.asarray(slots, dtype=np.intp)
-    acc_re = np.zeros(len(words))
-    acc_im = np.zeros(len(words))
-    for y_j, z_j in zip(y, z):
+    slots = np.asarray(slots, dtype=np.intp).reshape(len(left), len(right))
+    strides = [1 << k for k in range(depth - 1, -1, -1)]
+    acc = np.zeros((depth, 2, len(words)))
+    for j, ((li, y_j), (ri, z_j)) in enumerate(zip(y, z)):
+        pairs = slots[np.ix_(li, ri)].ravel()
         # real and imaginary parts formed the way Python multiplies two
         # complex numbers: numpy's complex multiply may fuse them (FMA)
         re = np.outer(y_j.real, z_j.real) - np.outer(y_j.imag, z_j.imag)
         im = np.outer(y_j.real, z_j.imag) + np.outer(y_j.imag, z_j.real)
-        acc_re += step * np.bincount(slots, re.ravel(), len(words))
-        acc_im += step * np.bincount(slots, im.ravel(), len(words))
-    coeffs = map(complex, acc_re.tolist(), acc_im.tolist())
-    return FockElement.from_dict(dict(zip(words, coeffs))).truncated(state.degree_cap)
+        product = np.stack([np.bincount(pairs, re.ravel(), len(words)),
+                            np.bincount(pairs, im.ravel(), len(words))])
+        for k, stride in enumerate(strides):
+            if j % stride == 0:
+                acc[k] += (b - a) / (n_intervals // stride) * product
+    sums = []
+    for (acc_re, acc_im), stride in zip(acc, strides):
+        own = [list(dict.fromkeys(chain.from_iterable(idx for idx, _ in rows[::stride])))
+               for rows in (y, z)]
+        order = list(dict.fromkeys(slots[np.ix_(*own)].ravel().tolist()))
+        coeffs = map(complex, acc_re[order].tolist(), acc_im[order].tolist())
+        sums.append(FockElement.from_dict(dict(zip([words[i] for i in order], coeffs)))
+                    .truncated(state.degree_cap))
+    return sums
 
 
-def _rows(values: Sequence[FockElement]) -> tuple[list[Word], np.ndarray]:
-    """Union support in first-seen order, and one coefficient row per value."""
+def _supports(values: Sequence[FockElement]) -> tuple[list[Word], list]:
+    """Union support in first-seen order; per value, the union indices of
+    its support and its coefficients, in the value's own order."""
     index: dict[Word, int] = {}
-    for v in values:
-        for w in v.coeffs:
-            index.setdefault(w, len(index))
-    rows = np.zeros((len(values), len(index)), dtype=complex)
-    for j, v in enumerate(values):
-        rows[j, [index[w] for w in v.coeffs]] = list(v.coeffs.values())
-    return list(index), rows
+    out = [([index.setdefault(w, len(index)) for w in v.coeffs],
+            np.array(list(v.coeffs.values()), dtype=complex)) for v in values]
+    return list(index), out
 
 
 def stochastic_integral(state: ProcessState, path: IntegrandPath,
@@ -258,8 +272,7 @@ def stochastic_integral(state: ProcessState, path: IntegrandPath,
         raise LevelTooLowError(
             f"pairing level {q} below the product-bound threshold {p + 2}")
 
-    sums = [riemann_sum(state, path, f, a, b, 1 << k)
-            for k in range(levels + 1)]
+    sums = _riemann_sums(state, path, f, a, b, 1 << levels, levels + 1)
     distances = tuple(
         fock.norm(s1 - s0, -float(q), state.seq)
         for s0, s1 in zip(sums, sums[1:]))

@@ -162,10 +162,14 @@ def quad_semicircle_moment(order: int, radius: float = 2.0,
         raise QuadratureError("moment order must be non-negative")
     from scipy.integrate import quad
 
-    pref = 2.0 / (math.pi * radius * radius)
-    val, err = quad(lambda x: pref * x ** order, -radius, radius,
-                    weight="alg", wvar=(0.5, 0.5), epsabs=abs_tol,
-                    epsrel=1e-11)
+    try:
+        pref = 2.0 / (math.pi * radius * radius)
+        val, err = quad(lambda x: pref * x ** order, -radius, radius,
+                        weight="alg", wvar=(0.5, 0.5), epsabs=abs_tol,
+                        epsrel=1e-11)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise QuadratureError(
+            f"moment {order} at radius {radius:g} leaves the float range") from exc
     if err > 1e-8 * max(1.0, abs(val)):
         raise QuadratureError(f"moment quad error {err:.2e} too large")
     return val

@@ -19,6 +19,9 @@ cosine and sine integrals.  All coefficient vectors at one time point
 come from a single composite Gauss-Legendre pass whose integrands
 factor into Hermite rows times four scalar factors, so the pass is one
 matrix product of the weighted factors against the Hermite matrix.
+The panels depend on t only through B(t) = max(1, 2^ceil(log2 |t|)) >= |t|:
+the times of one bucket share their nodes and Hermite rows, which are
+kept for the latest layout while they fit in 4 MiB (n_max up to ~100).
 """
 
 from __future__ import annotations
@@ -289,11 +292,34 @@ def parse_density_config(text: str) -> SpectralDensity:
 
 
 def _osc_scale(n_max: int, t: float) -> float:
-    return 2.0 * math.sqrt(max(n_max, 1)) + abs(t) + 1.0
+    """2 sqrt(n_max) + B(t) + 1, with B(t) = max(1, 2^ceil(log2 |t|))."""
+    frac, exp = math.frexp(abs(t))
+    bucket = max(1.0, math.ldexp(1.0, exp - 1 if frac == 0.5 else exp))
+    return 2.0 * math.sqrt(max(n_max, 1)) + bucket + 1.0
 
 
 def _tail_stop(n_max: int) -> float:
     return max(30.0, math.sqrt(2.0 * n_max + 1.0) + 12.0)
+
+
+# Read-only Hermite rows of the latest layout, by (n_max, osc_scale,
+# first node of the span), while together they fit in _KEEP_BYTES
+_KEEP_BYTES = 4 << 20
+_kept_rows: dict = {}
+
+
+def _hermite_rows(n_max: int, osc_scale: float, nodes: np.ndarray) -> np.ndarray:
+    """hermite_fn_matrix(n_max, nodes) on one span of the layout."""
+    key = (n_max, osc_scale, float(nodes[0]))
+    rows = _kept_rows.get(key)
+    if rows is None:
+        if any(kept[:2] != key[:2] for kept in _kept_rows):
+            _kept_rows.clear()
+        rows = hermite_fn_matrix(n_max, nodes)
+        if sum(r.nbytes for r in _kept_rows.values()) + rows.nbytes <= _KEEP_BYTES:
+            rows.setflags(write=False)
+            _kept_rows[key] = rows
+    return rows
 
 
 @lru_cache(maxsize=512)
@@ -307,15 +333,16 @@ def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarr
     """
     if not math.isfinite(t):
         raise ValidationError(f"time must be finite, got {t}")
+    osc = _osc_scale(n_max, t)
 
     def integrand(nodes):
         st = np.sin(t * nodes)
         half = np.sin(0.5 * t * nodes)
         factors = np.stack([np.cos(t * nodes), st, st / nodes, 2.0 * half * half / nodes])
-        rows = None if hermite_vanishes(nodes) else hermite_fn_matrix(n_max, nodes)
+        rows = None if hermite_vanishes(nodes) else _hermite_rows(n_max, osc, nodes)
         return rows, factors * dens.root(nodes)
 
-    ints = gl_integrate(integrand, _osc_scale(n_max, t), _tail_stop(n_max))
+    ints = gl_integrate(integrand, osc, _tail_stop(n_max))
     cos_i, sin_i, s_i, k_i = (_HALF_LINE_PREF * ints[j] for j in range(4))
     phase = np.arange(n_max) % 4
     tm = np.select([phase == 0, phase == 1, phase == 2, phase == 3],

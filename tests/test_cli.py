@@ -91,6 +91,34 @@ def test_moments_rejects_a_radius_that_is_not_positive(radius, message, capsys):
     assert json.loads(out.err) == {"error": message, "kind": "validation"}
 
 
+def test_moments_rejects_an_infinite_radius(capsys):
+    assert run(["moments", "--radius", "inf"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {"error": "radius must be finite", "kind": "validation"}
+
+
+def test_moments_rejects_a_radius_that_overflows_to_infinity(capsys):
+    # float("1e400") is inf before the program sees it
+    assert run(["moments", "--radius", "1e400"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {"error": "radius must be finite", "kind": "validation"}
+
+
+@pytest.mark.parametrize("radius, message", [
+    # x^2 overflows a float on (-1e200, 1e200)
+    ("1e200", "moment 2 at radius 1e+200 leaves the float range"),
+    # the radius squared underflows to 0 in the density's prefactor
+    ("1e-200", "moment 0 at radius 1e-200 leaves the float range"),
+])
+def test_moments_quadrature_out_of_float_range_exits_three(radius, message, capsys):
+    assert run(["moments", "--radius", radius]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {"error": message, "kind": "numerical"}
+
+
 def test_moments_match_catalan(capsys):
     assert run(["moments", "--n-max", "8"]) == 0
     out = _json_out(capsys)

@@ -1,10 +1,12 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from freenoise import fock
+from freenoise import fock, process
 from freenoise.errors import (
     LevelTooLowError,
+    NonCauchyError,
     UncertifiedError,
     ValidationError,
 )
@@ -239,6 +241,89 @@ def test_riemann_sum_equals_per_tag_tensor_loop(f, cap):
         discarded = full - want
         assert got.dropped_mass == pytest.approx(norm(discarded) ** 2, rel=1e-12)
         assert (got.dropped_mass > 0) == (cap == 3)
+
+
+def _per_level_riemann_sum(state, path, f, a, b, n_intervals):
+    """riemann_sum as a separate pass per partition, with its own rows:
+    the oracle for the sums that one pass over the tags gives every level."""
+    step = (b - a) / n_intervals
+    tags = [a + j * step for j in range(n_intervals)]
+
+    def rows(values):
+        index = {}
+        for v in values:
+            for w in v.coeffs:
+                index.setdefault(w, len(index))
+        out = np.zeros((len(values), len(index)), dtype=complex)
+        for j, v in enumerate(values):
+            out[j, [index[w] for w in v.coeffs]] = list(v.coeffs.values())
+        return list(index), out
+
+    left, y = rows([path.value_at(u) for u in tags])
+    right, z = rows([apply_whitenoise(state, u, f) for u in tags])
+    words, slots = fock.tensor_slots(left, right)
+    acc_re = np.zeros(len(words))
+    acc_im = np.zeros(len(words))
+    for y_j, z_j in zip(y, z):
+        re = np.outer(y_j.real, z_j.real) - np.outer(y_j.imag, z_j.imag)
+        im = np.outer(y_j.real, z_j.imag) + np.outer(y_j.imag, z_j.real)
+        acc_re += step * np.bincount(slots, re.ravel(), len(words))
+        acc_im += step * np.bincount(slots, im.ravel(), len(words))
+    coeffs = map(complex, acc_re.tolist(), acc_im.tolist())
+    return FockElement.from_dict(dict(zip(words, coeffs))).truncated(state.degree_cap)
+
+
+def _uneven_integrand(t):
+    # on the 16-tag grid z3 sits on the tags 1 and 2 mod 4, which list
+    # it first, and the tags 2 mod 4 list z4 z1 before it: the union of
+    # all tags meets z3 first, the levels without odd tags z4 z1
+    j = round(16 * t)
+    e = _mixed_integrand(t)
+    if j % 4 in (1, 2):
+        e = basis_vector(normalize([3])) * (t - 0.2) + e
+    if j % 4 == 2:
+        e = basis_vector(normalize([4, 1])) * complex(0.7, t) + e
+    return e
+
+
+def _as_bytes(e):
+    return (list(e.coeffs), np.array(list(e.coeffs.values()), dtype=complex).tobytes(),
+            e.dropped_mass)
+
+
+@pytest.mark.parametrize("f", [
+    vacuum(),
+    basis_vector(normalize([2])) * 0.8,
+    vacuum() * 0.5 + basis_vector(normalize([2])) * (0.3 - 0.6j),
+])
+@pytest.mark.parametrize("cap", [12, 3])
+def test_one_pass_gives_every_level_the_bits_of_its_own_pass(f, cap, monkeypatch):
+    state = ProcessState(SpectralDensity.fbm(0.3), n_max=16, degree_cap=cap)
+    levels = 4
+    path = IntegrandPath.dyadic(_uneven_integrand, 0.0, 1.0, levels)
+    seen = []
+
+    def spy(*args):
+        seen.append(sums_of_all_levels(*args))
+        return seen[-1]
+
+    sums_of_all_levels = process._riemann_sums
+    monkeypatch.setattr(process, "_riemann_sums", spy)
+    try:
+        stochastic_integral(state, path, f, 0.0, 1.0, levels)
+    except NonCauchyError:
+        pass
+    (sums,) = seen
+    union_order = list(sums[-1].coeffs)
+    reordered = False
+    for k, got in enumerate(sums):
+        want = _per_level_riemann_sum(state, path, f, 0.0, 1.0, 1 << k)
+        assert _as_bytes(got) == _as_bytes(want)
+        assert _as_bytes(riemann_sum(state, path, f, 0.0, 1.0, 1 << k)) == _as_bytes(want)
+        reordered |= [w for w in union_order if w in got.coeffs] != list(got.coeffs)
+    assert reordered
+    # degrees reach 3 + the top degree of f, so cap 3 drops terms unless f is the vacuum
+    assert (sums[-1].dropped_mass > 0) == (cap == 3 and any(w.degree for w in f.coeffs))
 
 
 def test_every_built_key_is_a_word():

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -171,27 +173,27 @@ def test_multiplier_and_r_are_frozen(dens):
 
 
 # SHA-256 of the bytes of tm_values and alpha_vector at n_max 400,
-# recorded before tail spans past the Gaussian underflow were skipped:
-# (density, t) -> (tm, alpha).
+# (density, t) -> (tm, alpha), recorded on the bucketed panel layout
+# (the osc_scale of t = 0.5 uses B = 1, of t = 2.5 uses B = 4).
 _FROZEN_N400 = {
     ("lebesgue", 0.5): (
-        "be8a93a02eabfea2c2d79f855c2a57df8edcb47b31634915dadf6b70c02d6c69",
-        "157e3397b1eea671936f54936801500d7166f7fd2849c84fef80448ffb048eea"),
+        "63f86360c19279c6b98d6999221497276dbe51a60dccb71de35df929ca16b40a",
+        "0908d979baf2dad654d9763edf968bba885be068ffb6f6e598875a7d395b6d58"),
     ("lebesgue", 2.5): (
-        "19c74361a1f9b63a99509031299be8d8d1e15389ebd43bf86947c95d35b641f3",
-        "c3e11e2b10795390fd922e79a86e8ad2180d7adc886bfb3f07b12b8d2754b7f7"),
+        "6a7814705134cdd9ea9fc2c97bafcb873338749bfe7e401163714a21046837f0",
+        "4977a75a8eb617a17410cbfe26300cb65f59687a7316718de9461fd54f637d2b"),
     ("fbm(H=0.3)", 0.5): (
-        "4408063105731f59554cba62c6deae8ce94dec8cf752c082570f46c509fa1289",
-        "44b1d854aa78b8655c6ab2da8c2508dabe1334f2b473ddeef26ab12da8cc20fd"),
+        "6aae70731ae761c9b0d9bb101b833d2cdefc483d9248949a2f1d4e28a7377940",
+        "024416d9060dad3198e2204fd1c54f17164b9fffeac142e7c6ec7fa593043ad7"),
     ("fbm(H=0.3)", 2.5): (
-        "4ba0994de8c9625ee08a9cdb7189ee69b2624747e589c1c919784c610dd143db",
-        "3931eb195d14988ac23c5631b9f1994eb5ee3226854a7cb03b23a9d8ee250427"),
+        "6094378386db290877110180151f077f039d0a557c009c336b951a6a4c4735a4",
+        "5c9a331e3348f145b8975e5643f1759e5be31b28ecba5049f5ed4159122e4fba"),
     ("fbm(H=0.75)", 0.5): (
-        "951ede7b7a73eee21eef525c37db8a5b567ead1b286ec4983fb45b8aa20984df",
-        "ebbbd3619f6502b85fd806ff12e605de419c61902175bf118d2e648b91a56c9a"),
+        "17b87ab3e891e7be51e172122b02c932c9029d381e8e6bcc3b51fc08269b66ff",
+        "5f31b643d0800c54bba18c3746246add1ec5c3176bab78acaec5494ba13ba3c5"),
     ("fbm(H=0.75)", 2.5): (
-        "200034d164c163b918e896085e7708c99e9453ab5f064a7d6d027014d67f4d06",
-        "9e192feac354f912a63a5145e68dcdd8e769f3c0a6dbaccacc200e53ca02e4ac"),
+        "8a77954c1cf0d1f4db0bea05c7a3c45f498fab780e317b68c8cc9f85e0acf3c3",
+        "131cfbd097e88da17983d6b98e2991cbb4049f56d217bab67ab233b1df79cae5"),
 }
 
 
@@ -209,6 +211,57 @@ def test_skipping_underflowed_tail_spans_changes_no_bit(dens, monkeypatch):
             m.setattr(spectral, "hermite_vanishes", lambda u: False)
             full_tm, full_al = _tm_and_alpha.__wrapped__(dens, t, 400)
         assert (tm.tobytes(), al.tobytes()) == (full_tm.tobytes(), full_al.tobytes())
+
+
+@pytest.mark.parametrize("t, bucket", [
+    (0.0, 1.0), (0.5, 1.0), (1.0, 1.0), (1.0 + 2.0 ** -40, 2.0), (-2.0, 2.0),
+    (2.0 + 2.0 ** -40, 4.0), (3.999, 4.0), (4.0, 4.0), (5e-324, 1.0), (1e300, 2.0 ** 997)])
+def test_panel_layout_depends_on_t_only_through_its_power_of_two_bucket(t, bucket):
+    assert bucket >= abs(t)
+    assert _osc_scale(64, t) == 2.0 * 8.0 + bucket + 1.0
+
+
+def _count_hermite_calls(monkeypatch):
+    calls = []
+    real = spectral.hermite_fn_matrix
+    monkeypatch.setattr(spectral, "hermite_fn_matrix",
+                        lambda n, u: calls.append(len(u)) or real(n, u))
+    monkeypatch.setattr(spectral, "_kept_rows", {})
+    return calls
+
+
+def test_times_of_one_bucket_share_their_hermite_rows(monkeypatch):
+    # the 64 tags of a dyadic integral over [a, a + 1), a < 0.1, fall in
+    # two buckets of two spans each: 4 Hermite matrices, not 128
+    leb = SpectralDensity.lebesgue()
+    times = 0.0371 + np.arange(64) / 64.0
+    calls = _count_hermite_calls(monkeypatch)
+    shared = [_tm_and_alpha.__wrapped__(leb, t, 64) for t in times]
+    assert len(calls) <= 4
+    # rows rebuilt on every pass give the same bits
+    monkeypatch.setattr(spectral, "_KEEP_BYTES", 0)
+    fresh = [_tm_and_alpha.__wrapped__(leb, t, 64) for t in times]
+    assert len(calls) > 4 + 64
+    for (tm, al), (tm0, al0) in zip(shared, fresh):
+        assert (tm.tobytes(), al.tobytes()) == (tm0.tobytes(), al0.tobytes())
+
+
+def test_only_the_latest_layout_is_kept_and_only_under_4_mib(monkeypatch):
+    leb = SpectralDensity.lebesgue()
+    _count_hermite_calls(monkeypatch)
+    _tm_and_alpha.__wrapped__(leb, 0.5, 64)
+    first = weakref.ref(next(iter(spectral._kept_rows.values())))
+    _tm_and_alpha.__wrapped__(leb, 1.5, 64)
+    gc.collect()
+    assert first() is None
+    kept = spectral._kept_rows
+    assert {key[:2] for key in kept} == {(64, _osc_scale(64, 1.5))}
+    assert len(kept) == 2
+    assert sum(r.nbytes for r in kept.values()) <= spectral._KEEP_BYTES == 4 << 20
+    assert not any(r.flags.writeable for r in kept.values())
+    # at n_max 400 the main panel alone is about 17 MB: nothing is kept
+    _tm_and_alpha.__wrapped__(leb, 0.5, 400)
+    assert spectral._kept_rows == {}
 
 
 def test_skipped_tail_span_still_checks_for_overflow():
@@ -301,7 +354,8 @@ def test_alpha_lebesgue_matches_quadrature():
     assert np.all(alpha_vector(leb, 0.0, 6) == 0.0)
 
 
-_FLAT_TIMES = (0.3, 1.0, 2.5, 7.0, 12.0)
+# with the edges of the power-of-two buckets that fix the panel layout
+_FLAT_TIMES = (0.3, 1.0, 2.5, 7.0, 12.0, 1.0 + 2.0 ** -40, 2.0, 2.0 + 2.0 ** -40, 4.0)
 
 
 @pytest.mark.parametrize("t", _FLAT_TIMES)
