@@ -43,7 +43,6 @@ from .process import (
     ProcessState,
     apply_process,
     apply_whitenoise,
-    covariance,
     stochastic_integral,
 )
 from .spectral import (
@@ -86,7 +85,6 @@ __all__ = [
     "basis_vector",
     "catalan",
     "certify_tail",
-    "covariance",
     "estimate_trace",
     "estimate_trace_many",
     "inner",

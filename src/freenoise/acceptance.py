@@ -44,14 +44,29 @@ class CriterionResult:
     elapsed: float
 
 
-def _result(ident: str, title: str, passed: bool, detail: str,
-            started: float) -> CriterionResult:
-    return CriterionResult(ident, title, bool(passed), detail,
-                           time.perf_counter() - started)
+# (ident, check) in definition order, which is the order run_all keeps
+CRITERIA: list[tuple[str, Callable[[], CriterionResult]]] = []
 
 
-def criterion_1() -> CriterionResult:
-    t0 = time.perf_counter()
+def _criterion(ident: str, title: str):
+    """Register a check that returns (passed, detail) as criterion ident.
+
+    The registered function times the check and returns its
+    CriterionResult.
+    """
+    def register(check: Callable[[], tuple[bool, str]]) -> Callable[[], CriterionResult]:
+        def run() -> CriterionResult:
+            started = time.perf_counter()
+            passed, detail = check()
+            return CriterionResult(ident, title, bool(passed), detail,
+                                   time.perf_counter() - started)
+        CRITERIA.append((ident, run))
+        return run
+    return register
+
+
+@_criterion("1", "linearization exactness to degree 30")
+def criterion_1():
     bad = 0
     for m in range(31):
         for n in range(m + 1):
@@ -62,12 +77,11 @@ def criterion_1() -> CriterionResult:
                     expanded[d2] += c2
             if list(direct) + [0] * (len(expanded) - len(direct)) != expanded:
                 bad += 1
-    return _result("1", "linearization exactness to degree 30", bad == 0,
-                   f"{bad} mismatches over 496 pairs, exact arithmetic", t0)
+    return bad == 0, f"{bad} mismatches over 496 pairs, exact arithmetic"
 
 
-def criterion_2() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("2", "basis orthonormality, degree 5, 3 letters")
+def criterion_2():
     words = list(iter_words(5, 3))
     vectors = {w: trace.wick_word_vector(w, 12) for w in words}
     bad_exact = 0
@@ -80,13 +94,12 @@ def criterion_2() -> CriterionResult:
             got = fock.inner(vectors[a], vectors[b]).real
             worst = max(worst, abs(got - float(want)))
     ok = bad_exact == 0 and worst <= 1e-10
-    return _result("2", "basis orthonormality, degree 5, 3 letters", ok,
-                   f"{len(words)} words, {bad_exact} exact mismatches, "
-                   f"fock route max err {worst:.2e}", t0)
+    return ok, (f"{len(words)} words, {bad_exact} exact mismatches, "
+                f"fock route max err {worst:.2e}")
 
 
-def criterion_3() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("3", "pairing and operator engines on monomials")
+def criterion_3():
     worst = 0.0
     count = 0
     for length in range(1, 9):
@@ -96,20 +109,18 @@ def criterion_3() -> CriterionResult:
             got = trace.trace_fock(letters, cap=8)
             worst = max(worst, abs(got - exact))
             count += 1
-    return _result("3", "pairing and operator engines on monomials", worst <= 1e-10,
-                   f"{count} monomials to length 8, max err {worst:.2e}", t0)
+    return worst <= 1e-10, f"{count} monomials to length 8, max err {worst:.2e}"
 
 
-def criterion_4() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("4", "semicircle moments are Catalan numbers")
+def criterion_4():
     exact_ok = all(semicircle_moment(2 * n) == catalan(n) for n in range(11))
     worst = 0.0
     for n in range(11):
         val = quadrature.quad_semicircle_moment(2 * n, 2.0)
         worst = max(worst, abs(val - float(catalan(n))))
     ok = exact_ok and worst <= 1e-10
-    return _result("4", "semicircle moments are Catalan numbers", ok,
-                   f"exact match {exact_ok}, quadrature max err {worst:.2e}", t0)
+    return ok, f"exact match {exact_ok}, quadrature max err {worst:.2e}"
 
 
 def sparse_element(rng: np.random.Generator) -> FockElement:
@@ -125,8 +136,8 @@ def sparse_element(rng: np.random.Generator) -> FockElement:
     return FockElement.from_dict(terms)
 
 
-def criterion_5() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("5", "product-bound constant and inequality")
+def criterion_5():
     seq = WeightSequence.linear()
     got = fock.vage_constant(2, seq).b_squared
     closed = 1.0 / (1.0 - math.pi ** 2 / 24.0)
@@ -166,27 +177,24 @@ def criterion_5() -> CriterionResult:
         checked += len(pairs)
     ok = formula_err <= 1e-10 and monotone and 0 < approach < 2e-4 \
         and enum_err <= 1e-12 and violations == 0
-    return _result("5", "product-bound constant and inequality", ok,
-                   f"closed-form err {formula_err:.2e}, partial sums monotone "
-                   f"{monotone} (gap {approach:.2e}), literal enumeration err "
-                   f"{enum_err:.2e}, {violations} violations in {checked} pairs x 2 orders",
-                   t0)
+    return ok, (f"closed-form err {formula_err:.2e}, partial sums monotone "
+                f"{monotone} (gap {approach:.2e}), literal enumeration err "
+                f"{enum_err:.2e}, {violations} violations in {checked} pairs x 2 orders")
 
 
-def criterion_6() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("6", "flat density gives the Brownian kernel")
+def criterion_6():
     leb = SpectralDensity.lebesgue()
     grid = [0.25 * k for k in range(1, 9)]
     worst = 0.0
     for t in grid:
         for s in grid:
             worst = max(worst, abs(spectral.kernel(leb, t, s) - min(t, s)))
-    return _result("6", "flat density gives the Brownian kernel", worst <= 1e-6,
-                   f"max |K - min| = {worst:.2e} on the 8x8 grid", t0)
+    return worst <= 1e-6, f"max |K - min| = {worst:.2e} on the 8x8 grid"
 
 
-def criterion_7() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("7", "power-law scaling and increment identity")
+def criterion_7():
     worst_ratio_dev = 0.0
     worst_ident = 0.0
     for hurst in (0.25, 0.75):
@@ -202,28 +210,22 @@ def criterion_7() -> CriterionResult:
                 worst_ident = max(worst_ident,
                                   abs(spectral.kernel(dens, t, s) - combo))
     ok = worst_ratio_dev <= 0.01 and worst_ident <= 1e-9
-    return _result("7", "power-law scaling and increment identity", ok,
-                   f"diagonal scaling spread {worst_ratio_dev:.2e}, "
-                   f"kernel vs increment identity {worst_ident:.2e}", t0)
+    return ok, (f"diagonal scaling spread {worst_ratio_dev:.2e}, "
+                f"kernel vs increment identity {worst_ident:.2e}")
 
 
-def criterion_8() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("8", "white noise is the first-order derivative")
+def criterion_8():
     slopes = []
     for dens in (SpectralDensity.lebesgue(), SpectralDensity.fbm(0.75)):
         state = ProcessState(dens, n_max=400, degree_cap=6)
-        hs = (1e-2, 1e-3, 1e-4)
-        errs = process.derivative_errors(state, 0.7, hs)
-        fit = spectral.fit_power_law([1.0 / h for h in hs], errs)
-        slopes.append(-fit.exponent)
+        slopes.append(process.derivative_order(state, 0.7, (1e-2, 1e-3, 1e-4))[1])
     ok = all(abs(s - 1.0) <= 0.1 for s in slopes)
-    return _result("8", "white noise is the first-order derivative", ok,
-                   "finite-difference slopes " + ", ".join(f"{s:.4f}" for s in slopes),
-                   t0)
+    return ok, "finite-difference slopes " + ", ".join(f"{s:.4f}" for s in slopes)
 
 
-def criterion_9() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("9", "Riemann sums converge to the oracle integral")
+def criterion_9():
     leb = SpectralDensity.lebesgue()
     n_max = 64
     state = ProcessState(leb, n_max=n_max, degree_cap=6)
@@ -235,10 +237,8 @@ def criterion_9() -> CriterionResult:
     err1 = max(abs(res1.extrapolated.coeff(Word((i,))) - oracle1[i])
                for i in range(n_max))
 
-    def path_fn(t: float) -> FockElement:
-        return process.apply_process(state, t, vacuum()) if t > 0 else FockElement()
-
-    path2 = IntegrandPath.dyadic(path_fn, 0.0, 1.0, levels)
+    path2 = IntegrandPath.dyadic(lambda t: process.apply_process(state, t, vacuum()),
+                                 0.0, 1.0, levels)
     res2 = process.stochastic_integral(state, path2, vacuum(), 0.0, 1.0, levels)
     x, w = np.polynomial.legendre.leggauss(64)
     nodes = 0.5 * (x + 1.0)
@@ -256,9 +256,8 @@ def criterion_9() -> CriterionResult:
         and all(r <= 0.6 for r in res1.ratios[-3:]) \
         and all(r <= 0.6 for r in res2.ratios[-3:])
     ok = ratios_ok and err1 <= 1e-4 and err2 <= 1e-4
-    return _result("9", "Riemann sums converge to the oracle integral", ok,
-                   f"converged {ratios_ok}, constant-path err {err1:.2e}, "
-                   f"process-path err {err2:.2e}", t0)
+    return ok, (f"converged {ratios_ok}, constant-path err {err1:.2e}, "
+                f"process-path err {err2:.2e}")
 
 
 _GROWTH_PRESETS = (
@@ -282,8 +281,8 @@ def _sup_exponent(dens: SpectralDensity,
     return fit(ns[keep], sup[keep])
 
 
-def criterion_10a() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("10a", "two-sided growth-exponent match, polynomial presets")
+def criterion_10a():
     details = []
     ok = True
     for name, dens in _GROWTH_PRESETS:
@@ -293,34 +292,30 @@ def criterion_10a() -> CriterionResult:
         ok = ok and match
         details.append(f"{name}: fitted {fit.exponent:+.3f} vs template "
                        f"{template:+.2f}")
-    return _result("10a", "two-sided growth-exponent match, polynomial presets",
-                   ok, "; ".join(details), t0)
+    return ok, "; ".join(details)
 
 
-def criterion_10b() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("10b", "sqrt-exponential growth for the growing preset")
+def criterion_10b():
     fit = _sup_exponent(SpectralDensity.exponential(rate=1.0),
                         spectral.fit_sqrt_exponential)
     ok = fit.exponent > 0 and fit.r_squared >= 0.9
-    return _result("10b", "sqrt-exponential growth for the growing preset", ok,
-                   f"rate {fit.exponent:.3f} per sqrt(n), R^2 {fit.r_squared:.4f}",
-                   t0)
+    return ok, f"rate {fit.exponent:.3f} per sqrt(n), R^2 {fit.r_squared:.4f}"
 
 
-def criterion_10c() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("10c", "tail certification rejects low levels")
+def criterion_10c():
     low1 = spectral.certify_tail(SpectralDensity.fbm(0.25), 3, 1.0, n_max=64)
     low2 = spectral.certify_tail(SpectralDensity.lebesgue(), 2, 1.0, n_max=64)
     good = spectral.certify_tail(SpectralDensity.lebesgue(), 3, 1.0, n_max=200)
     ok = low1.status == "uncertified" and low2.status == "uncertified" \
         and good.status == "certified" and good.tail_bound <= 1e-6
-    return _result("10c", "tail certification rejects low levels", ok,
-                   f"below-threshold statuses {low1.status}/{low2.status}, "
-                   f"accepted level tail bound {good.tail_bound:.2e}", t0)
+    return ok, (f"below-threshold statuses {low1.status}/{low2.status}, "
+                f"accepted level tail bound {good.tail_bound:.2e}")
 
 
-def criterion_11() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("11", "matrix model reproduces every trace")
+def criterion_11():
     cfg = EnsembleConfig(dim=1000, n_generators=2, n_samples=50, seed=2026)
     words: list[tuple[int, ...]] = [()]
     for length in range(1, 7):
@@ -340,14 +335,12 @@ def criterion_11() -> CriterionResult:
     rerun_ok = matmodel.estimate_trace_many(small, words[:8]) \
         == matmodel.estimate_trace_many(small, words[:8])
     ok = fails == 0 and rerun_ok
-    return _result("11", "matrix model reproduces every trace", ok,
-                   f"{len(words)} words, {fails} outside max(3 SE, 0.02), "
-                   f"worst excess {worst_excess:+.3e}, reruns identical {rerun_ok}",
-                   t0)
+    return ok, (f"{len(words)} words, {fails} outside max(3 SE, 0.02), "
+                f"worst excess {worst_excess:+.3e}, reruns identical {rerun_ok}")
 
 
-def criterion_12() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("12", "kernel identity and Gram orthonormality")
+def criterion_12():
     worst = 0.0
     grid = np.linspace(-2.0, 2.0, 5)
     for s in (-0.6, -0.3, 0.3, 0.6):
@@ -363,27 +356,7 @@ def criterion_12() -> CriterionResult:
     gram = (rows * (w * np.exp(x * x))) @ rows.T
     gram_err = float(np.max(np.abs(gram - np.eye(40))))
     ok = worst <= 1e-8 and gram_err <= 1e-9
-    return _result("12", "kernel identity and Gram orthonormality", ok,
-                   f"kernel identity max err {worst:.2e}, Gram err {gram_err:.2e}",
-                   t0)
-
-
-CRITERIA: tuple[tuple[str, Callable[[], CriterionResult]], ...] = (
-    ("1", criterion_1),
-    ("2", criterion_2),
-    ("3", criterion_3),
-    ("4", criterion_4),
-    ("5", criterion_5),
-    ("6", criterion_6),
-    ("7", criterion_7),
-    ("8", criterion_8),
-    ("9", criterion_9),
-    ("10a", criterion_10a),
-    ("10b", criterion_10b),
-    ("10c", criterion_10c),
-    ("11", criterion_11),
-    ("12", criterion_12),
-)
+    return ok, f"kernel identity max err {worst:.2e}, Gram err {gram_err:.2e}"
 
 
 def run_all(only: Iterable[str] | None = None) -> list[CriterionResult]:

@@ -116,12 +116,8 @@ def _parse_grid(text: str) -> list[float]:
         raise ValidationError(f"bad grid {text!r}") from exc
 
 
-def _weight_seq(name: str) -> WeightSequence:
-    if name == "2n":
-        return WeightSequence.linear()
-    if name == "2^n":
-        return WeightSequence.exponential()
-    raise ValidationError(f"unknown weight sequence {name!r}")
+# --seq name -> weight sequence; the flag's choices are the keys
+_WEIGHT_SEQS = {"2n": WeightSequence.linear, "2^n": WeightSequence.exponential}
 
 
 # density flag dest -> default; the flags default to None so that a flag
@@ -192,9 +188,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
             values[name] = float(results[name])
             if not math.isfinite(values[name]):
                 raise OverflowError(f"the value {values[name]} is not finite")
-        except (RecursionError, OverflowError) as exc:
-            # a long word recurses too deep in the pairing count, or has
-            # a trace beyond the float range
+        except OverflowError as exc:
+            # a long word has a trace beyond the float range
             raise FreenoiseError(f"{name} engine failed on a word of degree "
                                  f"{word.degree}: {exc}") from exc
     spread = max(values.values()) - min(values.values())
@@ -232,7 +227,9 @@ def cmd_moments(args: argparse.Namespace) -> int:
 def cmd_vage(args: argparse.Namespace) -> int:
     if args.trials < 0:
         raise ValidationError("--trials must be non-negative")
-    seq = _weight_seq(args.seq)
+    if not math.isfinite(args.p):
+        raise ValidationError(f"--p must be finite, got {args.p}")
+    seq = _WEIGHT_SEQS[args.seq]()
     vc = fock.vage_constant(args.d, seq)
     payload = {"seq": args.seq, "d": args.d,
                "b": vc.b, "b_squared": vc.b_squared}
@@ -286,7 +283,7 @@ def cmd_tmcoeff(args: argparse.Namespace) -> int:
     status = 0
     if args.certify:
         rep = spectral.certify_tail(dens, args.p, args.t, n_max=args.n_max,
-                                    seq=_weight_seq(args.seq))
+                                    seq=_WEIGHT_SEQS[args.seq]())
         payload["certificate"] = {
             "status": rep.status, "level": rep.level,
             "tail_bound": rep.tail_bound, "fit_kind": rep.fit_kind,
@@ -302,20 +299,12 @@ def cmd_derivative_check(args: argparse.Namespace) -> int:
     dens = _resolve_density(args)
     state = process.ProcessState(dens, n_max=args.n_max, degree_cap=6)
     hs = _parse_grid(args.h)
-    rows = [{"h": h, "error": e}
-            for h, e in zip(hs, process.derivative_errors(state, args.t, hs))]
-    payload: dict = {"density": dens.label(), "t": args.t,
-                     "level": state.level, "n_max": args.n_max}
-    status = 0
-    if len(rows) >= 2:
-        fit = spectral.fit_power_law([1.0 / r["h"] for r in rows],
-                                     [r["error"] for r in rows])
-        slope = -fit.exponent
-        payload.update({"slope": slope, "first_order": abs(slope - 1.0) <= 0.25})
-        if not payload["first_order"]:
-            status = 3
-    _emit(args, payload, rows)
-    return status
+    errors, slope = process.derivative_order(state, args.t, hs)
+    first_order = abs(slope - 1.0) <= 0.25
+    _emit(args, {"density": dens.label(), "t": args.t, "level": state.level,
+                 "n_max": args.n_max, "slope": slope, "first_order": first_order},
+          [{"h": h, "error": e} for h, e in zip(hs, errors)])
+    return 0 if first_order else 3
 
 
 def cmd_integrate(args: argparse.Namespace) -> int:
@@ -369,10 +358,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         est = matmodel.estimate_trace(cfg, letters)
         exact = float(trace.trace_pairings(letters, radius=args.radius))
-    z = (est.mean - exact) / est.se if est.se > 0 else 0.0
+    # one sample gives no standard error, and so no z-score
+    se = est.se if cfg.n_samples > 1 else None
+    z = None if se is None else ((est.mean - exact) / se if se > 0 else 0.0)
     _emit(args, {"word": str(word), "mode":
                  "chebyshev" if args.chebyshev else "monomial",
-                 "mean": est.mean, "se": est.se, "exact": exact, "z_score": z})
+                 "mean": est.mean, "se": se, "exact": exact, "z_score": z})
     return 0
 
 
@@ -417,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("trace", cmd_trace, help="trace of a word in the generators")
     p.add_argument("--word", required=True, metavar='"z0^2 z1"')
     p.add_argument("--engine", default="all",
-                   choices=["reduction", "pairing", "fock", "all"])
+                   choices=[*trace.ENGINES, "all"])
     p.add_argument("--cap", type=int, default=12,
                    help="degree cap for the Fock engine")
 
@@ -427,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=2.0)
 
     p = sub("vage", cmd_vage, help="product inequality constant and spot checks")
-    p.add_argument("--seq", default="2n", choices=["2n", "2^n"])
+    p.add_argument("--seq", default="2n", choices=list(_WEIGHT_SEQS))
     p.add_argument("--d", type=float, required=True,
                    help="level offset q - p; the constant depends only on it")
     p.add_argument("--trials", type=int, default=0)
@@ -452,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=64)
     p.add_argument("--certify", action="store_true")
     p.add_argument("--p", type=int, default=3, help="weight level to certify")
-    p.add_argument("--seq", default="2n", choices=["2n", "2^n"])
+    p.add_argument("--seq", default="2n", choices=list(_WEIGHT_SEQS))
 
     p = sub("derivative-check", cmd_derivative_check,
             help="finite differences of the process against the white noise")

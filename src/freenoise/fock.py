@@ -9,11 +9,10 @@ support by the word order.  The level-p norm squares the coefficients
 against ``words.weight(w, p, seq)``, so level 0 is the plain l^2 norm
 and negative levels give the distribution-side norms.
 
-Creation prepends a one-particle vector letterwise and annihilation
-strips the first letter.  ``apply_x`` applies their sum, the field
-operator whose vacuum distribution is the radius-2 semicircle law, in
-one pass over the element; its result equals ``creation + annihilation``
-term for term and in the same order.
+``apply_x`` applies the field operator of a one-particle vector, the
+sum of creation (prepend the vector letterwise) and annihilation (strip
+the first letter), whose vacuum distribution is the radius-2 semicircle
+law, in one pass over the element.
 
 For a weight gap d with s = sum a_n^{-d} < 1 the tensor product obeys
 
@@ -46,8 +45,6 @@ __all__ = [
     "inner",
     "tensor",
     "tensor_slots",
-    "creation",
-    "annihilation",
     "apply_x",
     "VageConstant",
     "vage_constant",
@@ -139,15 +136,14 @@ def norm(f: FockElement, level: float = 0.0, seq: WeightSequence = WeightSequenc
     return math.sqrt(acc)
 
 
-def inner(f: FockElement, g: FockElement, level: float = 0.0,
-          seq: WeightSequence = WeightSequence.linear()) -> complex:
-    """Sesquilinear pairing, conjugate-linear in the first slot."""
+def inner(f: FockElement, g: FockElement) -> complex:
+    """Sesquilinear l^2 pairing, conjugate-linear in the first slot."""
     gd = g.coeffs
     acc = 0j
     for w, c in f.coeffs.items():
         other = gd.get(w)
         if other is not None:
-            acc += c.conjugate() * other * weight(w, level, seq)
+            acc += c.conjugate() * other
     return acc
 
 
@@ -187,43 +183,15 @@ def _letter_items(coeffs) -> list[tuple[int, complex]]:
     return [(i, complex(c)) for i, c in enumerate(coeffs) if c != 0]
 
 
-def creation(coeffs, u: FockElement, cap: int | None = DEFAULT_DEGREE_CAP) -> FockElement:
-    """Creation by the one-particle vector sum_i coeffs[i] e_i."""
-    items = _letter_items(coeffs)
-    out: dict[Word, complex] = {}
-    lost = 0.0
-    for w, c in u.coeffs.items():
-        if cap is not None and w.degree + 1 > cap:
-            lost += abs(c) ** 2 * sum(abs(ci) ** 2 for _, ci in items)
-            continue
-        for i, ci in items:
-            nw = Word((i,) + w)
-            out[nw] = out.get(nw, 0j) + ci * c
-    return FockElement.from_dict(out, dropped_mass=lost)
-
-
-def annihilation(coeffs, u: FockElement) -> FockElement:
-    """Adjoint of creation: strips the first letter, kills the vacuum."""
-    items = dict(_letter_items(coeffs))
-    out: dict[Word, complex] = {}
-    for w, c in u.coeffs.items():
-        if w.is_empty():
-            continue
-        ci = items.get(w[0])
-        if ci is None:
-            continue
-        rest = Word(w[1:])
-        out[rest] = out.get(rest, 0j) + ci.conjugate() * c
-    return FockElement.from_dict(out)
-
-
 def apply_x(coeffs, u: FockElement, cap: int | None = DEFAULT_DEGREE_CAP) -> FockElement:
-    """Field operator: creation plus annihilation for the same vector.
+    """Field operator: creation plus annihilation by sum_i coeffs[i] e_i.
 
-    Both parts are built in one pass over u, then merged as
-    ``creation(coeffs, u, cap) + annihilation(coeffs, u)`` merges them:
+    Creation prepends a letter and annihilation strips the first
+    letter, conjugating the coefficient.  Both parts are built in one
+    pass over u, then merged as adding the two elements merges them:
     the nonzero created terms in order, then each nonzero annihilated
-    term added in.  The dropped mass is the creation part's.
+    term added in.  The dropped mass is that of the created terms above
+    the cap.
     """
     items = _letter_items(coeffs)
     firsts = dict(items)

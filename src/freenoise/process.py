@@ -38,8 +38,8 @@ __all__ = [
     "IntegralResult",
     "apply_process",
     "apply_whitenoise",
-    "covariance",
     "derivative_errors",
+    "derivative_order",
     "riemann_sum",
     "stochastic_integral",
 ]
@@ -109,17 +109,6 @@ def apply_whitenoise(state: ProcessState, t: float, f: FockElement) -> FockEleme
     return fock.apply_x(coeffs, f, state.degree_cap)
 
 
-def covariance(state: ProcessState, s: float, t: float) -> float:
-    """Trace of the adjoint pair, computed through the operators.
-
-    Equals the covariance kernel up to the truncation tail; both
-    process vectors are built on the vacuum and paired.
-    """
-    vs = apply_process(state, s, vacuum())
-    vt = apply_process(state, t, vacuum())
-    return float(fock.inner(vs, vt).real)
-
-
 def derivative_errors(state: ProcessState, t: float,
                       steps: Sequence[float]) -> list[float]:
     """Finite-difference errors of the white noise as the process derivative.
@@ -138,6 +127,20 @@ def derivative_errors(state: ProcessState, t: float,
         diff = (1.0 / h) * (shifted - base) - noise
         errors.append(fock.norm(diff, -p, state.seq))
     return errors
+
+
+def derivative_order(state: ProcessState, t: float,
+                     steps: Sequence[float]) -> tuple[list[float], float]:
+    """Finite-difference errors and the order at which they fall.
+
+    The order is minus the exponent of a power-law fit of the errors
+    against 1/h, so first order reads 1; the fit needs 3 step sizes.
+    """
+    if len(steps) < 3:
+        raise ValidationError(
+            f"the slope fit needs at least 3 step sizes, got {len(steps)}")
+    errors = derivative_errors(state, t, steps)
+    return errors, -spectral.fit_power_law([1.0 / h for h in steps], errors).exponent
 
 
 @dataclass(frozen=True)

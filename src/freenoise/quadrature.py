@@ -126,7 +126,7 @@ def quad_scalar(f, a: float, b: float, abs_tol: float = 1e-11) -> float:
     from scipy.integrate import quad
 
     val, err = quad(f, a, b, epsabs=abs_tol, epsrel=abs_tol, limit=400)
-    if err > max(abs_tol, abs_tol * abs(val)) * 50:
+    if not (math.isfinite(val) and err <= max(abs_tol, abs_tol * abs(val)) * 50):
         raise QuadratureError(
             f"quad error {err:.2e} too large for integral {val:.6e} on [{a}, {b}]")
     return val
@@ -138,20 +138,18 @@ def quad_cos_range(f, omega: float, a: float, b: float,
 
     Dispatches to the QUADPACK oscillatory rules, which take the cosine
     as an analytic weight instead of sampling through the oscillation.
+    omega must be nonzero.
     """
-    if omega == 0.0:
-        return quad_scalar(f, a, b, abs_tol)
     from scipy.integrate import quad
 
     val, err = quad(f, a, b, weight="cos", wvar=omega,
                     epsabs=abs_tol, epsrel=abs_tol, limit=400)
-    if err > 1e-6:
+    if not (math.isfinite(val) and err <= 1e-6):
         raise QuadratureError(f"oscillatory quad error {err:.2e} too large")
     return val
 
 
-def quad_semicircle_moment(order: int, radius: float = 2.0,
-                           abs_tol: float = 1e-13) -> float:
+def quad_semicircle_moment(order: int, radius: float = 2.0) -> float:
     """Moment of the semicircle law by an endpoint-weighted rule.
 
     The density (2/(pi r^2)) sqrt(r^2 - x^2) carries square-root
@@ -164,12 +162,14 @@ def quad_semicircle_moment(order: int, radius: float = 2.0,
 
     try:
         pref = 2.0 / (math.pi * radius * radius)
+        if not math.isfinite(pref):
+            raise OverflowError(f"the prefactor is {pref}")
         val, err = quad(lambda x: pref * x ** order, -radius, radius,
-                        weight="alg", wvar=(0.5, 0.5), epsabs=abs_tol,
+                        weight="alg", wvar=(0.5, 0.5), epsabs=1e-13,
                         epsrel=1e-11)
     except (OverflowError, ZeroDivisionError) as exc:
         raise QuadratureError(
             f"moment {order} at radius {radius:g} leaves the float range") from exc
-    if err > 1e-8 * max(1.0, abs(val)):
+    if not (math.isfinite(val) and err <= 1e-8 * max(1.0, abs(val))):
         raise QuadratureError(f"moment quad error {err:.2e} too large")
     return val

@@ -136,12 +136,10 @@ class SpectralDensity:
 
     @classmethod
     def custom(cls, origin_exponent: float = 0.0, class_index: int = 0,
-               scale: float = 1.0, cutoff_low: float = 0.0,
-               cutoff_high: float = math.inf) -> "SpectralDensity":
+               scale: float = 1.0) -> "SpectralDensity":
         return cls(kind="custom", scale=scale,
                    origin_exponent=float(origin_exponent),
-                   class_index=int(class_index),
-                   cutoff_low=cutoff_low, cutoff_high=cutoff_high)
+                   class_index=int(class_index))
 
     @property
     def growth(self) -> str:
@@ -430,6 +428,8 @@ def r_function(dens: SpectralDensity, t: float, abs_tol: float = 1e-9) -> float:
     """
     if not math.isfinite(t):
         raise ValidationError(f"time must be finite, got {t}")
+    if not (math.isfinite(abs_tol) and abs_tol > 0):
+        raise ValidationError(f"tolerance must be finite and positive, got {abs_tol}")
     _require_kernel_integrable(dens)
     # r is even: one cache entry, and one QUADPACK run, per |t|
     return _r_cached(dens, abs(float(t)), abs_tol)

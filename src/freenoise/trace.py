@@ -128,21 +128,56 @@ def _lead_run(letters: Sequence[int]) -> int:
     return n
 
 
+def _first_letter_splits(letters: tuple[int, ...]):
+    """Generator that sums, over each partner j of the first letter, the
+    product of the counts of letters[1:j] and letters[j + 1:]: it yields
+    each sub-word, is sent its count, and returns the sum."""
+    first = letters[0]
+    count = 0
+    for j in range(1, len(letters), 2):
+        if letters[j] == first:
+            count += (yield letters[1:j]) * (yield letters[j + 1:])
+    return count
+
+
+# Sub-words of at most this many letters are counted by cached calls,
+# which nest at most 16 deep; longer ones go on the explicit stack.
+_CACHED_SUBWORD_LEN = 32
+
+
 # 4,096 entries hold the 2,047 sub-words of every monomial of length
 # <= 10 over two letters twice over; callers that keep relabelling
 # letters evict old entries instead of growing the cache.
 @lru_cache(maxsize=4096)
 def _noncrossing_matched(letters: tuple[int, ...]) -> int:
-    """Number of non-crossing pair partitions matching equal letters."""
-    if not letters:
-        return 1
+    """Number of non-crossing pair partitions matching equal letters.
+
+    The recursion over the first letter's partner runs on an explicit
+    stack, so a long word needs no deep Python stack, whatever the
+    cache holds.
+    """
     if len(letters) % 2 == 1:
         return 0
-    first = letters[0]
-    count = 0
-    for j in range(1, len(letters), 2):
-        if letters[j] == first:
-            count += _noncrossing_matched(letters[1:j]) * _noncrossing_matched(letters[j + 1:])
+    if not letters:
+        return 1
+    long_counts: dict[tuple[int, ...], int] = {}
+    stack = [(letters, _first_letter_splits(letters))]
+    count = None
+    while stack:
+        word, splits = stack[-1]
+        try:
+            sub = splits.send(count)
+        except StopIteration as done:
+            stack.pop()
+            count = long_counts[word] = done.value
+            continue
+        # every sub-word has even length
+        if len(sub) <= _CACHED_SUBWORD_LEN:
+            count = _noncrossing_matched(sub)
+        else:
+            count = long_counts.get(sub)
+            if count is None:
+                stack.append((sub, _first_letter_splits(sub)))
     return count
 
 

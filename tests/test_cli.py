@@ -1,9 +1,11 @@
 import json
 import math
+import time
 
 import pytest
 
-from freenoise import trace
+from freenoise import process, trace
+from freenoise.chebyshev import catalan
 from freenoise.cli import CSV_FORMAT, run
 
 
@@ -53,11 +55,19 @@ def test_trace_rejects_malformed_word(capsys):
     assert json.loads(err)["kind"] == "validation"
 
 
-def test_trace_pairing_too_deep_exits_three(capsys):
-    # the non-crossing count recurses once per pair of letters
-    assert run(["trace", "--word", "z0^1000", "--engine", "pairing"]) == 3
-    err = json.loads(capsys.readouterr().err)
-    assert err["kind"] == "numerical" and "pairing engine" in err["error"]
+def test_trace_pairing_long_word_answers_whatever_the_cache_holds(capsys):
+    # the non-crossing count walks the word on an explicit stack, so a
+    # long word answers from an empty cache and after other words filled it
+    trace._noncrossing_matched.cache_clear()
+    for warm_up in ([], ["selftest", "--only", "1,2,3,4"]):
+        if warm_up:
+            assert run(warm_up) == 0
+            capsys.readouterr()
+        started = time.perf_counter()
+        assert run(["trace", "--word", "z0^1000", "--engine", "pairing"]) == 0
+        assert time.perf_counter() - started <= 2.0
+        out = _json_out(capsys)
+        assert out["engines"]["pairing"] == pytest.approx(float(catalan(500)), rel=1e-11)
 
 
 def test_trace_reduction_beyond_float_range_exits_three(capsys):
@@ -111,12 +121,30 @@ def test_moments_rejects_a_radius_that_overflows_to_infinity(capsys):
     ("1e200", "moment 2 at radius 1e+200 leaves the float range"),
     # the radius squared underflows to 0 in the density's prefactor
     ("1e-200", "moment 0 at radius 1e-200 leaves the float range"),
+    # the radius squared is subnormal, and the prefactor overflows to inf
+    ("1e-160", "moment 0 at radius 1e-160 leaves the float range"),
 ])
 def test_moments_quadrature_out_of_float_range_exits_three(radius, message, capsys):
     assert run(["moments", "--radius", radius]) == 3
     out = capsys.readouterr()
     assert out.out == ""
     assert json.loads(out.err) == {"error": message, "kind": "numerical"}
+
+
+def test_rfun_non_finite_quadrature_error_exits_three(capsys):
+    # QAWF returns a nan error estimate at this time, which must not pass
+    assert run(["rfun", "--t", "5e-324"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["kind"] == "numerical"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+def test_kernel_rejects_a_tolerance_that_is_not_finite_and_positive(tol, capsys):
+    assert run(["kernel", "--t", "1.0", f"--tol={tol}"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": f"tolerance must be finite and positive, got {float(tol)}",
+                   "kind": "validation"}
 
 
 def test_moments_match_catalan(capsys):
@@ -152,6 +180,15 @@ def test_vage_trials_confirm_bound(capsys):
     out = _json_out(capsys)
     assert out["violations"] == 0
     assert float(out["worst_ratio"]) <= 1.0
+
+
+@pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
+def test_vage_rejects_a_level_that_is_not_finite(p, capsys):
+    assert run(["vage", "--d", "2", f"--p={p}", "--trials", "3"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {"error": f"--p must be finite, got {float(p)}",
+                                   "kind": "validation"}
 
 
 def test_vage_small_gap_exits_two(capsys):
@@ -287,6 +324,20 @@ def test_derivative_check_first_order(capsys):
     assert abs(out["slope"] - 1.0) <= 0.25
 
 
+@pytest.mark.parametrize("steps", ["1e-2,1e-3", ",", "1e-3"])
+def test_derivative_check_needs_three_steps(steps, monkeypatch, capsys):
+    def no_process_work(*args):
+        raise AssertionError("process work before the step count was checked")
+
+    monkeypatch.setattr(process, "derivative_errors", no_process_work)
+    assert run(["derivative-check", "--n-max", "24", "--h", steps]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    err = json.loads(out.err)
+    assert err["kind"] == "validation"
+    assert err["error"].startswith("the slope fit needs at least 3 step sizes")
+
+
 def test_integrate_converges(capsys):
     assert run(["integrate", "--density", "lebesgue", "--a", "0", "--b", "1",
                 "--levels", "6", "--n-max", "24"]) == 0
@@ -308,6 +359,14 @@ def test_simulate_reports_z_score(capsys):
     out = _json_out(capsys)
     assert out["exact"] == 0.0
     assert set(out) >= {"config", "word", "mean", "se", "exact", "z_score"}
+
+
+def test_simulate_one_sample_has_no_standard_error(capsys):
+    assert run(["simulate", "--word", "z0 z1 z0 z1", "--dim", "20",
+                "--samples", "1", "--seed", "3"]) == 0
+    out = _json_out(capsys)
+    assert out["se"] is None and out["z_score"] is None
+    assert math.isfinite(out["mean"])
 
 
 def test_simulate_chebyshev_mode(capsys):

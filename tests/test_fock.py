@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fock_oracle import annihilation, creation
 from freenoise.errors import CapExceededError, GapTooSmallError
 from freenoise.fock import (
     FockElement,
-    annihilation,
     apply_x,
     basis_vector,
-    creation,
     inner,
     norm,
     product_bound_check,

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fock_oracle import annihilation, creation
 from freenoise import fock, process
 from freenoise.errors import (
     LevelTooLowError,
@@ -16,7 +17,6 @@ from freenoise.process import (
     ProcessState,
     apply_process,
     apply_whitenoise,
-    covariance,
     derivative_errors,
     riemann_sum,
     stochastic_integral,
@@ -84,18 +84,21 @@ def test_process_vanishes_at_time_zero():
 
 
 def test_covariance_matches_dual_route_exactly():
+    # the process vectors X(t) Omega pair to the coefficient-route kernel
     state = ProcessState(SpectralDensity.lebesgue(), n_max=200)
-    got = covariance(state, 0.7, 0.4)
+    x = {t: apply_process(state, t, vacuum()) for t in (0.7, 0.4)}
+    got = fock.inner(x[0.7], x[0.4]).real
     assert got == pytest.approx(
         dual_route_kernel(state.density, 0.7, 0.4, 200), abs=1e-12)
-    assert covariance(state, 0.4, 0.7) == pytest.approx(got, abs=1e-12)
+    assert fock.inner(x[0.4], x[0.7]).real == pytest.approx(got, abs=1e-12)
 
 
 def test_covariance_approximates_kernel():
     for dens in (SpectralDensity.lebesgue(), SpectralDensity.fbm(0.6)):
         state = ProcessState(dens, n_max=200)
-        assert covariance(state, 0.7, 0.4) == pytest.approx(
-            kernel(dens, 0.7, 0.4), abs=0.05)
+        pairing = fock.inner(apply_process(state, 0.7, vacuum()),
+                             apply_process(state, 0.4, vacuum())).real
+        assert pairing == pytest.approx(kernel(dens, 0.7, 0.4), abs=0.05)
 
 
 def test_derivative_errors_fall_with_the_step():
@@ -339,8 +342,8 @@ def test_every_built_key_is_a_word():
     f = vacuum() + basis_vector(normalize([0, 1])) * 0.5
     g = basis_vector(normalize([1])) * 2.0 + vacuum()
     keys_are_words(fock.tensor(f, g).coeffs)
-    keys_are_words(fock.creation([0.5, 1.0], f).coeffs)
-    keys_are_words(fock.annihilation([0.5, 1.0], f).coeffs)
+    keys_are_words(creation([0.5, 1.0], f).coeffs)
+    keys_are_words(annihilation([0.5, 1.0], f).coeffs)
     keys_are_words(fock.apply_x([0.5, 1.0], f).coeffs)
     keys_are_words((f + g).coeffs)
     path = IntegrandPath.dyadic(_mixed_integrand, 0.0, 1.0, 2)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,11 @@ import pytest
 
 import freenoise
 from freenoise.errors import QuadratureError
-from freenoise.quadrature import gl_integrate
+from freenoise.quadrature import (
+    gl_integrate,
+    quad_cos_range,
+    quad_scalar,
+)
 
 
 def test_gl_integrate_extends_the_tail_until_it_settles():
@@ -69,3 +74,15 @@ def test_importing_the_package_does_not_load_scipy_integrate():
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_quad_scalar_raises_on_a_nan_result():
+    # QUADPACK returns (nan, nan), and nan fails every comparison
+    with pytest.raises(QuadratureError):
+        quad_scalar(lambda u: math.nan, 0.0, 1.0)
+
+
+def test_quad_cos_range_raises_on_a_nan_error_estimate():
+    # at a subnormal frequency QAWF reaches its cycle limit and returns nan
+    with pytest.raises(QuadratureError):
+        quad_cos_range(lambda u: 1.0 / (u * u), 5e-324, 1.0, math.inf)

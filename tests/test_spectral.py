@@ -84,8 +84,8 @@ _DENSITIES = [
     SpectralDensity.fbm(0.75),
     SpectralDensity.exponential(1.0),
     SpectralDensity.custom(origin_exponent=0.5, class_index=1),
-    SpectralDensity.custom(origin_exponent=0.5, class_index=1,
-                           cutoff_low=_EDGES[0], cutoff_high=_EDGES[1]),
+    dataclasses.replace(SpectralDensity.custom(origin_exponent=0.5, class_index=1),
+                        cutoff_low=_EDGES[0], cutoff_high=_EDGES[1]),
     dataclasses.replace(SpectralDensity.fbm(0.75), cutoff_low=_EDGES[0],
                         cutoff_high=_EDGES[1]),
 ]
