@@ -11,7 +11,7 @@ import argparse
 import csv
 import sys
 
-from freenoise.spectral import DensitySpec, dual_route_kernel, kernel
+from freenoise.spectral import build_density, dual_route_kernel, kernel
 
 
 def main() -> None:
@@ -24,7 +24,7 @@ def main() -> None:
                     help="comma list of t:s time pairs")
     args = ap.parse_args()
 
-    dens = DensitySpec(args.density, H=args.H).build()
+    dens = build_density(density=args.density, H=args.H)
     cutoffs = [int(x) for x in args.cutoffs.split(",")]
     pairs = [tuple(float(v) for v in p.split(":"))
              for p in args.pairs.split(",")]

@@ -14,7 +14,7 @@ import sys
 from freenoise import fock
 from freenoise.process import IntegrandPath, ProcessState, apply_process, \
     stochastic_integral
-from freenoise.spectral import DensitySpec
+from freenoise.spectral import build_density
 
 
 def main() -> None:
@@ -28,7 +28,7 @@ def main() -> None:
     ap.add_argument("--n-max", type=int, default=48)
     args = ap.parse_args()
 
-    dens = DensitySpec(args.density, H=args.H).build()
+    dens = build_density(density=args.density, H=args.H)
     state = ProcessState(dens, n_max=args.n_max)
     path = IntegrandPath.dyadic(
         lambda t: apply_process(state, t, fock.vacuum()),

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -25,7 +24,7 @@ import numpy as np
 from . import acceptance, chebyshev, fock, matmodel, process, quadrature, spectral, trace, words
 from .errors import FreenoiseError, ValidationError
 from .parallel import thread_count
-from .spectral import DensitySpec, SpectralDensity
+from .spectral import SpectralDensity
 from .words import WeightSequence
 
 CSV_FORMAT = "freenoise-csv/1"
@@ -120,13 +119,6 @@ def _parse_grid(text: str) -> list[float]:
 _WEIGHT_SEQS = {"2n": WeightSequence.linear, "2^n": WeightSequence.exponential}
 
 
-# density flag dest -> default; the flags default to None so that a flag
-# given beside --density-config can be told from one left out
-_DENSITY_DEFAULTS = {"density": "lebesgue", "H": None, "scale": 1.0,
-                     "rate": 1.0, "origin_exponent": 0.0, "class_index": 0,
-                     "cutoff_low": 0.0, "cutoff_high": math.inf}
-
-
 def _density_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--density", default=None,
                         choices=["lebesgue", "fbm", "exp", "exponential", "custom"])
@@ -145,27 +137,19 @@ def _density_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_density(args: argparse.Namespace) -> SpectralDensity:
-    given = [name for name in _DENSITY_DEFAULTS if getattr(args, name) is not None]
+    # the density flags default to None, so that a flag given beside
+    # --density-config can be told from one left out
+    given = {name: getattr(args, name) for name in spectral.DENSITY_DEFAULTS
+             if getattr(args, name) is not None}
     if args.density_config:
         if given:
             flags = ", ".join("--" + name.replace("_", "-") for name in given)
             raise ValidationError(f"{flags} given with --density-config, "
                                   "which sets the whole density")
         with open(args.density_config) as fh:
-            spec = DensitySpec.from_config(fh.read())
-        # echo the spec the file gave
-        resolved = dataclasses.asdict(spec)
-        resolved["density"] = resolved.pop("kind")
-        vars(args).update(resolved)
-    else:
-        for name, default in _DENSITY_DEFAULTS.items():
-            if getattr(args, name) is None:
-                setattr(args, name, default)
-        spec = DensitySpec(args.density, H=args.H, scale=args.scale, rate=args.rate,
-                           origin_exponent=args.origin_exponent,
-                           class_index=args.class_index,
-                           cutoff_low=args.cutoff_low, cutoff_high=args.cutoff_high)
-    return spec.build()
+            given = spectral.density_settings(fh.read())
+    vars(args).update({**spectral.DENSITY_DEFAULTS, **given})
+    return spectral.build_density(**given)
 
 
 def cmd_linearize(args: argparse.Namespace) -> int:
@@ -360,6 +344,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         exact = float(trace.trace_pairings(letters, radius=args.radius))
     # one sample gives no standard error, and so no z-score
     se = est.se if cfg.n_samples > 1 else None
+    if not (math.isfinite(est.mean) and math.isfinite(est.se)):
+        raise FreenoiseError(f"the estimate is not finite: mean {est.mean}, "
+                             f"standard error {est.se}")
     z = None if se is None else ((est.mean - exact) / se if se > 0 else 0.0)
     _emit(args, {"word": str(word), "mode":
                  "chebyshev" if args.chebyshev else "monomial",
@@ -394,18 +381,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    def sub(name: str, func, **kwargs):
+    def sub(name: str, func, has_rows: bool = True, **kwargs):
+        # only a subcommand whose output has rows can print them as CSV;
+        # the others echo format "json" all the same
         p = subs.add_parser(name, **kwargs)
-        p.add_argument("--format", default="json", choices=["json", "csv"])
-        p.set_defaults(func=func)
+        if has_rows:
+            p.add_argument("--format", choices=["json", "csv"])
+        p.set_defaults(func=func, format="json")
         return p
 
-    p = sub("linearize", cmd_linearize,
+    p = sub("linearize", cmd_linearize, has_rows=False,
             help="product of two basis polynomials as a basis combination")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
 
-    p = sub("trace", cmd_trace, help="trace of a word in the generators")
+    p = sub("trace", cmd_trace, has_rows=False,
+            help="trace of a word in the generators")
     p.add_argument("--word", required=True, metavar='"z0^2 z1"')
     p.add_argument("--engine", default="all",
                    choices=[*trace.ENGINES, "all"])
@@ -417,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--radius", type=float, default=2.0)
 
-    p = sub("vage", cmd_vage, help="product inequality constant and spot checks")
+    p = sub("vage", cmd_vage, has_rows=False,
+            help="product inequality constant and spot checks")
     p.add_argument("--seq", default="2n", choices=list(_WEIGHT_SEQS))
     p.add_argument("--d", type=float, required=True,
                    help="level offset q - p; the constant depends only on it")
@@ -468,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-terms", type=int, default=40,
                    help="largest coefficients to include in the output")
 
-    p = sub("simulate", cmd_simulate,
+    p = sub("simulate", cmd_simulate, has_rows=False,
             help="random-matrix trace estimate against the exact value")
     p.add_argument("--word", required=True)
     p.add_argument("--dim", type=int, default=200)

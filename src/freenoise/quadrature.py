@@ -10,7 +10,9 @@ Two engines share the work:
   never formed; and
 * thin wrappers around scipy's adaptive QUADPACK routines for scalar
   integrals, used where an independent error estimate matters.  They
-  import scipy on first use, so importing the package does not load it.
+  import scipy on first use, so importing the package does not load it,
+  and they judge each value and error estimate themselves, so QUADPACK's
+  own warnings are silenced.
 
 The panel layout grades geometrically toward zero (integrable
 singularities u^{-b}, b < 1) and caps panel width by the oscillation
@@ -21,6 +23,7 @@ contribution is negligible.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -121,12 +124,23 @@ def gl_integrate(f, osc_scale: float, tail_stop: float = 60.0):
         f"in {_TAIL_ROUNDS} doublings past {tail_stop:g}")
 
 
+def _quad(what: str, f, a: float, b: float, **options) -> tuple[float, float]:
+    """scipy's quad, silenced; a value or error estimate that is not
+    finite raises QuadratureError."""
+    from scipy.integrate import IntegrationWarning, quad
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, err = quad(f, a, b, **options)
+    if not (math.isfinite(val) and math.isfinite(err)):
+        raise QuadratureError(f"{what} value {val} or error {err} is not finite")
+    return val, err
+
+
 def quad_scalar(f, a: float, b: float, abs_tol: float = 1e-11) -> float:
     """Integral of f over (a, b) by QUADPACK, abs_tol also the relative tolerance."""
-    from scipy.integrate import quad
-
-    val, err = quad(f, a, b, epsabs=abs_tol, epsrel=abs_tol, limit=400)
-    if not (math.isfinite(val) and err <= max(abs_tol, abs_tol * abs(val)) * 50):
+    val, err = _quad("quad", f, a, b, epsabs=abs_tol, epsrel=abs_tol, limit=400)
+    if err > max(abs_tol, abs_tol * abs(val)) * 50:
         raise QuadratureError(
             f"quad error {err:.2e} too large for integral {val:.6e} on [{a}, {b}]")
     return val
@@ -140,11 +154,9 @@ def quad_cos_range(f, omega: float, a: float, b: float,
     as an analytic weight instead of sampling through the oscillation.
     omega must be nonzero.
     """
-    from scipy.integrate import quad
-
-    val, err = quad(f, a, b, weight="cos", wvar=omega,
-                    epsabs=abs_tol, epsrel=abs_tol, limit=400)
-    if not (math.isfinite(val) and err <= 1e-6):
+    val, err = _quad("oscillatory quad", f, a, b, weight="cos", wvar=omega,
+                     epsabs=abs_tol, epsrel=abs_tol, limit=400)
+    if err > 1e-6:
         raise QuadratureError(f"oscillatory quad error {err:.2e} too large")
     return val
 
@@ -158,18 +170,15 @@ def quad_semicircle_moment(order: int, radius: float = 2.0) -> float:
     """
     if order < 0:
         raise QuadratureError("moment order must be non-negative")
-    from scipy.integrate import quad
-
     try:
         pref = 2.0 / (math.pi * radius * radius)
         if not math.isfinite(pref):
             raise OverflowError(f"the prefactor is {pref}")
-        val, err = quad(lambda x: pref * x ** order, -radius, radius,
-                        weight="alg", wvar=(0.5, 0.5), epsabs=1e-13,
-                        epsrel=1e-11)
+        val, err = _quad("moment quad", lambda x: pref * x ** order, -radius, radius,
+                         weight="alg", wvar=(0.5, 0.5), epsabs=1e-13, epsrel=1e-11)
     except (OverflowError, ZeroDivisionError) as exc:
         raise QuadratureError(
             f"moment {order} at radius {radius:g} leaves the float range") from exc
-    if not (math.isfinite(val) and err <= 1e-8 * max(1.0, abs(val))):
+    if err > 1e-8 * max(1.0, abs(val)):
         raise QuadratureError(f"moment quad error {err:.2e} too large")
     return val

@@ -26,7 +26,6 @@ kept for the latest layout while they fit in 4 MiB (n_max up to ~100).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -41,7 +40,9 @@ from .words import WeightSequence
 
 __all__ = [
     "SpectralDensity",
-    "DensitySpec",
+    "DENSITY_DEFAULTS",
+    "density_settings",
+    "build_density",
     "parse_density_config",
     "tm_values",
     "alpha_vector",
@@ -205,78 +206,72 @@ class SpectralDensity:
             return math.inf
 
 
-# config key -> (DensitySpec field, conversion)
-_CONFIG_KEYS = {"kind": ("kind", str.lower), "H": ("H", float), "C1": ("scale", float),
-                "C2": ("rate", float), "b": ("origin_exponent", float),
-                "N": ("class_index", int), "cutoff_low": ("cutoff_low", float),
-                "cutoff_high": ("cutoff_high", float)}
+# config key -> (setting, default, conversion); a setting is named by the
+# dest of its CLI flag
+_DENSITY_SETTINGS = {
+    "kind": ("density", "lebesgue", str.lower), "H": ("H", None, float),
+    "C1": ("scale", 1.0, float), "C2": ("rate", 1.0, float),
+    "b": ("origin_exponent", 0.0, float), "N": ("class_index", 0, int),
+    "cutoff_low": ("cutoff_low", 0.0, float),
+    "cutoff_high": ("cutoff_high", math.inf, float)}
+DENSITY_DEFAULTS = {name: default for name, default, _ in _DENSITY_SETTINGS.values()}
 
 
-@dataclass(frozen=True)
-class DensitySpec:
-    """The parameters that select a density, from CLI flags or a config file.
+def density_settings(text: str) -> dict:
+    """The settings that the ``key = value`` lines of a config file give."""
+    values: dict[str, str] = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValidationError(f"expected 'key = value', got {line!r}")
+        key, _, val = line.partition("=")
+        values[key.strip()] = val.strip()
+    if "kind" not in values:
+        raise ValidationError("density config needs a 'kind' line")
+    if "cutoffs" in values:
+        parts = values.pop("cutoffs").split(",")
+        if len(parts) != 2:
+            raise ValidationError("cutoffs takes two comma-separated numbers")
+        # cutoff_low / cutoff_high lines override the pair
+        values = {"cutoff_low": parts[0], "cutoff_high": parts[1], **values}
+    unknown = sorted(set(values) - set(_DENSITY_SETTINGS))
+    if unknown:
+        raise ValidationError(f"unknown config keys: {unknown}")
+    settings = {}
+    for key, val in values.items():
+        name, _, convert = _DENSITY_SETTINGS[key]
+        try:
+            settings[name] = convert(val)
+        except ValueError as exc:
+            raise ValidationError(f"bad value for {key}: {val!r}") from exc
+    return settings
 
-    build() is the only map from a spec to a density; a kind ignores the
-    parameters it has no use for.
+
+def build_density(**settings) -> SpectralDensity:
+    """The density that the settings of DENSITY_DEFAULTS select.
+
+    This is the only map from settings to a density.  A setting left out
+    takes its default, and a kind ignores the settings it has no use for.
     """
-
-    kind: str
-    H: float | None = None
-    scale: float = 1.0
-    rate: float = 1.0
-    origin_exponent: float = 0.0
-    class_index: int = 0
-    cutoff_low: float = 0.0
-    cutoff_high: float = math.inf
-
-    @classmethod
-    def from_config(cls, text: str) -> "DensitySpec":
-        """Read the ``key = value`` lines of parse_density_config."""
-        values: dict[str, str] = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"expected 'key = value', got {line!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-        if "kind" not in values:
-            raise ValidationError("density config needs a 'kind' line")
-        if "cutoffs" in values:
-            parts = values.pop("cutoffs").split(",")
-            if len(parts) != 2:
-                raise ValidationError("cutoffs takes two comma-separated numbers")
-            # cutoff_low / cutoff_high lines override the pair
-            values = {"cutoff_low": parts[0], "cutoff_high": parts[1], **values}
-        unknown = sorted(set(values) - set(_CONFIG_KEYS))
-        if unknown:
-            raise ValidationError(f"unknown config keys: {unknown}")
-        fields = {}
-        for key, val in values.items():
-            name, convert = _CONFIG_KEYS[key]
-            try:
-                fields[name] = convert(val)
-            except ValueError as exc:
-                raise ValidationError(f"bad value for {key}: {val!r}") from exc
-        return cls(**fields)
-
-    def build(self) -> SpectralDensity:
-        if self.kind == "lebesgue":
-            dens = SpectralDensity.lebesgue(self.scale)
-        elif self.kind == "fbm":
-            if self.H is None:
-                raise ValidationError("--density fbm needs --H")
-            dens = SpectralDensity.fbm(self.H, self.scale)
-        elif self.kind in ("exp", "exponential"):
-            dens = SpectralDensity.exponential(self.rate, self.scale)
-        elif self.kind == "custom":
-            dens = SpectralDensity.custom(self.origin_exponent, self.class_index,
-                                          self.scale)
-        else:
-            raise ValidationError(f"unknown density kind {self.kind!r}")
-        return dataclasses.replace(dens, cutoff_low=self.cutoff_low,
-                                   cutoff_high=self.cutoff_high)
+    unknown = sorted(set(settings) - set(DENSITY_DEFAULTS))
+    if unknown:
+        raise ValidationError(f"unknown density settings: {unknown}")
+    s = {**DENSITY_DEFAULTS, **settings}
+    kind = "exponential" if s["density"] == "exp" else s["density"]
+    own = {}
+    if kind == "fbm":
+        if s["H"] is None:
+            raise ValidationError("--density fbm needs --H")
+        own = {"hurst": float(s["H"])}
+    elif kind == "exponential":
+        own = {"rate": float(s["rate"])}
+    elif kind == "custom":
+        own = {"origin_exponent": float(s["origin_exponent"]),
+               "class_index": int(s["class_index"])}
+    return SpectralDensity(kind, scale=s["scale"], cutoff_low=s["cutoff_low"],
+                           cutoff_high=s["cutoff_high"], **own)
 
 
 def parse_density_config(text: str) -> SpectralDensity:
@@ -286,7 +281,7 @@ def parse_density_config(text: str) -> SpectralDensity:
     (an integer), C1 (overall scale), C2 (exponential rate), cutoffs
     (low,high) or cutoff_low / cutoff_high.  '#' starts a comment.
     """
-    return DensitySpec.from_config(text).build()
+    return build_density(**density_settings(text))
 
 
 def _osc_scale(n_max: int, t: float) -> float:
@@ -320,6 +315,13 @@ def _hermite_rows(n_max: int, osc_scale: float, nodes: np.ndarray) -> np.ndarray
     return rows
 
 
+# Largest index of a multiplier pass.  Above ~750 hermite_fn_matrix's
+# first row underflows before the turning point sqrt(2n), and the rows
+# it seeds read 0 where hfn_n is O(0.1); at 512 the flat multiplier
+# still matches the Hermite functions to 5e-14.
+_N_MAX_BOUND = 512
+
+
 @lru_cache(maxsize=512)
 def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Multiplier values and their time integrals for indices 1..n_max.
@@ -331,6 +333,9 @@ def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarr
     """
     if not math.isfinite(t):
         raise ValidationError(f"time must be finite, got {t}")
+    if n_max > _N_MAX_BOUND:
+        raise ValidationError(f"n_max {n_max} is above {_N_MAX_BOUND}, the bound "
+                              "of the Hermite recurrence")
     osc = _osc_scale(n_max, t)
 
     def integrand(nodes):
@@ -507,13 +512,8 @@ class TailReport:
     """
     status: str
     level: int
-    class_index: int
-    n_max: int
-    weighted_partial: float
-    partial_checkpoints: tuple[tuple[int, float], ...]
     tail_bound: float
     fit_kind: str
-    fit_scale: float
     fit_exponent: float
     r_squared: float
     detail: str
@@ -523,18 +523,11 @@ class TailReport:
         return self.status == "certified"
 
 
-def _weight_factors(seq: WeightSequence, p: int, n_max: int) -> np.ndarray:
-    ns = np.arange(1, n_max + 1, dtype=float)
-    if seq.kind == "linear":
-        return (2.0 * ns) ** (-float(p))
-    return np.exp2(-float(p) * ns)
-
-
 def certify_tail(dens: SpectralDensity, p: int, t: float, n_max: int = 240,
                  seq: WeightSequence | None = None) -> TailReport:
     """Certify convergence of the level -p weighted coefficient sum.
 
-    The partial sum runs over computed indices; beyond them the fitted
+    The computed indices make a finite sum; beyond them the fitted
     majorant of the derivative coefficients is extrapolated and summed
     in closed form.  A polynomial-class density needs p at least the
     class index plus 3; exponential growth against polynomial-type
@@ -550,24 +543,13 @@ def certify_tail(dens: SpectralDensity, p: int, t: float, n_max: int = 240,
         raise ValidationError("need n_max >= 16 to fit a tail majorant")
 
     coeffs = np.abs(tm_values(dens, t, n_max))
-    factors = _weight_factors(seq, p, n_max)
-    terms = coeffs * coeffs * factors
-    cumulative = np.cumsum(terms)
-    checkpoints = tuple((k, float(cumulative[k - 1]))
-                        for k in (n_max // 4, n_max // 2, 3 * n_max // 4, n_max))
-    partial = float(cumulative[-1])
     ns = np.arange(1, n_max + 1)
     upper = ns > n_max // 2
 
     def report(status, tail_bound, fit, fit_kind, detail):
-        return TailReport(status=status, level=p, class_index=dens.class_index,
-                          n_max=n_max, weighted_partial=partial,
-                          partial_checkpoints=checkpoints,
-                          tail_bound=tail_bound, fit_kind=fit_kind,
-                          fit_scale=math.exp(fit.log_scale) if fit else math.nan,
-                          fit_exponent=fit.exponent if fit else math.nan,
-                          r_squared=fit.r_squared if fit else math.nan,
-                          detail=detail)
+        return TailReport(status=status, level=p, tail_bound=tail_bound,
+                          fit_kind=fit_kind, fit_exponent=fit.exponent,
+                          r_squared=fit.r_squared, detail=detail)
 
     if seq.kind == "linear":
         if dens.growth == "exponential":

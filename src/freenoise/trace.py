@@ -30,17 +30,16 @@ Engines:
   finite size; its genus-0 count is the free trace.  It is not part of
   ``trace_monomial_all``, whose engines answer the free trace alone.
 
-The Fock and U-word routes reuse affixes: each keeps the vector of
-every suffix applied to the vacuum, or the expansion of every prefix,
-that its walks pass, and starts a word from its longest kept affix.
-Each keeps at most 1,024 proper affixes of at most 16 letters, the
-least recently used evicted first.  Each engine reuses only its own
-work, so the engines still check each other.
+The Fock and U-word routes reuse affixes: a word starts from the
+vector of its longest proper suffix of at most 16 letters applied to
+the vacuum, or from the expansion of its longest such prefix, and each
+affix is built from the next shorter one.  Each route caches at most
+1,024 affixes, the least recently used evicted first.  Each engine
+reuses only its own work, so the engines still check each other.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -280,49 +279,39 @@ def u_mult(a: Word, b: Word) -> tuple[tuple[Word, int], ...]:
 
 # Affix caches of the U-word and Fock routes (module docstring): the
 # 2,046 binary monomials of length <= 10 pass 1,022 proper affixes per
-# pair of letters.  The walks' starting points are not entries, so no
-# eviction removes them.  Longer affixes are not stored: a vector's
-# support can grow exponentially with its length (X_a X_a X_b X_b ...
-# has 2^{k/2} terms), so an entry bound bounds memory only if each
-# entry is bounded.
+# pair of letters.  Longer affixes are not stored: a vector's support
+# can grow exponentially with its length (X_a X_a X_b X_b ... has
+# 2^{k/2} terms), so an entry bound bounds memory only if each entry is
+# bounded.
 _AFFIX_ENTRIES = 1024
 _AFFIX_LETTERS = 16
-_prefix_expansions: OrderedDict[tuple[int, ...], dict[Word, int]] = OrderedDict()
-_suffix_vectors: OrderedDict[tuple[int, ...], FockElement] = OrderedDict()
 
 
-def _longest_cached(cache: OrderedDict, keys):
-    """First of ``keys`` held by ``cache`` and its value, else ((), None)."""
-    for key in keys:
-        value = cache.get(key)
-        if value is not None:
-            cache.move_to_end(key)
-            return key, value
-    return (), None
+def _times_letter(expansion: dict[Word, int], letter: int) -> dict[Word, int]:
+    """U-word expansion of the monomial times X_letter."""
+    step = Word((letter,))
+    out: dict[Word, int] = {}
+    for w, c in expansion.items():
+        for prod, pc in u_mult(w, step):
+            out[prod] = out.get(prod, 0) + c * pc
+    return out
 
 
-def _store(cache: OrderedDict, key: tuple[int, ...], value) -> None:
-    cache[key] = value
-    if len(cache) > _AFFIX_ENTRIES:
-        cache.popitem(last=False)
+@lru_cache(maxsize=_AFFIX_ENTRIES)
+def _prefix_expansions(prefix: tuple[int, ...]) -> dict[Word, int]:
+    """U-word expansion of a prefix of at most 16 letters; a cache entry,
+    do not mutate."""
+    if not prefix:
+        return {EMPTY_WORD: 1}
+    return _times_letter(_prefix_expansions(prefix[:-1]), prefix[-1])
 
 
 def _uword_expansion(letters: tuple[int, ...]) -> dict[Word, int]:
     """U-word expansion of the monomial; may be a cache entry, do not mutate."""
-    k = len(letters)
-    prefix, acc = _longest_cached(
-        _prefix_expansions, (letters[:j] for j in range(min(k, _AFFIX_LETTERS), 0, -1)))
-    if acc is None:
-        acc = {EMPTY_WORD: 1}
-    for j in range(len(prefix), k):
-        step = Word((letters[j],))
-        nxt: dict[Word, int] = {}
-        for w, c in acc.items():
-            for prod, pc in u_mult(w, step):
-                nxt[prod] = nxt.get(prod, 0) + c * pc
-        acc = nxt
-        if j + 1 < k and j < _AFFIX_LETTERS:
-            _store(_prefix_expansions, letters[:j + 1], acc)
+    prefix = letters[:-1][:_AFFIX_LETTERS]
+    acc = _prefix_expansions(prefix)
+    for letter in letters[len(prefix):]:
+        acc = _times_letter(acc, letter)
     return acc
 
 
@@ -340,6 +329,15 @@ def trace_monomial_reduction(letters: Sequence[int]) -> Fraction:
     return Fraction(_uword_expansion(tuple(int(x) for x in letters)).get(EMPTY_WORD, 0))
 
 
+@lru_cache(maxsize=_AFFIX_ENTRIES)
+def _suffix_vectors(suffix: tuple[int, ...]) -> FockElement:
+    """X_{i_1} ... X_{i_k} applied to the vacuum, for a suffix of at most
+    16 letters; a cache entry."""
+    if not suffix:
+        return vacuum()
+    return apply_x({suffix[0]: 1.0}, _suffix_vectors(suffix[1:]), None)
+
+
 def trace_fock(letters: Sequence[int], cap: int | None = DEFAULT_DEGREE_CAP) -> float:
     """Vacuum coefficient of X_{i_1} ... X_{i_k} applied to the vacuum.
 
@@ -350,15 +348,10 @@ def trace_fock(letters: Sequence[int], cap: int | None = DEFAULT_DEGREE_CAP) -> 
     """
     fock.require_cap(len(letters), cap)
     letters = tuple(int(x) for x in letters)
-    k = len(letters)
-    suffix, vec = _longest_cached(
-        _suffix_vectors, (letters[j:] for j in range(max(0, k - _AFFIX_LETTERS), k)))
-    if vec is None:
-        vec = vacuum()
-    for j in range(k - len(suffix) - 1, -1, -1):
-        vec = apply_x({letters[j]: 1.0}, vec, cap)
-        if j and k - j <= _AFFIX_LETTERS:
-            _store(_suffix_vectors, letters[j:], vec)
+    suffix = letters[1:][-_AFFIX_LETTERS:]
+    vec = _suffix_vectors(suffix)
+    for letter in reversed(letters[:len(letters) - len(suffix)]):
+        vec = apply_x({letter: 1.0}, vec, cap)
     return float(vec.coeff(EMPTY_WORD).real)
 
 

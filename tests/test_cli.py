@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +51,17 @@ def test_trace_engines_agree(capsys):
     engines = out["engines"]
     assert set(engines) == {"reduction", "pairing", "fock"}
     assert float(engines["pairing"]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("argv", [["linearize", "2", "1"], ["trace", "--word", "z0 z0"],
+                                  ["vage", "--d", "2"],
+                                  ["simulate", "--word", "z0 z0", "--dim", "8"]])
+def test_format_only_where_the_output_has_rows(argv, capsys):
+    # these print no rows, so CSV would silently have been JSON
+    assert run([*argv, "--format", "csv"]) == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+    assert run(argv) == 0
+    assert _json_out(capsys)["config"]["format"] == "json"
 
 
 def test_trace_rejects_malformed_word(capsys):
@@ -137,6 +152,24 @@ def test_rfun_non_finite_quadrature_error_exits_three(capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert json.loads(out.err)["kind"] == "numerical"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # QAWF reaches its cycle limit in both, with a nan error estimate in the first
+    (["rfun", "--t", "5e-324"], "oscillatory quad value nan or error nan is not finite"),
+    (["kernel", "--density", "lebesgue", "--scale", "1e300", "--t", "1"],
+     "oscillatory quad error 3.84e+296 too large"),
+], ids=["rfun", "kernel"])
+def test_quadrature_failure_prints_one_json_line_to_stderr(argv, message):
+    # in a fresh interpreter, where no test runner records the warnings
+    # that scipy would print to stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(process.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "freenoise.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr) == {"error": message, "kind": "numerical"}
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
@@ -309,6 +342,16 @@ def test_tmcoeff_certified_exit(capsys):
     assert out["certificate"]["status"] == "certified"
 
 
+def test_tmcoeff_above_the_hermite_bound_exits_two(capsys):
+    # the recurrence reads 0 where hfn_n is O(0.1) once n passes ~750
+    assert run(["tmcoeff", "--n-max", "800"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "n_max 800 is above 512, the bound of the Hermite recurrence",
+        "kind": "validation"}
+
+
 def test_tmcoeff_uncertified_exit(capsys):
     assert run(["tmcoeff", "--density", "lebesgue", "--t", "1.0",
                 "--n-max", "32", "--certify", "--p", "2"]) == 2
@@ -367,6 +410,17 @@ def test_simulate_one_sample_has_no_standard_error(capsys):
     out = _json_out(capsys)
     assert out["se"] is None and out["z_score"] is None
     assert math.isfinite(out["mean"])
+
+
+def test_simulate_non_finite_estimate_exits_three(capsys):
+    # z0^3 at radius 1e200 overflows in every sample
+    assert run(["simulate", "--word", "z0^3", "--radius", "1e200", "--dim", "20",
+                "--samples", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "the estimate is not finite: mean nan, standard error nan",
+        "kind": "numerical"}
 
 
 def test_simulate_chebyshev_mode(capsys):

@@ -366,6 +366,16 @@ def test_flat_multiplier_is_the_hermite_function_to_n_400(t):
 
 
 @pytest.mark.parametrize("t", _FLAT_TIMES)
+def test_flat_multiplier_is_the_hermite_function_at_the_n_max_bound(t):
+    # 512 is the largest n_max that a multiplier pass accepts
+    leb = SpectralDensity.lebesgue()
+    expected = hermite_fn_matrix(512, [t])[:, 0]
+    assert np.max(np.abs(tm_values(leb, t, 512) - expected)) <= 5e-14
+    with pytest.raises(ValidationError, match="above 512"):
+        tm_values(leb, t, 513)
+
+
+@pytest.mark.parametrize("t", _FLAT_TIMES)
 def test_flat_alpha_is_the_integral_of_the_hermite_function_to_n_400(t):
     x, w = np.polynomial.legendre.leggauss(200)
     nodes = 0.5 * t * (x + 1.0)
@@ -537,11 +547,6 @@ def test_certify_tail_report_fields():
     assert rep.certified
     assert rep.level == 3
     assert rep.tail_bound < math.inf
-    assert rep.weighted_partial > 0.0
-    assert rep.partial_checkpoints[-1][0] == rep.n_max
-    # checkpoints are partial sums of non-negative terms
-    vals = [v for _, v in rep.partial_checkpoints]
-    assert vals == sorted(vals)
 
 
 def test_certify_tail_validation():

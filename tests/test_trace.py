@@ -265,7 +265,7 @@ def test_affix_caches_stay_bounded():
     finally:
         tracemalloc.stop()
     for cache in (trace._prefix_expansions, trace._suffix_vectors):
-        assert len(cache) == trace._AFFIX_ENTRIES
+        assert cache.cache_info().currsize == trace._AFFIX_ENTRIES
     assert retained < 1 << 20
     # the walks still start from the empty word and the vacuum
     assert monomial_to_uwords([5001, 5001]) == {Word((5001, 5001)): 1, EMPTY_WORD: 1}
