@@ -341,7 +341,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         exact = 1.0 if word.is_empty() else 0.0
     else:
         est = matmodel.estimate_trace(cfg, letters)
-        exact = float(trace.trace_pairings(letters, radius=args.radius))
+        try:
+            exact = float(trace.trace_pairings(letters, radius=args.radius))
+        except OverflowError as exc:
+            raise FreenoiseError(f"the exact trace at radius {args.radius:g} "
+                                 f"is beyond the float range: {exc}") from exc
     # one sample gives no standard error, and so no z-score
     se = est.se if cfg.n_samples > 1 else None
     if not (math.isfinite(est.mean) and math.isfinite(est.se)):

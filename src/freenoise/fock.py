@@ -89,13 +89,6 @@ class FockElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def truncated(self, cap: int | None) -> "FockElement":
-        if cap is None:
-            return self
-        kept = {w: c for w, c in self.coeffs.items() if w.degree <= cap}
-        lost = sum(abs(c) ** 2 for w, c in self.coeffs.items() if w.degree > cap)
-        return FockElement.from_dict(kept, dropped_mass=self.dropped_mass + lost)
-
     def __add__(self, other: "FockElement") -> "FockElement":
         d = dict(self.coeffs)
         for w, c in other.coeffs.items():

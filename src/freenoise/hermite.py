@@ -30,9 +30,10 @@ import math
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, ValidationError
 
 __all__ = [
+    "check_index_bound",
     "hermite_fn_matrix",
     "hermite_vanishes",
     "mehler_closed",
@@ -41,11 +42,27 @@ __all__ = [
 
 _PI_QUARTER = math.pi ** -0.25
 
+# Largest index of the recurrence.  Above ~750 the first row underflows
+# before the turning point sqrt(2n), and the rows it seeds read 0 where
+# hfn_n is O(0.1); at 512 the flat multiplier still matches the Hermite
+# functions to 5e-14.
+_N_MAX_BOUND = 512
+
+
+def check_index_bound(n_max: int) -> None:
+    """Raise ValidationError when n_max is above 512, the largest index
+    the recurrence resolves."""
+    if n_max > _N_MAX_BOUND:
+        raise ValidationError(f"n_max {n_max} is above {_N_MAX_BOUND}, the bound "
+                              "of the Hermite recurrence")
+
 
 def hermite_fn_matrix(n_max: int, u) -> np.ndarray:
-    """Rows 0..n_max-1 hold hfn_1(u)..hfn_{n_max}(u) on the given grid."""
+    """Rows 0..n_max-1 hold hfn_1(u)..hfn_{n_max}(u) on the given grid,
+    for 1 <= n_max <= 512."""
     if n_max < 1:
         raise ValueError("need at least one function")
+    check_index_bound(n_max)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     shape = (n_max,) + u.shape
     u = u.ravel()

@@ -320,8 +320,11 @@ def _trace_table(cfg: EnsembleConfig,
         rows = np.empty((len(samples), len(words)))
         for row, sample in enumerate(samples):
             mats = sample_generators(cfg, sample, pool)
-            _half_products(mats, labels, pool)
-            gram = _gram(flat, diagonals, mats[-1] ** exponents)
+            # an overflowing ensemble gives a non-finite table, which the
+            # caller rejects; numpy's warnings would only precede that
+            with np.errstate(over="ignore", invalid="ignore"):
+                _half_products(mats, labels, pool)
+                gram = _gram(flat, diagonals, mats[-1] ** exponents)
             rows[row] = gram[right, left] / cfg.dim
         return rows
 
@@ -329,10 +332,13 @@ def _trace_table(cfg: EnsembleConfig,
 
 
 def _estimates(table: np.ndarray) -> list[TraceEstimate]:
-    """Mean and standard error of each column of a samples x words table."""
+    """Mean and standard error of each column of a samples x words table;
+    a column that is not finite gives estimates that are not finite."""
     n = len(table)
-    ses = table.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(table.shape[1])
-    return [TraceEstimate(float(m), float(se)) for m, se in zip(table.mean(axis=0), ses)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ses = table.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(table.shape[1])
+        means = table.mean(axis=0)
+    return [TraceEstimate(float(m), float(se)) for m, se in zip(means, ses)]
 
 
 def estimate_trace_many(cfg: EnsembleConfig,

@@ -21,7 +21,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ from . import fock, spectral
 from .errors import LevelTooLowError, NonCauchyError, UncertifiedError, ValidationError
 from .fock import DEFAULT_DEGREE_CAP, FockElement, vacuum
 from .spectral import SpectralDensity, TailReport
-from .words import WeightSequence, Word
+from .words import WeightSequence, Word, weight
 
 __all__ = [
     "ProcessState",
@@ -47,6 +47,9 @@ __all__ = [
 # reference time for the per-state tail certificate; the class growth
 # templates are uniform in t, so one certificate stands for the state
 _CERT_TIME = 1.0
+
+# finest dyadic refinement a path is sampled at: 2^16 tags
+_MAX_LEVELS = 16
 
 
 @dataclass(frozen=True)
@@ -162,8 +165,12 @@ class IntegrandPath:
         """Sample fn at the left tags of the finest dyadic partition.
 
         Coarser dyadic partitions of [a, b] use subsets of these tags,
-        so one sampled path serves every refinement level up to levels.
+        so one sampled path serves every refinement level up to levels,
+        which is at most _MAX_LEVELS.
         """
+        if not 0 <= levels <= _MAX_LEVELS:
+            raise ValidationError(
+                f"levels must be between 0 and {_MAX_LEVELS}, got {levels}")
         if not b > a:
             raise ValidationError("need b > a")
         n = 1 << levels
@@ -214,8 +221,8 @@ def _riemann_sums(state: ProcessState, path: IntegrandPath, f: FockElement,
     times the outer product, whose pairs on one word are summed first,
     in the row-major order of the tag's supports: the operations of the
     loop of ``fock.tensor`` and ``+`` over the sum's tags.  Each sum
-    lists its words in the order its own tags build them, and leaves
-    those above the degree cap to its ``dropped_mass``.
+    lists its nonzero words in the order its own tags build them, and
+    leaves those above the degree cap to its ``dropped_mass``.
     """
     step = (b - a) / n_intervals
     tags = [a + j * step for j in range(n_intervals)]
@@ -236,14 +243,21 @@ def _riemann_sums(state: ProcessState, path: IntegrandPath, f: FockElement,
         for k, stride in enumerate(strides):
             if j % stride == 0:
                 acc[k] += (b - a) / (n_intervals // stride) * product
+    cap = state.degree_cap
+    over = np.array([cap is not None and len(w) > cap for w in words], dtype=bool)
     sums = []
     for (acc_re, acc_im), stride in zip(acc, strides):
         own = [list(dict.fromkeys(chain.from_iterable(idx for idx, _ in rows[::stride])))
                for rows in (y, z)]
-        order = list(dict.fromkeys(slots[np.ix_(*own)].ravel().tolist()))
-        coeffs = map(complex, acc_re[order].tolist(), acc_im[order].tolist())
-        sums.append(FockElement.from_dict(dict(zip([words[i] for i in order], coeffs)))
-                    .truncated(state.degree_cap))
+        order = np.array(list(dict.fromkeys(slots[np.ix_(*own)].ravel().tolist())),
+                         dtype=np.intp)
+        live = (acc_re[order] != 0) | (acc_im[order] != 0)
+        kept, cut = order[live & ~over[order]], order[live & over[order]]
+        lost = sum((abs(c) ** 2 for c in map(complex, acc_re[cut].tolist(),
+                                                 acc_im[cut].tolist())), 0.0)
+        coeffs = map(complex, acc_re[kept].tolist(), acc_im[kept].tolist())
+        sums.append(FockElement(dict(zip([words[i] for i in kept.tolist()], coeffs)),
+                                dropped_mass=lost))
     return sums
 
 
@@ -254,6 +268,41 @@ def _supports(values: Sequence[FockElement]) -> tuple[list[Word], list]:
     out = [([index.setdefault(w, len(index)) for w in v.coeffs],
             np.array(list(v.coeffs.values()), dtype=complex)) for v in values]
     return list(index), out
+
+
+def _refinement_norms(sums: Sequence[FockElement], level: float,
+                      seq: WeightSequence) -> tuple[tuple[float, ...], float]:
+    """fock.norm(s1 - s0, level, seq) of each consecutive pair of sums,
+    and fock.norm(sums[-1], level, seq), with no difference element built.
+
+    Each sum is a coefficient row over the union of the sums' words, and
+    each union word is weighted once.  A difference visits the words of
+    s1, then those of s0 missing from s1, the order of ``s1 - s0``, and
+    adds |c|^2 times the weight in that order, with |c|^2 as Python's
+    ``abs(c) ** 2`` (libm pow, which can differ from |c| * |c| in the
+    last bit), so every norm has the bits of ``fock.norm``.
+    """
+    index: dict[Word, int] = {}
+    at = [np.array([index.setdefault(w, len(index)) for w in s.coeffs], dtype=np.intp)
+          for s in sums]
+    rows = np.zeros((len(sums), len(index)), dtype=complex)
+    for row, s, pos in zip(rows, sums, at):
+        row[pos] = np.fromiter(s.coeffs.values(), complex, len(pos))
+    weights = np.array([weight(w, level, seq) for w in index])
+
+    def norm_along(values, visit):
+        mags = np.hypot(values.real, values.imag).tolist()
+        squares = np.fromiter(map(math.pow, mags, repeat(2.0)), float, len(mags))
+        running = np.cumsum(squares * weights[visit])
+        return math.sqrt(running[-1]) if len(running) else 0.0
+
+    distances = []
+    for k in range(len(sums) - 1):
+        in_next = np.zeros(len(index), dtype=bool)
+        in_next[at[k + 1]] = True
+        visit = np.concatenate([at[k + 1], at[k][~in_next[at[k]]]])
+        distances.append(norm_along(rows[k + 1, visit] - rows[k, visit], visit))
+    return tuple(distances), norm_along(rows[-1, at[-1]], at[-1])
 
 
 def stochastic_integral(state: ProcessState, path: IntegrandPath,
@@ -276,10 +325,8 @@ def stochastic_integral(state: ProcessState, path: IntegrandPath,
             f"pairing level {q} below the product-bound threshold {p + 2}")
 
     sums = _riemann_sums(state, path, f, a, b, 1 << levels, levels + 1)
-    distances = tuple(
-        fock.norm(s1 - s0, -float(q), state.seq)
-        for s0, s1 in zip(sums, sums[1:]))
-    scale = max(fock.norm(sums[-1], -float(q), state.seq), 1.0)
+    distances, scale = _refinement_norms(sums, -float(q), state.seq)
+    scale = max(scale, 1.0)
     floor = 1e-14 * scale
     ratios = tuple(
         0.0 if d1 <= floor else (math.inf if d0 <= floor else d1 / d0)

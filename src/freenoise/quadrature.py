@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -32,6 +33,7 @@ from .errors import QuadratureError
 
 __all__ = [
     "panel_nodes",
+    "layout_nodes",
     "gl_integrate",
     "quad_scalar",
     "quad_cos_range",
@@ -47,26 +49,46 @@ _TAIL_ROUNDS = 8
 _TAIL_REL_TOL = 1e-11
 
 
+# Edges of the graded region: 0, 2^-60, ..., 1/2, 1
+_GRADED_EDGES = [0.0] + [2.0 ** -j for j in range(60, -1, -1)]
+
+
+@lru_cache(maxsize=8)
 def panel_nodes(osc_scale: float, tail_stop: float = 60.0) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite rule on (0, tail_stop].
 
     osc_scale bounds the panel width away from zero: panels are at most
     ~6 / osc_scale wide so a GL-16 rule resolves the oscillation.  The
     dyadic panels [2^-k, 2^-k+1] below 1 absorb origin singularities.
+    The 8 most recently used layouts are kept, as read-only arrays.  A
+    width that no longer advances an edge raises QuadratureError.
     """
     if osc_scale <= 0:
         raise QuadratureError("oscillation scale must be positive")
     width = 6.0 / osc_scale
-    # graded region: 0, 2^-60, ..., 1/2, 1
-    edges = [0.0] + [2.0 ** -j for j in range(60, -1, -1)]
+    edges = list(_GRADED_EDGES)
     # oscillation-limited region out to tail_stop
     x = edges[-1]
     while x < tail_stop:
+        if x + width == x:
+            raise QuadratureError(
+                f"panel width {width:.3g} does not advance the edge at {x:g}")
         x = min(x + width, tail_stop)
         edges.append(x)
     nodes, weights = _composite_rule(np.asarray(edges))
     keep = weights > 0
-    return nodes[keep], weights[keep]
+    nodes, weights = nodes[keep], weights[keep]
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def layout_nodes(osc_scale: float, tail_stop: float) -> float:
+    """Node count of panel_nodes(osc_scale, tail_stop), to within a panel,
+    before any node is built; a float, so a layout too large to build
+    still has one."""
+    panels = len(_GRADED_EDGES) - 1 + (tail_stop - 1.0) * osc_scale / 6.0 + 1.0
+    return _GL_ORDER * panels
 
 
 def _composite_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,8 @@ matrix product of the weighted factors against the Hermite matrix.
 The panels depend on t only through B(t) = max(1, 2^ceil(log2 |t|)) >= |t|:
 the times of one bucket share their nodes and Hermite rows, which are
 kept for the latest layout while they fit in 4 MiB (n_max up to ~100).
+A layout's size is known before it is built, and one above 256 MiB is
+rejected.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .hermite import hermite_fn_matrix, hermite_vanishes
-from .quadrature import gl_integrate, quad_cos_range, quad_scalar
+from .hermite import check_index_bound, hermite_fn_matrix, hermite_vanishes
+from .quadrature import gl_integrate, layout_nodes, quad_cos_range, quad_scalar
 from .words import WeightSequence
 
 __all__ = [
@@ -285,9 +287,11 @@ def parse_density_config(text: str) -> SpectralDensity:
 
 
 def _osc_scale(n_max: int, t: float) -> float:
-    """2 sqrt(n_max) + B(t) + 1, with B(t) = max(1, 2^ceil(log2 |t|))."""
+    """2 sqrt(n_max) + B(t) + 1, with B(t) = max(1, 2^ceil(log2 |t|)),
+    infinite when 2^ceil(log2 |t|) is above the float range."""
     frac, exp = math.frexp(abs(t))
-    bucket = max(1.0, math.ldexp(1.0, exp - 1 if frac == 0.5 else exp))
+    exp = exp - 1 if frac == 0.5 else exp
+    bucket = max(1.0, math.ldexp(1.0, exp)) if exp < 1024 else math.inf
     return 2.0 * math.sqrt(max(n_max, 1)) + bucket + 1.0
 
 
@@ -315,11 +319,9 @@ def _hermite_rows(n_max: int, osc_scale: float, nodes: np.ndarray) -> np.ndarray
     return rows
 
 
-# Largest index of a multiplier pass.  Above ~750 hermite_fn_matrix's
-# first row underflows before the turning point sqrt(2n), and the rows
-# it seeds read 0 where hfn_n is O(0.1); at 512 the flat multiplier
-# still matches the Hermite functions to 5e-14.
-_N_MAX_BOUND = 512
+# Largest multiplier layout: its nodes times 8 bytes for each of the
+# n_max Hermite rows and the four factors
+_LAYOUT_BYTES = 256 << 20
 
 
 @lru_cache(maxsize=512)
@@ -328,15 +330,19 @@ def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarr
 
     One composite pass contracts the Hermite rows against the four
     factors sqrt(m) * {cos, sin, sin / u, 2 sin^2(u t / 2) / u}; the
-    four-periodic phase pattern then selects the cosine or sine
-    integral per index.
+    four-periodic phase pattern then picks the signed cosine or sine
+    integral per index.  A layout above _LAYOUT_BYTES is rejected
+    before any node is built.
     """
     if not math.isfinite(t):
         raise ValidationError(f"time must be finite, got {t}")
-    if n_max > _N_MAX_BOUND:
-        raise ValidationError(f"n_max {n_max} is above {_N_MAX_BOUND}, the bound "
-                              "of the Hermite recurrence")
-    osc = _osc_scale(n_max, t)
+    check_index_bound(n_max)
+    osc, stop = _osc_scale(n_max, t), _tail_stop(n_max)
+    need = layout_nodes(osc, stop) * (n_max + 4) * 8
+    if need > _LAYOUT_BYTES:
+        raise ValidationError(
+            f"the multiplier layout at t = {t:g}, n_max {n_max} needs "
+            f"{need / 2 ** 20:.3g} MiB, above the bound of {_LAYOUT_BYTES >> 20} MiB")
 
     def integrand(nodes):
         st = np.sin(t * nodes)
@@ -345,13 +351,13 @@ def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarr
         rows = None if hermite_vanishes(nodes) else _hermite_rows(n_max, osc, nodes)
         return rows, factors * dens.root(nodes)
 
-    ints = gl_integrate(integrand, osc, _tail_stop(n_max))
-    cos_i, sin_i, s_i, k_i = (_HALF_LINE_PREF * ints[j] for j in range(4))
-    phase = np.arange(n_max) % 4
-    tm = np.select([phase == 0, phase == 1, phase == 2, phase == 3],
-                   [cos_i, sin_i, -cos_i, -sin_i])
-    al = np.select([phase == 0, phase == 1, phase == 2, phase == 3],
-                   [s_i, k_i, -s_i, -k_i])
+    # rows cos, sin, s, k, then their negatives; index n takes the row of
+    # its phase n % 4: cos, sin, -cos, -sin for tm and s, k, -s, -k for alpha
+    ints = _HALF_LINE_PREF * gl_integrate(integrand, osc, stop)
+    signed = np.concatenate([ints, -ints])
+    pick = np.array([0, 1, 4, 5])[np.arange(n_max) % 4]
+    cols = np.arange(n_max)
+    tm, al = signed[pick, cols], signed[pick + 2, cols]
     tm.setflags(write=False)
     al.setflags(write=False)
     return tm, al

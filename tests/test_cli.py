@@ -423,6 +423,45 @@ def test_simulate_non_finite_estimate_exits_three(capsys):
         "kind": "numerical"}
 
 
+@pytest.mark.parametrize("word, message", [
+    ("z0^3", "the estimate is not finite: mean nan, standard error nan"),
+    # the exact trace radius^2 / 4 used to raise an uncaught OverflowError (exit 1)
+    ("z0^2", "the exact trace at radius 1e+200 is beyond the float range: "
+             "integer division result too large for a float"),
+])
+def test_simulate_overflow_prints_one_json_line_to_stderr(cli_child, word, message):
+    # numpy's overflow warnings in power, Gram, matmul and the column
+    # statistics must not reach stderr
+    proc = cli_child(["simulate", "--word", word, "--radius", "1e200", "--dim", "20",
+                      "--samples", "3"])
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr) == {"error": message, "kind": "numerical"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    # 5.07e6 panels; numpy used to fail to allocate 619 MiB after 4.6 s
+    (["tmcoeff", "--t", "1e6", "--n-max", "4"],
+     "the multiplier layout at t = 1e+06, n_max 4 needs 4.95e+03 MiB, "
+     "above the bound of 256 MiB"),
+    # a panel width below half an ulp, which used to loop without end
+    (["tmcoeff", "--t", "1e18", "--n-max", "16"],
+     "the multiplier layout at t = 1e+18, n_max 16 needs 1.36e+16 MiB, "
+     "above the bound of 256 MiB"),
+    # 2^30 tags, which used to run out of memory
+    (["integrate", "--n-max", "16", "--levels", "30"],
+     "levels must be between 0 and 16, got 30"),
+    (["integrate", "--levels", "-1"], "levels must be between 0 and 16, got -1"),
+], ids=["tmcoeff-1e6", "tmcoeff-1e18", "integrate-levels-30", "integrate-levels-minus-1"])
+def test_work_above_its_bound_is_rejected_before_it_starts(cli_child, argv, message):
+    proc = cli_child(argv, timeout=30.0)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr) == {"error": message, "kind": "validation"}
+
+
 def test_simulate_chebyshev_mode(capsys):
     assert run(["simulate", "--word", "z0^2", "--dim", "60",
                 "--samples", "5", "--seed", "3", "--chebyshev"]) == 0

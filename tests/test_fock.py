@@ -171,13 +171,6 @@ def test_element_arithmetic():
     assert f.coeff(EMPTY_WORD) == 2.0 + 0j
 
 
-def test_truncated_accumulates_dropped_mass():
-    f = basis_vector(normalize([0, 1, 0])) * 2.0 + vacuum()
-    cut = f.truncated(2)
-    assert cut.as_dict() == {EMPTY_WORD: 1.0 + 0j}
-    assert cut.dropped_mass == pytest.approx(4.0)
-
-
 def test_require_cap():
     require_cap(5, None)
     require_cap(5, 5)

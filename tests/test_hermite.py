@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate as si
 from scipy import special as sp
 
-from freenoise.errors import DivergenceError
+from freenoise.errors import DivergenceError, ValidationError
 from freenoise.hermite import (
     hermite_fn_matrix,
     hermite_vanishes,
@@ -149,3 +149,11 @@ def test_high_index_recurrence_stays_bounded():
 def test_index_validation():
     with pytest.raises(ValueError):
         hermite_fn_matrix(0, np.zeros(3))
+
+
+def test_recurrence_refuses_indices_above_its_bound():
+    # at n = 1000 the rows seeded by an underflowed first row read 0.0
+    # where hfn_1000(40) is about 0.17
+    with pytest.raises(ValidationError, match="n_max 1000 is above 512"):
+        hermite_fn_matrix(1000, [40.0])
+    assert np.isfinite(hermite_fn_matrix(512, [40.0])).all()

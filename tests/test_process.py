@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -157,6 +158,16 @@ def test_single_term_obeys_product_bound():
     assert norm(term, -q, state.seq) <= bound + 1e-12
 
 
+def test_dyadic_path_bounds_its_levels_before_sampling():
+    def refuse(t):
+        raise AssertionError("sampled")
+
+    for levels in (-1, 17, 30):
+        with pytest.raises(ValidationError, match="between 0 and 16"):
+            IntegrandPath.dyadic(refuse, 0.0, 1.0, levels)
+    assert IntegrandPath.dyadic(lambda t: vacuum(), 0.0, 1.0, 0).times == (0.0,)
+
+
 def test_integral_levels_and_q_validation():
     state = ProcessState(SpectralDensity.lebesgue(), n_max=32)
     path = IntegrandPath.dyadic(lambda t: vacuum(), 0.0, 1.0, 6)
@@ -273,7 +284,11 @@ def _per_level_riemann_sum(state, path, f, a, b, n_intervals):
         acc_re += step * np.bincount(slots, re.ravel(), len(words))
         acc_im += step * np.bincount(slots, im.ravel(), len(words))
     coeffs = map(complex, acc_re.tolist(), acc_im.tolist())
-    return FockElement.from_dict(dict(zip(words, coeffs))).truncated(state.degree_cap)
+    full = FockElement.from_dict(dict(zip(words, coeffs))).coeffs
+    cap = state.degree_cap
+    kept = {w: c for w, c in full.items() if cap is None or len(w) <= cap}
+    lost = sum(abs(c) ** 2 for w, c in full.items() if cap is not None and len(w) > cap)
+    return FockElement(kept, dropped_mass=0.0 + lost)
 
 
 def _uneven_integrand(t):
@@ -327,6 +342,61 @@ def test_one_pass_gives_every_level_the_bits_of_its_own_pass(f, cap, monkeypatch
     assert reordered
     # degrees reach 3 + the top degree of f, so cap 3 drops terms unless f is the vacuum
     assert (sums[-1].dropped_mass > 0) == (cap == 3 and any(w.degree for w in f.coeffs))
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("dens", [SpectralDensity.lebesgue(), SpectralDensity.fbm(0.3)],
+                         ids=["lebesgue", "fbm0.3"])
+@pytest.mark.parametrize("integrand", ["process", "uneven"])
+@pytest.mark.parametrize("cap", [12, 3])
+def test_refinement_distances_have_the_bits_of_the_element_difference(
+        dens, integrand, cap, monkeypatch):
+    # the process path converges, as in criterion 9; the uneven one lists
+    # its words in a different order per level and raises NonCauchyError,
+    # so its norms are checked directly
+    state = ProcessState(dens, n_max=16, degree_cap=cap)
+    if integrand == "process":
+        fn, f = (lambda t: apply_process(state, t, vacuum())), vacuum()
+    else:
+        fn, f = _uneven_integrand, vacuum() * 0.5 + basis_vector(normalize([2])) * (0.3 - 0.6j)
+    levels = 4
+    path = IntegrandPath.dyadic(fn, 0.0, 1.0, levels)
+    seen = []
+
+    def spy(*args):
+        seen.append(sums_of_all_levels(*args))
+        return seen[-1]
+
+    sums_of_all_levels = process._riemann_sums
+    monkeypatch.setattr(process, "_riemann_sums", spy)
+    try:
+        res = stochastic_integral(state, path, f, 0.0, 1.0, levels)
+    except NonCauchyError:
+        res = None
+    (sums,) = seen
+    q = -float(state.level + 2)
+    want = [norm(s1 - s0, q, state.seq) for s0, s1 in zip(sums, sums[1:])]
+    scale = norm(sums[-1], q, state.seq)
+    distances, got_scale = process._refinement_norms(sums, q, state.seq)
+    assert _hex(distances) == _hex(want)
+    assert got_scale.hex() == scale.hex()
+    # every other level with its words reversed: the running sum must
+    # follow each difference's own order, not the order of the union
+    flipped = [FockElement(dict(reversed(s.coeffs.items())), s.dropped_mass) if k % 2 else s
+               for k, s in enumerate(sums)]
+    distances, got_scale = process._refinement_norms(flipped, q, state.seq)
+    assert _hex(distances) == _hex(norm(s1 - s0, q, state.seq)
+                                   for s0, s1 in zip(flipped, flipped[1:]))
+    assert got_scale.hex() == norm(flipped[-1], q, state.seq).hex()
+    if res is not None:
+        floor = 1e-14 * max(scale, 1.0)
+        ratios = [0.0 if d1 <= floor else (math.inf if d0 <= floor else d1 / d0)
+                  for d0, d1 in zip(want, want[1:])]
+        assert _hex(res.distances) == _hex(want)
+        assert _hex(res.ratios) == _hex(ratios)
 
 
 def test_every_built_key_is_a_word():

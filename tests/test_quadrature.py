@@ -11,6 +11,8 @@ import freenoise
 from freenoise.errors import QuadratureError
 from freenoise.quadrature import (
     gl_integrate,
+    layout_nodes,
+    panel_nodes,
     quad_cos_range,
     quad_scalar,
 )
@@ -28,6 +30,23 @@ def test_gl_integrate_raises_when_the_tail_does_not_settle():
     # integral of exp(-u / 4000)
     with pytest.raises(QuadratureError, match="in 8 doublings past 60"):
         gl_integrate(lambda u: (np.exp(-u / 4000.0), np.ones_like(u)), 1.0)
+
+
+@pytest.mark.parametrize("osc, stop", [
+    (18.0, 30.0), (2.0 * math.sqrt(512) + 17.0, math.sqrt(1025.0) + 12.0),
+    (2.0 * math.sqrt(400) + 1.0 + 2.0 ** 10, 40.3), (0.1, 60.0)])
+def test_layout_node_count_is_known_before_the_layout_is_built(osc, stop):
+    nodes, weights = panel_nodes(osc, stop)
+    assert abs(layout_nodes(osc, stop) - len(nodes)) <= 16
+    # kept and shared read-only: a caller cannot change a later pass
+    assert panel_nodes(osc, stop)[0] is nodes
+    assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+def test_panel_width_that_cannot_advance_an_edge_raises():
+    # a width below half an ulp of 1 would append the same edge forever
+    with pytest.raises(QuadratureError, match="does not advance"):
+        panel_nodes(6.0 / 1e-17, 30.0)
 
 
 def test_gl_integrate_contracts_every_factor_against_every_row():

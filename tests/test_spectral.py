@@ -375,6 +375,25 @@ def test_flat_multiplier_is_the_hermite_function_at_the_n_max_bound(t):
         tm_values(leb, t, 513)
 
 
+def test_layout_above_the_budget_is_rejected_before_it_is_built(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the layout was built")
+
+    monkeypatch.setattr(spectral, "gl_integrate", refuse)
+    leb = SpectralDensity.lebesgue()
+    for t, n_max in [(1e6, 4), (1e18, 16), (-1e300, 512), (1.7e308, 1)]:
+        with pytest.raises(ValidationError, match="above the bound of 256 MiB"):
+            _tm_and_alpha.__wrapped__(leb, t, n_max)
+
+
+def test_largest_tier_one_layout_is_within_the_budget():
+    # lebesgue at t = 12 and n_max 512: 508 panels, 32 MiB of rows and factors
+    osc, stop = _osc_scale(512, 12.0), _tail_stop(512)
+    nodes, _ = panel_nodes(osc, stop)
+    assert len(nodes) == 508 * 16
+    assert len(nodes) * (512 + 4) * 8 <= 256 << 20
+
+
 @pytest.mark.parametrize("t", _FLAT_TIMES)
 def test_flat_alpha_is_the_integral_of_the_hermite_function_to_n_400(t):
     x, w = np.polynomial.legendre.leggauss(200)
