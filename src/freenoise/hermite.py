@@ -33,9 +33,9 @@ import numpy as np
 from .errors import DivergenceError, ValidationError
 
 __all__ = [
+    "ZERO_PAST",
     "check_index_bound",
     "hermite_fn_matrix",
-    "hermite_vanishes",
     "mehler_closed",
     "mehler_sum",
 ]
@@ -47,6 +47,10 @@ _PI_QUARTER = math.pi ** -0.25
 # hfn_n is O(0.1); at 512 the flat multiplier still matches the Hermite
 # functions to 5e-14.
 _N_MAX_BOUND = 512
+
+# From u = 38.61 on, e^{-u^2/2} underflows to +0.0, and so does every row
+# the recurrence builds from it; hfn_1(38.6) is still about 4.9e-324.
+ZERO_PAST = 38.61
 
 
 def check_index_bound(n_max: int) -> None:
@@ -71,48 +75,21 @@ def hermite_fn_matrix(n_max: int, u) -> np.ndarray:
     # c * e^{-u u / 2} and c1 * u * hfn_{j} - c2 * hfn_{j-1}, so every
     # row is bit-identical to that formula.
     first = out[0]
-    # The recurrence runs only between the first and last nodes where
-    # some row is not +0.0.
-    live = np.flatnonzero(~_vanishing(u, first))
-    lo, hi = (live[0], live[-1] + 1) if live.size else (0, 0)
-    out[1:, :lo] = 0.0
-    out[1:, hi:] = 0.0
-    u, first = u[lo:hi], first[lo:hi]
-    if n_max > 1:
-        np.multiply(u, math.sqrt(2.0), out=out[1, lo:hi])
-        out[1, lo:hi] *= first
-    scratch = np.empty(u.shape)
-    for j in range(2, n_max):
-        row = out[j, lo:hi]
-        np.multiply(u, math.sqrt(2.0 / j), out=row)
-        row *= out[j - 1, lo:hi]
-        np.multiply(out[j - 2, lo:hi], math.sqrt((j - 1) / j), out=scratch)
-        row -= scratch
-    return out.reshape(shape)
-
-
-def _vanishing(u: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Fill first with hfn_1(u); mark the nodes where every row is +0.0.
-
-    Where u > 0 and the Gaussian has underflowed to +0.0, the formula
-    gives +0.0 in every later row as long as u sqrt(2) is finite.
-    """
     np.multiply(u, -0.5, out=first)
     first *= u
     np.exp(first, out=first)
     first *= _PI_QUARTER
-    with np.errstate(over="ignore"):
-        return (first == 0.0) & (u > 0.0) & np.isfinite(u * math.sqrt(2.0))
-
-
-def hermite_vanishes(u) -> bool:
-    """True when hermite_fn_matrix(n, u) is +0.0 everywhere, for every n."""
-    u = np.asarray(u, dtype=float).ravel()
-    # hfn_1(u) is still positive (about 2e-314) at u = 38, so a grid
-    # whose smallest node lies below (or is nan) is live without a scan
-    if u.size and not u.min() >= 38.0:
-        return False
-    return bool(_vanishing(u, np.empty(u.shape)).all())
+    if n_max > 1:
+        np.multiply(u, math.sqrt(2.0), out=out[1])
+        out[1] *= first
+    scratch = np.empty(u.shape)
+    for j in range(2, n_max):
+        row = out[j]
+        np.multiply(u, math.sqrt(2.0 / j), out=row)
+        row *= out[j - 1]
+        np.multiply(out[j - 2], math.sqrt((j - 1) / j), out=scratch)
+        row -= scratch
+    return out.reshape(shape)
 
 
 def mehler_closed(u: float, v: float, s: float) -> float:

@@ -48,7 +48,8 @@ __all__ = [
 # templates are uniform in t, so one certificate stands for the state
 _CERT_TIME = 1.0
 
-# finest dyadic refinement a path is sampled at: 2^16 tags
+# finest dyadic refinement a path is sampled at and a sum is taken over:
+# 2^16 tags
 _MAX_LEVELS = 16
 
 
@@ -206,8 +207,9 @@ class IntegralResult:
 def riemann_sum(state: ProcessState, path: IntegrandPath, f: FockElement,
                 a: float, b: float, n_intervals: int) -> FockElement:
     """Left-tagged Riemann sum sum_j step * Y(u_j) (x) W(u_j) f."""
-    if n_intervals < 1:
-        raise ValidationError("need at least one interval")
+    if not 1 <= n_intervals <= 1 << _MAX_LEVELS:
+        raise ValidationError(
+            f"n_intervals must be between 1 and {1 << _MAX_LEVELS}, got {n_intervals}")
     return _riemann_sums(state, path, f, a, b, n_intervals, 1)[0]
 
 
@@ -315,8 +317,8 @@ def stochastic_integral(state: ProcessState, path: IntegrandPath,
     consecutive distances each drop to at most 0.6 of the previous one.
     Distances that grow beyond rounding noise abort instead.
     """
-    if levels < 3:
-        raise ValidationError("need at least 3 refinement levels")
+    if not 3 <= levels <= _MAX_LEVELS:
+        raise ValidationError(f"levels must be between 3 and {_MAX_LEVELS}, got {levels}")
     p = state.level
     if q is None:
         q = p + 2

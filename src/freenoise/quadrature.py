@@ -15,9 +15,9 @@ Two engines share the work:
   own warnings are silenced.
 
 The panel layout grades geometrically toward zero (integrable
-singularities u^{-b}, b < 1) and caps panel width by the oscillation
-scale of the integrand, then extends the tail until the last panel's
-contribution is negligible.
+singularities u^{-b}, b < 1), caps panel width by the oscillation
+scale of the integrand and ends at a stop the caller picks past the
+support of its rows.
 """
 
 from __future__ import annotations
@@ -43,19 +43,13 @@ __all__ = [
 _GL_ORDER = 16
 _GL_X, _GL_W = leggauss(_GL_ORDER)
 
-# gl_integrate's tail: doublings allowed, and the share of the total
-# below which the newest span stops them
-_TAIL_ROUNDS = 8
-_TAIL_REL_TOL = 1e-11
-
-
 # Edges of the graded region: 0, 2^-60, ..., 1/2, 1
 _GRADED_EDGES = [0.0] + [2.0 ** -j for j in range(60, -1, -1)]
 
 
 @lru_cache(maxsize=8)
-def panel_nodes(osc_scale: float, tail_stop: float = 60.0) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite rule on (0, tail_stop].
+def panel_nodes(osc_scale: float, stop: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite rule on (0, stop].
 
     osc_scale bounds the panel width away from zero: panels are at most
     ~6 / osc_scale wide so a GL-16 rule resolves the oscillation.  The
@@ -67,13 +61,13 @@ def panel_nodes(osc_scale: float, tail_stop: float = 60.0) -> tuple[np.ndarray, 
         raise QuadratureError("oscillation scale must be positive")
     width = 6.0 / osc_scale
     edges = list(_GRADED_EDGES)
-    # oscillation-limited region out to tail_stop
+    # oscillation-limited region out to stop
     x = edges[-1]
-    while x < tail_stop:
+    while x < stop:
         if x + width == x:
             raise QuadratureError(
                 f"panel width {width:.3g} does not advance the edge at {x:g}")
-        x = min(x + width, tail_stop)
+        x = min(x + width, stop)
         edges.append(x)
     nodes, weights = _composite_rule(np.asarray(edges))
     keep = weights > 0
@@ -83,11 +77,11 @@ def panel_nodes(osc_scale: float, tail_stop: float = 60.0) -> tuple[np.ndarray, 
     return nodes, weights
 
 
-def layout_nodes(osc_scale: float, tail_stop: float) -> float:
-    """Node count of panel_nodes(osc_scale, tail_stop), to within a panel,
+def layout_nodes(osc_scale: float, stop: float) -> float:
+    """Node count of panel_nodes(osc_scale, stop), to within a panel,
     before any node is built; a float, so a layout too large to build
     still has one."""
-    panels = len(_GRADED_EDGES) - 1 + (tail_stop - 1.0) * osc_scale / 6.0 + 1.0
+    panels = len(_GRADED_EDGES) - 1 + (stop - 1.0) * osc_scale / 6.0 + 1.0
     return _GL_ORDER * panels
 
 
@@ -100,50 +94,24 @@ def _composite_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def gl_integrate(f, osc_scale: float, tail_stop: float = 60.0):
-    """Integrals over (0, inf) of every product factors[k] * rows[n].
+def gl_integrate(f, osc_scale: float, stop: float):
+    """Integrals over (0, stop] of every product factors[k] * rows[n].
 
-    f maps a node vector to a pair (rows, factors), both with nodes on
-    the last axis; the result, indexed (k, n), is (factors * weights) @
-    rows.T summed over the panels and tail spans.  Rows of None say that
-    every row is +0.0 on those nodes: the span then adds exactly zero
-    and its product is skipped.  The tail extends by doubling spans
-    until the newest span contributes less than 1e-11 of the total;
-    QuadratureError is raised when 8 doublings do not get there, or as
-    soon as a contraction is not finite, which for zero rows is
-    whenever a weighted factor is not.
+    f maps the nodes of panel_nodes(osc_scale, stop) to a pair (rows,
+    factors), both with nodes on the last axis; the result, indexed
+    (k, n), is (factors * weights) @ rows.T.  The caller picks stop past
+    the support of its rows.  QuadratureError is raised when the
+    contraction is not finite.
     """
-    def contract(nodes, weights):
-        rows, factors = f(nodes)
-        with np.errstate(over="ignore", invalid="ignore"):
-            weighted = factors * weights
-            if rows is None:
-                out = 0.0 if np.isfinite(weighted).all() else math.nan
-            else:
-                out = weighted @ rows.T
-        if not np.isfinite(out).all():
-            raise QuadratureError(
-                f"integrand overflows on ({nodes[0]:.4g}, {nodes[-1]:.4g}): "
-                "the contraction is not finite")
-        return out
-
-    total = contract(*panel_nodes(osc_scale, tail_stop=tail_stop))
-    span = tail_stop
-    start = tail_stop
-    width = 6.0 / osc_scale
-    for _ in range(_TAIL_ROUNDS):
-        stop = start + span
-        n_panels = max(int(np.ceil(span / width)), 1)
-        piece = contract(*_composite_rule(np.linspace(start, stop, n_panels + 1)))
-        total = total + piece
-        scale = np.max(np.abs(total)) + 1e-300
-        if np.max(np.abs(piece)) <= _TAIL_REL_TOL * scale:
-            return total
-        start = stop
-        span *= 2.0
-    raise QuadratureError(
-        f"tail span did not fall below {_TAIL_REL_TOL:g} of the total "
-        f"in {_TAIL_ROUNDS} doublings past {tail_stop:g}")
+    nodes, weights = panel_nodes(osc_scale, stop)
+    rows, factors = f(nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (factors * weights) @ rows.T
+    if not np.isfinite(out).all():
+        raise QuadratureError(
+            f"integrand overflows on ({nodes[0]:.4g}, {nodes[-1]:.4g}): "
+            "the contraction is not finite")
+    return out
 
 
 def _quad(what: str, f, a: float, b: float, **options) -> tuple[float, float]:
@@ -159,13 +127,18 @@ def _quad(what: str, f, a: float, b: float, **options) -> tuple[float, float]:
     return val, err
 
 
+def _gated(what: str, f, a: float, b: float, abs_tol: float, **options) -> float:
+    """_quad with abs_tol as both tolerances; an error estimate above
+    50 max(abs_tol, abs_tol |value|) raises QuadratureError."""
+    val, err = _quad(what, f, a, b, epsabs=abs_tol, epsrel=abs_tol, limit=400, **options)
+    if err > max(abs_tol, abs_tol * abs(val)) * 50:
+        raise QuadratureError(f"{what} error {err:.2e} too large")
+    return val
+
+
 def quad_scalar(f, a: float, b: float, abs_tol: float = 1e-11) -> float:
     """Integral of f over (a, b) by QUADPACK, abs_tol also the relative tolerance."""
-    val, err = _quad("quad", f, a, b, epsabs=abs_tol, epsrel=abs_tol, limit=400)
-    if err > max(abs_tol, abs_tol * abs(val)) * 50:
-        raise QuadratureError(
-            f"quad error {err:.2e} too large for integral {val:.6e} on [{a}, {b}]")
-    return val
+    return _gated("quad", f, a, b, abs_tol)
 
 
 def quad_cos_range(f, omega: float, a: float, b: float,
@@ -174,13 +147,9 @@ def quad_cos_range(f, omega: float, a: float, b: float,
 
     Dispatches to the QUADPACK oscillatory rules, which take the cosine
     as an analytic weight instead of sampling through the oscillation.
-    omega must be nonzero.
+    omega must be nonzero.  The gate is quad_scalar's.
     """
-    val, err = _quad("oscillatory quad", f, a, b, weight="cos", wvar=omega,
-                     epsabs=abs_tol, epsrel=abs_tol, limit=400)
-    if err > 1e-6:
-        raise QuadratureError(f"oscillatory quad error {err:.2e} too large")
-    return val
+    return _gated("oscillatory quad", f, a, b, abs_tol, weight="cos", wvar=omega)
 
 
 def quad_semicircle_moment(order: int, radius: float = 2.0) -> float:

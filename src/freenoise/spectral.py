@@ -19,11 +19,12 @@ cosine and sine integrals.  All coefficient vectors at one time point
 come from a single composite Gauss-Legendre pass whose integrands
 factor into Hermite rows times four scalar factors, so the pass is one
 matrix product of the weighted factors against the Hermite matrix.
-The panels depend on t only through B(t) = max(1, 2^ceil(log2 |t|)) >= |t|:
+The panels end at hermite.ZERO_PAST, from which on every Hermite row is
++0.0, and depend on t only through B(t) = max(1, 2^ceil(log2 |t|)) >= |t|:
 the times of one bucket share their nodes and Hermite rows, which are
-kept for the latest layout while they fit in 4 MiB (n_max up to ~100).
-A layout's size is known before it is built, and one above 256 MiB is
-rejected.
+kept for the latest layout when they fit in 4 MiB (n_max up to ~145 at
+B = 1).  A pass's size is known before it is built, and one above
+256 MiB is rejected.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .hermite import check_index_bound, hermite_fn_matrix, hermite_vanishes
+from .hermite import ZERO_PAST, check_index_bound, hermite_fn_matrix
 from .quadrature import gl_integrate, layout_nodes, quad_cos_range, quad_scalar
 from .words import WeightSequence
 
@@ -136,13 +137,6 @@ class SpectralDensity:
     @classmethod
     def exponential(cls, rate: float = 1.0, scale: float = 1.0) -> "SpectralDensity":
         return cls(kind="exponential", rate=float(rate), scale=scale)
-
-    @classmethod
-    def custom(cls, origin_exponent: float = 0.0, class_index: int = 0,
-               scale: float = 1.0) -> "SpectralDensity":
-        return cls(kind="custom", scale=scale,
-                   origin_exponent=float(origin_exponent),
-                   class_index=int(class_index))
 
     @property
     def growth(self) -> str:
@@ -295,33 +289,31 @@ def _osc_scale(n_max: int, t: float) -> float:
     return 2.0 * math.sqrt(max(n_max, 1)) + bucket + 1.0
 
 
-def _tail_stop(n_max: int) -> float:
-    return max(30.0, math.sqrt(2.0 * n_max + 1.0) + 12.0)
-
-
-# Read-only Hermite rows of the latest layout, by (n_max, osc_scale,
-# first node of the span), while together they fit in _KEEP_BYTES
+# Read-only Hermite rows of the latest layout, by (n_max, osc_scale),
+# when they fit in _KEEP_BYTES
 _KEEP_BYTES = 4 << 20
 _kept_rows: dict = {}
 
 
 def _hermite_rows(n_max: int, osc_scale: float, nodes: np.ndarray) -> np.ndarray:
-    """hermite_fn_matrix(n_max, nodes) on one span of the layout."""
-    key = (n_max, osc_scale, float(nodes[0]))
+    """hermite_fn_matrix(n_max, nodes) on the nodes of the layout."""
+    key = (n_max, osc_scale)
     rows = _kept_rows.get(key)
     if rows is None:
-        if any(kept[:2] != key[:2] for kept in _kept_rows):
-            _kept_rows.clear()
+        _kept_rows.clear()
         rows = hermite_fn_matrix(n_max, nodes)
-        if sum(r.nbytes for r in _kept_rows.values()) + rows.nbytes <= _KEEP_BYTES:
+        if rows.nbytes <= _KEEP_BYTES:
             rows.setflags(write=False)
             _kept_rows[key] = rows
     return rows
 
 
-# Largest multiplier layout: its nodes times 8 bytes for each of the
-# n_max Hermite rows and the four factors
+# Largest multiplier pass: its nodes times 8 bytes for each of the n_max
+# Hermite rows and for each node-length array held beside them at the
+# pass's peak (the layout, the factors and their temporaries: 13.1 arrays
+# traced at n_max 4 to 512, so 14 are counted)
 _LAYOUT_BYTES = 256 << 20
+_PASS_ARRAYS = 14
 
 
 @lru_cache(maxsize=512)
@@ -331,14 +323,15 @@ def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarr
     One composite pass contracts the Hermite rows against the four
     factors sqrt(m) * {cos, sin, sin / u, 2 sin^2(u t / 2) / u}; the
     four-periodic phase pattern then picks the signed cosine or sine
-    integral per index.  A layout above _LAYOUT_BYTES is rejected
-    before any node is built.
+    integral per index.  The layout runs to ZERO_PAST, past which every
+    Hermite row is +0.0.  A pass that would hold more than _LAYOUT_BYTES
+    is rejected before any node is built.
     """
     if not math.isfinite(t):
         raise ValidationError(f"time must be finite, got {t}")
     check_index_bound(n_max)
-    osc, stop = _osc_scale(n_max, t), _tail_stop(n_max)
-    need = layout_nodes(osc, stop) * (n_max + 4) * 8
+    osc = _osc_scale(n_max, t)
+    need = layout_nodes(osc, ZERO_PAST) * (n_max + _PASS_ARRAYS) * 8
     if need > _LAYOUT_BYTES:
         raise ValidationError(
             f"the multiplier layout at t = {t:g}, n_max {n_max} needs "
@@ -348,12 +341,11 @@ def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarr
         st = np.sin(t * nodes)
         half = np.sin(0.5 * t * nodes)
         factors = np.stack([np.cos(t * nodes), st, st / nodes, 2.0 * half * half / nodes])
-        rows = None if hermite_vanishes(nodes) else _hermite_rows(n_max, osc, nodes)
-        return rows, factors * dens.root(nodes)
+        return _hermite_rows(n_max, osc, nodes), factors * dens.root(nodes)
 
     # rows cos, sin, s, k, then their negatives; index n takes the row of
     # its phase n % 4: cos, sin, -cos, -sin for tm and s, k, -s, -k for alpha
-    ints = _HALF_LINE_PREF * gl_integrate(integrand, osc, stop)
+    ints = _HALF_LINE_PREF * gl_integrate(integrand, osc, ZERO_PAST)
     signed = np.concatenate([ints, -ints])
     pick = np.array([0, 1, 4, 5])[np.arange(n_max) % 4]
     cols = np.arange(n_max)

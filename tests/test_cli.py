@@ -159,7 +159,10 @@ def test_rfun_non_finite_quadrature_error_exits_three(capsys):
     (["rfun", "--t", "5e-324"], "oscillatory quad value nan or error nan is not finite"),
     (["kernel", "--density", "lebesgue", "--scale", "1e300", "--t", "1"],
      "oscillatory quad error 3.84e+296 too large"),
-], ids=["rfun", "kernel"])
+    # a tolerance QAWF cannot reach: its error estimate is above 50 x 5e-16
+    (["kernel", "--density", "lebesgue", "--t", "1", "--s", "0.5", "--tol", "5e-16"],
+     "oscillatory quad error 4.76e-14 too large"),
+], ids=["rfun", "kernel", "kernel-tol"])
 def test_quadrature_failure_prints_one_json_line_to_stderr(argv, message):
     # in a fresh interpreter, where no test runner records the warnings
     # that scipy would print to stderr
@@ -278,6 +281,19 @@ def test_overflowing_exponential_density_exits_three(capsys):
     assert run(["tmcoeff", "--density", "exp", "--rate", "60", "--t", "1.0",
                 "--n-max", "64"]) == 3
     err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "numerical" and "not finite" in err["error"]
+
+
+def test_exponential_density_exits_three_exactly_where_the_root_overflows(cli_child):
+    # e^{rate u / 2} overflows on the layout (0, 38.61] for rate > 36.77,
+    # at every n_max; rate 18 used to exit 3 here
+    argv = ["tmcoeff", "--density", "exp", "--t", "1", "--n-max", "400", "--rate"]
+    assert cli_child(argv + ["36"]).returncode == 0
+    proc = cli_child(argv + ["37"])
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    err = json.loads(proc.stderr)
     assert err["kind"] == "numerical" and "not finite" in err["error"]
 
 
@@ -441,13 +457,13 @@ def test_simulate_overflow_prints_one_json_line_to_stderr(cli_child, word, messa
 
 
 @pytest.mark.parametrize("argv, message", [
-    # 5.07e6 panels; numpy used to fail to allocate 619 MiB after 4.6 s
+    # 6.57e6 panels; numpy used to fail to allocate 619 MiB after 4.6 s
     (["tmcoeff", "--t", "1e6", "--n-max", "4"],
-     "the multiplier layout at t = 1e+06, n_max 4 needs 4.95e+03 MiB, "
+     "the multiplier layout at t = 1e+06, n_max 4 needs 1.44e+04 MiB, "
      "above the bound of 256 MiB"),
     # a panel width below half an ulp, which used to loop without end
     (["tmcoeff", "--t", "1e18", "--n-max", "16"],
-     "the multiplier layout at t = 1e+18, n_max 16 needs 1.36e+16 MiB, "
+     "the multiplier layout at t = 1e+18, n_max 16 needs 2.65e+16 MiB, "
      "above the bound of 256 MiB"),
     # 2^30 tags, which used to run out of memory
     (["integrate", "--n-max", "16", "--levels", "30"],

@@ -9,8 +9,8 @@ from scipy import special as sp
 
 from freenoise.errors import DivergenceError, ValidationError
 from freenoise.hermite import (
+    ZERO_PAST,
     hermite_fn_matrix,
-    hermite_vanishes,
     mehler_closed,
     mehler_sum,
 )
@@ -69,15 +69,15 @@ def _allocating_fn_matrix(n_max, u):
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 400])
 def test_in_place_fill_is_bit_identical(n_max):
-    nodes, _ = panel_nodes(2.0 * math.sqrt(400) + 2.0, tail_stop=40.0)
+    nodes, _ = panel_nodes(2.0 * math.sqrt(400) + 2.0, 40.0)
     u = np.concatenate([nodes, [2.0 ** -60, 0.0, -0.3, -7.25], -nodes[::97]])
     assert hermite_fn_matrix(n_max, u).tobytes() == _allocating_fn_matrix(n_max, u).tobytes()
 
 
 def test_underflowed_columns_are_bit_identical():
-    # gl_integrate's first tail span at n_max 400, where the Gaussian
-    # has underflowed at every node, and a mixed grid whose negative,
-    # infinite and nan nodes keep the full recurrence
+    # a span past ZERO_PAST, (40.3, 80.6] at the panel width of n_max 400,
+    # where the Gaussian has underflowed at every node, and a mixed grid
+    # with negative, infinite and nan nodes
     stop = math.sqrt(801.0) + 12.0
     n_panels = math.ceil(stop / (6.0 / (2.0 * math.sqrt(400) + 2.0)))
     tail, _ = _composite_rule(np.linspace(stop, 2.0 * stop, n_panels + 1))
@@ -94,18 +94,13 @@ def test_underflowed_columns_are_bit_identical():
     assert not hermite_fn_matrix(400, tail)[1:].any()
 
 
-def test_vanishing_grids_are_exactly_the_all_zero_ones():
-    # 38 and 38.5 are still live; inf, nan, negative nodes and an
-    # overflowing u sqrt(2) keep a grid live as well
-    grids = ([39.0, 50.0, 80.0], [38.0, 50.0], [38.5], [38.7, 1e300],
-             [50.0, np.nan], [50.0, np.inf], [50.0, 1.5e308], [50.0, -50.0],
-             [60.0, 2.0 ** -1074], [[45.0, 46.0], [47.0, 48.0]])
-    for u in grids:
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = hermite_fn_matrix(400, u)
-            vanishes = hermite_vanishes(u)
-        assert vanishes == (not rows.any() and not np.signbit(rows).any())
-    assert hermite_vanishes([39.0, 50.0]) and not hermite_vanishes([38.5, 50.0])
+def test_every_row_is_positive_zero_from_zero_past_on():
+    # the multiplier layout stops at ZERO_PAST: no row it leaves out is
+    # anything but +0.0, and the Gaussian has not underflowed at 38.6
+    assert ZERO_PAST == 38.61
+    rows = hermite_fn_matrix(512, [ZERO_PAST, 40.0, 1e3])
+    assert not rows.any() and not np.signbit(rows).any()
+    assert hermite_fn_matrix(1, [38.6])[0, 0] > 0.0
 
 
 def test_hermite_functions_are_fourier_eigenvectors():

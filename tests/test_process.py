@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -175,6 +176,19 @@ def test_integral_levels_and_q_validation():
         stochastic_integral(state, path, vacuum(), 0.0, 1.0, 2)
     with pytest.raises(LevelTooLowError):
         stochastic_integral(state, path, vacuum(), 0.0, 1.0, 4, q=4)
+
+
+def test_integral_and_sum_bound_their_tags_before_building_them():
+    # a 6-level path with levels=24 used to build 16.8M tags (2.2 s)
+    # before value_at failed
+    state = ProcessState(SpectralDensity.lebesgue(), n_max=32)
+    path = IntegrandPath.dyadic(lambda t: vacuum(), 0.0, 1.0, 6)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="between 3 and 16, got 24"):
+        stochastic_integral(state, path, vacuum(), 0.0, 1.0, 24)
+    with pytest.raises(ValidationError, match="between 1 and 65536, got 16777216"):
+        riemann_sum(state, path, vacuum(), 0.0, 1.0, 1 << 24)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_integral_of_constant_integrand_converges():

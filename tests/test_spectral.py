@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,14 +12,13 @@ from scipy import special as ssp
 
 from freenoise import spectral
 from freenoise.errors import DivergenceError, QuadratureError, ValidationError
-from freenoise.hermite import hermite_fn_matrix
+from freenoise.hermite import ZERO_PAST, hermite_fn_matrix
 from freenoise.quadrature import _composite_rule, panel_nodes
 from freenoise.spectral import (
     _HALF_LINE_PREF,
     SpectralDensity,
     _osc_scale,
     _r_cached,
-    _tail_stop,
     _tm_and_alpha,
     alpha_vector,
     certify_tail,
@@ -51,11 +51,11 @@ def test_density_validation():
     with pytest.raises(ValidationError):
         SpectralDensity.fbm(1.0)
     with pytest.raises(ValidationError):
-        SpectralDensity.custom(origin_exponent=2.0)
+        SpectralDensity("custom", origin_exponent=2.0)
     with pytest.raises(ValidationError):
         SpectralDensity.exponential(rate=0.0)
     with pytest.raises(ValidationError):
-        SpectralDensity.custom(class_index=-1)
+        SpectralDensity("custom", class_index=-1)
     with pytest.raises(ValidationError):
         SpectralDensity(kind="lebesgue", cutoff_low=2.0, cutoff_high=1.0)
     for bad in (math.nan, math.inf):
@@ -83,8 +83,8 @@ _DENSITIES = [
     SpectralDensity.fbm(0.3),
     SpectralDensity.fbm(0.75),
     SpectralDensity.exponential(1.0),
-    SpectralDensity.custom(origin_exponent=0.5, class_index=1),
-    dataclasses.replace(SpectralDensity.custom(origin_exponent=0.5, class_index=1),
+    SpectralDensity("custom", origin_exponent=0.5, class_index=1),
+    dataclasses.replace(SpectralDensity("custom", origin_exponent=0.5, class_index=1),
                         cutoff_low=_EDGES[0], cutoff_high=_EDGES[1]),
     dataclasses.replace(SpectralDensity.fbm(0.75), cutoff_low=_EDGES[0],
                         cutoff_high=_EDGES[1]),
@@ -200,15 +200,15 @@ _FROZEN_N400 = {
 @pytest.mark.parametrize("dens", [SpectralDensity.lebesgue(), SpectralDensity.fbm(0.3),
                                   SpectralDensity.fbm(0.75)], ids=lambda d: d.label())
 def test_skipping_underflowed_tail_spans_changes_no_bit(dens, monkeypatch):
-    # at n_max 400 the first tail span, (40.3, 80.6], is wholly past the
-    # Gaussian underflow; the pass must give the recorded bytes, and the
-    # same bytes when that span is contracted like any other
+    # the layout stops at ZERO_PAST; at n_max 400 the pass must give the
+    # bytes recorded when it also contracted the span (40.3, 80.6], and
+    # the same bytes when its layout runs on through that span
     for t in (0.5, 2.5):
         tm, al = tm_values(dens, t, 400), alpha_vector(dens, t, 400)
         digests = tuple(hashlib.sha256(v.tobytes()).hexdigest() for v in (tm, al))
         assert digests == _FROZEN_N400[(dens.label(), t)]
         with monkeypatch.context() as m:
-            m.setattr(spectral, "hermite_vanishes", lambda u: False)
+            m.setattr(spectral, "ZERO_PAST", 80.6)
             full_tm, full_al = _tm_and_alpha.__wrapped__(dens, t, 400)
         assert (tm.tobytes(), al.tobytes()) == (full_tm.tobytes(), full_al.tobytes())
 
@@ -232,16 +232,16 @@ def _count_hermite_calls(monkeypatch):
 
 def test_times_of_one_bucket_share_their_hermite_rows(monkeypatch):
     # the 64 tags of a dyadic integral over [a, a + 1), a < 0.1, fall in
-    # two buckets of two spans each: 4 Hermite matrices, not 128
+    # two buckets of one layout each: 2 Hermite matrices, not 64
     leb = SpectralDensity.lebesgue()
     times = 0.0371 + np.arange(64) / 64.0
     calls = _count_hermite_calls(monkeypatch)
     shared = [_tm_and_alpha.__wrapped__(leb, t, 64) for t in times]
-    assert len(calls) <= 4
+    assert len(calls) == 2
     # rows rebuilt on every pass give the same bits
     monkeypatch.setattr(spectral, "_KEEP_BYTES", 0)
     fresh = [_tm_and_alpha.__wrapped__(leb, t, 64) for t in times]
-    assert len(calls) > 4 + 64
+    assert len(calls) == 2 + 64
     for (tm, al), (tm0, al0) in zip(shared, fresh):
         assert (tm.tobytes(), al.tobytes()) == (tm0.tobytes(), al0.tobytes())
 
@@ -255,21 +255,32 @@ def test_only_the_latest_layout_is_kept_and_only_under_4_mib(monkeypatch):
     gc.collect()
     assert first() is None
     kept = spectral._kept_rows
-    assert {key[:2] for key in kept} == {(64, _osc_scale(64, 1.5))}
-    assert len(kept) == 2
+    assert list(kept) == [(64, _osc_scale(64, 1.5))]
     assert sum(r.nbytes for r in kept.values()) <= spectral._KEEP_BYTES == 4 << 20
     assert not any(r.flags.writeable for r in kept.values())
-    # at n_max 400 the main panel alone is about 17 MB: nothing is kept
+    # at n_max 400 the rows alone are about 17 MB: nothing is kept
     _tm_and_alpha.__wrapped__(leb, 0.5, 400)
     assert spectral._kept_rows == {}
 
 
-def test_skipped_tail_span_still_checks_for_overflow():
-    # at rate 18, sqrt(m) = e^{9 u} overflows only past u = 78.9, inside
-    # the first tail span at n_max 400, where every Hermite row is 0
-    with pytest.raises(QuadratureError, match=r"\(40\.3\d*, 80\.6\d*\)"):
-        tm_values(SpectralDensity.exponential(18.0), 1.0, 400)
-    assert np.all(np.isfinite(tm_values(SpectralDensity.exponential(16.0), 1.0, 400)))
+@pytest.mark.parametrize("n_max", [16, 64, 400])
+def test_exponential_pass_overflows_past_one_rate_and_is_resolved_below_it(n_max, monkeypatch):
+    # sqrt(m) = e^{rate u / 2} overflows on the layout (0, 38.61] exactly
+    # when rate > 2 x 709.78 / 38.61 = 36.77, whatever n_max and t
+    for rate in (37.0, 40.0):
+        with pytest.raises(QuadratureError, match="not finite"):
+            _tm_and_alpha.__wrapped__(SpectralDensity.exponential(rate), 1.0, n_max)
+    # below it the pass agrees with one on 8x finer panels
+    osc = spectral._osc_scale
+    for rate in (20.0, 30.0, 36.0):
+        dens = SpectralDensity.exponential(rate)
+        for t in (0.5, 1.0, 2.5):
+            tm, al = _tm_and_alpha.__wrapped__(dens, t, n_max)
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "_osc_scale", lambda n, t: 8.0 * osc(n, t))
+                fine_tm, fine_al = _tm_and_alpha.__wrapped__(dens, t, n_max)
+            for got, want in ((tm, fine_tm), (al, fine_al)):
+                assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 def test_exponential_density_is_never_clamped():
@@ -288,7 +299,7 @@ def test_density_pointwise_values():
     assert np.allclose(SpectralDensity.lebesgue()(u), 1.0)
     f = SpectralDensity.fbm(0.25)
     assert np.allclose(f(u), np.abs(u) ** 0.5)
-    c = SpectralDensity.custom(origin_exponent=0.5, class_index=1)
+    c = SpectralDensity("custom", origin_exponent=0.5, class_index=1)
     assert np.allclose(c(u), u ** -0.5 * (1.0 + u * u) ** 1.25)
     windowed = SpectralDensity(kind="lebesgue", cutoff_low=0.8, cutoff_high=2.0)
     assert np.allclose(windowed(u), [0.0, 1.0, 0.0])
@@ -387,11 +398,28 @@ def test_layout_above_the_budget_is_rejected_before_it_is_built(monkeypatch):
 
 
 def test_largest_tier_one_layout_is_within_the_budget():
-    # lebesgue at t = 12 and n_max 512: 508 panels, 32 MiB of rows and factors
-    osc, stop = _osc_scale(512, 12.0), _tail_stop(512)
-    nodes, _ = panel_nodes(osc, stop)
-    assert len(nodes) == 508 * 16
-    assert len(nodes) * (512 + 4) * 8 <= 256 << 20
+    # lebesgue at t = 12 and n_max 512: 452 panels, 29 MiB counted
+    nodes, _ = panel_nodes(_osc_scale(512, 12.0), ZERO_PAST)
+    assert len(nodes) == 452 * 16
+    assert len(nodes) * (512 + spectral._PASS_ARRAYS) * 8 <= 256 << 20
+
+
+@pytest.mark.parametrize("n_max, bucket", [(4, 2.0 ** 14), (512, 2.0 ** 9)])
+def test_largest_accepted_pass_peaks_within_the_budget(n_max, bucket, monkeypatch):
+    # the largest bucket a pass accepts at n_max, traced from an empty
+    # layout cache: every array it holds counts toward the 256 MiB
+    leb = SpectralDensity.lebesgue()
+    with pytest.raises(ValidationError, match="above the bound of 256 MiB"):
+        _tm_and_alpha.__wrapped__(leb, 2.0 * bucket, n_max)
+    monkeypatch.setattr(spectral, "_kept_rows", {})
+    panel_nodes.cache_clear()
+    tracemalloc.start()
+    try:
+        _tm_and_alpha.__wrapped__(leb, bucket, n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 128 << 20 < peak <= 256 << 20
 
 
 @pytest.mark.parametrize("t", _FLAT_TIMES)
@@ -406,9 +434,10 @@ def test_flat_alpha_is_the_integral_of_the_hermite_function_to_n_400(t):
 def _stacked_reference(dens, t, n_max):
     """tm and alpha with every integrand product formed, then contracted.
 
-    The same panels and tail doublings as gl_integrate, but the four
-    (n_max x nodes) integrands are built and stacked before the
-    weighted sum over the nodes.
+    The same panels as gl_integrate up to its own stop, past which
+    spans of doubling length are added until one contributes less than
+    1e-11 of the total; the four (n_max x nodes) integrands are built
+    and stacked before the weighted sum over the nodes.
     """
     def integrand(nodes):
         base = hermite_fn_matrix(n_max, nodes) * np.sqrt(dens(nodes))
@@ -417,8 +446,8 @@ def _stacked_reference(dens, t, n_max):
                    np.sin(t * nodes) / nodes, 2.0 * half * half / nodes)
         return np.stack([base * g for g in factors])
 
-    osc, stop = _osc_scale(n_max, t), _tail_stop(n_max)
-    nodes, weights = panel_nodes(osc, tail_stop=stop)
+    osc, stop = _osc_scale(n_max, t), max(30.0, math.sqrt(2.0 * n_max + 1.0) + 12.0)
+    nodes, weights = panel_nodes(osc, stop)
     total = integrand(nodes) @ weights
     start, span = stop, stop
     while True:
@@ -513,9 +542,9 @@ def test_kernel_divergence_guards():
     with pytest.raises(DivergenceError):
         kernel(SpectralDensity.exponential(1.0), 1.0, 1.0)
     with pytest.raises(DivergenceError):
-        r_function(SpectralDensity.custom(class_index=1), 1.0)
+        r_function(SpectralDensity("custom", class_index=1), 1.0)
     with pytest.raises(DivergenceError):
-        r_function(SpectralDensity.custom(origin_exponent=1.5), 1.0)
+        r_function(SpectralDensity("custom", origin_exponent=1.5), 1.0)
 
 
 def test_frequency_cutoff_bounds_the_tail():
