@@ -33,6 +33,7 @@ import numpy as np
 from .errors import DivergenceError, ValidationError
 
 __all__ = [
+    "EXACT_TO",
     "ZERO_PAST",
     "check_index_bound",
     "hermite_fn_matrix",
@@ -47,6 +48,10 @@ _PI_QUARTER = math.pi ** -0.25
 # hfn_n is O(0.1); at 512 the flat multiplier still matches the Hermite
 # functions to 5e-14.
 _N_MAX_BOUND = 512
+
+# Up to u = 37.6 the seed pi^{-1/4} e^{-u^2/2} is a normal float and every
+# row is exact to rounding; past it the seed is subnormal and loses bits.
+EXACT_TO = 37.6
 
 # From u = 38.61 on, e^{-u^2/2} underflows to +0.0, and so does every row
 # the recurrence builds from it; hfn_1(38.6) is still about 4.9e-324.

@@ -132,7 +132,8 @@ def _gated(what: str, f, a: float, b: float, abs_tol: float, **options) -> float
     50 max(abs_tol, abs_tol |value|) raises QuadratureError."""
     val, err = _quad(what, f, a, b, epsabs=abs_tol, epsrel=abs_tol, limit=400, **options)
     if err > max(abs_tol, abs_tol * abs(val)) * 50:
-        raise QuadratureError(f"{what} error {err:.2e} too large")
+        raise QuadratureError(
+            f"{what} error {err:.2e} too large for integral {val:.6e} on [{a}, {b}]")
     return val
 
 

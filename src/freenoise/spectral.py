@@ -20,7 +20,8 @@ come from a single composite Gauss-Legendre pass whose integrands
 factor into Hermite rows times four scalar factors, so the pass is one
 matrix product of the weighted factors against the Hermite matrix.
 The panels end at hermite.ZERO_PAST, from which on every Hermite row is
-+0.0, and depend on t only through B(t) = max(1, 2^ceil(log2 |t|)) >= |t|:
++0.0 (a pass whose integrand matters past hermite.EXACT_TO is refused),
+and depend on t only through B(t) = max(1, 2^ceil(log2 |t|)) >= |t|:
 the times of one bucket share their nodes and Hermite rows, which are
 kept for the latest layout when they fit in 4 MiB (n_max up to ~145 at
 B = 1).  A pass's size is known before it is built, and one above
@@ -36,8 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError
-from .hermite import ZERO_PAST, check_index_bound, hermite_fn_matrix
+from .errors import DivergenceError, QuadratureError, ValidationError
+from .hermite import EXACT_TO, ZERO_PAST, check_index_bound, hermite_fn_matrix
 from .quadrature import gl_integrate, layout_nodes, quad_cos_range, quad_scalar
 from .words import WeightSequence
 
@@ -289,15 +290,15 @@ def _osc_scale(n_max: int, t: float) -> float:
     return 2.0 * math.sqrt(max(n_max, 1)) + bucket + 1.0
 
 
-# Read-only Hermite rows of the latest layout, by (n_max, osc_scale),
-# when they fit in _KEEP_BYTES
+# Read-only Hermite rows of the latest layout, by (n_max, osc_scale,
+# node count), when they fit in _KEEP_BYTES
 _KEEP_BYTES = 4 << 20
 _kept_rows: dict = {}
 
 
 def _hermite_rows(n_max: int, osc_scale: float, nodes: np.ndarray) -> np.ndarray:
     """hermite_fn_matrix(n_max, nodes) on the nodes of the layout."""
-    key = (n_max, osc_scale)
+    key = (n_max, osc_scale, nodes.size)
     rows = _kept_rows.get(key)
     if rows is None:
         _kept_rows.clear()
@@ -314,6 +315,21 @@ def _hermite_rows(n_max: int, osc_scale: float, nodes: np.ndarray) -> np.ndarray
 # traced at n_max 4 to 512, so 14 are counted)
 _LAYOUT_BYTES = 256 << 20
 _PASS_ARRAYS = 14
+
+
+@lru_cache(maxsize=64)
+def _require_resolved_edge(dens: SpectralDensity, n_max: int) -> None:
+    """QuadratureError unless the envelope max_n |hfn_n| sqrt(m) at EXACT_TO,
+    past which the rows lose bits and then vanish, is at most 1e-11 of its
+    peak; falling log-concavely past the peak, it then leaves out ~1.5e-11.
+    An overflowing root compares inf > inf and is left to gl_integrate."""
+    u = np.linspace(EXACT_TO / 400, EXACT_TO, 400)
+    with np.errstate(over="ignore"):
+        env = np.abs(hermite_fn_matrix(n_max, u)).max(axis=0) * dens.root(u)
+    if env[-1] > 1e-11 * env.max():
+        raise QuadratureError(f"the integrand of {dens.label()} at n_max {n_max} is "
+                              f"{env[-1] / env.max():.2g} of its peak at u = {EXACT_TO}, "
+                              "past which the Hermite rows lose bits")
 
 
 @lru_cache(maxsize=512)
@@ -336,6 +352,7 @@ def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarr
         raise ValidationError(
             f"the multiplier layout at t = {t:g}, n_max {n_max} needs "
             f"{need / 2 ** 20:.3g} MiB, above the bound of {_LAYOUT_BYTES >> 20} MiB")
+    _require_resolved_edge(dens, n_max)
 
     def integrand(nodes):
         st = np.sin(t * nodes)

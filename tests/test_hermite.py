@@ -9,6 +9,7 @@ from scipy import special as sp
 
 from freenoise.errors import DivergenceError, ValidationError
 from freenoise.hermite import (
+    EXACT_TO,
     ZERO_PAST,
     hermite_fn_matrix,
     mehler_closed,
@@ -101,6 +102,13 @@ def test_every_row_is_positive_zero_from_zero_past_on():
     rows = hermite_fn_matrix(512, [ZERO_PAST, 40.0, 1e3])
     assert not rows.any() and not np.signbit(rows).any()
     assert hermite_fn_matrix(1, [38.6])[0, 0] > 0.0
+
+
+def test_the_seed_is_a_normal_float_up_to_exact_to():
+    # the multiplier pass refuses an integrand that still matters past
+    # EXACT_TO, where the seed of every row turns subnormal and loses bits
+    tiny = np.finfo(float).tiny
+    assert hermite_fn_matrix(1, [EXACT_TO])[0, 0] >= tiny > hermite_fn_matrix(1, [37.7])[0, 0]
 
 
 def test_hermite_functions_are_fourier_eigenvectors():

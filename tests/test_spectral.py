@@ -227,21 +227,23 @@ def _count_hermite_calls(monkeypatch):
     monkeypatch.setattr(spectral, "hermite_fn_matrix",
                         lambda n, u: calls.append(len(u)) or real(n, u))
     monkeypatch.setattr(spectral, "_kept_rows", {})
+    spectral._require_resolved_edge.cache_clear()
     return calls
 
 
 def test_times_of_one_bucket_share_their_hermite_rows(monkeypatch):
     # the 64 tags of a dyadic integral over [a, a + 1), a < 0.1, fall in
-    # two buckets of one layout each: 2 Hermite matrices, not 64
+    # two buckets of one layout each: 2 Hermite matrices, not 64, beside
+    # the one on the 400-node grid of the edge check
     leb = SpectralDensity.lebesgue()
     times = 0.0371 + np.arange(64) / 64.0
     calls = _count_hermite_calls(monkeypatch)
     shared = [_tm_and_alpha.__wrapped__(leb, t, 64) for t in times]
-    assert len(calls) == 2
+    assert len(calls) == 3 and calls[0] == 400
     # rows rebuilt on every pass give the same bits
     monkeypatch.setattr(spectral, "_KEEP_BYTES", 0)
     fresh = [_tm_and_alpha.__wrapped__(leb, t, 64) for t in times]
-    assert len(calls) == 2 + 64
+    assert len(calls) == 3 + 64
     for (tm, al), (tm0, al0) in zip(shared, fresh):
         assert (tm.tobytes(), al.tobytes()) == (tm0.tobytes(), al0.tobytes())
 
@@ -255,7 +257,8 @@ def test_only_the_latest_layout_is_kept_and_only_under_4_mib(monkeypatch):
     gc.collect()
     assert first() is None
     kept = spectral._kept_rows
-    assert list(kept) == [(64, _osc_scale(64, 1.5))]
+    osc = _osc_scale(64, 1.5)
+    assert list(kept) == [(64, osc, len(panel_nodes(osc, ZERO_PAST)[0]))]
     assert sum(r.nbytes for r in kept.values()) <= spectral._KEEP_BYTES == 4 << 20
     assert not any(r.flags.writeable for r in kept.values())
     # at n_max 400 the rows alone are about 17 MB: nothing is kept
@@ -263,24 +266,50 @@ def test_only_the_latest_layout_is_kept_and_only_under_4_mib(monkeypatch):
     assert spectral._kept_rows == {}
 
 
-@pytest.mark.parametrize("n_max", [16, 64, 400])
-def test_exponential_pass_overflows_past_one_rate_and_is_resolved_below_it(n_max, monkeypatch):
-    # sqrt(m) = e^{rate u / 2} overflows on the layout (0, 38.61] exactly
-    # when rate > 2 x 709.78 / 38.61 = 36.77, whatever n_max and t
-    for rate in (37.0, 40.0):
+def _folded_reference(rate, t, n_max, stop=60.0):
+    """tm and alpha of exponential(rate) from Hermite rows seeded with
+    e^{-u^2/2 + rate u/2}, which stay exact well past ZERO_PAST, on the
+    pass's panels run on to stop."""
+    nodes, weights = panel_nodes(_osc_scale(n_max, t), stop)
+    rows = np.empty((n_max, nodes.size))
+    rows[0] = math.pi ** -0.25 * np.exp(nodes * (0.5 * rate - 0.5 * nodes))
+    rows[1] = math.sqrt(2.0) * nodes * rows[0]
+    for j in range(2, n_max):
+        rows[j] = math.sqrt(2.0 / j) * nodes * rows[j - 1] - math.sqrt((j - 1) / j) * rows[j - 2]
+    half = np.sin(0.5 * t * nodes)
+    factors = np.stack([np.cos(t * nodes), np.sin(t * nodes),
+                        np.sin(t * nodes) / nodes, 2.0 * half * half / nodes])
+    ints = _HALF_LINE_PREF * (factors * weights) @ rows.T
+    sign = np.array([1.0, 1.0, -1.0, -1.0])[np.arange(n_max) % 4]
+    odd = np.arange(n_max) % 2 == 1
+    return sign * np.where(odd, ints[1], ints[0]), sign * np.where(odd, ints[3], ints[2])
+
+
+@pytest.mark.parametrize("n_max, resolved, refused, overflows", [
+    (16, (20.0, 30.0, 36.0), (), (37.0, 40.0)),
+    (64, (20.0, 30.0, 36.0), (), (37.0, 40.0)),
+    (400, (20.0, 30.0, 31.4), (31.5, 36.0, 37.0), (40.0,)),
+    (512, (10.0, 18.0, 18.4), (18.6, 30.0, 36.0, 37.0), (40.0,))],
+    ids=["16", "64", "400", "512"])
+def test_exponential_pass_is_refused_where_its_rows_are_inexact(n_max, resolved, refused,
+                                                                overflows):
+    # sqrt(m) = e^{rate u / 2} overflows on the layout (0, 38.61] when
+    # rate > 2 x 709.78 / 38.61 = 36.77, whatever n_max
+    for rate in overflows:
         with pytest.raises(QuadratureError, match="not finite"):
             _tm_and_alpha.__wrapped__(SpectralDensity.exponential(rate), 1.0, n_max)
-    # below it the pass agrees with one on 8x finer panels
-    osc = spectral._osc_scale
-    for rate in (20.0, 30.0, 36.0):
-        dens = SpectralDensity.exponential(rate)
+    # from n_max ~340 on the integrand at 37.6, past which the rows lose
+    # bits, passes 1e-11 of its peak at a lower rate: 31.4 at n_max 400
+    # and 18.5 at 512
+    for rate in refused:
+        with pytest.raises(QuadratureError, match="the Hermite rows lose bits"):
+            _tm_and_alpha.__wrapped__(SpectralDensity.exponential(rate), 1.0, n_max)
+    # a pass it accepts agrees with rows that are exact past ZERO_PAST
+    for rate in resolved:
         for t in (0.5, 1.0, 2.5):
-            tm, al = _tm_and_alpha.__wrapped__(dens, t, n_max)
-            with monkeypatch.context() as m:
-                m.setattr(spectral, "_osc_scale", lambda n, t: 8.0 * osc(n, t))
-                fine_tm, fine_al = _tm_and_alpha.__wrapped__(dens, t, n_max)
-            for got, want in ((tm, fine_tm), (al, fine_al)):
-                assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+            got = _tm_and_alpha.__wrapped__(SpectralDensity.exponential(rate), t, n_max)
+            for have, want in zip(got, _folded_reference(rate, t, n_max)):
+                assert np.max(np.abs(have - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 def test_exponential_density_is_never_clamped():
