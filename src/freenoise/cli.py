@@ -96,7 +96,9 @@ def _emit(args: argparse.Namespace, payload: dict,
         print(json.dumps(_round_floats(doc), indent=2))
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str, flag: str | None = None) -> list[float]:
+    """The values of a grid flag.  A time grid, named by its flag, needs
+    a point; the step sizes of --h leave their count to the slope fit."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -110,9 +112,12 @@ def _parse_grid(text: str) -> list[float]:
             raise ValidationError("grid count must be positive")
         return [float(x) for x in np.linspace(a, b, n)]
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        grid = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise ValidationError(f"bad grid {text!r}") from exc
+    if flag and not grid:
+        raise ValidationError(f"the {flag} grid {text!r} has no points")
+    return grid
 
 
 # --seq name -> weight sequence; the flag's choices are the keys
@@ -175,12 +180,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
         except OverflowError as exc:
             # a long word has a trace beyond the float range
             raise FreenoiseError(f"{name} engine failed on a word of degree "
-                                 f"{word.degree}: {exc}") from exc
+                                 f"{len(word)}: {exc}") from exc
     spread = max(values.values()) - min(values.values())
     agree = spread <= 1e-9
     _emit(args, {
         "word": str(word),
-        "degree": word.degree,
+        "degree": len(word),
         "engines": values,
         "max_spread": spread,
         "agree": agree,
@@ -234,8 +239,8 @@ def cmd_vage(args: argparse.Namespace) -> int:
 
 def cmd_kernel(args: argparse.Namespace) -> int:
     dens = _resolve_density(args)
-    t_grid = _parse_grid(args.t)
-    s_grid = _parse_grid(args.s) if args.s is not None else t_grid
+    t_grid = _parse_grid(args.t, "--t")
+    s_grid = _parse_grid(args.s, "--s") if args.s is not None else t_grid
     rows = [{"t": t, "s": s, "K": spectral.kernel(dens, t, s, abs_tol=args.tol)}
             for t in t_grid for s in s_grid]
     try:
@@ -250,7 +255,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 def cmd_rfun(args: argparse.Namespace) -> int:
     dens = _resolve_density(args)
     rows = [{"t": t, "r": spectral.r_function(dens, t, abs_tol=args.tol)}
-            for t in _parse_grid(args.t)]
+            for t in _parse_grid(args.t, "--t")]
     _emit(args, {"density": dens.label(), "abs_tol": args.tol}, rows)
     return 0
 
@@ -338,7 +343,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                                   radius=args.radius)
     if args.chebyshev:
         est = matmodel.estimate_trace_uword(cfg, word)
-        exact = 1.0 if word.is_empty() else 0.0
+        exact = 1.0 if not word else 0.0
     else:
         est = matmodel.estimate_trace(cfg, letters)
         try:
@@ -376,8 +381,16 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its usage errors, and its subcommands', are rejected input: run
+    prints them as one JSON object, not as usage text."""
+
+    def error(self, message: str):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="freenoise",
         description=__doc__.splitlines()[0],
         epilog=_EPILOG,
@@ -484,13 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except ValidationError as exc:
         print(json.dumps({"error": str(exc), "kind": "validation"}),
               file=sys.stderr)

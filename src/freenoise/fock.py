@@ -82,13 +82,6 @@ class FockElement:
     def coeff(self, w: Word) -> complex:
         return self.coeffs.get(w, 0j)
 
-    @property
-    def degree(self) -> int:
-        return max((w.degree for w in self.coeffs), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __add__(self, other: "FockElement") -> "FockElement":
         d = dict(self.coeffs)
         for w, c in other.coeffs.items():
@@ -102,11 +95,6 @@ class FockElement:
         return FockElement.from_dict({w: scalar * c for w, c in self.coeffs.items()})
 
     __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"({c:.6g})*{w}" for w, c in self.terms)
 
 
 def vacuum() -> FockElement:
@@ -144,9 +132,9 @@ def tensor(f: FockElement, g: FockElement, cap: int | None = DEFAULT_DEGREE_CAP)
     """Concatenation product; distinct support pairs can land on one word."""
     out: dict[Word, complex] = {}
     lost = 0.0
-    right = [(wg, wg.degree, cg) for wg, cg in g.coeffs.items()]
+    right = [(wg, len(wg), cg) for wg, cg in g.coeffs.items()]
     for wf, cf in f.coeffs.items():
-        df = wf.degree
+        df = len(wf)
         for wg, dg, cg in right:
             if cap is not None and df + dg > cap:
                 lost += abs(cf * cg) ** 2

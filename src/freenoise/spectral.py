@@ -67,6 +67,10 @@ _INV_ROOT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _HALF_LINE_PREF = 2.0 * _INV_ROOT_2PI
 
 _KINDS = ("lebesgue", "fbm", "exponential", "custom")
+# parameter -> the kinds whose law uses it
+_OWN_PARAMETERS = {"hurst": ("fbm",), "rate": ("exponential",),
+                   "origin_exponent": ("fbm", "custom"),
+                   "class_index": ("fbm", "custom")}
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,8 @@ class SpectralDensity:
     Every kind is one law, m(u) = scale |u|^power (1 + u^2)^bracket
     e^{rate |u|} times the cutoff window, with (power, bracket) fixed at
     construction: (1 - 2H, 0) for fbm, (-b, N + b / 2) for custom and
-    (0, 0) otherwise; only the exponential kind has a rate.
+    (0, 0) otherwise.  A kind rejects the parameters it does not use:
+    H belongs to fbm, the rate to exponential, b and N to custom.
     origin_exponent is the power b with m(u) ~ scale * |u|^-b near 0
     (b < 2 required); class_index is the integer N with polynomial
     growth at most |u|^{2N}.  For fbm both follow from H at
@@ -109,11 +114,13 @@ class SpectralDensity:
         if not self.origin_exponent < 2:
             raise ValidationError(
                 f"origin singularity exponent {self.origin_exponent} too strong, need < 2")
-        if self.kind == "exponential":
-            if not (math.isfinite(self.rate) and self.rate > 0):
-                raise ValidationError("exponential density needs a finite rate > 0")
-        elif self.rate != 0.0:
-            raise ValidationError(f"a {self.kind} density has no rate")
+        if self.kind == "exponential" and not (math.isfinite(self.rate) and self.rate > 0):
+            raise ValidationError("exponential density needs a finite rate > 0")
+        # a kind rejects the parameters its law does not use; fbm derives
+        # its classification from H above, whatever was passed in
+        for name, kinds in _OWN_PARAMETERS.items():
+            if self.kind not in kinds and getattr(self, name) not in (None, 0):
+                raise ValidationError(f"a density of kind {self.kind!r} has no {name}")
         if self.class_index < 0:
             raise ValidationError("growth class index must be >= 0")
         if not 0.0 <= self.cutoff_low < self.cutoff_high:

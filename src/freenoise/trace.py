@@ -47,7 +47,6 @@ from typing import Sequence
 
 from . import fock
 from .chebyshev import linearize, orthonormal_poly
-from .errors import CapExceededError
 from .fock import DEFAULT_DEGREE_CAP, FockElement, apply_x, vacuum
 from .words import EMPTY_WORD, Word, normalize
 
@@ -257,9 +256,9 @@ def u_mult(a: Word, b: Word) -> tuple[tuple[Word, int], ...]:
     linearize, and a degree-zero middle term can make the neighbours
     touch, which resolves recursively.
     """
-    if a.is_empty():
+    if not a:
         return ((b, 1),)
-    if b.is_empty():
+    if not b:
         return ((a, 1),)
     letter = a[-1]
     if b[0] != letter:
@@ -369,8 +368,7 @@ def wick_word_vector(alpha: Word, cap: int | None = DEFAULT_DEGREE_CAP) -> FockE
     Runs are applied right to left, each as the radius-2 Chebyshev
     polynomial of the matching field operator.
     """
-    if cap is not None and alpha.degree > cap:
-        raise CapExceededError(f"word degree {alpha.degree} exceeds cap {cap}")
+    fock.require_cap(len(alpha), cap)
     vec = vacuum()
     for letter, exp in reversed(alpha.runs):
         powers = _poly_powers(letter, exp, vec, cap)

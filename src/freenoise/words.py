@@ -4,9 +4,9 @@ A word is a finite product of generators z_i (i in N_0) stored as the
 tuple of its letters: ``z0^2 z1`` is ``(0, 0, 1)``.  The empty word is
 the monoid identity, spelled ``"1"`` in text form.  Run form, the
 (letter, exponent) pairs of ``Word.runs``, serves weights, printing and
-the Chebyshev factors of a U-word.  Words are immutable, hashable and
-totally ordered (graded, then lexicographic on letters), so they can
-key sorted sparse maps deterministically.
+the Chebyshev factors of a U-word.  Words are immutable and hashable;
+``Word.sort_key`` is their graded order (degree, then letters), by
+which sparse maps are sorted for output.
 
 The same module holds the weight sequences a_1 <= a_2 <= ... that grade
 the Fock norms.  The weight of a word at exponent p multiplies
@@ -15,6 +15,7 @@ a_{letter+1}**p over every letter occurrence, counted with multiplicity.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -96,8 +97,9 @@ class WeightSequence:
 class Word(tuple):
     """Word as the tuple of its letters: ``z0^2 z1`` is ``(0, 0, 1)``.
 
-    Equality and hashing are the tuple's; the order is graded.  The
-    constructor does not check its letters, ``normalize`` does.
+    Equality, hashing and comparison are the tuple's; ``sort_key`` is
+    the graded order.  The constructor does not check its letters,
+    ``normalize`` does.
     """
 
     __slots__ = ()
@@ -105,9 +107,6 @@ class Word(tuple):
     @property
     def degree(self) -> int:
         return len(self)
-
-    def is_empty(self) -> bool:
-        return not self
 
     def letters(self) -> tuple[int, ...]:
         """Letter sequence with multiplicity, as a plain tuple."""
@@ -126,18 +125,6 @@ class Word(tuple):
 
     def sort_key(self):
         return (len(self), tuple(self))
-
-    def __lt__(self, other: "Word"):
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: "Word"):
-        return self.sort_key() <= other.sort_key()
-
-    def __gt__(self, other: "Word"):
-        return self.sort_key() > other.sort_key()
-
-    def __ge__(self, other: "Word"):
-        return self.sort_key() >= other.sort_key()
 
     def __str__(self) -> str:
         if not self:
@@ -208,18 +195,9 @@ def parse_word(text: str) -> Word:
 def iter_words(max_degree: int, n_letters: int) -> Iterator[Word]:
     """All words of degree <= max_degree over letters 0..n_letters-1.
 
-    Deterministic order: by degree of the first run, then letter, depth first.
-    Count for (degree 5, 3 letters) is 364 including the empty word.
+    Degree by degree, each degree in lexicographic order.  Count for
+    (degree 5, 3 letters) is 364 including the empty word.
     """
-    yield EMPTY_WORD
-
-    def rec(prefix: tuple[int, ...], last: int, left: int):
-        for letter in range(n_letters):
-            if letter == last:
-                continue
-            for exp in range(1, left + 1):
-                letters = prefix + (letter,) * exp
-                yield Word(letters)
-                yield from rec(letters, letter, left - exp)
-
-    yield from rec((), -1, max_degree)
+    for degree in range(max_degree + 1):
+        for letters in itertools.product(range(n_letters), repeat=degree):
+            yield Word(letters)

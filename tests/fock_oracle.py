@@ -26,7 +26,7 @@ def annihilation(coeffs, u: FockElement) -> FockElement:
     items = dict(_letter_items(coeffs))
     out: dict[Word, complex] = {}
     for w, c in u.coeffs.items():
-        if w.is_empty():
+        if not w:
             continue
         ci = items.get(w[0])
         if ci is None:

@@ -64,6 +64,36 @@ def test_format_only_where_the_output_has_rows(argv, capsys):
     assert _json_out(capsys)["config"]["format"] == "json"
 
 
+@pytest.mark.parametrize("argv, flag", [(["kernel", "--t", ","], "--t"),
+                                        (["kernel", "--t", "1", "--s", ","], "--s"),
+                                        (["rfun", "--t", ","], "--t")])
+def test_empty_time_grid_exits_two(argv, flag, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["kind"] == "validation" and f"the {flag} grid" in err["error"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # argparse reads a negative number with an exponent as a flag
+    (["rfun", "--t", "1", "--tol", "-1e-320"], "argument --tol: expected one argument"),
+    (["trace"], "the following arguments are required: --word"),
+])
+def test_usage_errors_print_one_json_object(argv, message, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    assert err["kind"] == "validation" and message in err["error"]
+
+
+def test_help_still_prints_usage(capsys):
+    assert run(["rfun", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: freenoise rfun") and captured.err == ""
+
+
 def test_trace_rejects_malformed_word(capsys):
     assert run(["trace", "--word", "z0^0"]) == 2
     err = capsys.readouterr().err

@@ -108,7 +108,7 @@ def test_apply_x_drops_terms_that_cancel():
 
 
 def test_annihilation_kills_vacuum():
-    assert annihilation([1.0, 1.0], vacuum()).is_zero()
+    assert not annihilation([1.0, 1.0], vacuum()).coeffs
 
 
 def test_field_operator_on_vacuum_is_one_particle():
@@ -166,8 +166,8 @@ def test_element_arithmetic():
     f = basis_vector(normalize([0])) + vacuum() * 2.0
     g = f - vacuum() * 2.0
     assert g.as_dict() == {normalize([0]): 1.0 + 0j}
-    assert (g * 0.0).is_zero()
-    assert f.degree == 1
+    assert not (g * 0.0).coeffs
+    assert max(map(len, f.coeffs)) == 1
     assert f.coeff(EMPTY_WORD) == 2.0 + 0j
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 import freenoise
+from freenoise.fock import FockElement
+from freenoise.words import Word
 
 MODULES = ["freenoise"] + sorted(
     f"freenoise.{m.name}" for m in pkgutil.iter_modules(freenoise.__path__))
@@ -39,3 +41,18 @@ def test_every_exported_name_is_used(name):
     unused = [n for n in getattr(module, "__all__", ())
               if _mentions(own, n) < 2 and not any(_mentions(t, n) for t in texts)]
     assert not unused
+
+
+@pytest.mark.parametrize("cls", [Word, FockElement], ids=lambda c: c.__name__)
+def test_every_public_member_is_read(cls):
+    # A public method or property of Word or FockElement must be read as
+    # ``.name`` somewhere under src/, scripts/, perfbench/ or README.md.
+    # A definition is not a read, and tests do not count, so a member
+    # only tests call fails.
+    members = [n for n, v in vars(cls).items() if not n.startswith("_")
+               and (callable(v) or isinstance(v, (property, classmethod)))]
+    paths = [*ROOT.glob("src/freenoise/*.py"), *ROOT.glob("scripts/*.py"),
+             *ROOT.glob("perfbench/*.py"), ROOT / "README.md"]
+    texts = [p.read_text() for p in paths if not p.name.startswith("test_")]
+    unread = [n for n in members if not any(re.search(rf"\.{n}\b", t) for t in texts)]
+    assert not unread

@@ -77,12 +77,12 @@ def test_exponential_weights_certify_exponential_density():
                          level=3, seq=WeightSequence.exponential())
     assert state.certificate().certified
     out = apply_whitenoise(state, 0.5, vacuum())
-    assert not out.is_zero()
+    assert out.coeffs
 
 
 def test_process_vanishes_at_time_zero():
     state = ProcessState(SpectralDensity.lebesgue(), n_max=32)
-    assert apply_process(state, 0.0, vacuum()).is_zero()
+    assert not apply_process(state, 0.0, vacuum()).coeffs
 
 
 def test_covariance_matches_dual_route_exactly():
@@ -224,7 +224,7 @@ def test_zero_integrand_gives_zero_integral():
     path = IntegrandPath.dyadic(lambda t: FockElement(), 0.0, 1.0, 4)
     res = stochastic_integral(state, path, vacuum(), 0.0, 1.0, 4)
     assert res.converged
-    assert res.value.is_zero()
+    assert not res.value.coeffs
 
 
 def _tensor_loop(state, path, f, a, b, n_intervals, cap):

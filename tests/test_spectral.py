@@ -567,6 +567,31 @@ def test_dual_route_converges_to_kernel():
         assert errs[2] < 0.02
 
 
+@pytest.mark.parametrize("kind, settings, unused", [
+    ("lebesgue", {"origin_exponent": 1.5}, "origin_exponent"),
+    ("lebesgue", {"class_index": 3}, "class_index"),
+    ("lebesgue", {"hurst": 0.3}, "hurst"),
+    ("lebesgue", {"rate": 1.0}, "rate"),
+    ("exponential", {"rate": 1.0, "class_index": 4}, "class_index"),
+    ("exponential", {"rate": 1.0, "origin_exponent": 0.5}, "origin_exponent"),
+    ("exponential", {"rate": 1.0, "hurst": 0.5}, "hurst"),
+    ("custom", {"hurst": 0.3}, "hurst"),
+    ("fbm", {"hurst": 0.3, "rate": 1.0}, "rate"),
+])
+def test_a_kind_rejects_parameters_its_law_does_not_use(kind, settings, unused):
+    # refused, not ignored: b and N would reclassify the density (its
+    # process level, its divergence verdicts) without changing m
+    with pytest.raises(ValidationError, match=f"kind {kind!r} has no {unused}"):
+        SpectralDensity(kind, **settings)
+
+
+def test_a_kind_accepts_unused_parameters_at_their_defaults():
+    for kind, rate in (("lebesgue", 0.0), ("exponential", 1.0)):
+        dens = SpectralDensity(kind, hurst=None, rate=rate, origin_exponent=0.0,
+                               class_index=0)
+        assert (dens.origin_exponent, dens.class_index) == (0.0, 0)
+
+
 def test_kernel_divergence_guards():
     with pytest.raises(DivergenceError):
         kernel(SpectralDensity.exponential(1.0), 1.0, 1.0)

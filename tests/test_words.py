@@ -28,7 +28,7 @@ def test_normalize_merges_adjacent_runs():
 
 def test_empty_word():
     assert normalize([]) == EMPTY_WORD
-    assert EMPTY_WORD.is_empty()
+    assert not EMPTY_WORD
     assert EMPTY_WORD.degree == 0
     assert str(EMPTY_WORD) == "1"
 
@@ -62,7 +62,8 @@ def test_concat_adds_degrees(a, b):
 
 
 def test_word_order_is_graded():
-    ws = sorted([normalize([1]), normalize([0, 0]), normalize([0]), EMPTY_WORD])
+    ws = sorted([normalize([1]), normalize([0, 0]), normalize([0]), EMPTY_WORD],
+                key=Word.sort_key)
     assert ws == [EMPTY_WORD, normalize([0]), normalize([1]), normalize([0, 0])]
 
 
