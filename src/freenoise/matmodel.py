@@ -77,6 +77,9 @@ __all__ = [
     "estimate_trace_uword",
 ]
 
+# longest word a trace estimate accepts
+MAX_WORD_LEN = 12
+
 
 @dataclass(frozen=True)
 class EnsembleConfig:
@@ -85,7 +88,6 @@ class EnsembleConfig:
     n_samples: int = 50
     seed: int = 0
     radius: float = 2.0
-    max_word_len: int = 12
 
     def __post_init__(self):
         if self.dim < 2:
@@ -188,9 +190,9 @@ def sample_generators(cfg: EnsembleConfig, sample: int,
 
 
 def _check_word(cfg: EnsembleConfig, letters: tuple[int, ...]) -> None:
-    if len(letters) > cfg.max_word_len:
+    if len(letters) > MAX_WORD_LEN:
         raise ValidationError(
-            f"word length {len(letters)} exceeds cap {cfg.max_word_len}")
+            f"word length {len(letters)} exceeds cap {MAX_WORD_LEN}")
     for i in letters:
         if not 0 <= i < cfg.n_generators:
             raise ValidationError(f"letter {i} outside the generator range")

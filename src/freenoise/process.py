@@ -11,8 +11,11 @@ limit of left-tagged dyadic Riemann sums
     sum_j Y(u_j) (x) (W(u_j) f) * delta,
 
 measured in a weighted norm two levels above the state's own, where
-the tensor-product inequality controls each term.  The sums of all
-levels come from one pass over the tags of the finest partition.
+the tensor-product inequality controls each term.  Over the tags of
+one dyadic level the sum is one matrix product Y^T Z of the
+integrand's and the noise's coefficient rows, folded onto the product
+words; the distance between consecutive levels is one weighted norm
+of the difference of their rows.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -218,58 +220,49 @@ def _riemann_sums(state: ProcessState, path: IntegrandPath, f: FockElement,
                   depth: int) -> list[FockElement]:
     """The sums at n_intervals / 2^k intervals, for k = depth - 1, ..., 0.
 
-    Each tag's values, outer product and product words are formed once.
-    Tag by tag, every sum whose partition has the tag adds its own step
-    times the outer product, whose pairs on one word are summed first,
-    in the row-major order of the tag's supports: the operations of the
-    loop of ``fock.tensor`` and ``+`` over the sum's tags.  Each sum
-    lists its nonzero words in the order its own tags build them, and
-    leaves those above the degree cap to its ``dropped_mass``.
+    The integrand and noise values at the tags of the finest partition
+    are the rows of Y and Z over their union supports.  The sum that
+    takes every 2^k-th tag is step * Y[::2^k]^T Z[::2^k], one matrix
+    product whose entry (i, j) lands on the product word of left word i
+    and right word j; entries on one word are added.  Words above the
+    degree cap leave their |c|^2 to ``dropped_mass`` and exact zeros are
+    dropped, so every level lists its words in the one order of
+    ``fock.tensor_slots``.
     """
     step = (b - a) / n_intervals
     tags = [a + j * step for j in range(n_intervals)]
-    left, y = _supports([path.value_at(u) for u in tags])
-    right, z = _supports([apply_whitenoise(state, u, f) for u in tags])
+    left, y = _rows([path.value_at(u) for u in tags])
+    right, z = _rows([apply_whitenoise(state, u, f) for u in tags])
     words, slots = fock.tensor_slots(left, right)
-    slots = np.asarray(slots, dtype=np.intp).reshape(len(left), len(right))
-    strides = [1 << k for k in range(depth - 1, -1, -1)]
-    acc = np.zeros((depth, 2, len(words)))
-    for j, ((li, y_j), (ri, z_j)) in enumerate(zip(y, z)):
-        pairs = slots[np.ix_(li, ri)].ravel()
-        # real and imaginary parts formed the way Python multiplies two
-        # complex numbers: numpy's complex multiply may fuse them (FMA)
-        re = np.outer(y_j.real, z_j.real) - np.outer(y_j.imag, z_j.imag)
-        im = np.outer(y_j.real, z_j.imag) + np.outer(y_j.imag, z_j.real)
-        product = np.stack([np.bincount(pairs, re.ravel(), len(words)),
-                            np.bincount(pairs, im.ravel(), len(words))])
-        for k, stride in enumerate(strides):
-            if j % stride == 0:
-                acc[k] += (b - a) / (n_intervals // stride) * product
+    slots = np.asarray(slots, dtype=np.intp)
     cap = state.degree_cap
     over = np.array([cap is not None and len(w) > cap for w in words], dtype=bool)
     sums = []
-    for (acc_re, acc_im), stride in zip(acc, strides):
-        own = [list(dict.fromkeys(chain.from_iterable(idx for idx, _ in rows[::stride])))
-               for rows in (y, z)]
-        order = np.array(list(dict.fromkeys(slots[np.ix_(*own)].ravel().tolist())),
-                         dtype=np.intp)
-        live = (acc_re[order] != 0) | (acc_im[order] != 0)
-        kept, cut = order[live & ~over[order]], order[live & over[order]]
-        lost = sum((abs(c) ** 2 for c in map(complex, acc_re[cut].tolist(),
-                                                 acc_im[cut].tolist())), 0.0)
-        coeffs = map(complex, acc_re[kept].tolist(), acc_im[kept].tolist())
-        sums.append(FockElement(dict(zip([words[i] for i in kept.tolist()], coeffs)),
-                                dropped_mass=lost))
+    for k in range(depth - 1, -1, -1):
+        stride = 1 << k
+        # Y^T Z by einsum: BLAS hands a product this small to a second
+        # thread, whose handoff can double the whole solve on two cores
+        pairs = (b - a) / (n_intervals // stride) \
+            * np.einsum("ti,tj->ij", y[::stride], z[::stride]).ravel()
+        c = np.bincount(slots, pairs.real, len(words)) \
+            + 1j * np.bincount(slots, pairs.imag, len(words))
+        kept = np.flatnonzero((c != 0) & ~over).tolist()
+        sums.append(FockElement(dict(zip([words[i] for i in kept], c[kept].tolist())),
+                                dropped_mass=float(np.sum(np.abs(c[over]) ** 2))))
     return sums
 
 
-def _supports(values: Sequence[FockElement]) -> tuple[list[Word], list]:
-    """Union support in first-seen order; per value, the union indices of
-    its support and its coefficients, in the value's own order."""
+def _rows(values: Sequence[FockElement]) -> tuple[list[Word], np.ndarray]:
+    """Union support of values in first-seen order, and one complex
+    coefficient row per value over it."""
     index: dict[Word, int] = {}
-    out = [([index.setdefault(w, len(index)) for w in v.coeffs],
-            np.array(list(v.coeffs.values()), dtype=complex)) for v in values]
-    return list(index), out
+    for v in values:
+        for w in v.coeffs:
+            index.setdefault(w, len(index))
+    rows = np.zeros((len(values), len(index)), dtype=complex)
+    for row, v in zip(rows, values):
+        row[[index[w] for w in v.coeffs]] = list(v.coeffs.values())
+    return list(index), rows
 
 
 def _refinement_norms(sums: Sequence[FockElement], level: float,
@@ -277,34 +270,14 @@ def _refinement_norms(sums: Sequence[FockElement], level: float,
     """fock.norm(s1 - s0, level, seq) of each consecutive pair of sums,
     and fock.norm(sums[-1], level, seq), with no difference element built.
 
-    Each sum is a coefficient row over the union of the sums' words, and
-    each union word is weighted once.  A difference visits the words of
-    s1, then those of s0 missing from s1, the order of ``s1 - s0``, and
-    adds |c|^2 times the weight in that order, with |c|^2 as Python's
-    ``abs(c) ** 2`` (libm pow, which can differ from |c| * |c| in the
-    last bit), so every norm has the bits of ``fock.norm``.
+    Over the rows of the sums on their union support, the distances are
+    sqrt(|diff(rows)|^2 @ weights) and the scale is
+    sqrt(|rows[-1]|^2 @ weights), each union word weighted once.
     """
-    index: dict[Word, int] = {}
-    at = [np.array([index.setdefault(w, len(index)) for w in s.coeffs], dtype=np.intp)
-          for s in sums]
-    rows = np.zeros((len(sums), len(index)), dtype=complex)
-    for row, s, pos in zip(rows, sums, at):
-        row[pos] = np.fromiter(s.coeffs.values(), complex, len(pos))
-    weights = np.array([weight(w, level, seq) for w in index])
-
-    def norm_along(values, visit):
-        mags = np.hypot(values.real, values.imag).tolist()
-        squares = np.fromiter(map(math.pow, mags, repeat(2.0)), float, len(mags))
-        running = np.cumsum(squares * weights[visit])
-        return math.sqrt(running[-1]) if len(running) else 0.0
-
-    distances = []
-    for k in range(len(sums) - 1):
-        in_next = np.zeros(len(index), dtype=bool)
-        in_next[at[k + 1]] = True
-        visit = np.concatenate([at[k + 1], at[k][~in_next[at[k]]]])
-        distances.append(norm_along(rows[k + 1, visit] - rows[k, visit], visit))
-    return tuple(distances), norm_along(rows[-1, at[-1]], at[-1])
+    words, rows = _rows(sums)
+    weights = np.array([weight(w, level, seq) for w in words], dtype=float)
+    distances = np.sqrt(np.abs(np.diff(rows, axis=0)) ** 2 @ weights)
+    return tuple(distances.tolist()), math.sqrt(np.abs(rows[-1]) ** 2 @ weights)
 
 
 def stochastic_integral(state: ProcessState, path: IntegrandPath,
@@ -315,7 +288,8 @@ def stochastic_integral(state: ProcessState, path: IntegrandPath,
     Successive Riemann sums at 1, 2, 4, ... 2^levels intervals are
     compared in the level -q norm; convergence is declared once three
     consecutive distances each drop to at most 0.6 of the previous one.
-    Distances that grow beyond rounding noise abort instead.
+    Distances that grow beyond rounding noise, 1e-14 of the finest
+    sum's norm, abort instead.
     """
     if not 3 <= levels <= _MAX_LEVELS:
         raise ValidationError(f"levels must be between 3 and {_MAX_LEVELS}, got {levels}")
@@ -328,7 +302,6 @@ def stochastic_integral(state: ProcessState, path: IntegrandPath,
 
     sums = _riemann_sums(state, path, f, a, b, 1 << levels, levels + 1)
     distances, scale = _refinement_norms(sums, -float(q), state.seq)
-    scale = max(scale, 1.0)
     floor = 1e-14 * scale
     ratios = tuple(
         0.0 if d1 <= floor else (math.inf if d0 <= floor else d1 / d0)

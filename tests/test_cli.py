@@ -442,6 +442,18 @@ def test_integrate_converges(capsys):
     assert float(out["rows"][-2]["ratio"]) <= 0.6
 
 
+def test_integrate_verdict_does_not_depend_on_the_norm_level(capsys):
+    # at --q 60 the distances are about 1e-19, so a rounding floor that
+    # does not scale with the sums' norm would read them all as noise:
+    # converged with too few levels, and every ratio printed as 0
+    for q in ("5", "60"):
+        assert run(["integrate", "--levels", "3", "--n-max", "16", "--q", q]) == 3
+        assert _json_out(capsys)["converged"] is False
+    assert run(["integrate", "--levels", "4", "--n-max", "16", "--q", "60"]) == 0
+    ratios = [row["ratio"] for row in _json_out(capsys)["rows"][1:-1]]
+    assert ratios == pytest.approx([0.394, 0.443, 0.469], abs=1e-3)
+
+
 def test_integrate_low_q_exits_two(capsys):
     assert run(["integrate", "--density", "lebesgue", "--a", "0", "--b", "1",
                 "--levels", "4", "--n-max", "24", "--q", "3"]) == 2

@@ -37,11 +37,11 @@ def test_config_validation():
 
 
 def test_word_validation():
-    cfg = EnsembleConfig(dim=8, n_generators=2, n_samples=2, max_word_len=4)
+    cfg = EnsembleConfig(dim=8, n_generators=2, n_samples=2)
     with pytest.raises(ValidationError):
         estimate_trace(cfg, [0, 2])
-    with pytest.raises(ValidationError):
-        estimate_trace(cfg, [0, 1] * 3)
+    with pytest.raises(ValidationError, match="word length 13 exceeds cap 12"):
+        estimate_trace(cfg, [0, 1] * 6 + [0])
 
 
 def test_samples_are_hermitian():
@@ -177,7 +177,7 @@ def test_estimates_match_direct_products():
     # oracle: per-sample plain matmul chain, no pooling, prefix reuse,
     # reversal or Gram product
     cfg = EnsembleConfig(dim=24, n_generators=3, n_samples=4, seed=21,
-                         radius=1.7, max_word_len=12)
+                         radius=1.7)
     words = _words_up_to(3, 4)  # includes palindromes and reverse pairs
     # halves (0, 1, 2, 2) and reversed (1, 2, 0, 1) need prefixes such as
     # (1, 2, 0) that are no half of any word
