@@ -161,6 +161,9 @@ def tensor_slots(left: Sequence[Word], right: Sequence[Word]) -> tuple[list[Word
 def _letter_items(coeffs) -> list[tuple[int, complex]]:
     if isinstance(coeffs, Mapping):
         return [(int(i), complex(c)) for i, c in coeffs.items() if c != 0]
+    if hasattr(coeffs, "astype"):
+        # a NumPy vector, converted once rather than element by element
+        return [(i, c) for i, c in enumerate(coeffs.astype(complex).tolist()) if c != 0]
     return [(i, complex(c)) for i, c in enumerate(coeffs) if c != 0]
 
 
@@ -176,12 +179,14 @@ def apply_x(coeffs, u: FockElement, cap: int | None = DEFAULT_DEGREE_CAP) -> Foc
     """
     items = _letter_items(coeffs)
     firsts = dict(items)
-    item_mass = sum(abs(ci) ** 2 for _, ci in items)
+    item_mass = None
     created: dict[Word, complex] = {}
     killed: dict[Word, complex] = {}
     lost = 0.0
     for w, c in u.coeffs.items():
         if cap is not None and len(w) >= cap:
+            if item_mass is None:
+                item_mass = sum(abs(ci) ** 2 for _, ci in items)
             lost += abs(c) ** 2 * item_mass
         else:
             for i, ci in items:

@@ -11,11 +11,15 @@ limit of left-tagged dyadic Riemann sums
     sum_j Y(u_j) (x) (W(u_j) f) * delta,
 
 measured in a weighted norm two levels above the state's own, where
-the tensor-product inequality controls each term.  Over the tags of
-one dyadic level the sum is one matrix product Y^T Z of the
-integrand's and the noise's coefficient rows, folded onto the product
-words; the distance between consecutive levels is one weighted norm
-of the difference of their rows.
+the tensor-product inequality controls each term.  The integral stays
+on coefficient arrays from its tags to its result: the noise rows are
+Z = T M_f, the multiplier values at the tags times the matrix of the
+field operator on f, since W(u) f is linear in tm(u); each dyadic
+level's sum is one matrix product Y^T Z of the integrand's and the
+noise's rows, folded onto the product words, and all levels are rows
+over one list of words.  The distance between consecutive levels is
+one weighted norm of the difference of their rows, and only the finest
+sum and its extrapolation become Fock elements.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -212,72 +217,139 @@ def riemann_sum(state: ProcessState, path: IntegrandPath, f: FockElement,
     if not 1 <= n_intervals <= 1 << _MAX_LEVELS:
         raise ValidationError(
             f"n_intervals must be between 1 and {1 << _MAX_LEVELS}, got {n_intervals}")
-    return _riemann_sums(state, path, f, a, b, n_intervals, 1)[0]
+    words, rows, dropped, _ = _riemann_sums(state, path, f, a, b, n_intervals, 1, 0.0)
+    return _element(words, rows[0], dropped[0])
 
 
 def _riemann_sums(state: ProcessState, path: IntegrandPath, f: FockElement,
-                  a: float, b: float, n_intervals: int,
-                  depth: int) -> list[FockElement]:
-    """The sums at n_intervals / 2^k intervals, for k = depth - 1, ..., 0.
+                  a: float, b: float, n_intervals: int, depth: int,
+                  level: float) -> tuple[list[Word], np.ndarray, np.ndarray, np.ndarray]:
+    """The sums at n_intervals / 2^k intervals, for k = depth - 1, ..., 0,
+    as coefficient rows over one list of words.
 
-    The integrand and noise values at the tags of the finest partition
-    are the rows of Y and Z over their union supports.  The sum that
-    takes every 2^k-th tag is step * Y[::2^k]^T Z[::2^k], one matrix
-    product whose entry (i, j) lands on the product word of left word i
-    and right word j; entries on one word are added.  Words above the
-    degree cap leave their |c|^2 to ``dropped_mass`` and exact zeros are
-    dropped, so every level lists its words in the one order of
-    ``fock.tensor_slots``.
+    The integrand values at the tags of the finest partition are the
+    rows of Y over their union support, and the noise values the rows of
+    Z (``_noise_rows``).  The sum that takes every 2^k-th tag is
+    step * Y[::2^k]^T Z[::2^k], one matrix product whose entry (i, j)
+    lands on the product word of left word i and right word j; entries
+    on one word are added in pair order.
+
+    Returns the words up to the degree cap on which some sum is nonzero,
+    in the order the sums first list them (``_first_listed``); one
+    complex row per sum over them; each sum's mass above the cap, the
+    sum of its |c|^2 there; and the level-``level`` weight of each word,
+    as ``words.weight`` gives it.
     """
     step = (b - a) / n_intervals
     tags = [a + j * step for j in range(n_intervals)]
     left, y = _rows([path.value_at(u) for u in tags])
-    right, z = _rows([apply_whitenoise(state, u, f) for u in tags])
+    right, z = _noise_rows(state, tags, f)
     words, slots = fock.tensor_slots(left, right)
     slots = np.asarray(slots, dtype=np.intp)
-    cap = state.degree_cap
-    over = np.array([cap is not None and len(w) > cap for w in words], dtype=bool)
-    sums = []
-    for k in range(depth - 1, -1, -1):
-        stride = 1 << k
-        # Y^T Z by einsum: BLAS hands a product this small to a second
-        # thread, whose handoff can double the whole solve on two cores
-        pairs = (b - a) / (n_intervals // stride) \
-            * np.einsum("ti,tj->ij", y[::stride], z[::stride]).ravel()
-        c = np.bincount(slots, pairs.real, len(words)) \
-            + 1j * np.bincount(slots, pairs.imag, len(words))
-        kept = np.flatnonzero((c != 0) & ~over).tolist()
-        sums.append(FockElement(dict(zip([words[i] for i in kept], c[kept].tolist())),
-                                dropped_mass=float(np.sum(np.abs(c[over]) ** 2))))
-    return sums
+    n = len(words)
+    # real rows, as on the process path, take the real product: einsum
+    # forms its terms and adds them in the same order, so its sums are
+    # the real parts of the complex product's, bit for bit
+    if not (y.imag.any() or z.imag.any()):
+        y, z = y.real, z.real
+    # Y^T Z by einsum: BLAS hands a product this small to a second
+    # thread, whose handoff can double the whole solve on two cores
+    pairs = np.array([(b - a) / (n_intervals >> k)
+                      * np.einsum("ti,tj->ij", y[::1 << k], z[::1 << k]).ravel()
+                      for k in range(depth - 1, -1, -1)])
+    # one bincount for all sums adds each word's entries in pair order
+    bins = (np.arange(depth)[:, None] * n + slots).ravel()
+    sums = (np.bincount(bins, pairs.real.ravel(), depth * n)
+            + 1j * np.bincount(bins, pairs.imag.ravel(), depth * n)).reshape(depth, n)
+    # each word read at the first pair that lands on it
+    first = np.unique(slots, return_index=True)[1]
+    cap = math.inf if state.degree_cap is None else state.degree_cap
+    over = np.add.outer([len(w) for w in left], [len(w) for w in right]).ravel()[first] > cap
+    below = np.flatnonzero(~over)
+    keep = below[_first_listed(sums[:, below])]
+    weights = _pair_weights(left, right, level, state.seq).ravel()[first[keep]]
+    return ([words[i] for i in keep.tolist()], sums.take(keep, axis=1),
+            np.sum(np.abs(sums[:, over]) ** 2, axis=1), weights)
+
+
+def _pair_weights(left: Sequence[Word], right: Sequence[Word], level: float,
+                  seq: WeightSequence) -> np.ndarray:
+    """weight(l + r, level, seq) of every pair, with l along the rows.
+
+    ``weight`` multiplies the factors of a word's runs from left to
+    right, so the factors of r's runs carry on from weight(l) with the
+    same roundings.  Where r's first letter continues l's last run, the
+    two runs are one factor, and the word is weighed whole.
+    """
+    out = np.repeat(np.array([weight(w, level, seq) for w in left])[:, None],
+                    len(right), axis=1)
+    factors = [[seq.value(letter + 1) ** (level * exp) for letter, exp in w.runs]
+               for w in right]
+    for k in range(max(map(len, factors), default=0)):
+        out *= [fs[k] if k < len(fs) else 1.0 for fs in factors]
+    for i, j in zip(*np.nonzero(np.equal.outer([w[-1] if w else -1 for w in left],
+                                               [w[0] if w else -2 for w in right]))):
+        out[i, j] = weight(Word(left[i] + right[j]), level, seq)
+    return out
+
+
+def _first_listed(rows: np.ndarray) -> np.ndarray:
+    """The columns that are nonzero in some row, in the order a list of
+    sparse rows would first list them: by the first row in which they
+    are nonzero, then by column.
+
+    Norms add their terms in this order, the order of the union of the
+    supports of the rows as elements.
+    """
+    nonzero = rows != 0
+    first = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), len(rows))
+    return np.argsort(first, kind="stable")[:np.count_nonzero(first < len(rows))]
+
+
+def _noise_rows(state: ProcessState, tags: Sequence[float],
+                f: FockElement) -> tuple[list[Word], np.ndarray]:
+    """Words of the noise values W(u) f over the tags, in the order the
+    values first list them, and one complex row per tag over them.
+
+    W(u) f is linear in tm(u): the rows are T M_f, with T the multiplier
+    values at the tags and M_f the n_max x words matrix of ``fock.apply_x``
+    on f, built once from the words of f: letter i creates i + w below
+    the degree cap, and the first letter of w annihilates to the rest.
+    """
+    _require_certified(state)
+    n_max, cap = state.n_max, state.degree_cap
+    index: dict[Word, int] = {}
+    entries = [(i, index.setdefault(Word((i,) + w), len(index)), c)
+               for w, c in f.coeffs.items() if cap is None or len(w) < cap
+               for i in range(n_max)]
+    entries += [(w[0], index.setdefault(Word(w[1:]), len(index)), c)
+                for w, c in f.coeffs.items() if w and w[0] < n_max]
+    m = np.zeros((n_max, len(index)), dtype=complex)
+    for i, col, c in entries:
+        m[i, col] += c
+    t = np.array([spectral.tm_values(state.density, u, n_max) for u in tags], dtype=complex)
+    z = np.einsum("ti,iw->tw", t, m)
+    order = _first_listed(z)
+    words = list(index)
+    return [words[i] for i in order.tolist()], z.take(order, axis=1)
 
 
 def _rows(values: Sequence[FockElement]) -> tuple[list[Word], np.ndarray]:
     """Union support of values in first-seen order, and one complex
     coefficient row per value over it."""
     index: dict[Word, int] = {}
-    for v in values:
-        for w in v.coeffs:
-            index.setdefault(w, len(index))
+    cols = [index.setdefault(w, len(index)) for v in values for w in v.coeffs]
     rows = np.zeros((len(values), len(index)), dtype=complex)
-    for row, v in zip(rows, values):
-        row[[index[w] for w in v.coeffs]] = list(v.coeffs.values())
+    rows[np.repeat(np.arange(len(values)), [len(v.coeffs) for v in values]), cols] = \
+        [c for v in values for c in v.coeffs.values()]
     return list(index), rows
 
 
-def _refinement_norms(sums: Sequence[FockElement], level: float,
-                      seq: WeightSequence) -> tuple[tuple[float, ...], float]:
-    """fock.norm(s1 - s0, level, seq) of each consecutive pair of sums,
-    and fock.norm(sums[-1], level, seq), with no difference element built.
-
-    Over the rows of the sums on their union support, the distances are
-    sqrt(|diff(rows)|^2 @ weights) and the scale is
-    sqrt(|rows[-1]|^2 @ weights), each union word weighted once.
-    """
-    words, rows = _rows(sums)
-    weights = np.array([weight(w, level, seq) for w in words], dtype=float)
-    distances = np.sqrt(np.abs(np.diff(rows, axis=0)) ** 2 @ weights)
-    return tuple(distances.tolist()), math.sqrt(np.abs(rows[-1]) ** 2 @ weights)
+def _element(words: Sequence[Word], row: np.ndarray, dropped_mass: float = 0.0) -> FockElement:
+    """The element with the nonzero coefficients of row on their words."""
+    nonzero = row != 0
+    return FockElement(dict(zip(compress(words, nonzero.tolist()), row[nonzero].tolist())),
+                       dropped_mass=float(dropped_mass))
 
 
 def stochastic_integral(state: ProcessState, path: IntegrandPath,
@@ -300,8 +372,10 @@ def stochastic_integral(state: ProcessState, path: IntegrandPath,
         raise LevelTooLowError(
             f"pairing level {q} below the product-bound threshold {p + 2}")
 
-    sums = _riemann_sums(state, path, f, a, b, 1 << levels, levels + 1)
-    distances, scale = _refinement_norms(sums, -float(q), state.seq)
+    words, rows, dropped, weights = _riemann_sums(
+        state, path, f, a, b, 1 << levels, levels + 1, -float(q))
+    distances = tuple(np.sqrt(np.abs(np.diff(rows, axis=0)) ** 2 @ weights).tolist())
+    scale = math.sqrt(np.abs(rows[-1]) ** 2 @ weights)
     floor = 1e-14 * scale
     ratios = tuple(
         0.0 if d1 <= floor else (math.inf if d0 <= floor else d1 / d0)
@@ -312,8 +386,8 @@ def stochastic_integral(state: ProcessState, path: IntegrandPath,
                 f"refinement distance grew from {d0:.3e} to {d1:.3e}")
     converged = (len(ratios) >= 3 and all(r <= 0.6 for r in ratios[-3:])) \
         or all(d <= floor for d in distances)
-    extrapolated = 2.0 * sums[-1] + (-1.0) * sums[-2]
-    return IntegralResult(value=sums[-1], extrapolated=extrapolated,
+    return IntegralResult(value=_element(words, rows[-1], dropped[-1]),
+                          extrapolated=_element(words, 2.0 * rows[-1] + (-1.0) * rows[-2]),
                           distances=distances, ratios=ratios,
                           converged=bool(converged), levels=levels,
                           level_p=p, level_q=q)

@@ -31,6 +31,7 @@ B = 1).  A pass's size is known before it is built, and one above
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -298,9 +299,11 @@ def _osc_scale(n_max: int, t: float) -> float:
 
 
 # Read-only Hermite rows of the latest layout, by (n_max, osc_scale,
-# node count), when they fit in _KEEP_BYTES
+# node count), when they fit in _KEEP_BYTES, and beside them the root of
+# the density on the latest layout, by (density, osc_scale, node count)
 _KEEP_BYTES = 4 << 20
 _kept_rows: dict = {}
+_kept_root: dict = {}
 
 
 def _hermite_rows(n_max: int, osc_scale: float, nodes: np.ndarray) -> np.ndarray:
@@ -314,6 +317,18 @@ def _hermite_rows(n_max: int, osc_scale: float, nodes: np.ndarray) -> np.ndarray
             rows.setflags(write=False)
             _kept_rows[key] = rows
     return rows
+
+
+def _layout_root(dens: SpectralDensity, osc_scale: float, nodes: np.ndarray) -> np.ndarray:
+    """dens.root(nodes) on the nodes of the layout."""
+    key = (dens, osc_scale, nodes.size)
+    root = _kept_root.get(key)
+    if root is None:
+        _kept_root.clear()
+        root = dens.root(nodes)
+        root.setflags(write=False)
+        _kept_root[key] = root
+    return root
 
 
 # Largest multiplier pass: its nodes times 8 bytes for each of the n_max
@@ -339,6 +354,18 @@ def _require_resolved_edge(dens: SpectralDensity, n_max: int) -> None:
                               "past which the Hermite rows lose bits")
 
 
+@lru_cache(maxsize=8)
+def _phase_picks(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns that read tm off the signed integrals: of the rows
+    cos, sin, s, k and their negatives, index n takes the row of its
+    phase n % 4, cos, sin, -cos, -sin, and alpha the row two on."""
+    pick = np.array([0, 1, 4, 5])[np.arange(n_max) % 4]
+    cols = np.arange(n_max)
+    pick.setflags(write=False)
+    cols.setflags(write=False)
+    return pick, cols
+
+
 @lru_cache(maxsize=512)
 def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Multiplier values and their time integrals for indices 1..n_max.
@@ -362,17 +389,22 @@ def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarr
     _require_resolved_edge(dens, n_max)
 
     def integrand(nodes):
-        st = np.sin(t * nodes)
+        # the factors in place, each with the operations of its formula
+        tn = t * nodes
+        factors = np.empty((4, nodes.size))
+        np.cos(tn, out=factors[0])
+        np.sin(tn, out=factors[1])
+        np.divide(factors[1], nodes, out=factors[2])
         half = np.sin(0.5 * t * nodes)
-        factors = np.stack([np.cos(t * nodes), st, st / nodes, 2.0 * half * half / nodes])
-        return _hermite_rows(n_max, osc, nodes), factors * dens.root(nodes)
+        np.multiply(2.0, half, out=factors[3])
+        factors[3] *= half
+        factors[3] /= nodes
+        factors *= _layout_root(dens, osc, nodes)
+        return _hermite_rows(n_max, osc, nodes), factors
 
-    # rows cos, sin, s, k, then their negatives; index n takes the row of
-    # its phase n % 4: cos, sin, -cos, -sin for tm and s, k, -s, -k for alpha
     ints = _HALF_LINE_PREF * gl_integrate(integrand, osc, ZERO_PAST)
     signed = np.concatenate([ints, -ints])
-    pick = np.array([0, 1, 4, 5])[np.arange(n_max) % 4]
-    cols = np.arange(n_max)
+    pick, cols = _phase_picks(n_max)
     tm, al = signed[pick, cols], signed[pick + 2, cols]
     tm.setflags(write=False)
     al.setflags(write=False)
@@ -417,6 +449,15 @@ def _require_kernel_integrable(dens: SpectralDensity) -> None:
             f"covariance integral diverges at infinity for {dens.label()}")
 
 
+# Below this |t|, QUADPACK's Fourier rule on (1, hi) at frequency |t|
+# returns a wrong tail with a tiny error estimate (r(1e-6) read 1/pi for
+# the flat density, where it is 5e-7), so the tail is taken in v = |t| u.
+# A subnormal |t| stays with the rule: past v = 1, v / |t| would overflow.
+# On an unbounded tail the rule's cycle length overflows there too, and
+# it refuses the time with a QuadratureError.
+_SMALL_T = 1e-4
+
+
 @lru_cache(maxsize=4096)
 def _r_cached(dens: SpectralDensity, t: float, abs_tol: float) -> float:
     if t == 0.0:
@@ -429,10 +470,39 @@ def _r_cached(dens: SpectralDensity, t: float, abs_tol: float) -> float:
 
     value = quad_scalar(head, 0.0, 1.0, abs_tol)
     hi = dens.cutoff_high
-    if hi > 1.0:
+    if hi > 1.0 and sys.float_info.min <= t < _SMALL_T:
+        value += _r_small_t_tail(dens, t, abs_tol)
+    elif hi > 1.0:
         value += _r_tail_mass(dens, abs_tol)
         value -= quad_cos_range(_tail_amp(dens), t, 1.0, hi, abs_tol)
     return value / math.pi
+
+
+def _r_small_t_tail(dens: SpectralDensity, t: float, abs_tol: float) -> float:
+    """r's tail, the integral over (1, hi) of (1 - cos(t u)) m(u) / u^2,
+    for 0 < t < _SMALL_T.
+
+    In v = t u the integrand is t m(v / t) (1 - cos v) / v^2 on
+    (t, t hi), at frequency 1.  Up to v = 1 it is taken as
+    2 sin^2(v / 2) times the amplitude, with no cancellation; past v = 1
+    the mass and the cosine part are taken apart, the second by the
+    Fourier rule.
+    """
+    m = dens.at
+
+    def amp(v):
+        return t / v * m(v / t) / v
+
+    def near(v):
+        half = math.sin(0.5 * v)
+        return 2.0 * half * half * amp(v)
+
+    top = t * dens.cutoff_high
+    value = quad_scalar(near, t, min(1.0, top), abs_tol)
+    if top > 1.0:
+        value += quad_scalar(amp, 1.0, top, abs_tol)
+        value -= quad_cos_range(amp, 1.0, 1.0, top, abs_tol)
+    return value
 
 
 def _tail_amp(dens: SpectralDensity):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -266,6 +267,43 @@ def test_rfun_lebesgue(capsys):
     out = _json_out(capsys)
     for row in out["rows"]:
         assert float(row["r"]) == pytest.approx(abs(row["t"]) / 2.0, abs=1e-8)
+
+
+def _closed_form_r(hurst, t):
+    """perfbench's closed form of r for the fBm presets (H = 1/2 is flat)."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return float(sys.modules[name].fbm_r(hurst, t))
+
+
+@pytest.mark.parametrize("density", [["lebesgue"], ["fbm", "--H", "0.3"], ["fbm", "--H", "0.75"]],
+                         ids=["lebesgue", "fbm0.3", "fbm0.75"])
+@pytest.mark.parametrize("t", ["1e-9", "1e-7", "1e-6", "3e-6", "1e-5"])
+def test_rfun_at_small_times_matches_the_closed_form_or_exits_three(density, t, capsys):
+    # QUADPACK's Fourier rule at frequency |t| once gave r = 1/pi here with exit 0
+    code = run(["rfun", "--density", *density, "--t", t])
+    if code == 3:
+        assert json.loads(capsys.readouterr().err)["kind"] == "numerical"
+        return
+    assert code == 0
+    out = _json_out(capsys)
+    hurst = float(density[2]) if len(density) > 1 else 0.5
+    want = _closed_form_r(hurst, float(t))
+    assert abs(float(out["rows"][0]["r"]) - want) <= 50 * out["abs_tol"]
+
+
+def test_kernel_a_microsecond_apart_is_the_flat_covariance(capsys):
+    # K(1, 1 + 1e-6) = min(t, s) = 1 needs r(1e-6) = 5e-7; it printed 0.68
+    code = run(["kernel", "--t", "1", "--s", "1.000001"])
+    if code == 3:
+        assert json.loads(capsys.readouterr().err)["kind"] == "numerical"
+        return
+    assert code == 0
+    assert float(_json_out(capsys)["rows"][0]["K"]) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_rfun_divergent_density_exits_two(capsys):

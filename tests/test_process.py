@@ -377,13 +377,18 @@ def test_one_pass_gives_every_level_the_sum_of_its_own_pass(f, cap, monkeypatch)
         stochastic_integral(state, path, f, 0.0, 1.0, levels)
     except NonCauchyError:
         pass
-    (sums,) = seen
-    for k, got in enumerate(sums):
+    ((words, rows, dropped, _),) = seen
+    for k, row in enumerate(rows):
         want = _per_level_riemann_sum(state, path, f, 0.0, 1.0, 1 << k)
-        _assert_close(got, want)
+        _assert_close(_level_element(words, row), want)
         _assert_close(riemann_sum(state, path, f, 0.0, 1.0, 1 << k), want)
     # degrees reach 3 + the top degree of f, so cap 3 drops terms unless f is the vacuum
-    assert (sums[-1].dropped_mass > 0) == (cap == 3 and any(w.degree for w in f.coeffs))
+    assert (dropped[-1] > 0) == (cap == 3 and any(w.degree for w in f.coeffs))
+
+
+def _level_element(words, row):
+    """The element of one level's coefficient row."""
+    return FockElement({w: c for w, c in zip(words, row.tolist()) if c != 0})
 
 
 @pytest.mark.parametrize("dens", [SpectralDensity.lebesgue(), SpectralDensity.fbm(0.3)],
@@ -414,23 +419,17 @@ def test_refinement_distances_have_the_bits_of_the_element_difference(
         res = stochastic_integral(state, path, f, 0.0, 1.0, levels)
     except NonCauchyError:
         res = None
-    (sums,) = seen
+    ((words, rows, _, weights),) = seen
+    sums = [_level_element(words, row) for row in rows]
     q = -float(state.level + 2)
     want = [norm(s1 - s0, q, state.seq) for s0, s1 in zip(sums, sums[1:])]
     scale = norm(sums[-1], q, state.seq)
     tol = 1e-13 * scale
-    distances, got_scale = process._refinement_norms(sums, q, state.seq)
+    # the norms over the rows, one weight per word, as the integral takes them
+    distances = np.sqrt(np.abs(np.diff(rows, axis=0)) ** 2 @ weights)
     assert np.allclose(distances, want, rtol=0.0, atol=tol)
+    got_scale = math.sqrt(np.abs(rows[-1]) ** 2 @ weights)
     assert abs(got_scale - scale) <= tol
-    # every other level with its words reversed: the distances must not
-    # depend on the order in which a sum lists its words
-    flipped = [FockElement(dict(reversed(s.coeffs.items())), s.dropped_mass) if k % 2 else s
-               for k, s in enumerate(sums)]
-    distances, flipped_scale = process._refinement_norms(flipped, q, state.seq)
-    assert np.allclose(distances, [norm(s1 - s0, q, state.seq)
-                                   for s0, s1 in zip(flipped, flipped[1:])],
-                       rtol=0.0, atol=tol)
-    assert abs(flipped_scale - norm(flipped[-1], q, state.seq)) <= tol
     if res is not None:
         assert np.allclose(res.distances, want, rtol=0.0, atol=tol)
         floor = 1e-14 * got_scale
@@ -459,3 +458,71 @@ def test_every_built_key_is_a_word():
     path = IntegrandPath.dyadic(_mixed_integrand, 0.0, 1.0, 2)
     keys_are_words(riemann_sum(state, path, f, 0.0, 1.0, 4).coeffs)
     keys_are_words(monomial_to_uwords([0, 0, 1, 1, 0]))
+
+
+@pytest.mark.parametrize("f", [
+    vacuum(),
+    basis_vector(normalize([2])) * 0.8,
+    vacuum() * 0.5 + basis_vector(normalize([2])) * (0.3 - 0.6j),
+    basis_vector(normalize([0, 1, 0])),
+], ids=["vacuum", "z2", "mixed", "z0z1z0"])
+@pytest.mark.parametrize("cap", [12, 3])
+def test_noise_rows_equal_apply_whitenoise_per_tag(f, cap):
+    # the rows T M_f against the per-tag element; cap 3 keeps z0 z1 z0
+    # from creating, so only its first letter annihilates
+    state = ProcessState(SpectralDensity.fbm(0.3), n_max=16, degree_cap=cap)
+    tags = [0.1 + j / 8 for j in range(8)]
+    words, rows = process._noise_rows(state, tags, f)
+    assert len(set(words)) == len(words)
+    for u, row in zip(tags, rows):
+        want = apply_whitenoise(state, u, f).coeffs
+        got = dict(zip(words, row.tolist()))
+        top = max(map(abs, want.values()))
+        assert all(abs(got.get(w, 0j) - want.get(w, 0j)) <= 1e-14 * top
+                   for w in set(got) | set(want))
+    # an empty f has no noise words, and its integral, like that of a
+    # zero integrand, is the zero element
+    words, rows = process._noise_rows(state, tags, FockElement())
+    assert words == [] and rows.shape == (8, 0)
+    path = IntegrandPath.dyadic(_mixed_integrand, 0.0, 1.0, 3)
+    zero = IntegrandPath.dyadic(lambda t: FockElement(), 0.0, 1.0, 3)
+    for p, g in ((path, FockElement()), (zero, f)):
+        res = stochastic_integral(state, p, g, 0.0, 1.0, 3)
+        assert not res.value.coeffs and not res.extrapolated.coeffs
+        assert res.distances == (0.0, 0.0, 0.0)
+
+
+def test_flat_density_isometry_gap_falls_like_root_n():
+    # I = int_0^1 X_u dX_u Omega has norm^2 = int_0^1 u du = 1/2 (free Ito
+    # isometry); its truncation to n_max letters is a Bessel sum, so it
+    # stays at most 1/2, and the gap falls like n^(-1/2), by sqrt(2) per
+    # doubling (measured 1.421, then 1.420)
+    dens = SpectralDensity.lebesgue()
+    gaps = []
+    for n_max in (64, 128, 256):
+        state = ProcessState(dens, n_max=n_max)
+        path = IntegrandPath.dyadic(lambda t: apply_process(state, t, vacuum()), 0.0, 1.0, 8)
+        res = stochastic_integral(state, path, vacuum(), 0.0, 1.0, 8)
+        finest, extrapolated = (norm(e) ** 2 for e in (res.value, res.extrapolated))
+        assert finest <= 0.5 and extrapolated <= 0.5
+        gaps.append(0.5 - extrapolated)
+    assert all(1.3 <= g0 / g1 <= 1.55 for g0, g1 in zip(gaps, gaps[1:]))
+
+
+def test_process_path_integral_runs_no_per_tag_fock_operation(monkeypatch):
+    # the integral stays on coefficient arrays: no white-noise element, no
+    # apply_x and no element addition between the path and the result
+    state = ProcessState(SpectralDensity.lebesgue(), n_max=32)
+    path = IntegrandPath.dyadic(lambda t: apply_process(state, t, vacuum()), 0.0, 1.0, 6)
+    calls = []
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+
+    counted(process, "apply_whitenoise")
+    counted(fock, "apply_x")
+    counted(FockElement, "__add__")
+    res = stochastic_integral(state, path, vacuum(), 0.0, 1.0, 6)
+    assert res.converged and len(res.extrapolated.coeffs) == 32 * 32
+    assert calls == []
