@@ -235,10 +235,10 @@ def _riemann_sums(state: ProcessState, path: IntegrandPath, f: FockElement,
     on one word are added in pair order.
 
     Returns the words up to the degree cap on which some sum is nonzero,
-    in the order the sums first list them (``_first_listed``); one
-    complex row per sum over them; each sum's mass above the cap, the
-    sum of its |c|^2 there; and the level-``level`` weight of each word,
-    as ``words.weight`` gives it.
+    in slot order (``fock.tensor_slots``); one complex row per sum over
+    them; each sum's mass above the cap, the sum of its |c|^2 there; and
+    the level-``level`` weight of each word, weight(l) * weight(r) of
+    the first pair (l, r) that lands on it.
     """
     step = (b - a) / n_intervals
     tags = [a + j * step for j in range(n_intervals)]
@@ -265,51 +265,18 @@ def _riemann_sums(state: ProcessState, path: IntegrandPath, f: FockElement,
     first = np.unique(slots, return_index=True)[1]
     cap = math.inf if state.degree_cap is None else state.degree_cap
     over = np.add.outer([len(w) for w in left], [len(w) for w in right]).ravel()[first] > cap
-    below = np.flatnonzero(~over)
-    keep = below[_first_listed(sums[:, below])]
-    weights = _pair_weights(left, right, level, state.seq).ravel()[first[keep]]
+    keep = np.flatnonzero(~over & sums.any(axis=0))
+    weights = np.multiply.outer([weight(w, level, state.seq) for w in left],
+                                [weight(w, level, state.seq) for w in right]).ravel()[first[keep]]
     return ([words[i] for i in keep.tolist()], sums.take(keep, axis=1),
             np.sum(np.abs(sums[:, over]) ** 2, axis=1), weights)
 
 
-def _pair_weights(left: Sequence[Word], right: Sequence[Word], level: float,
-                  seq: WeightSequence) -> np.ndarray:
-    """weight(l + r, level, seq) of every pair, with l along the rows.
-
-    ``weight`` multiplies the factors of a word's runs from left to
-    right, so the factors of r's runs carry on from weight(l) with the
-    same roundings.  Where r's first letter continues l's last run, the
-    two runs are one factor, and the word is weighed whole.
-    """
-    out = np.repeat(np.array([weight(w, level, seq) for w in left])[:, None],
-                    len(right), axis=1)
-    factors = [[seq.value(letter + 1) ** (level * exp) for letter, exp in w.runs]
-               for w in right]
-    for k in range(max(map(len, factors), default=0)):
-        out *= [fs[k] if k < len(fs) else 1.0 for fs in factors]
-    for i, j in zip(*np.nonzero(np.equal.outer([w[-1] if w else -1 for w in left],
-                                               [w[0] if w else -2 for w in right]))):
-        out[i, j] = weight(Word(left[i] + right[j]), level, seq)
-    return out
-
-
-def _first_listed(rows: np.ndarray) -> np.ndarray:
-    """The columns that are nonzero in some row, in the order a list of
-    sparse rows would first list them: by the first row in which they
-    are nonzero, then by column.
-
-    Norms add their terms in this order, the order of the union of the
-    supports of the rows as elements.
-    """
-    nonzero = rows != 0
-    first = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), len(rows))
-    return np.argsort(first, kind="stable")[:np.count_nonzero(first < len(rows))]
-
-
 def _noise_rows(state: ProcessState, tags: Sequence[float],
                 f: FockElement) -> tuple[list[Word], np.ndarray]:
-    """Words of the noise values W(u) f over the tags, in the order the
-    values first list them, and one complex row per tag over them.
+    """Words on which some noise value W(u) f over the tags is nonzero,
+    in the column order of M_f below, and one complex row per tag over
+    them.
 
     W(u) f is linear in tm(u): the rows are T M_f, with T the multiplier
     values at the tags and M_f the n_max x words matrix of ``fock.apply_x``
@@ -329,7 +296,7 @@ def _noise_rows(state: ProcessState, tags: Sequence[float],
         m[i, col] += c
     t = np.array([spectral.tm_values(state.density, u, n_max) for u in tags], dtype=complex)
     z = np.einsum("ti,iw->tw", t, m)
-    order = _first_listed(z)
+    order = np.flatnonzero(z.any(axis=0))
     words = list(index)
     return [words[i] for i in order.tolist()], z.take(order, axis=1)
 

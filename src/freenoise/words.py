@@ -3,10 +3,11 @@
 A word is a finite product of generators z_i (i in N_0) stored as the
 tuple of its letters: ``z0^2 z1`` is ``(0, 0, 1)``.  The empty word is
 the monoid identity, spelled ``"1"`` in text form.  Run form, the
-(letter, exponent) pairs of ``Word.runs``, serves weights, printing and
-the Chebyshev factors of a U-word.  Words are immutable and hashable;
-``Word.sort_key`` is their graded order (degree, then letters), by
-which sparse maps are sorted for output.
+(letter, exponent) pairs of ``Word.runs``, serves printing and the
+Chebyshev factors of a U-word: ``trace.wick_word_vector`` and the
+monomials of ``matmodel``; ``weight`` reads the letters.  Words are
+immutable and hashable; ``Word.sort_key`` is their graded order
+(degree, then letters), by which sparse maps are sorted for output.
 
 The same module holds the weight sequences a_1 <= a_2 <= ... that grade
 the Fock norms.  The weight of a word at exponent p multiplies

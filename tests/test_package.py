@@ -1,6 +1,7 @@
 import importlib
 import pkgutil
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,18 @@ def test_every_public_member_is_read(cls):
     texts = [p.read_text() for p in paths if not p.name.startswith("test_")]
     unread = [n for n in members if not any(re.search(rf"\.{n}\b", t) for t in texts)]
     assert not unread
+
+
+def test_every_private_helper_is_used():
+    # A module-level private name under src/freenoise/ (``def _x``,
+    # ``class _x`` or ``_X = ...``) must be mentioned beyond its own
+    # definition somewhere there, so a helper that nothing in the
+    # package reads any more fails.
+    text = "\n".join(p.read_text() for p in ROOT.glob("src/freenoise/*.py"))
+    names = set(re.findall(r"^(?:def|class)\s+(_\w+)", text, flags=re.M))
+    for targets in re.findall(r"^(_\w+(?:\s*,\s*_\w+)*)\s*(?::[^=\n]*)?=(?!=)",
+                              text, flags=re.M):
+        names.update(re.split(r"\s*,\s*", targets))
+    mentions = Counter(re.findall(r"\w+", text))
+    orphans = sorted(n for n in names if not n.startswith("__") and mentions[n] < 2)
+    assert not orphans

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import time
 
@@ -7,6 +8,7 @@ import pytest
 
 from fock_oracle import annihilation, creation
 from freenoise import fock, process
+from freenoise.chebyshev import orthonormal_poly
 from freenoise.errors import (
     LevelTooLowError,
     NonCauchyError,
@@ -526,3 +528,78 @@ def test_process_path_integral_runs_no_per_tag_fock_operation(monkeypatch):
     res = stochastic_integral(state, path, vacuum(), 0.0, 1.0, 6)
     assert res.converged and len(res.extrapolated.coeffs) == 32 * 32
     assert calls == []
+
+
+_PRESETS = pytest.mark.parametrize("dens", [
+    SpectralDensity.lebesgue(), SpectralDensity.fbm(0.3), SpectralDensity.fbm(0.75),
+], ids=["lebesgue", "fbm0.3", "fbm0.75"])
+
+
+def _third_chaos(state, levels):
+    # I_1(u) = X(u) Omega; I_2(u_k) = int_0^{u_k} I_1 dX Omega and
+    # I_3 = int_0^1 I_2 dX Omega, each the Riemann sum on the tags of the
+    # finest partition of [0, 1] at this level
+    path = IntegrandPath.dyadic(lambda t: apply_process(state, t, vacuum()), 0.0, 1.0, levels)
+    second = [FockElement()] + [riemann_sum(state, path, vacuum(), 0.0, u, k)
+                                for k, u in enumerate(path.times) if k]
+    return riemann_sum(state, IntegrandPath(path.times, tuple(second)), vacuum(),
+                       0.0, 1.0, len(path.times))
+
+
+@_PRESETS
+def test_iterated_integrals_rebuild_the_third_chaos(dens):
+    # the one-sided integral puts the later time's letter to the right,
+    # so I_3 is the time-ordered part of alpha(1)^(x)3 and its sum over
+    # the 6 permutations of the tensor slots is alpha(1)^(x)3 itself
+    # (Fubini over the orderings of [0, 1]^3); the sums converge to it
+    # at first order, the extrapolation 2 S_L - S_{L-1} at second
+    n_max = 16
+    state = ProcessState(dens, n_max=n_max, degree_cap=None)
+    a1 = alpha_vector(dens, 1.0, n_max)
+    exact = np.einsum("i,j,k->ijk", a1, a1, a1)
+
+    def symmetrised(e):
+        c = np.zeros((n_max,) * 3, dtype=complex)
+        for w, v in e.coeffs.items():
+            c[w] = v
+        return sum(c.transpose(p) for p in itertools.permutations(range(3)))
+
+    sums = {levels: symmetrised(_third_chaos(state, levels)) for levels in (6, 7, 8)}
+    scale = np.max(np.abs(exact))
+    fine = {k: np.max(np.abs(sums[k] - exact)) / scale for k in (7, 8)}
+    extra = {k: np.max(np.abs(2.0 * sums[k] - sums[k - 1] - exact)) / scale for k in (7, 8)}
+    assert 1.8 <= fine[7] / fine[8] <= 2.2
+    assert 3.0 <= extra[7] / extra[8] <= 5.0
+    assert extra[8] <= 2e-4
+
+
+@_PRESETS
+def test_chebyshev_polynomials_of_the_normalised_process_are_its_chaos(dens):
+    # for a unit vector h, p_n(X(h)) Omega = h^(x)n with p_n(x) = U_n(x/2),
+    # so the U-polynomials of the normalised process are orthonormal and
+    # their Gram matrix over times is delta_nm rho(s, t)^n, rho the
+    # truncated correlation (free Mehler formula)
+    n_max, times, top = 16, (0.3, 0.9, 1.6), 3
+    units = [alpha_vector(dens, t, n_max) for t in times]
+    units = [h / np.linalg.norm(h) for h in units]
+    vectors = {}
+    for i, h in enumerate(units):
+        powers = [vacuum()]
+        for _ in range(top):
+            powers.append(fock.apply_x(h, powers[-1], None))
+        for n in range(top + 1):
+            p_n = FockElement()
+            for c, power in zip(orthonormal_poly(n, 2), powers):
+                if c:
+                    p_n = p_n + float(c) * power
+            tensor_power = FockElement({
+                Word(w): complex(math.prod(h[list(w)]))
+                for w in itertools.product(range(n_max), repeat=n)})
+            assert norm(p_n - tensor_power) <= 1e-13
+            vectors[i, n] = p_n
+    kernel_n = np.array([[dual_route_kernel(dens, s, t, n_max) for t in times] for s in times])
+    rho = kernel_n / np.sqrt(np.outer(np.diag(kernel_n), np.diag(kernel_n)))
+    keys = list(vectors)
+    gram = np.array([[fock.inner(vectors[a], vectors[b]) for b in keys] for a in keys])
+    want = np.array([[(n == m) * rho[i, j] ** n for j, m in keys] for i, n in keys])
+    assert np.max(np.abs(gram - want)) <= 1e-12

@@ -10,7 +10,7 @@ import pytest
 from scipy import integrate as si
 from scipy import special as ssp
 
-from freenoise import spectral
+from freenoise import acceptance, spectral
 from freenoise.errors import DivergenceError, QuadratureError, ValidationError
 from freenoise.hermite import ZERO_PAST, hermite_fn_matrix
 from freenoise.quadrature import _composite_rule, panel_nodes
@@ -624,6 +624,16 @@ def test_fit_sqrt_exponential_recovers_synthetic_rate():
     fit = fit_sqrt_exponential(n, 2.0 * np.exp(-0.3 * np.sqrt(n)))
     assert fit.exponent == pytest.approx(-0.3, abs=1e-9)
     assert math.exp(fit.log_scale) == pytest.approx(2.0, rel=1e-9)
+
+
+def test_flat_density_supremum_decays_at_the_plancherel_rotach_rate():
+    # a companion to criterion 10a, which leaves that check as it is: the
+    # flat density's sup over t of |tm_n(t)| decays like n^(-1/12), the
+    # Plancherel-Rotach rate of the Hermite functions at the edge of
+    # their oscillatory range (Szego, Orthogonal Polynomials, 8.22);
+    # measured -0.092 over n = 12..60
+    fit = acceptance._sup_exponent(SpectralDensity.lebesgue())
+    assert abs(fit.exponent + 1.0 / 12.0) <= 0.03
 
 
 def test_fit_needs_enough_points():
