@@ -28,7 +28,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, pairwise
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,8 +51,8 @@ __all__ = [
     "stochastic_integral",
 ]
 
-# reference time for the per-state tail certificate; the class growth
-# templates are uniform in t, so one certificate stands for the state
+# the one time at which the per-state tail certificate is fitted; it is
+# not re-checked at other times, where its bound need not hold
 _CERT_TIME = 1.0
 
 # finest dyadic refinement a path is sampled at and a sum is taken over:
@@ -187,8 +187,13 @@ class IntegrandPath:
         return cls(times, tuple(fn(t) for t in times))
 
     def value_at(self, t: float) -> FockElement:
-        k = bisect.bisect_left(self.times, t - 1e-12)
-        if k < len(self.times) and abs(self.times[k] - t) <= 1e-9:
+        """The sample nearest t, which must lie within 1e-6 of the gaps to
+        its neighbours (within 1e-9 on a one-sample path)."""
+        times = self.times
+        k = bisect.bisect_left(times, t)
+        k = min((j for j in (k - 1, k) if 0 <= j < len(times)), key=lambda j: abs(times[j] - t))
+        gaps = [b - a for a, b in pairwise(times[max(k - 1, 0):k + 2])]
+        if abs(times[k] - t) <= (1e-6 * min(gaps) if gaps else 1e-9):
             return self.values[k]
         raise ValidationError(f"path not sampled at t = {t!r}")
 

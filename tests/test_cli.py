@@ -480,6 +480,17 @@ def test_integrate_converges(capsys):
     assert float(out["rows"][-2]["ratio"]) <= 0.6
 
 
+def test_integrate_on_a_fine_grid_reads_each_tag(capsys):
+    # tag step 6.1e-13; near 0 alpha_0(u) = pi^(-1/4) u and the noise
+    # coefficient is pi^(-1/4), so the z0^2 coefficient is pi^(-1/2) b^2 / 2
+    b = 1e-8
+    assert run(["integrate", "--a", "0", "--b", str(b), "--levels", "14",
+                "--n-max", "16"]) == 0
+    out = _json_out(capsys)
+    z00 = next(t["re"] for t in out["terms"] if t["word"] == "z0^2")
+    assert z00 == pytest.approx(math.pi ** -0.5 * b * b / 2, rel=1e-9, abs=0.0)
+
+
 def test_integrate_verdict_does_not_depend_on_the_norm_level(capsys):
     # at --q 60 the distances are about 1e-19, so a rounding floor that
     # does not scale with the sums' norm would read them all as noise:

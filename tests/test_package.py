@@ -31,8 +31,8 @@ def _mentions(text: str, name: str) -> int:
 def test_every_exported_name_is_used(name):
     # A name in a submodule's __all__ must be used beyond its definition:
     # in its own module, another module under src/, scripts/, perfbench/
-    # or README.md.  The export lists and the package's re-exports do not
-    # count, and neither do the tests, so a helper only tests call fails.
+    # or README.md.  The export lists do not count, and neither do the
+    # tests, so a helper only tests call fails.
     module = importlib.import_module(name)
     path = Path(module.__file__)
     own = re.sub(r"__all__ = \[.*?\]", "", path.read_text(), flags=re.S)

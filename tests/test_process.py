@@ -135,6 +135,15 @@ def test_dyadic_path_uses_left_tags():
         path.value_at(0.3)
 
 
+def test_value_at_returns_each_tag_of_a_fine_grid():
+    # the tag step is 6.1e-13: an absolute tolerance of 1e-9 spans over a
+    # thousand samples, so only the nearest one is the sample asked for
+    path = IntegrandPath.dyadic(lambda t: basis_vector(normalize([0])) * t, 0.0, 1e-8, 14)
+    assert all(path.value_at(t) is v for t, v in zip(path.times, path.values))
+    with pytest.raises(ValidationError):
+        path.value_at(0.5 * (path.times[5] + path.times[6]))
+
+
 def test_riemann_sum_additive_over_matching_partitions():
     state = ProcessState(SpectralDensity.lebesgue(), n_max=32)
     path = IntegrandPath.dyadic(lambda t: vacuum() + basis_vector(normalize([0])) * t,
@@ -603,3 +612,43 @@ def test_chebyshev_polynomials_of_the_normalised_process_are_its_chaos(dens):
     gram = np.array([[fock.inner(vectors[a], vectors[b]) for b in keys] for a in keys])
     want = np.array([[(n == m) * rho[i, j] ** n for j, m in keys] for i, n in keys])
     assert np.max(np.abs(gram - want)) <= 1e-12
+
+
+def _noncrossing_pairing_sum(cov, positions):
+    # sum over the non-crossing pair partitions of positions of the
+    # product of cov over their pairs: the first position pairs with one
+    # an odd distance on, which splits the rest into inside and outside
+    if not positions:
+        return 1.0
+    first, rest = positions[0], positions[1:]
+    return sum(cov[first, rest[j]] * _noncrossing_pairing_sum(cov, rest[:j])
+               * _noncrossing_pairing_sum(cov, rest[j + 1:])
+               for j in range(0, len(rest), 2))
+
+
+@_PRESETS
+def test_the_process_is_a_semicircular_family(dens):
+    # free Wick formula (Nica and Speicher, LMS LN 335, Lecture 8): the
+    # moment phi(X(t_1) ... X(t_k)) = <X(t_h) ... X(t_1) Omega,
+    # X(t_{h+1}) ... X(t_k) Omega> is the non-crossing pairing sum over
+    # C_ij = alpha(t_i) . alpha(t_j), and every odd moment is 0
+    n_max = 16
+    state = ProcessState(dens, n_max=n_max, degree_cap=None)
+    times = (0.2, 1.6, 0.7, 1.1, 0.4, 1.3, 0.9, 0.5)
+    alphas = np.array([alpha_vector(dens, t, n_max) for t in times])
+    cov = alphas @ alphas.T
+    # the word t_1 ... t_h t_{9-m} ... t_8: left[h] = X(t_h) ... X(t_1) Omega
+    # and right[m] = X(t_{9-m}) ... X(t_8) Omega grow one operator at a time
+    left, right = [vacuum()], [vacuum()]
+    for h in range(4):
+        left.append(apply_process(state, times[h], left[-1]))
+        right.append(apply_process(state, times[-1 - h], right[-1]))
+    for k in range(2, 9):
+        h, m = (k + 1) // 2, k // 2
+        got = fock.inner(left[h], right[m])
+        if k % 2:
+            assert got == 0.0
+            continue
+        positions = list(range(h)) + [len(times) - 1 - j for j in reversed(range(m))]
+        want = _noncrossing_pairing_sum(cov, positions)
+        assert abs(got - want) <= 1e-12 * abs(want)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -68,6 +69,25 @@ def test_importing_the_package_does_not_load_scipy_integrate():
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_each_layer_imports_only_what_it_uses():
+    # the package root re-exports nothing, so it loads no submodule, and
+    # the exact trace engines load neither numpy nor the numeric layers
+    src = Path(freenoise.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, json, freenoise; "
+         "layers = lambda: sorted(m for m in sys.modules if m.startswith('freenoise.')); "
+         "root = layers(); import freenoise.trace; "
+         "print(json.dumps([root, layers(), 'numpy' in sys.modules]))"],
+        env=env, capture_output=True, text=True, check=True)
+    root, layers, numpy = json.loads(out.stdout)
+    assert root == []
+    assert "freenoise.trace" in layers and not numpy
+    assert not {f"freenoise.{m}" for m in ("spectral", "process", "matmodel", "hermite",
+                                          "quadrature", "parallel")} & set(layers)
 
 
 def test_quad_scalar_raises_on_a_nan_result():

@@ -512,6 +512,68 @@ def test_alpha_prime_is_the_multiplier():
         assert tm_values(f, t, 3) == pytest.approx(diff, abs=1e-7)
 
 
+def _probabilists_hermite(k):
+    # integer coefficients of He_k, lowest power first, by
+    # He_{m+1} = x He_m - m He_{m-1}
+    prev, cur = [0], [1]
+    for m in range(k):
+        nxt = [0] + cur
+        for j, c in enumerate(prev):
+            nxt[j] -= m * c
+        prev, cur = cur, nxt
+    return cur
+
+
+def _fbm_closed_form(mp, n, hurst, t):
+    """tm_n(t) and alpha_n(t) of fbm(H) from the monomials of hfn_n.
+
+    sqrt(m) hfn_n = e^{-u^2/2} sum_j c_j u^{s_j - 1} with s_j = j + 3/2 - H,
+    and each term integrates in closed form (Gradshteyn-Ryzhik 3.952):
+    int_0^inf u^{s-1} e^{-u^2/2} cos(ut) du = 2^{s/2-1} G(s/2) 1F1(s/2; 1/2; -t^2/2)
+    and the sine with 1F1((s+1)/2; 3/2; .).  alpha_n = int_0^t tm_n takes
+    sin(ut)/u for cos(ut) and (1 - cos(ut))/u for sin(ut), the same
+    integrals at s - 1.
+    """
+    t = mp.mpf(t)
+
+    def cos_int(s, t):
+        return 2 ** (s / 2 - 1) * mp.gamma(s / 2) * mp.hyp1f1(s / 2, 0.5, -t * t / 2)
+
+    def sin_int(s, t):
+        return t * 2 ** ((s - 1) / 2) * mp.gamma((s + 1) / 2) \
+            * mp.hyp1f1((s + 1) / 2, 1.5, -t * t / 2)
+
+    tm = alpha = mp.mpf(0)
+    for j, c in enumerate(_probabilists_hermite(n - 1)):
+        if c:
+            s = j + mp.mpf(1.5) - mp.mpf(hurst)
+            coef = c * mp.sqrt(2) ** j
+            if n % 2:
+                tm += coef * cos_int(s, t)
+                alpha += coef * sin_int(s - 1, t)
+            else:
+                tm += coef * sin_int(s, t)
+                alpha += coef * (cos_int(s - 1, 0) - cos_int(s - 1, t))
+    # the half-line prefactor, the norm of hfn_n and the phase (-i)^{n-1}
+    pref = 2 / mp.sqrt(2 * mp.pi) * mp.pi ** mp.mpf(-0.25) / mp.sqrt(mp.factorial(n - 1)) \
+        * (1 if (n - 1) % 4 < 2 else -1)
+    return float(pref * tm), float(pref * alpha)
+
+
+@pytest.mark.parametrize("hurst", [0.3, 0.75])
+def test_fbm_multiplier_matches_its_closed_form(hurst):
+    mpmath = pytest.importorskip("mpmath")
+    orders = (1, 2, 3, 7, 16, 33, 64)
+    dens = SpectralDensity.fbm(hurst)
+    with mpmath.workdps(40):
+        for t in (0.5, 1.0, 2.5):
+            tm, alpha = tm_values(dens, t, 64), alpha_vector(dens, t, 64)
+            for n in orders:
+                want_tm, want_alpha = _fbm_closed_form(mpmath.mp, n, hurst, t)
+                assert abs(tm[n - 1] - want_tm) <= 1e-13
+                assert abs(alpha[n - 1] - want_alpha) <= 1e-12
+
+
 def test_fbm_r_function_closed_form():
     # r(t) = C_H |t|^{2H} with C_H = -Gamma(-2H) cos(pi H) / pi, derived
     # from the standard |e^{iut}-1|^2 |u|^{1-2H} integral via the gamma
