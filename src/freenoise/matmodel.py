@@ -32,24 +32,22 @@ Speicher, "Free Probability and Random Matrices", 2017, ch. 1).
 
 Traces of many words share each sample.  Words are split in half, and
 because the generators are Hermitian, the product of a reversed word is
-the conjugate transpose of the word's product.  So tr(P_l P_r) is an
-entrywise inner product of P_l with P_reverse(r), and one Gram matrix
-over the identity, the left halves and the reversed right halves gives
-every trace of the sample; a half whose reverse is already built is a
-conjugate-transpose copy, and a product with the diagonal generator
-scales rows or columns, so only dense times dense is a matrix product.
-The halves that are powers of the diagonal generator, the identity
-included, are diagonal themselves: their Gram entries need only the
-diagonals of the dense halves, so only the dense halves are stored as
-matrices and enter the Gram product.
+the conjugate transpose of the word's product, so tr(P_l P_r) is an
+entrywise inner product of P_l with P_reverse(r).  Each half is
+D^a c D^b, D the diagonal generator and c its core, which starts and
+ends with a dense letter or is the identity.  Only the cores are stored
+and multiplied, so only dense times dense is a matrix product, and the
+powers of D weight the inner product of each core pair.  A worker holds
+(cores + 1) x dim^2 x 16 bytes, one matrix being scratch: the cores of
+the 127 binary words up to length 6 are 0, 00, 000 and 010.
 
 U-words, the orthonormal basis elements p_{a1}(X_{i1}) ... p_{ak}(X_{ik})
-with p_n(x) = U_n(x / radius), reach the same Gram table as fixed
+with p_n(x) = U_n(x / radius), reach the same core pool as fixed
 combinations of monomials.  Each run contributes the coefficients of
 chebyshev.orthonormal_poly, exact for the binary radius; their products
 are summed exactly and each rounded once, and every sample's U-word
 trace is that combination of its monomial traces.  The empty word is the
-single monomial (), whose Gram entry is dim itself.
+single monomial (), whose weighted Gram entry is dim itself.
 """
 
 from __future__ import annotations
@@ -198,80 +196,60 @@ def _check_word(cfg: EnsembleConfig, letters: tuple[int, ...]) -> None:
             raise ValidationError(f"letter {i} outside the generator range")
 
 
-def _gram_rows(halves: set[tuple[int, ...]],
-               n_letters: int) -> list[tuple[int, ...]]:
-    """Pool row labels: every dense letter, then every prefix of length
-    two or more of the halves that holds a dense letter, ordered by
-    (length, letters).  The last letter is the diagonal one: the
-    identity and the powers of that letter are diagonal and are not
-    pool rows (see _gram)."""
+def _split(half: tuple[int, ...], diag: int) -> tuple[int, tuple[int, ...], int]:
+    """(a, core, b) with half = D^a core D^b for the diagonal letter
+    D = diag: the core starts and ends with a dense letter, or is the
+    identity () when half is a power of D."""
+    a = next((k for k, x in enumerate(half) if x != diag), len(half))
+    b = next((k for k, x in enumerate(half[::-1]) if x != diag), 0)
+    return a, half[a:len(half) - b], b
+
+
+def _pool_rows(cores: set[tuple[int, ...]],
+               n_letters: int) -> dict[tuple[int, ...], int]:
+    """Pool row of each stored core, ordered by (length, letters): every
+    dense letter, every core given but the identity, and the prefix core
+    c' of every row c = c' D^k x whose reverse is not a smaller row."""
     diag = n_letters - 1
-    need = {t[:k] for t in halves for k in range(2, len(t) + 1)}
-    return [(i,) for i in range(diag)] + sorted(
-        (t for t in need if t.count(diag) < len(t)),
-        key=lambda t: (len(t), t))
+    need = {(i,) for i in range(diag)} | (cores - {()})
+    # longest first: a length's rows are final before its prefixes join
+    for length in range(max(map(len, need), default=0), 1, -1):
+        for c in [c for c in need if len(c) == length]:
+            if not (c[::-1] in need and c[::-1] < c):
+                need.add(_split(c[:-1], diag)[1])
+    return {t: k for k, t in enumerate(sorted(need, key=lambda t: (len(t), t)))}
 
 
 def _half_products(mats: Sequence[np.ndarray],
-                   labels: Sequence[tuple[int, ...]],
+                   index: dict[tuple[int, ...], int],
                    pool: np.ndarray,
+                   scratch: np.ndarray | None,
                    ) -> dict[tuple[int, ...], np.ndarray]:
-    """Fill the pool rows past the letters with their products.
+    """Fill the pool rows past the letters with their core products.
 
-    Row k of pool holds the product labelled by labels[k], the rows of
-    _gram_rows.  The dense letter rows are already in place, and mats is
-    what sample_generators returned for the letters: dense letters alias
-    their rows, and the diagonal letter is its real vector of entries.
-    The generators are Hermitian, so the product of a reversed word is
-    the conjugate transpose of the word's product: a row whose reverse
-    is an earlier row is copied that way.  A row ending in the diagonal
-    letter is its prefix with columns scaled; a row that starts with a
-    power of the diagonal letter, followed by an earlier row, is that
-    row with rows scaled; every other row is its prefix times its last
-    letter.  The returned dict holds the letters and the matmul products
-    only, so its length beyond len(mats) is the number of matmuls made.
+    Row index[c] of pool holds the product of core c, index being what
+    _pool_rows returned; the dense letters' rows are already in place,
+    and mats is what sample_generators returned.  A row whose reverse
+    is an earlier row is that row's conjugate transpose, as the
+    generators are Hermitian; every other row c = c' D^k x is
+    (P_c' D^k) @ X_x, with the prefix core's columns scaled into scratch
+    when k > 0.  The returned dict holds the letters and the matmul
+    products only, so its length beyond len(mats) is the number of
+    matmuls made.
     """
-    index = {t: k for k, t in enumerate(labels)}
-    memo: dict[tuple[int, ...], np.ndarray] = {
-        (i,): m for i, m in enumerate(mats)}
-    for k in range(len(mats) - 1, len(labels)):
-        t = labels[k]
-        rev = index.get(t[::-1], k)
-        last = mats[t[-1]]
+    diag = len(mats) - 1
+    memo = {(i,): m for i, m in enumerate(mats)}
+    for c, k in list(index.items())[diag:]:
+        rev = index.get(c[::-1], k)
         if rev < k:
             np.conjugate(pool[rev].T, out=pool[k])
-        elif last.ndim == 1:
-            np.multiply(pool[index[t[:-1]]], last, out=pool[k])
-        elif (lead := _diagonal_lead(mats, t)) and t[lead:] in index:
-            scale = mats[t[0]] ** lead
-            np.multiply(pool[index[t[lead:]]], scale[:, None], out=pool[k])
-        else:
-            memo[t] = np.matmul(pool[index[t[:-1]]], last, out=pool[k])
+            continue
+        _, prefix, power = _split(c[:-1], diag)
+        left = pool[index[prefix]]
+        if power:
+            left = np.multiply(left, mats[diag] ** power, out=scratch)
+        memo[c] = np.matmul(left, mats[c[-1]], out=pool[k])
     return memo
-
-
-def _gram(flat: np.ndarray, diagonals: np.ndarray,
-          powers: np.ndarray) -> np.ndarray:
-    """Gram matrix of the pool rows, then of the diagonal rows D^p.
-
-    flat holds the pool rows as real vectors of length 2 dim^2 and
-    diagonals their real diagonals; powers holds the entries of each
-    D^p.  Entry (a, b) is the real inner product Re <row_a, row_b> of
-    the two matrices' entries.  A diagonal row meets a pool row X only
-    on its diagonal, Re <X, D^p> = sum_i Re X_ii d_i^p, and two
-    diagonal rows give sum_i d_i^p d_i^q, so only the pool rows need
-    a product over all 2 dim^2 entries.
-    """
-    cross = diagonals @ powers.T
-    return np.block([[flat @ flat.T, cross], [cross.T, powers @ powers.T]])
-
-
-def _diagonal_lead(mats: Sequence[np.ndarray], t: tuple[int, ...]) -> int:
-    """Length of the run of diagonal letters that starts t."""
-    n = 0
-    while n < len(t) and mats[t[n]].ndim == 1:
-        n += 1
-    return n
 
 
 def _sample_slices(cfg: EnsembleConfig) -> list[range]:
@@ -287,47 +265,57 @@ def _trace_table(cfg: EnsembleConfig,
     """Normalized trace of every word in every sample, samples x words.
 
     Each word w = l r is split at mid = (len + 1) // 2, so only products
-    of half length are ever multiplied, and for Hermitian generators
+    of half length are ever multiplied.  The halves' products are
+    D^a C D^b and, for the right half read reversed, D^a' C' D^b', with
+    C and C' the products of their cores (see _split); for Hermitian
+    generators
 
-        Re tr(P_l P_r) = Re <P_reverse(r), P_l>,
+        Re tr(P_w) = sum_ij d_i^(a + a') d_j^(b + b') Re(C_ij conj C'_ij),
 
-    a real inner product of the two matrices' entries.  Every left half
-    and every reversed right half, closed under prefixes, that holds a
-    dense letter is a row of one (rows, dim, dim) pool, and one Gram
-    matrix F F^T of the rows seen as real vectors, a single symmetric
-    rank-k BLAS update, gives their traces; the diagonal halves D^p
-    enter through the rows' diagonals (see _gram).  Sample streams are
-    counter-based, so the worker count never changes a digit.
+    entry (a + a', b + b') of V R V^T, where R holds the real parts of
+    the entrywise products of the two cores and row p of V the powers
+    d_i^p.  Each core pair that some word needs makes one such table.
+    Sample streams are counter-based, so the worker count never changes
+    a digit.
     """
-    splits = []
+    diag = cfg.n_generators - 1
+    pairs: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    at = []  # per word: its core pair, smaller core first, and exponents
     for t in words:
         _check_word(cfg, t)
         mid = (len(t) + 1) // 2
-        splits.append((t[:mid], t[mid:][::-1]))
-    halves = {h for pair in splits for h in pair}
-    diag = cfg.n_generators - 1
-    labels = _gram_rows(halves, cfg.n_generators)
-    powers = sorted({len(h) for h in halves if h.count(diag) == len(h)})
-    index = {t: k for k, t in enumerate(labels + [(diag,) * p for p in powers])}
-    left = np.array([index[lh] for lh, _ in splits], dtype=np.intp)
-    right = np.array([index[rh] for _, rh in splits], dtype=np.intp)
-    exponents = np.array(powers, dtype=float)[:, None]
+        (a, c, b), (a2, c2, b2) = _split(t[:mid], diag), _split(t[mid:][::-1], diag)
+        at.append((pairs.setdefault((min(c, c2), max(c, c2)), len(pairs)), a + a2, b + b2))
+    at = np.array(at, dtype=np.intp).reshape(-1, 3)
+    index = _pool_rows({c for pair in pairs for c in pair}, cfg.n_generators)
+    exponents = np.arange(at[:, 1:].max(initial=0) + 1.0)[:, None]
 
     def run_slice(samples: range) -> np.ndarray:
         # one pool per worker: fresh per-sample outputs grow the resident
-        # set without bound on glibc
-        pool = np.empty((len(labels), cfg.dim, cfg.dim), np.complex128)
-        flat = pool.reshape(len(labels), cfg.dim * cfg.dim).view(np.float64)
-        diagonals = pool.diagonal(axis1=1, axis2=2).real
+        # set without bound on glibc.  With dense letters its last row is
+        # the scratch, for one product or one entrywise pass at a time
+        pool = np.empty((len(index) + bool(index), cfg.dim, cfg.dim), np.complex128)
+        scratch = pool[-1] if index else None
+        grams = np.empty((len(pairs), len(exponents), len(exponents)))
         rows = np.empty((len(samples), len(words)))
         for row, sample in enumerate(samples):
             mats = sample_generators(cfg, sample, pool)
             # an overflowing ensemble gives a non-finite table, which the
             # caller rejects; numpy's warnings would only precede that
             with np.errstate(over="ignore", invalid="ignore"):
-                _half_products(mats, labels, pool)
-                gram = _gram(flat, diagonals, mats[-1] ** exponents)
-            rows[row] = gram[right, left] / cfg.dim
+                _half_products(mats, index, pool, scratch)
+                powers = mats[-1] ** exponents
+                twice = np.repeat(powers, 2, axis=1)
+                for p, (first, second) in enumerate(pairs):
+                    if first:  # two dense cores, real and imaginary parts interleaved
+                        flat = np.multiply(pool[index[first]].view(np.float64),
+                                           pool[index[second]].view(np.float64),
+                                           out=scratch.view(np.float64))
+                        grams[p] = powers @ flat @ twice.T
+                    else:  # an identity core meets the other on its diagonal
+                        weights = pool[index[second]].diagonal().real if second else 1.0
+                        grams[p] = (powers * weights) @ powers.T
+            rows[row] = grams[at[:, 0], at[:, 1], at[:, 2]] / cfg.dim
         return rows
 
     return np.concatenate(ordered_map(run_slice, _sample_slices(cfg)))
@@ -379,5 +367,11 @@ def estimate_trace_uword(cfg: EnsembleConfig, word: Word) -> TraceEstimate:
     """
     _check_word(cfg, word.letters())
     terms = _monomials(word, Fraction(cfg.radius))
-    coeffs = np.array([float(c) for c in terms.values()])
-    return _estimates((_trace_table(cfg, list(terms)) @ coeffs)[:, None])[0]
+    try:
+        coeffs = np.array([float(c) for c in terms.values()])
+    except OverflowError as exc:
+        raise FreenoiseError(f"the monomial coefficients at radius {cfg.radius:g} "
+                             f"are beyond the float range: {exc}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = _trace_table(cfg, list(terms)) @ coeffs
+    return _estimates(traces[:, None])[0]

@@ -552,6 +552,25 @@ def test_simulate_overflow_prints_one_json_line_to_stderr(cli_child, word, messa
     assert json.loads(proc.stderr) == {"error": message, "kind": "numerical"}
 
 
+@pytest.mark.parametrize("word, radius, message", [
+    # the coefficient radius^-4 of U_4(x / radius) used to raise an
+    # uncaught OverflowError (exit 1)
+    ("z0^4", "1e-100", "the monomial coefficients at radius 1e-100 are beyond "
+                       "the float range: integer division result too large for a float"),
+    # numpy's warning from the U-word's combination of monomial traces
+    # used to precede the error object
+    ("z0^12", "1e200", "the estimate is not finite: mean nan, standard error nan"),
+], ids=["small-radius", "large-radius"])
+def test_simulate_chebyshev_at_extreme_radii_prints_one_json_line(cli_child, word,
+                                                                   radius, message):
+    proc = cli_child(["simulate", "--chebyshev", "--word", word, "--radius", radius,
+                      "--dim", "8", "--samples", "2"])
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr) == {"error": message, "kind": "numerical"}
+
+
 @pytest.mark.parametrize("argv, message", [
     # 6.57e6 panels; numpy used to fail to allocate 619 MiB after 4.6 s
     (["tmcoeff", "--t", "1e6", "--n-max", "4"],

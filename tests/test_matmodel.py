@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -9,10 +10,11 @@ from chebyshev_oracle import eval_u
 from freenoise.errors import FreenoiseError, ValidationError
 from freenoise.matmodel import (
     EnsembleConfig,
-    _gram,
-    _gram_rows,
     _half_products,
+    _pool_rows,
+    _split,
     _stream,
+    _trace_table,
     estimate_trace,
     estimate_trace_many,
     estimate_trace_uword,
@@ -205,20 +207,26 @@ def test_estimates_match_direct_products():
             vals.std(ddof=1) / np.sqrt(cfg.n_samples), abs=1e-12)
 
 
-def test_half_products_reuse_conjugate_transposes():
-    # the 127 binary words up to length 6 need every word of length 1-3;
-    # the pool holds the 11 that contain the dense letter 0.  Of its 10
-    # of length 2-3, three reverse pairs are conjugate copies, four end
-    # in the diagonal letter and scale columns, and only 00, 000 and 010
-    # are matrix products
-    cfg = EnsembleConfig(dim=16, n_generators=2, n_samples=1, seed=4)
-    halves = set(_words_up_to(2, 3))
-    labels = _gram_rows(halves, cfg.n_generators)
-    assert len(labels) == 11
-    assert all(0 in label for label in labels)
-    pool = np.full((len(labels), cfg.dim, cfg.dim), np.nan, np.complex128)
+def _core_pool(cfg, words):
+    # the pool of the words' half-word cores, filled from sample 0
+    diag = cfg.n_generators - 1
+    cores = {_split(h, diag)[1] for w in words
+             for h in (w[:(len(w) + 1) // 2], w[(len(w) + 1) // 2:][::-1])}
+    index = _pool_rows(cores, cfg.n_generators)
+    labels = list(index)
+    pool = np.full((len(labels) + 1, cfg.dim, cfg.dim), np.nan, np.complex128)
     mats = sample_generators(cfg, 0, pool)
-    prods = _half_products(mats, labels, pool)
+    prods = _half_products(mats, index, pool, pool[-1])
+    return labels, pool, mats, prods
+
+
+def test_binary_words_pool_four_cores_and_make_three_products():
+    # each half of the 127 binary words up to length 6 is D^a c D^b with
+    # D the diagonal letter 1 and a core c among 0, 00, 000 and 010; all
+    # four are palindromes, so 00, 000 and 010 are the matrix products
+    cfg = EnsembleConfig(dim=16, n_generators=2, n_samples=1, seed=4)
+    labels, pool, mats, prods = _core_pool(cfg, _words_up_to(2, 6))
+    assert labels == [(0,), (0, 0), (0, 0, 0), (0, 1, 0)]
     assert sorted(prods) == [(0,), (0, 0), (0, 0, 0), (0, 1, 0), (1,)]
     dense = _dense(mats)
     for label, row in zip(labels, pool):
@@ -226,28 +234,49 @@ def test_half_products_reuse_conjugate_transposes():
         assert np.allclose(row, direct, rtol=0.0, atol=1e-13)
 
 
-def test_gram_of_diagonal_rows_matches_direct_products():
-    # every Gram entry, the diagonal rows I, D, D^2 and D^3 included,
-    # against the real inner products of directly multiplied matrices
+def test_weighted_gram_entries_match_direct_products():
+    # per word, the Gram entry it reads (its one-sample trace times dim)
+    # against Re <P_r, P_l> of its directly multiplied halves; runs of
+    # the diagonal letter 2 lead, trail and sit inside halves, and some
+    # cores are reverses of others
     cfg = EnsembleConfig(dim=24, n_generators=3, n_samples=1, seed=8,
                          radius=1.7)
-    halves = set(_words_up_to(3, 3))
-    labels = _gram_rows(halves, cfg.n_generators)
-    assert len(labels) == 36
-    pool = np.empty((len(labels), cfg.dim, cfg.dim), np.complex128)
-    mats = sample_generators(cfg, 0, pool)
-    _half_products(mats, labels, pool)
-    powers = np.arange(4.0)[:, None]
-    gram = _gram(pool.reshape(len(labels), -1).view(np.float64),
-                 pool.diagonal(axis1=1, axis2=2).real, mats[2] ** powers)
+    words = _words_up_to(3, 4)
+    words += [(0, 2, 1, 0, 2, 1), (0, 1, 2, 1, 0, 1, 2, 1),
+              (2, 2, 0, 1, 0, 1, 2), (0, 2, 2, 1, 1, 2, 0, 2),
+              (1, 0, 2, 2, 2, 0, 1, 2), (2, 0, 2, 1, 2, 2),
+              (2, 2, 2, 0, 2, 2, 2, 1), (2, 2, 2, 0, 0, 2, 2, 2), (2,) * 12]
+    labels, _, mats, prods = _core_pool(cfg, words)
+    # (1, 2, 0) and (1, 2, 1, 0) are conjugate transposes of products, so
+    # the prefix core (1, 2, 1) of the latter is no row
+    assert {(0, 2, 1), (1, 2, 0), (0, 1, 2, 1), (1, 2, 1, 0), (0, 2, 2, 1)} <= set(labels)
+    assert (1, 2, 1) not in labels
+    assert {(0, 2, 1), (0, 1, 2, 1)} <= set(prods)
+    assert not {(1, 2, 0), (1, 2, 1, 0)} & set(prods)
+    entries = _trace_table(cfg, words)[0] * cfg.dim
     dense = _dense(mats)
-    rows = labels + [(2,) * p for p in range(4)]
-    direct = np.array([reduce(np.matmul, [dense[i] for i in label],
-                              np.eye(cfg.dim)) for label in rows])
-    flat = direct.reshape(len(rows), -1)
-    want = (flat @ flat.conj().T).real
-    assert gram.shape == want.shape == (40, 40)
-    assert np.allclose(gram, want, rtol=0.0, atol=1e-12)
+    for entry, letters in zip(entries, words):
+        mid = (len(letters) + 1) // 2
+        left, right = (reduce(np.matmul, [dense[i] for i in half], np.eye(cfg.dim))
+                       for half in (letters[:mid], letters[mid:][::-1]))
+        assert entry == pytest.approx(np.vdot(right, left).real, rel=0.0, abs=1e-12)
+
+
+def test_trace_memory_is_the_core_pool(monkeypatch):
+    # per sample the 127 binary words hold their 4 cores and one scratch
+    # matrix, and the sampler's temporaries about one matrix more
+    monkeypatch.setenv("FREENOISE_THREADS", "1")
+    words = _words_up_to(2, 6)
+    cfg = EnsembleConfig(dim=256, n_generators=2, n_samples=2, seed=3)
+    # a first call imports scipy's LAPACK wrappers outside the trace
+    estimate_trace_many(EnsembleConfig(dim=4, n_generators=2, n_samples=2), words)
+    tracemalloc.start()
+    try:
+        estimate_trace_many(cfg, words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * cfg.dim ** 2 * 16
 
 
 def _reference_gue(cfg, sample, gen_index):
