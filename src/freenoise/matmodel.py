@@ -7,17 +7,12 @@ reproducibly and estimates traces with standard errors, giving an
 asymptotic cross-check that is independent of every exact engine.
 
 Sampling is deterministic per (seed, sample index, generator index)
-through counter-based Philox streams, and Gaussians come from an
-explicit Box-Muller transform of the uniform stream:
-
-    z1 = sqrt(-2 ln u1) cos(2 pi u2),  z2 = sqrt(-2 ln u1) sin(2 pi u2),
-
-with u1 flipped to (0, 1] so the log is finite.  A Hermitian sample is
-H = (A + A*)/2 with A filled by independent standard complex normals,
-so off-diagonal entries have unit second moment and the spectrum of
-H/sqrt(dim) fills the radius-2 semicircle; the configured radius
-rescales that support.  Samples are written in place into caller
-buffers, in the same floating-point operation order as that formula.
+through counter-based Philox streams, and every Gaussian is numpy's
+standard_normal of that stream.  A Hermitian sample is H = (A + A*)/2
+with A filled by independent standard complex normals, so off-diagonal
+entries have unit second moment and the spectrum of H/sqrt(dim) fills
+the radius-2 semicircle; the configured radius rescales that support.
+Samples are written in place into caller buffers.
 
 The last generator of a sample is drawn diagonal, with the same law.
 Write a GUE matrix B as U D U* with U Haar and D its eigenvalues, and
@@ -42,19 +37,19 @@ powers of D weight the inner product of each core pair.  A worker holds
 the 127 binary words up to length 6 are 0, 00, 000 and 010.
 
 U-words, the orthonormal basis elements p_{a1}(X_{i1}) ... p_{ak}(X_{ik})
-with p_n(x) = U_n(x / radius), reach the same core pool as fixed
-combinations of monomials.  Each run contributes the coefficients of
-chebyshev.orthonormal_poly, exact for the binary radius; their products
-are summed exactly and each rounded once, and every sample's U-word
-trace is that combination of its monomial traces.  The empty word is the
-single monomial (), whose weighted Gram entry is dim itself.
+with p_n(x) = U_n(x / radius), do not depend on the radius: X / radius
+is the same matrix at every radius, up to rounding.  They are estimated
+on the radius-2 ensemble, where each run contributes the integer
+coefficients of U_n(x / 2) (chebyshev.orthonormal_poly), and every
+sample's U-word trace is that combination of its monomial traces.  The
+empty word is the single monomial (), whose weighted Gram entry is dim
+itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -106,45 +101,19 @@ def _stream(seed: int, sample: int, gen_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _standard_normals(rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill the flat float buffer with normals: cosine half, then sine half."""
-    count = out.size
-    half = (count + 1) // 2
-    rest = count - half
-    radius = rng.random(half)  # u1, flipped to (0, 1] next
-    angle = rng.random(half)  # u2
-    np.subtract(1.0, radius, out=radius)
-    np.log(radius, out=radius)
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    angle *= 2.0 * math.pi
-    np.cos(angle, out=out[:half])
-    out[:half] *= radius
-    np.sin(angle, out=angle)
-    np.multiply(radius[:rest], angle[:rest], out=out[half:])
-
-
 def gue_matrix(cfg: EnsembleConfig, sample: int, gen_index: int,
                out: np.ndarray | None = None) -> np.ndarray:
-    """One Hermitian sample, written into out when given.
-
-    The scaling repeats the operation order of (radius/2) (A + A*)/2 /
-    sqrt(dim) on the float view, so every entry is bit for bit what
-    that complex expression gives; numpy divides a complex array by a
-    real scalar through the reciprocal, hence the last factor.
-    """
+    """One Hermitian sample, written into out when given."""
     rng = _stream(cfg.seed, sample, gen_index)
     d = cfg.dim
     h = np.empty((d, d), np.complex128) if out is None else out
-    normals = np.empty((d, d))
-    _standard_normals(rng, normals.reshape(-1))
+    # one float buffer for both draws: out= refuses the strided h.real
+    normals = rng.standard_normal((d, d))
     np.add(normals, normals.T, out=h.real)
-    _standard_normals(rng, normals.reshape(-1))
+    rng.standard_normal(out=normals)
     np.subtract(normals, normals.T, out=h.imag)
     flat = h.view(np.float64)
-    flat *= 0.5
-    flat *= cfg.radius / 2.0
-    flat *= 1.0 / math.sqrt(d)
+    flat *= 0.25 * cfg.radius / math.sqrt(d)
     return h
 
 
@@ -345,12 +314,12 @@ def estimate_trace(cfg: EnsembleConfig, letters: Sequence[int]) -> TraceEstimate
     return estimate_trace_many(cfg, [letters])[0]
 
 
-def _monomials(word: Word, radius: Fraction) -> dict[tuple[int, ...], Fraction]:
-    """Exact monomial coefficients of the U-word, run by run."""
-    terms = {(): Fraction(1)}
+def _monomials(word: Word) -> dict[tuple[int, ...], int]:
+    """Integer monomial coefficients of the U-word at radius 2, run by run."""
+    terms = {(): 1}
     for letter, exp in word.runs:
-        poly = orthonormal_poly(exp, radius)
-        grown: dict[tuple[int, ...], Fraction] = {}
+        poly = [int(a) for a in orthonormal_poly(exp, 2)]
+        grown: dict[tuple[int, ...], int] = {}
         for mono, c in terms.items():
             for j, a in enumerate(poly):
                 key = mono + (letter,) * j
@@ -363,15 +332,11 @@ def estimate_trace_uword(cfg: EnsembleConfig, word: Word) -> TraceEstimate:
     """Monte Carlo trace of the orthonormal basis element labelled by word.
 
     Exact engines give exactly zero for nonempty words; the estimate
-    quantifies how fast the matrix model approaches that.
+    quantifies how fast the matrix model approaches that.  It is drawn
+    on the radius-2 ensemble, whatever cfg.radius is.
     """
     _check_word(cfg, word.letters())
-    terms = _monomials(word, Fraction(cfg.radius))
-    try:
-        coeffs = np.array([float(c) for c in terms.values()])
-    except OverflowError as exc:
-        raise FreenoiseError(f"the monomial coefficients at radius {cfg.radius:g} "
-                             f"are beyond the float range: {exc}") from exc
-    with np.errstate(over="ignore", invalid="ignore"):
-        traces = _trace_table(cfg, list(terms)) @ coeffs
+    terms = _monomials(word)
+    coeffs = np.array(list(terms.values()), float)
+    traces = _trace_table(replace(cfg, radius=2.0), list(terms)) @ coeffs
     return _estimates(traces[:, None])[0]

@@ -5,7 +5,9 @@ detail so a verbose run doubles as the acceptance report.  The slow
 matrix-model criterion runs last and takes about half a minute.
 """
 
-from freenoise import acceptance, hermite
+import math
+
+from freenoise import acceptance, hermite, matmodel, trace
 
 
 def _check(result):
@@ -68,6 +70,23 @@ def test_criterion_10c_certification_rejects_low_levels():
 
 def test_criterion_11_matrix_model_reproduces_traces():
     _check(acceptance.criterion_11())
+
+
+def test_criterion_11_counts_a_nan_estimate_as_outside(monkeypatch):
+    # exact traces everywhere but one nan on the last word: nan > 0 is
+    # False, so a bare comparison would pass it
+    def estimates(cfg, words):
+        out = [matmodel.TraceEstimate(float(trace.trace_pairings(w)), 0.0) for w in words]
+        if len(words) > 8:
+            out[-1] = matmodel.TraceEstimate(math.nan, math.nan)
+        return out
+
+    monkeypatch.setattr(matmodel, "estimate_trace_many", estimates)
+    result = acceptance.criterion_11()
+    assert not result.passed
+    assert result.detail.startswith("127 words, 1 outside max(3 SE, 0.02), "
+                                    "worst excess +nan, worst |z| against exact "
+                                    "N = 1000 nan")
 
 
 def test_criterion_12_kernel_identity_and_gram():

@@ -552,23 +552,30 @@ def test_simulate_overflow_prints_one_json_line_to_stderr(cli_child, word, messa
     assert json.loads(proc.stderr) == {"error": message, "kind": "numerical"}
 
 
-@pytest.mark.parametrize("word, radius, message", [
-    # the coefficient radius^-4 of U_4(x / radius) used to raise an
-    # uncaught OverflowError (exit 1)
-    ("z0^4", "1e-100", "the monomial coefficients at radius 1e-100 are beyond "
-                       "the float range: integer division result too large for a float"),
-    # numpy's warning from the U-word's combination of monomial traces
-    # used to precede the error object
-    ("z0^12", "1e200", "the estimate is not finite: mean nan, standard error nan"),
+@pytest.mark.parametrize("word, radii", [
+    # radius^-3, the top coefficient of U_2(x / r) U_1(x / r), overflows a
+    # float below 1e-103
+    ("z0^2 z1", ["1e-140", "1e-100"]),
+    # the monomial traces of this ensemble overflow
+    ("z0^12", ["1e200"]),
 ], ids=["small-radius", "large-radius"])
-def test_simulate_chebyshev_at_extreme_radii_prints_one_json_line(cli_child, word,
-                                                                   radius, message):
-    proc = cli_child(["simulate", "--chebyshev", "--word", word, "--radius", radius,
-                      "--dim", "8", "--samples", "2"])
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert proc.stderr.count("\n") == 1
-    assert json.loads(proc.stderr) == {"error": message, "kind": "numerical"}
+def test_simulate_chebyshev_at_extreme_radii_prints_the_radius_2_estimate(cli_child, word,
+                                                                         radii):
+    # a U-word trace does not depend on the radius, so every radius
+    # prints the radius-2 estimate
+    def simulate(radius):
+        proc = cli_child(["simulate", "--chebyshev", "--word", word, "--radius", radius,
+                          "--dim", "8", "--samples", "2", "--seed", "4"])
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        return json.loads(proc.stdout)
+
+    base = simulate("2")
+    for radius in radii:
+        out = simulate(radius)
+        assert out["config"]["radius"] == float(radius)
+        assert out["mean"] == pytest.approx(base["mean"], rel=1e-12, abs=0.0)
+        assert out["se"] == pytest.approx(base["se"], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("argv, message", [

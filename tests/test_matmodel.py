@@ -283,21 +283,10 @@ def _reference_gue(cfg, sample, gen_index):
     # the allocating formula the in-place sampler must match bit for bit
     rng = _stream(cfg.seed, sample, gen_index)
     d = cfg.dim
-
-    def normals(count):
-        half = (count + 1) // 2
-        u1 = 1.0 - rng.random(half)
-        u2 = rng.random(half)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * math.pi * u2
-        return np.concatenate([radius * np.cos(angle),
-                               radius * np.sin(angle)])[:count]
-
-    re = normals(d * d).reshape(d, d)
-    im = normals(d * d).reshape(d, d)
+    re = rng.standard_normal((d, d))
+    im = rng.standard_normal((d, d))
     a = re + 1j * im
-    h = 0.5 * (a + a.conj().T)
-    return (cfg.radius / 2.0) * h / math.sqrt(d)
+    return (a + a.conj().T) * (0.25 * cfg.radius / math.sqrt(d))
 
 
 @pytest.mark.parametrize("dim", [7, 64])
@@ -311,6 +300,21 @@ def test_in_place_sampler_is_bit_identical(dim, radius):
         out = np.full((dim, dim), np.nan, np.complex128)
         assert gue_matrix(cfg, 3, g, out) is out
         assert out.tobytes() == ref.tobytes()
+
+
+def test_sampler_memory_is_one_float_buffer():
+    # into a caller buffer, gue_matrix holds one dim x dim float buffer
+    # for its normals and no other matrix-sized temporary
+    cfg = EnsembleConfig(dim=256, n_generators=1, n_samples=1, seed=3)
+    out = np.empty((cfg.dim, cfg.dim), np.complex128)
+    gue_matrix(cfg, 0, 0, out)
+    tracemalloc.start()
+    try:
+        gue_matrix(cfg, 1, 0, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * cfg.dim ** 2 * 8
 
 
 def test_empty_word_is_exact():
@@ -387,6 +391,17 @@ def test_uword_estimate_shifts_the_monomial():
     long, short = estimate_trace_many(pair, [(1, 1, 0, 1), (0, 1)])
     uest = estimate_trace_uword(pair, normalize([1, 1, 0, 1]))
     assert uest.mean == pytest.approx(long.mean - short.mean, abs=1e-12)
+
+
+def test_uword_estimate_does_not_depend_on_the_radius():
+    # U_n(X / r) is the same matrix at every radius, so every radius
+    # gives the radius-2 estimate, even where r^-n overflows a float
+    word = normalize([0, 0, 1, 0, 0, 0, 1])
+    base = estimate_trace_uword(EnsembleConfig(dim=12, n_samples=3, seed=6), word)
+    assert math.isfinite(base.mean) and base.se > 0
+    for radius in (1.7, 1e-100, 1e200):
+        cfg = EnsembleConfig(dim=12, n_samples=3, seed=6, radius=radius)
+        assert estimate_trace_uword(cfg, word) == base
 
 
 def test_uword_traces_vanish_asymptotically():
