@@ -24,7 +24,9 @@ def main() -> None:
                     help="comma list of t:s time pairs")
     args = ap.parse_args()
 
-    dens = build_density(density=args.density, H=args.H)
+    # H is a setting of fbm alone; build_density refuses it for another kind
+    dens = build_density(density=args.density,
+                         H=args.H if args.density == "fbm" else None)
     cutoffs = [int(x) for x in args.cutoffs.split(",")]
     pairs = [tuple(float(v) for v in p.split(":"))
              for p in args.pairs.split(",")]

@@ -28,7 +28,9 @@ def main() -> None:
     ap.add_argument("--n-max", type=int, default=48)
     args = ap.parse_args()
 
-    dens = build_density(density=args.density, H=args.H)
+    # H is a setting of fbm alone; build_density refuses it for another kind
+    dens = build_density(density=args.density,
+                         H=args.H if args.density == "fbm" else None)
     state = ProcessState(dens, n_max=args.n_max)
     path = IntegrandPath.dyadic(
         lambda t: apply_process(state, t, fock.vacuum()),

@@ -50,12 +50,9 @@ def u_poly(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def orthonormal_poly(n: int, radius: Fraction | int = 2) -> tuple[Fraction, ...]:
-    """Coefficients of p_n(x) = U_n(x / radius), exact for rational radius."""
-    r = Fraction(radius)
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    return tuple(c / r ** j for j, c in enumerate(u_poly(n)))
+def orthonormal_poly(n: int) -> tuple[int, ...]:
+    """Integer coefficients of U_n(x / 2): 2^j divides the x^j coefficient of U_n."""
+    return tuple(c >> j for j, c in enumerate(u_poly(n)))
 
 
 def linearize(m: int, n: int) -> range:

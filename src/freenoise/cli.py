@@ -24,7 +24,6 @@ import numpy as np
 from . import acceptance, chebyshev, fock, matmodel, process, quadrature, spectral, trace, words
 from .errors import FreenoiseError, ValidationError
 from .parallel import thread_count
-from .spectral import SpectralDensity
 from .words import WeightSequence
 
 CSV_FORMAT = "freenoise-csv/1"
@@ -37,6 +36,7 @@ density flags (kernel, rfun, tmcoeff, derivative-check, integrate):
   --density-config FILE reads 'key = value' lines instead, keys
   kind, H, b, N, C1 (scale), C2 (rate), cutoffs (low,high);
   '#' starts a comment.  A density flag beside it exits 2.
+  A flag or key that the kind does not take exits 2.
 
 grids: a time flag accepts a single number, a comma list '0,0.5,1',
 or start:stop:count such as '0:2:9'.
@@ -127,21 +127,14 @@ _WEIGHT_SEQS = {"2n": WeightSequence.linear, "2^n": WeightSequence.exponential}
 def _density_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--density", default=None,
                         choices=["lebesgue", "fbm", "exp", "exponential", "custom"])
-    parser.add_argument("--H", type=float, default=None,
-                        help="Hurst index for --density fbm")
-    parser.add_argument("--scale", type=float, default=None)
-    parser.add_argument("--rate", type=float, default=None,
-                        help="decay rate for --density exp")
-    parser.add_argument("--origin-exponent", type=float, default=None,
-                        help="config key b, for --density custom")
-    parser.add_argument("--class-index", type=int, default=None,
-                        help="config key N, for --density custom")
-    parser.add_argument("--cutoff-low", type=float, default=None)
-    parser.add_argument("--cutoff-high", type=float, default=None)
+    for name, row in spectral.DENSITY_SETTINGS.items():
+        if name != "density":
+            parser.add_argument("--" + name.replace("_", "-"), type=row.convert,
+                                default=None, help=row.help)
     parser.add_argument("--density-config", default=None, metavar="FILE")
 
 
-def _resolve_density(args: argparse.Namespace) -> SpectralDensity:
+def _resolve_density(args: argparse.Namespace) -> spectral.SpectralDensity:
     # the density flags default to None, so that a flag given beside
     # --density-config can be told from one left out
     given = {name: getattr(args, name) for name in spectral.DENSITY_DEFAULTS

@@ -318,7 +318,7 @@ def _monomials(word: Word) -> dict[tuple[int, ...], int]:
     """Integer monomial coefficients of the U-word at radius 2, run by run."""
     terms = {(): 1}
     for letter, exp in word.runs:
-        poly = [int(a) for a in orthonormal_poly(exp, 2)]
+        poly = orthonormal_poly(exp)
         grown: dict[tuple[int, ...], int] = {}
         for mono, c in terms.items():
             for j, a in enumerate(poly):

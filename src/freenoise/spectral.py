@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -45,10 +46,10 @@ from .words import WeightSequence
 
 __all__ = [
     "SpectralDensity",
+    "DENSITY_SETTINGS",
     "DENSITY_DEFAULTS",
     "density_settings",
     "build_density",
-    "parse_density_config",
     "tm_values",
     "alpha_vector",
     "tm_sup_over_t",
@@ -211,15 +212,22 @@ class SpectralDensity:
             return math.inf
 
 
-# config key -> (setting, default, conversion); a setting is named by the
-# dest of its CLI flag
-_DENSITY_SETTINGS = {
-    "kind": ("density", "lebesgue", str.lower), "H": ("H", None, float),
-    "C1": ("scale", 1.0, float), "C2": ("rate", 1.0, float),
-    "b": ("origin_exponent", 0.0, float), "N": ("class_index", 0, int),
-    "cutoff_low": ("cutoff_low", 0.0, float),
-    "cutoff_high": ("cutoff_high", math.inf, float)}
-DENSITY_DEFAULTS = {name: default for name, default, _ in _DENSITY_SETTINGS.values()}
+DensitySetting = namedtuple("DensitySetting", "key field default convert kinds help",
+                            defaults=(None,))
+# CLI dest -> its config key, SpectralDensity field, default, conversion,
+# the kinds that take it and its flag's help, in the order of the flags
+DENSITY_SETTINGS = {name: DensitySetting(*row) for name, row in {
+    "density": ("kind", "kind", "lebesgue", str.lower, _KINDS),
+    "H": ("H", "hurst", None, float, ("fbm",), "Hurst index for --density fbm"),
+    "scale": ("C1", "scale", 1.0, float, _KINDS),
+    "rate": ("C2", "rate", 1.0, float, ("exponential",), "decay rate for --density exp"),
+    "origin_exponent": ("b", "origin_exponent", 0.0, float, ("custom",),
+                        "config key b, for --density custom"),
+    "class_index": ("N", "class_index", 0, int, ("custom",),
+                    "config key N, for --density custom"),
+    "cutoff_low": ("cutoff_low", "cutoff_low", 0.0, float, _KINDS),
+    "cutoff_high": ("cutoff_high", "cutoff_high", math.inf, float, _KINDS)}.items()}
+DENSITY_DEFAULTS = {name: row.default for name, row in DENSITY_SETTINGS.items()}
 
 
 def density_settings(text: str) -> dict:
@@ -241,52 +249,44 @@ def density_settings(text: str) -> dict:
             raise ValidationError("cutoffs takes two comma-separated numbers")
         # cutoff_low / cutoff_high lines override the pair
         values = {"cutoff_low": parts[0], "cutoff_high": parts[1], **values}
-    unknown = sorted(set(values) - set(_DENSITY_SETTINGS))
+    names = {row.key: name for name, row in DENSITY_SETTINGS.items()}
+    unknown = sorted(set(values) - set(names))
     if unknown:
         raise ValidationError(f"unknown config keys: {unknown}")
     settings = {}
     for key, val in values.items():
-        name, _, convert = _DENSITY_SETTINGS[key]
         try:
-            settings[name] = convert(val)
+            settings[names[key]] = DENSITY_SETTINGS[names[key]].convert(val)
         except ValueError as exc:
             raise ValidationError(f"bad value for {key}: {val!r}") from exc
     return settings
 
 
 def build_density(**settings) -> SpectralDensity:
-    """The density that the settings of DENSITY_DEFAULTS select.
+    """The density that the settings of DENSITY_SETTINGS select.
 
-    This is the only map from settings to a density.  A setting left out
-    takes its default, and a kind ignores the settings it has no use for.
+    This is the only map from settings to a density.  A setting passed
+    as None is not given; one the kind takes and not given takes its
+    default, and one given to a kind that does not take it is refused.
     """
-    unknown = sorted(set(settings) - set(DENSITY_DEFAULTS))
+    unknown = sorted(set(settings) - set(DENSITY_SETTINGS))
     if unknown:
         raise ValidationError(f"unknown density settings: {unknown}")
-    s = {**DENSITY_DEFAULTS, **settings}
-    kind = "exponential" if s["density"] == "exp" else s["density"]
-    own = {}
-    if kind == "fbm":
-        if s["H"] is None:
-            raise ValidationError("--density fbm needs --H")
-        own = {"hurst": float(s["H"])}
-    elif kind == "exponential":
-        own = {"rate": float(s["rate"])}
-    elif kind == "custom":
-        own = {"origin_exponent": float(s["origin_exponent"]),
-               "class_index": int(s["class_index"])}
-    return SpectralDensity(kind, scale=s["scale"], cutoff_low=s["cutoff_low"],
-                           cutoff_high=s["cutoff_high"], **own)
-
-
-def parse_density_config(text: str) -> SpectralDensity:
-    """Build a density from ``key = value`` lines.
-
-    Keys: kind (lebesgue | fbm | exp | exponential | custom), H, b, N
-    (an integer), C1 (overall scale), C2 (exponential rate), cutoffs
-    (low,high) or cutoff_low / cutoff_high.  '#' starts a comment.
-    """
-    return build_density(**density_settings(text))
+    given = {name: value for name, value in settings.items() if value is not None}
+    kind = given.get("density", DENSITY_DEFAULTS["density"])
+    kind = "exponential" if kind == "exp" else kind
+    if kind not in _KINDS:
+        raise ValidationError(f"unknown density kind {kind!r}")
+    if kind == "fbm" and "H" not in given:
+        raise ValidationError("--density fbm needs --H")
+    fields = {}
+    for name, row in DENSITY_SETTINGS.items():
+        if kind in row.kinds:
+            fields[row.field] = row.convert(given.get(name, row.default))
+        elif name in given:
+            raise ValidationError(f"a density of kind {kind!r} takes no --"
+                                  f"{name.replace('_', '-')} (config key {row.key})")
+    return SpectralDensity(**{**fields, "kind": kind})
 
 
 def _osc_scale(n_max: int, t: float) -> float:

@@ -373,7 +373,7 @@ def wick_word_vector(alpha: Word, cap: int | None = DEFAULT_DEGREE_CAP) -> FockE
     for letter, exp in reversed(alpha.runs):
         powers = _poly_powers(letter, exp, vec, cap)
         combo = FockElement()
-        for j, c in enumerate(orthonormal_poly(exp, 2)):
+        for j, c in enumerate(orthonormal_poly(exp)):
             if c != 0:
                 combo = combo + complex(c) * powers[j]
         vec = combo

@@ -75,7 +75,7 @@ def test_catalan_prefix():
 
 def test_orthonormal_poly_is_monic_integer():
     for n in range(9):
-        coeffs = orthonormal_poly(n, 2)
+        coeffs = orthonormal_poly(n)
         assert coeffs[-1] == 1
         assert all(c.denominator == 1 for c in coeffs)
 

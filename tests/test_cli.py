@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import math
@@ -9,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from freenoise import process, trace
+from freenoise import process, spectral, trace
 from freenoise.chebyshev import catalan
-from freenoise.cli import CSV_FORMAT, run
+from freenoise.cli import CSV_FORMAT, _density_flags, run
 
 
 def _json_out(capsys):
@@ -422,6 +423,50 @@ def test_density_flag_beside_config_exits_two(tmp_path, capsys, flag):
     assert captured.out == ""
     err = json.loads(captured.err)
     assert err["kind"] == "validation" and flag[0] in err["error"]
+
+
+@pytest.mark.parametrize("density", [
+    ["--density", "lebesgue", "--H", "0.3"],
+    ["--density", "lebesgue", "--rate", "1"],
+    ["--density", "fbm", "--H", "0.3", "--origin-exponent", "0.5"],
+    ["--density", "fbm", "--H", "0.3", "--class-index", "2"],
+    ["--density", "custom", "--rate", "2"],
+    ["--density", "exp", "--H", "0.4"],
+], ids=lambda argv: " ".join(argv))
+def test_density_flag_the_kind_does_not_take_exits_two(density, capsys):
+    # refused, not dropped: the echo would print a setting the density never saw
+    assert run(["tmcoeff", "--t", "1", "--n-max", "4", *density]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    assert err["kind"] == "validation" and f"takes no {density[-2]} " in err["error"]
+
+
+@pytest.mark.parametrize("text, key", [
+    ("kind = lebesgue\nH = 0.3", "H"),
+    ("kind = fbm\nH = 0.3\nN = 1", "N"),
+    ("kind = lebesgue\nC2 = 5", "C2"),
+])
+def test_density_config_key_the_kind_does_not_take_exits_two(tmp_path, capsys, text, key):
+    cfg = tmp_path / "dens.cfg"
+    cfg.write_text(text)
+    assert run(["tmcoeff", "--density-config", str(cfg), "--t", "1", "--n-max", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    assert err["kind"] == "validation" and f"(config key {key})" in err["error"]
+
+
+def test_density_flags_are_the_settings_table():
+    parser = argparse.ArgumentParser()
+    _density_flags(parser)
+    actions = [a for a in parser._actions if a.dest != "help"]
+    assert [a.dest for a in actions] == [*spectral.DENSITY_SETTINGS, "density_config"]
+    assert actions[0].option_strings == ["--density"] and actions[0].choices == [
+        "lebesgue", "fbm", "exp", "exponential", "custom"]
+    for action, (name, row) in zip(actions[1:], list(spectral.DENSITY_SETTINGS.items())[1:]):
+        assert action.option_strings == ["--" + name.replace("_", "-")]
+        assert (action.type, action.help, action.default) == (row.convert, row.help, None)
 
 
 def test_tmcoeff_certified_exit(capsys):

@@ -598,7 +598,7 @@ def test_chebyshev_polynomials_of_the_normalised_process_are_its_chaos(dens):
             powers.append(fock.apply_x(h, powers[-1], None))
         for n in range(top + 1):
             p_n = FockElement()
-            for c, power in zip(orthonormal_poly(n, 2), powers):
+            for c, power in zip(orthonormal_poly(n), powers):
                 if c:
                     p_n = p_n + float(c) * power
             tensor_power = FockElement({

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from freenoise.cli import run
+from freenoise.spectral import DENSITY_SETTINGS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,3 +36,16 @@ def test_readme_example_runs(line, capsys):
     else:
         doc = json.loads(out)
         assert doc["config"]["subcommand"] == argv[0]
+
+
+def test_the_density_table_names_every_setting_and_no_other():
+    section = README.read_text().split("### Density configuration", 1)[1]
+    table = section.split("| flag | config key | meaning |", 1)[1].split("\n\n", 1)[0]
+    flags, keys = set(), set()
+    for line in table.splitlines()[2:]:
+        flag_cell, key_cell = line.split(" | ")[:2]
+        flags.update(re.findall(r"`(--[\w-]+)`", flag_cell))
+        keys.update(re.findall(r"`(\w+)", key_cell))
+    assert flags == {"--" + name.replace("_", "-") for name in DENSITY_SETTINGS}
+    # cutoffs sets the two cutoff keys at once
+    assert keys == {row.key for row in DENSITY_SETTINGS.values()} | {"cutoffs"}

@@ -21,13 +21,14 @@ from freenoise.spectral import (
     _r_cached,
     _tm_and_alpha,
     alpha_vector,
+    build_density,
     certify_tail,
+    density_settings,
     dual_route_kernel,
     fit_power_law,
     fit_sqrt_exponential,
     frequency_cutoff,
     kernel,
-    parse_density_config,
     r_function,
     tm_values,
 )
@@ -335,45 +336,71 @@ def test_density_pointwise_values():
 
 
 def test_parse_density_config_round_trip():
-    dens = parse_density_config("""
+    dens = build_density(**density_settings("""
         # covariance weight
         kind = fbm
         H = 0.3
         C1 = 2.0
-    """)
+    """))
     assert dens.kind == "fbm"
     assert dens.hurst == pytest.approx(0.3)
     assert dens.scale == pytest.approx(2.0)
     assert dens.class_index == 1
 
-    custom = parse_density_config(
-        "kind = custom\nb = 0.5\nN = 2\ncutoffs = 0.1, 40")
+    custom = build_density(**density_settings(
+        "kind = custom\nb = 0.5\nN = 2\ncutoffs = 0.1, 40"))
     assert custom.origin_exponent == pytest.approx(0.5)
     assert custom.class_index == 2
     assert custom.cutoff_low == pytest.approx(0.1)
     assert custom.cutoff_high == pytest.approx(40.0)
     # the CLI's kind names, exp among them
-    assert parse_density_config("kind = exp\nC2 = 2.5") == SpectralDensity.exponential(2.5)
+    assert build_density(**density_settings("kind = exp\nC2 = 2.5")) \
+        == SpectralDensity.exponential(2.5)
 
 
 def test_parse_density_config_errors():
     with pytest.raises(ValidationError):
-        parse_density_config("H = 0.5")
+        build_density(**density_settings("H = 0.5"))
     with pytest.raises(ValidationError):
-        parse_density_config("kind = fbm\nH = abc")
+        build_density(**density_settings("kind = fbm\nH = abc"))
     with pytest.raises(ValidationError):
-        parse_density_config("kind = lebesgue\nwhat = 1")
+        build_density(**density_settings("kind = lebesgue\nwhat = 1"))
     with pytest.raises(ValidationError):
-        parse_density_config("kind = lebesgue\ncutoffs = 1")
+        build_density(**density_settings("kind = lebesgue\ncutoffs = 1"))
     with pytest.raises(ValidationError):
-        parse_density_config("kind = weird")
+        build_density(**density_settings("kind = weird"))
     with pytest.raises(ValidationError):
-        parse_density_config("no equals sign here")
+        build_density(**density_settings("no equals sign here"))
     # the config follows the flags' rules: N is an integer, fbm needs H
     with pytest.raises(ValidationError, match="N"):
-        parse_density_config("kind = custom\nN = 0.9")
+        build_density(**density_settings("kind = custom\nN = 0.9"))
     with pytest.raises(ValidationError, match="needs --H"):
-        parse_density_config("kind = fbm")
+        build_density(**density_settings("kind = fbm"))
+
+
+def test_config_keys_are_the_keys_of_the_settings_table():
+    # every config key of the table reaches its setting, with its
+    # conversion; cutoffs is the pair of the two cutoff keys
+    for name, row in spectral.DENSITY_SETTINGS.items():
+        settings = density_settings(f"kind = lebesgue\n{row.key} = 1")
+        assert settings[name] == row.convert("1")
+    assert density_settings("kind = lebesgue\ncutoffs = 1, 2") == {
+        "cutoff_low": 1.0, "cutoff_high": 2.0, "density": "lebesgue"}
+    for key in ("hurst", "scale", "rate", "origin_exponent", "density"):
+        with pytest.raises(ValidationError, match="unknown config keys"):
+            density_settings(f"kind = lebesgue\n{key} = 1")
+
+
+def test_build_density_takes_none_for_a_setting_not_given():
+    assert build_density(density="lebesgue", H=None, rate=None, class_index=None) \
+        == SpectralDensity.lebesgue()
+    assert build_density(density="exp", H=None) == SpectralDensity.exponential(1.0)
+    rough = build_density(density="fbm", H=0.25, origin_exponent=None)
+    assert rough == SpectralDensity.fbm(0.25) and rough.class_index == 1
+    # the class still holds fbm's derived b and N, so replace keeps working
+    assert dataclasses.replace(rough, hurst=0.75) == SpectralDensity.fbm(0.75)
+    with pytest.raises(ValidationError, match="unknown density settings"):
+        build_density(hurst=0.3)
 
 
 def test_lebesgue_multiplier_is_identity():
