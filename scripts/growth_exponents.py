@@ -2,9 +2,10 @@
 """Growth of the multiplier coefficients across density presets.
 
 Scans sup_t |coefficient_n(t)| for n up to a cap, fits the growth law
-on the upper half of the index range, and writes both the per-index
-sups and the fitted exponents.  The fit is a plain least-squares line
-in log-log (or log vs sqrt(n) for the exponential preset).
+from a given index on, and writes both the per-index sups and the
+fitted exponents.  The scan and the fit are those of acceptance
+criteria 10a and 10b (spectral.sup_growth_fit): a plain least-squares
+line in log-log, or log vs sqrt(n) for the exponential preset.
 """
 
 import argparse
@@ -13,12 +14,7 @@ import sys
 
 import numpy as np
 
-from freenoise.spectral import (
-    SpectralDensity,
-    fit_power_law,
-    fit_sqrt_exponential,
-    tm_sup_over_t,
-)
+from freenoise.spectral import SpectralDensity, sup_growth_fit
 
 PRESETS = {
     "lebesgue": SpectralDensity.lebesgue(),
@@ -39,22 +35,15 @@ def main() -> None:
     args = ap.parse_args()
 
     grid = np.linspace(0.0, args.t_max, args.t_points)
-    ns = np.arange(1, args.n_top + 1)
-    keep = ns >= args.fit_from
 
     writer = csv.writer(sys.stdout)
     writer.writerow(["preset", "n", "sup_coefficient"])
     fits = []
     for name, dens in PRESETS.items():
-        sup = tm_sup_over_t(dens, args.n_top, grid)
-        for n, v in zip(ns, sup):
+        sup, fit = sup_growth_fit(dens, args.n_top, grid, args.fit_from)
+        for n, v in enumerate(sup, start=1):
             writer.writerow([name, n, f"{v:.12g}"])
-        if name == "exponential":
-            fit = fit_sqrt_exponential(ns[keep], sup[keep])
-            kind = "sqrt-exponential"
-        else:
-            fit = fit_power_law(ns[keep], sup[keep])
-            kind = "power"
+        kind = "power" if dens.growth == "polynomial" else "sqrt-exponential"
         fits.append((name, kind, fit))
 
     writer.writerow([])

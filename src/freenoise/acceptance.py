@@ -272,22 +272,13 @@ _GROWTH_PRESETS = (
 _SUP_GRID = np.linspace(0.0, 12.0, 121)
 
 
-def _sup_exponent(dens: SpectralDensity,
-                  fit=spectral.fit_power_law) -> spectral.PowerFit:
-    """Growth fit of the multiplier supremum over the grid, n = 12..60."""
-    sup = spectral.tm_sup_over_t(dens, 60, _SUP_GRID)
-    ns = np.arange(1, 61)
-    keep = ns >= 12
-    return fit(ns[keep], sup[keep])
-
-
 @_criterion("10a", "two-sided growth-exponent match, polynomial presets")
 def criterion_10a():
     details = []
     ok = True
     for name, dens in _GROWTH_PRESETS:
         template = 0.5 * (dens.class_index + 1)
-        fit = _sup_exponent(dens)
+        fit = spectral.sup_growth_fit(dens, 60, _SUP_GRID, 12)[1]
         match = abs(fit.exponent - template) <= 0.15
         ok = ok and match
         details.append(f"{name}: fitted {fit.exponent:+.3f} vs template "
@@ -297,8 +288,8 @@ def criterion_10a():
 
 @_criterion("10b", "sqrt-exponential growth for the growing preset")
 def criterion_10b():
-    fit = _sup_exponent(SpectralDensity.exponential(rate=1.0),
-                        spectral.fit_sqrt_exponential)
+    fit = spectral.sup_growth_fit(SpectralDensity.exponential(rate=1.0),
+                                  60, _SUP_GRID, 12)[1]
     ok = fit.exponent > 0 and fit.r_squared >= 0.9
     return ok, f"rate {fit.exponent:.3f} per sqrt(n), R^2 {fit.r_squared:.4f}"
 

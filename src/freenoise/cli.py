@@ -125,20 +125,22 @@ _WEIGHT_SEQS = {"2n": WeightSequence.linear, "2^n": WeightSequence.exponential}
 
 
 def _density_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--density", default=None,
+    # a density flag left out sets no attribute, so that one given beside
+    # --density-config can be told from one left out
+    parser.add_argument("--density", default=argparse.SUPPRESS,
                         choices=["lebesgue", "fbm", "exp", "exponential", "custom"])
     for name, row in spectral.DENSITY_SETTINGS.items():
         if name != "density":
             parser.add_argument("--" + name.replace("_", "-"), type=row.convert,
-                                default=None, help=row.help)
+                                default=argparse.SUPPRESS, help=row.help)
     parser.add_argument("--density-config", default=None, metavar="FILE")
 
 
 def _resolve_density(args: argparse.Namespace) -> spectral.SpectralDensity:
-    # the density flags default to None, so that a flag given beside
-    # --density-config can be told from one left out
-    given = {name: getattr(args, name) for name in spectral.DENSITY_DEFAULTS
-             if getattr(args, name) is not None}
+    """The density of the flags or the config file; the echo then shows
+    its kind and the settings that kind takes, read back from it."""
+    given = {name: getattr(args, name) for name in spectral.DENSITY_SETTINGS
+             if hasattr(args, name)}
     if args.density_config:
         if given:
             flags = ", ".join("--" + name.replace("_", "-") for name in given)
@@ -146,8 +148,11 @@ def _resolve_density(args: argparse.Namespace) -> spectral.SpectralDensity:
                                   "which sets the whole density")
         with open(args.density_config) as fh:
             given = spectral.density_settings(fh.read())
-    vars(args).update({**spectral.DENSITY_DEFAULTS, **given})
-    return spectral.build_density(**given)
+    dens = spectral.build_density(**given)
+    vars(args).update({name: getattr(dens, row.field)
+                       for name, row in spectral.DENSITY_SETTINGS.items()
+                       if dens.kind in row.kinds})
+    return dens
 
 
 def cmd_linearize(args: argparse.Namespace) -> int:
@@ -320,6 +325,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         "level_p": res.level_p,
         "level_q": res.level_q,
         "norm": fock.norm(res.extrapolated, -float(res.level_q), state.seq),
+        "finest_norm": fock.norm(res.value, -float(res.level_q), state.seq),
         "terms_total": len(terms),
         "terms": terms[:args.max_terms],
     }

@@ -211,7 +211,6 @@ class IntegralResult:
     distances: tuple[float, ...]
     ratios: tuple[float, ...]
     converged: bool
-    levels: int
     level_p: int
     level_q: int
 
@@ -361,5 +360,4 @@ def stochastic_integral(state: ProcessState, path: IntegrandPath,
     return IntegralResult(value=_element(words, rows[-1], dropped[-1]),
                           extrapolated=_element(words, 2.0 * rows[-1] + (-1.0) * rows[-2]),
                           distances=distances, ratios=ratios,
-                          converged=bool(converged), levels=levels,
-                          level_p=p, level_q=q)
+                          converged=bool(converged), level_p=p, level_q=q)

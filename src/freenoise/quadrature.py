@@ -16,14 +16,15 @@ Two engines share the work:
 
 The panel layout grades geometrically toward zero (integrable
 singularities u^{-b}, b < 1), caps panel width by the oscillation
-scale of the integrand and ends at a stop the caller picks past the
-support of its rows.
+scale of the integrand and runs from a start to a stop the caller
+picks: past the support of its rows, and at the jumps of its factors.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 import numpy as np
@@ -48,19 +49,22 @@ _GRADED_EDGES = [0.0] + [2.0 ** -j for j in range(60, -1, -1)]
 
 
 @lru_cache(maxsize=8)
-def panel_nodes(osc_scale: float, stop: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite rule on (0, stop].
+def panel_nodes(osc_scale: float, stop: float,
+                start: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite rule on [start, stop].
 
     osc_scale bounds the panel width away from zero: panels are at most
     ~6 / osc_scale wide so a GL-16 rule resolves the oscillation.  The
-    dyadic panels [2^-k, 2^-k+1] below 1 absorb origin singularities.
-    The 8 most recently used layouts are kept, as read-only arrays.  A
-    width that no longer advances an edge raises QuadratureError.
+    dyadic panels [2^-k, 2^-k+1] below 1 absorb origin singularities;
+    only the graded edges strictly between start and stop are kept, so
+    no panel straddles either end.  The 8 most recently used layouts
+    are kept, as read-only arrays.  A width that no longer advances an
+    edge raises QuadratureError.
     """
     if osc_scale <= 0:
         raise QuadratureError("oscillation scale must be positive")
     width = 6.0 / osc_scale
-    edges = list(_GRADED_EDGES)
+    edges = _graded_edges(start, stop)
     # oscillation-limited region out to stop
     x = edges[-1]
     while x < stop:
@@ -77,11 +81,18 @@ def panel_nodes(osc_scale: float, stop: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def layout_nodes(osc_scale: float, stop: float) -> float:
-    """Node count of panel_nodes(osc_scale, stop), to within a panel,
-    before any node is built; a float, so a layout too large to build
-    still has one."""
-    panels = len(_GRADED_EDGES) - 1 + (stop - 1.0) * osc_scale / 6.0 + 1.0
+def _graded_edges(start: float, stop: float) -> list[float]:
+    """start, then the graded edges strictly between start and stop."""
+    return [start] + _GRADED_EDGES[bisect_right(_GRADED_EDGES, start):
+                                   bisect_left(_GRADED_EDGES, stop)]
+
+
+def layout_nodes(osc_scale: float, stop: float, start: float = 0.0) -> float:
+    """Node count of panel_nodes(osc_scale, stop, start), to within a
+    panel, before any node is built; a float, so a layout too large to
+    build still has one."""
+    edges = _graded_edges(start, stop)
+    panels = len(edges) - 1 + max(stop - edges[-1], 0.0) * osc_scale / 6.0 + 1.0
     return _GL_ORDER * panels
 
 
@@ -94,16 +105,17 @@ def _composite_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def gl_integrate(f, osc_scale: float, stop: float):
-    """Integrals over (0, stop] of every product factors[k] * rows[n].
+def gl_integrate(f, osc_scale: float, stop: float, start: float = 0.0):
+    """Integrals over [start, stop] of every product factors[k] * rows[n].
 
-    f maps the nodes of panel_nodes(osc_scale, stop) to a pair (rows,
-    factors), both with nodes on the last axis; the result, indexed
-    (k, n), is (factors * weights) @ rows.T.  The caller picks stop past
-    the support of its rows.  QuadratureError is raised when the
-    contraction is not finite.
+    f maps the nodes of panel_nodes(osc_scale, stop, start) to a pair
+    (rows, factors), both with nodes on the last axis; the result,
+    indexed (k, n), is (factors * weights) @ rows.T.  The caller picks
+    stop past the support of its rows, and start and stop at the jumps
+    of its integrand.  QuadratureError is raised when the contraction is
+    not finite.
     """
-    nodes, weights = panel_nodes(osc_scale, stop)
+    nodes, weights = panel_nodes(osc_scale, stop, start)
     rows, factors = f(nodes)
     with np.errstate(over="ignore", invalid="ignore"):
         out = (factors * weights) @ rows.T

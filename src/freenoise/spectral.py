@@ -19,9 +19,10 @@ cosine and sine integrals.  All coefficient vectors at one time point
 come from a single composite Gauss-Legendre pass whose integrands
 factor into Hermite rows times four scalar factors, so the pass is one
 matrix product of the weighted factors against the Hermite matrix.
-The panels end at hermite.ZERO_PAST, from which on every Hermite row is
-+0.0 (a pass whose integrand matters past hermite.EXACT_TO is refused),
-and depend on t only through B(t) = max(1, 2^ceil(log2 |t|)) >= |t|:
+The panels span the density's cutoff window, where sqrt(m) jumps, up to
+hermite.ZERO_PAST, from which on every Hermite row is +0.0 (a pass whose
+integrand matters past hermite.EXACT_TO is refused), and depend on t
+only through B(t) = max(1, 2^ceil(log2 |t|)) >= |t|:
 the times of one bucket share their nodes and Hermite rows, which are
 kept for the latest layout when they fit in 4 MiB (n_max up to ~145 at
 B = 1).  A pass's size is known before it is built, and one above
@@ -47,7 +48,6 @@ from .words import WeightSequence
 __all__ = [
     "SpectralDensity",
     "DENSITY_SETTINGS",
-    "DENSITY_DEFAULTS",
     "density_settings",
     "build_density",
     "tm_values",
@@ -60,6 +60,7 @@ __all__ = [
     "PowerFit",
     "fit_power_law",
     "fit_sqrt_exponential",
+    "sup_growth_fit",
     "TailReport",
     "certify_tail",
 ]
@@ -69,10 +70,6 @@ _INV_ROOT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _HALF_LINE_PREF = 2.0 * _INV_ROOT_2PI
 
 _KINDS = ("lebesgue", "fbm", "exponential", "custom")
-# parameter -> the kinds whose law uses it
-_OWN_PARAMETERS = {"hurst": ("fbm",), "rate": ("exponential",),
-                   "origin_exponent": ("fbm", "custom"),
-                   "class_index": ("fbm", "custom")}
 
 
 @dataclass(frozen=True)
@@ -82,12 +79,13 @@ class SpectralDensity:
     Every kind is one law, m(u) = scale |u|^power (1 + u^2)^bracket
     e^{rate |u|} times the cutoff window, with (power, bracket) fixed at
     construction: (1 - 2H, 0) for fbm, (-b, N + b / 2) for custom and
-    (0, 0) otherwise.  A kind rejects the parameters it does not use:
-    H belongs to fbm, the rate to exponential, b and N to custom.
-    origin_exponent is the power b with m(u) ~ scale * |u|^-b near 0
-    (b < 2 required); class_index is the integer N with polynomial
-    growth at most |u|^{2N}.  For fbm both follow from H at
-    construction: b = max(0, 2H - 1), and N = 0 for H >= 1/2, else 1.
+    (0, 0) otherwise.  A kind rejects the parameters it does not use,
+    as the kinds column of DENSITY_SETTINGS lists them: H belongs to
+    fbm, the rate to exponential, b and N to custom.  origin_exponent
+    is the power b with m(u) ~ scale * |u|^-b near 0 (b < 2 required);
+    class_index is the integer N with polynomial growth at most |u|^{2N}.
+    For fbm both follow from H at construction: b = max(0, 2H - 1), and
+    N = 0 for H >= 1/2, else 1.
     """
 
     kind: str
@@ -120,11 +118,15 @@ class SpectralDensity:
             raise ValidationError("exponential density needs a finite rate > 0")
         # a kind rejects the parameters its law does not use; fbm derives
         # its classification from H above, whatever was passed in
-        for name, kinds in _OWN_PARAMETERS.items():
-            if self.kind not in kinds and getattr(self, name) not in (None, 0):
-                raise ValidationError(f"a density of kind {self.kind!r} has no {name}")
-        if self.class_index < 0:
-            raise ValidationError("growth class index must be >= 0")
+        for row in DENSITY_SETTINGS.values():
+            derived = self.kind == "fbm" and row.field in ("origin_exponent", "class_index")
+            if not derived and self.kind not in row.kinds \
+                    and getattr(self, row.field) not in (None, 0):
+                raise ValidationError(f"a density of kind {self.kind!r} has no {row.field}")
+        if not (float(self.class_index).is_integer() and self.class_index >= 0):
+            raise ValidationError(
+                f"growth class index must be an integer >= 0, got {self.class_index!r}")
+        object.__setattr__(self, "class_index", int(self.class_index))
         if not 0.0 <= self.cutoff_low < self.cutoff_high:
             raise ValidationError("cutoffs must satisfy 0 <= low < high")
         power, bracket = 0.0, 0.0
@@ -227,7 +229,6 @@ DENSITY_SETTINGS = {name: DensitySetting(*row) for name, row in {
                     "config key N, for --density custom"),
     "cutoff_low": ("cutoff_low", "cutoff_low", 0.0, float, _KINDS),
     "cutoff_high": ("cutoff_high", "cutoff_high", math.inf, float, _KINDS)}.items()}
-DENSITY_DEFAULTS = {name: row.default for name, row in DENSITY_SETTINGS.items()}
 
 
 def density_settings(text: str) -> dict:
@@ -268,12 +269,16 @@ def build_density(**settings) -> SpectralDensity:
     This is the only map from settings to a density.  A setting passed
     as None is not given; one the kind takes and not given takes its
     default, and one given to a kind that does not take it is refused.
+    Text is converted by the setting's conversion; any other value
+    reaches SpectralDensity as given, which refuses, say, a class index
+    that is not an integer.
     """
     unknown = sorted(set(settings) - set(DENSITY_SETTINGS))
     if unknown:
         raise ValidationError(f"unknown density settings: {unknown}")
-    given = {name: value for name, value in settings.items() if value is not None}
-    kind = given.get("density", DENSITY_DEFAULTS["density"])
+    given = {name: DENSITY_SETTINGS[name].convert(value) if isinstance(value, str) else value
+             for name, value in settings.items() if value is not None}
+    kind = given.get("density", DENSITY_SETTINGS["density"].default)
     kind = "exponential" if kind == "exp" else kind
     if kind not in _KINDS:
         raise ValidationError(f"unknown density kind {kind!r}")
@@ -282,7 +287,7 @@ def build_density(**settings) -> SpectralDensity:
     fields = {}
     for name, row in DENSITY_SETTINGS.items():
         if kind in row.kinds:
-            fields[row.field] = row.convert(given.get(name, row.default))
+            fields[row.field] = given.get(name, row.default)
         elif name in given:
             raise ValidationError(f"a density of kind {kind!r} takes no --"
                                   f"{name.replace('_', '-')} (config key {row.key})")
@@ -298,17 +303,17 @@ def _osc_scale(n_max: int, t: float) -> float:
     return 2.0 * math.sqrt(max(n_max, 1)) + bucket + 1.0
 
 
-# Read-only Hermite rows of the latest layout, by (n_max, osc_scale,
-# node count), when they fit in _KEEP_BYTES, and beside them the root of
-# the density on the latest layout, by (density, osc_scale, node count)
+# Read-only Hermite rows of the latest layout, by n_max and the layout
+# (osc_scale, start, stop), when they fit in _KEEP_BYTES, and beside them
+# the root of the density on the latest layout, by density and layout
 _KEEP_BYTES = 4 << 20
 _kept_rows: dict = {}
 _kept_root: dict = {}
 
 
-def _hermite_rows(n_max: int, osc_scale: float, nodes: np.ndarray) -> np.ndarray:
+def _hermite_rows(n_max: int, layout: tuple, nodes: np.ndarray) -> np.ndarray:
     """hermite_fn_matrix(n_max, nodes) on the nodes of the layout."""
-    key = (n_max, osc_scale, nodes.size)
+    key = (n_max, *layout)
     rows = _kept_rows.get(key)
     if rows is None:
         _kept_rows.clear()
@@ -319,9 +324,9 @@ def _hermite_rows(n_max: int, osc_scale: float, nodes: np.ndarray) -> np.ndarray
     return rows
 
 
-def _layout_root(dens: SpectralDensity, osc_scale: float, nodes: np.ndarray) -> np.ndarray:
+def _layout_root(dens: SpectralDensity, layout: tuple, nodes: np.ndarray) -> np.ndarray:
     """dens.root(nodes) on the nodes of the layout."""
-    key = (dens, osc_scale, nodes.size)
+    key = (dens, *layout)
     root = _kept_root.get(key)
     if root is None:
         _kept_root.clear()
@@ -373,15 +378,18 @@ def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarr
     One composite pass contracts the Hermite rows against the four
     factors sqrt(m) * {cos, sin, sin / u, 2 sin^2(u t / 2) / u}; the
     four-periodic phase pattern then picks the signed cosine or sine
-    integral per index.  The layout runs to ZERO_PAST, past which every
-    Hermite row is +0.0.  A pass that would hold more than _LAYOUT_BYTES
-    is rejected before any node is built.
+    integral per index.  The layout spans the density's window up to
+    ZERO_PAST, past which every Hermite row is +0.0, so that no panel
+    straddles a cutoff, where sqrt(m) jumps.  A pass that would hold
+    more than _LAYOUT_BYTES is rejected before any node is built.
     """
     if not math.isfinite(t):
         raise ValidationError(f"time must be finite, got {t}")
     check_index_bound(n_max)
     osc = _osc_scale(n_max, t)
-    need = layout_nodes(osc, ZERO_PAST) * (n_max + _PASS_ARRAYS) * 8
+    start, stop = dens.cutoff_low, min(ZERO_PAST, dens.cutoff_high)
+    layout = (osc, start, stop)
+    need = layout_nodes(osc, stop, start) * (n_max + _PASS_ARRAYS) * 8
     if need > _LAYOUT_BYTES:
         raise ValidationError(
             f"the multiplier layout at t = {t:g}, n_max {n_max} needs "
@@ -399,10 +407,10 @@ def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarr
         np.multiply(2.0, half, out=factors[3])
         factors[3] *= half
         factors[3] /= nodes
-        factors *= _layout_root(dens, osc, nodes)
-        return _hermite_rows(n_max, osc, nodes), factors
+        factors *= _layout_root(dens, layout, nodes)
+        return _hermite_rows(n_max, layout, nodes), factors
 
-    ints = _HALF_LINE_PREF * gl_integrate(integrand, osc, ZERO_PAST)
+    ints = _HALF_LINE_PREF * gl_integrate(integrand, osc, stop, start)
     signed = np.concatenate([ints, -ints])
     pick, cols = _phase_picks(n_max)
     tm, al = signed[pick, cols], signed[pick + 2, cols]
@@ -591,6 +599,18 @@ def fit_sqrt_exponential(n_values, y_values) -> PowerFit:
     y = np.abs(np.asarray(y_values, dtype=float))
     keep = y > 0
     return _fit_line(np.sqrt(n[keep]), np.log(y[keep]))
+
+
+def sup_growth_fit(dens: SpectralDensity, n_top: int, t_grid,
+                   fit_from: int) -> tuple[np.ndarray, PowerFit]:
+    """sup over the grid of |tm_n|, n = 1..n_top, and its growth fit over
+    n >= fit_from: a power law for a polynomial-class density, a
+    sqrt-exponential law for an exponential one."""
+    sups = tm_sup_over_t(dens, n_top, t_grid)
+    ns = np.arange(1, n_top + 1)
+    keep = ns >= fit_from
+    fit = fit_power_law if dens.growth == "polynomial" else fit_sqrt_exponential
+    return sups, fit(ns[keep], sups[keep])
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import importlib.util
 import json
 import math
@@ -393,14 +394,14 @@ def test_density_config_file(tmp_path, capsys):
     assert out["density"] == "fbm(H=0.6)"
     assert out["config"]["density"] == "fbm" and out["config"]["H"] == 0.6
 
-    # the echo carries the spec the file gave, not the unused flag defaults
+    # the echo carries the spec the file gave and the defaults of the
+    # settings its kind takes, and no other setting
     cfg.write_text("kind = custom\nb = 0.5\nN = 1\ncutoffs = 0.1, 40\n")
     assert run(["tmcoeff", "--density-config", str(cfg), "--n-max", "4"]) == 0
     echo = _json_out(capsys)["config"]
-    assert {k: echo[k] for k in ("density", "origin_exponent", "class_index",
-                                 "cutoff_low", "cutoff_high", "scale", "H")} == {
+    assert {k: echo[k] for k in spectral.DENSITY_SETTINGS if k in echo} == {
         "density": "custom", "origin_exponent": 0.5, "class_index": 1,
-        "cutoff_low": 0.1, "cutoff_high": 40.0, "scale": 1.0, "H": None}
+        "cutoff_low": 0.1, "cutoff_high": 40.0, "scale": 1.0}
 
 
 @pytest.mark.parametrize("text", ["kind = custom\nN = 0.9", "kind = fbm"])
@@ -466,7 +467,9 @@ def test_density_flags_are_the_settings_table():
         "lebesgue", "fbm", "exp", "exponential", "custom"]
     for action, (name, row) in zip(actions[1:], list(spectral.DENSITY_SETTINGS.items())[1:]):
         assert action.option_strings == ["--" + name.replace("_", "-")]
-        assert (action.type, action.help, action.default) == (row.convert, row.help, None)
+        assert (action.type, action.help) == (row.convert, row.help)
+    # a flag left out sets nothing, so the echo holds only what was used
+    assert all(a.default is argparse.SUPPRESS for a in actions[:-1])
 
 
 def test_tmcoeff_certified_exit(capsys):
@@ -523,6 +526,25 @@ def test_integrate_converges(capsys):
     assert out["level_q"] == out["level_p"] + 2
     assert out["rows"][-1]["ratio"] is None
     assert float(out["rows"][-2]["ratio"]) <= 0.6
+
+
+def test_integrate_prints_the_refinement_study(capsys):
+    # the mesh-refinement table: distances falling at first order, ratios
+    # settling near one half, the finest sum's norm beside the
+    # extrapolated one
+    assert run(["integrate", "--density", "lebesgue", "--levels", "6", "--n-max", "48",
+                "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = {line.split(" ", 2)[1]: json.loads(line.split(" ", 2)[2])
+              for line in lines if line.startswith("# ") and " " in line[2:]}
+    assert f"{header['finest_norm']:.10g}" == "0.006481352624"
+    assert f"{header['norm']:.10g}" == "0.006556373848"
+    rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
+    assert [f"{float(r['distance_to_next']):.6g}" for r in rows[:-1]] == [
+        "0.00377494", "0.00149941", "0.000669731", "0.000315829", "0.00015323",
+        "7.54508e-05"]
+    assert [f"{float(r['ratio']):.6g}" for r in rows[1:-1]] == [
+        "0.397202", "0.446662", "0.471576", "0.485168", "0.492402"]
 
 
 def test_integrate_on_a_fine_grid_reads_each_tag(capsys):
@@ -696,6 +718,24 @@ def test_selftest_json_output(capsys):
     assert out["passed"] == 1
     assert out["all_passed"] is True
     assert out["rows"][0]["passed"] is True
+
+
+@pytest.mark.parametrize("argv, echo", [
+    (["rfun", "--density", "lebesgue", "--t", "0.5,1.0,2.0"],
+     {"density": "lebesgue", "scale": 1.0, "cutoff_low": 0.0, "cutoff_high": "inf"}),
+    (["tmcoeff", "--density", "exp", "--n-max", "4"],
+     {"density": "exponential", "rate": 1.0, "scale": 1.0, "cutoff_low": 0.0,
+      "cutoff_high": "inf"}),
+    (["tmcoeff", "--density", "fbm", "--H", "0.3", "--n-max", "4", "--cutoff-high", "9"],
+     {"density": "fbm", "H": 0.3, "scale": 1.0, "cutoff_low": 0.0, "cutoff_high": 9.0}),
+    (["tmcoeff", "--density", "custom", "--class-index", "1", "--n-max", "4"],
+     {"density": "custom", "origin_exponent": 0.0, "class_index": 1, "scale": 1.0,
+      "cutoff_low": 0.0, "cutoff_high": "inf"}),
+])
+def test_the_echo_shows_the_settings_the_kind_takes_and_no_other(argv, echo, capsys):
+    assert run(argv) == 0
+    config = _json_out(capsys)["config"]
+    assert {k: config[k] for k in spectral.DENSITY_SETTINGS if k in config} == echo
 
 
 def test_every_output_echoes_config(capsys):

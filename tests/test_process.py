@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fock_oracle import annihilation, creation
-from freenoise import fock, process
+from freenoise import fock, process, spectral
 from freenoise.chebyshev import orthonormal_poly
 from freenoise.errors import (
     LevelTooLowError,
@@ -236,6 +236,56 @@ def test_zero_integrand_gives_zero_integral():
     res = stochastic_integral(state, path, vacuum(), 0.0, 1.0, 4)
     assert res.converged
     assert not res.value.coeffs
+
+
+def _integral_with_distances(distances):
+    """stochastic_integral over [0, 1] of a hand-made path whose level-k
+    Riemann sum is 1 + d_0 + ... + d_{k-1} on the vacuum, so that its
+    refinement distances are the given d_k and its scale is about 1.
+
+    With f = e_0 and a degree cap of 1 the noise W(u) f is the scalar
+    tm_1(u) on the vacuum: its creation part is over the cap.  A path
+    value v_j / tm_1(u_j) on the vacuum then puts v_j into the sums,
+    and the level-k sum is 2^-k times the sum of v_j over its tags, the
+    multiples of 2^(levels - k).  v_j is 1 at every tag, plus
+    2^k Q_k - 2^(k-1) Q_(k-1) at the first tag that level k adds, with
+    Q_k = d_0 + ... + d_(k-1).
+    """
+    levels = len(distances)
+    state = ProcessState(SpectralDensity.lebesgue(), n_max=16, degree_cap=1)
+    q = np.concatenate([[0.0], np.cumsum(distances)])
+    v = np.ones(1 << levels)
+    for k in range(1, levels + 1):
+        v[1 << (levels - k)] += 2.0 ** k * q[k] - 2.0 ** (k - 1) * q[k - 1]
+    times = tuple(j / (1 << levels) for j in range(1 << levels))
+    noise = [spectral.tm_values(state.density, u, 1)[0] for u in times]
+    path = IntegrandPath(times, tuple(FockElement({Word(()): float(vj / n)})
+                                      for vj, n in zip(v, noise)))
+    return stochastic_integral(state, path, basis_vector(Word((0,))), 0.0, 1.0, levels)
+
+
+def test_distances_falling_by_0_7_per_level_do_not_converge():
+    # convergence needs three ratios of at most 0.6: a half-order rate,
+    # ratio 2^-1/2 ~ 0.71, is not the first-order one the rule looks for
+    res = _integral_with_distances(0.1 * 0.7 ** np.arange(6))
+    assert res.distances == pytest.approx(0.1 * 0.7 ** np.arange(6), rel=1e-9)
+    assert res.ratios == pytest.approx([0.7] * 5, rel=1e-9)
+    assert not res.converged
+
+
+def test_distances_near_1e_12_of_the_scale_are_not_rounding_noise():
+    # the rounding floor is 1e-14 of the finest sum's norm: distances
+    # 100 times above it are read as distances, not as zero
+    res = _integral_with_distances(1e-12 * 0.9 ** np.arange(5))
+    assert res.distances == pytest.approx(1e-12 * 0.9 ** np.arange(5), rel=1e-3)
+    assert res.ratios == pytest.approx([0.9] * 4, rel=1e-3)
+    assert not res.converged
+
+
+def test_distances_growing_by_1e_5_per_level_are_not_cauchy():
+    # growth beyond rounding, 1e-9 of the previous distance, aborts
+    with pytest.raises(NonCauchyError, match="distance grew"):
+        _integral_with_distances(1e-3 * (1.0 + 1e-5) ** np.arange(5))
 
 
 @pytest.mark.parametrize("dens, a, b", [

@@ -30,6 +30,24 @@ def test_layout_node_count_is_known_before_the_layout_is_built(osc, stop):
     assert not nodes.flags.writeable and not weights.flags.writeable
 
 
+@pytest.mark.parametrize("start, stop", [(0.0, 0.7), (0.0, 5.3), (0.3, 5.3), (1e-3, 1.0),
+                                         (1.5, 38.61), (2.5, 2.6), (3.0, 3.0)])
+def test_a_windowed_layout_starts_and_stops_at_its_ends(start, stop):
+    # no panel straddles either end, so a jump of the integrand there is
+    # an end of the rule, which GL-16 integrates to rounding
+    osc = 2.0 * math.sqrt(16) + 2.0
+    nodes, weights = panel_nodes(osc, stop, start)
+    assert abs(layout_nodes(osc, stop, start) - len(nodes)) <= 16
+    assert np.all((nodes > start) & (nodes < stop))
+    assert math.fsum(weights) == pytest.approx(stop - start, rel=1e-14, abs=0.0)
+    # e^u over the window, where it would jump to 0 past both ends
+    def integrand(u):
+        return np.exp(u)[None, :], np.ones((1, u.size))
+
+    got = gl_integrate(integrand, osc, stop, start)[0, 0]
+    assert got == pytest.approx(math.exp(stop) - math.exp(start), rel=1e-14, abs=0.0)
+
+
 def test_panel_width_that_cannot_advance_an_edge_raises():
     # a width below half an ulp of 1 would append the same edge forever
     with pytest.raises(QuadratureError, match="does not advance"):

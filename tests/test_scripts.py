@@ -15,9 +15,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
      "preset,n,sup_coefficient"),
     (["covariance_convergence.py", "--cutoffs", "8,16", "--pairs", "0.7:0.4"],
      "density,n_max,t,s,coefficient_route,integral_route,abs_err"),
-    (["integral_refinement.py", "--levels", "3", "--n-max", "16"],
-     "level,intervals,distance_to_next,ratio"),
-], ids=["growth_exponents", "covariance_convergence", "integral_refinement"])
+], ids=["growth_exponents", "covariance_convergence"])
 def test_script_runs_and_writes_its_csv_header(argv, header):
     # the scripts import the package the tests import, so a removed
     # library name breaks them here rather than in someone's experiment
