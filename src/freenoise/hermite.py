@@ -36,6 +36,7 @@ __all__ = [
     "EXACT_TO",
     "ZERO_PAST",
     "check_index_bound",
+    "hermite_fn_blocks",
     "hermite_fn_matrix",
     "mehler_closed",
     "mehler_sum",
@@ -68,33 +69,50 @@ def check_index_bound(n_max: int) -> None:
 
 def hermite_fn_matrix(n_max: int, u) -> np.ndarray:
     """Rows 0..n_max-1 hold hfn_1(u)..hfn_{n_max}(u) on the given grid,
-    for 1 <= n_max <= 512."""
+    for 1 <= n_max <= 512: the one block of hermite_fn_blocks."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    rows, = hermite_fn_blocks(n_max, u.ravel(), n_max)
+    return rows.reshape((n_max,) + u.shape)
+
+
+def hermite_fn_blocks(n_max: int, u: np.ndarray, block: int):
+    """Rows 0..n_max-1 of hermite_fn_matrix(n_max, u) on a 1-D grid, in
+    consecutive blocks of `block` rows, the last one possibly shorter.
+
+    Every block is written into one buffer of min(n_max, block) rows,
+    plus two carry rows for the recurrence when n_max > block, so a
+    block must be used before the next is asked for.  The rows are the
+    same bits whatever the block.
+    """
     if n_max < 1:
         raise ValueError("need at least one function")
     check_index_bound(n_max)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    shape = (n_max,) + u.shape
-    u = u.ravel()
-    out = np.empty((n_max, u.size))
-    # Rows are filled in place, in the operation order of
-    # c * e^{-u u / 2} and c1 * u * hfn_{j} - c2 * hfn_{j-1}, so every
-    # row is bit-identical to that formula.
-    first = out[0]
-    np.multiply(u, -0.5, out=first)
-    first *= u
-    np.exp(first, out=first)
-    first *= _PI_QUARTER
-    if n_max > 1:
-        np.multiply(u, math.sqrt(2.0), out=out[1])
-        out[1] *= first
+    carry = 2 if n_max > block else 0
+    buf = np.empty((min(n_max, block) + carry, u.size))
     scratch = np.empty(u.shape)
-    for j in range(2, n_max):
-        row = out[j]
-        np.multiply(u, math.sqrt(2.0 / j), out=row)
-        row *= out[j - 1]
-        np.multiply(out[j - 2], math.sqrt((j - 1) / j), out=scratch)
-        row -= scratch
-    return out.reshape(shape)
+    for lo in range(0, n_max, block):
+        if lo:
+            buf[:2] = buf[-2:]
+        # Rows are filled in place, in the operation order of
+        # c * e^{-u u / 2} and c1 * u * hfn_{j} - c2 * hfn_{j-1}, so every
+        # row is bit-identical to that formula.
+        for j in range(lo, min(lo + block, n_max)):
+            at = carry + j - lo
+            row = buf[at]
+            if j == 0:
+                np.multiply(u, -0.5, out=row)
+                row *= u
+                np.exp(row, out=row)
+                row *= _PI_QUARTER
+            elif j == 1:
+                np.multiply(u, math.sqrt(2.0), out=row)
+                row *= buf[at - 1]
+            else:
+                np.multiply(u, math.sqrt(2.0 / j), out=row)
+                row *= buf[at - 1]
+                np.multiply(buf[at - 2], math.sqrt((j - 1) / j), out=scratch)
+                row -= scratch
+        yield buf[carry:carry + min(block, n_max - lo)]
 
 
 def mehler_closed(u: float, v: float, s: float) -> float:

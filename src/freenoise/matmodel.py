@@ -33,8 +33,11 @@ D^a c D^b, D the diagonal generator and c its core, which starts and
 ends with a dense letter or is the identity.  Only the cores are stored
 and multiplied, so only dense times dense is a matrix product, and the
 powers of D weight the inner product of each core pair.  A worker holds
-(cores + 1) x dim^2 x 16 bytes, one matrix being scratch: the cores of
-the 127 binary words up to length 6 are 0, 00, 000 and 010.
+cores x dim^2 x 16 bytes, and beside them either the sampler's dim x dim
+float buffer or a 64 x dim scratch, in which a product with a power of D
+and the entrywise product of a core pair are formed a block of rows at
+a time: the cores of the 127 binary words up to length 6 are 0, 00, 000
+and 010.
 
 U-words, the orthonormal basis elements p_{a1}(X_{i1}) ... p_{ak}(X_{ik})
 with p_n(x) = U_n(x / radius), do not depend on the radius: X / radius
@@ -72,6 +75,9 @@ __all__ = [
 
 # longest word a trace estimate accepts
 MAX_WORD_LEN = 12
+
+# rows of the scratch in which products and entrywise products are made
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -189,10 +195,16 @@ def _pool_rows(cores: set[tuple[int, ...]],
     return {t: k for k, t in enumerate(sorted(need, key=lambda t: (len(t), t)))}
 
 
+def _row_blocks(scratch: np.ndarray) -> list[slice]:
+    """The rows of a dim x dim matrix, as many at a time as scratch has."""
+    dim, step = scratch.shape[1], len(scratch)
+    return [slice(lo, min(lo + step, dim)) for lo in range(0, dim, step)]
+
+
 def _half_products(mats: Sequence[np.ndarray],
                    index: dict[tuple[int, ...], int],
                    pool: np.ndarray,
-                   scratch: np.ndarray | None,
+                   scratch: np.ndarray,
                    ) -> dict[tuple[int, ...], np.ndarray]:
     """Fill the pool rows past the letters with their core products.
 
@@ -201,10 +213,10 @@ def _half_products(mats: Sequence[np.ndarray],
     and mats is what sample_generators returned.  A row whose reverse
     is an earlier row is that row's conjugate transpose, as the
     generators are Hermitian; every other row c = c' D^k x is
-    (P_c' D^k) @ X_x, with the prefix core's columns scaled into scratch
-    when k > 0.  The returned dict holds the letters and the matmul
-    products only, so its length beyond len(mats) is the number of
-    matmuls made.
+    (P_c' D^k) @ X_x, made one block of rows at a time, with the prefix
+    core's columns scaled into scratch, when k > 0.  The returned dict
+    holds the letters and the matmul products only, so its length
+    beyond len(mats) is the number of matmuls made.
     """
     diag = len(mats) - 1
     memo = {(i,): m for i, m in enumerate(mats)}
@@ -214,10 +226,15 @@ def _half_products(mats: Sequence[np.ndarray],
             np.conjugate(pool[rev].T, out=pool[k])
             continue
         _, prefix, power = _split(c[:-1], diag)
-        left = pool[index[prefix]]
+        left, right = pool[index[prefix]], mats[c[-1]]
         if power:
-            left = np.multiply(left, mats[diag] ** power, out=scratch)
-        memo[c] = np.matmul(left, mats[c[-1]], out=pool[k])
+            weight = mats[diag] ** power
+            for rows in _row_blocks(scratch):
+                part = np.multiply(left[rows], weight, out=scratch[:rows.stop - rows.start])
+                np.matmul(part, right, out=pool[k, rows])
+        else:
+            np.matmul(left, right, out=pool[k])
+        memo[c] = pool[k]
     return memo
 
 
@@ -259,33 +276,39 @@ def _trace_table(cfg: EnsembleConfig,
     index = _pool_rows({c for pair in pairs for c in pair}, cfg.n_generators)
     exponents = np.arange(at[:, 1:].max(initial=0) + 1.0)[:, None]
 
+    def sample_row(sample: int, pool: np.ndarray, grams: np.ndarray,
+                   sums: np.ndarray) -> np.ndarray:
+        # the row-block scratch is made after the sampler's float buffer
+        # is freed, and freed on return, so the two are never both held
+        mats = sample_generators(cfg, sample, pool)
+        scratch = np.empty((min(_BLOCK_ROWS, cfg.dim), cfg.dim), np.complex128)
+        # an overflowing ensemble gives a non-finite table, which the
+        # caller rejects; numpy's warnings would only precede that
+        with np.errstate(over="ignore", invalid="ignore"):
+            _half_products(mats, index, pool, scratch)
+            powers = mats[-1] ** exponents
+            twice = np.repeat(powers, 2, axis=1)
+            for p, (first, second) in enumerate(pairs):
+                if first:  # two dense cores, real and imaginary parts interleaved
+                    for block in _row_blocks(scratch):
+                        flat = np.multiply(pool[index[first], block].view(np.float64),
+                                           pool[index[second], block].view(np.float64),
+                                           out=scratch[:block.stop - block.start]
+                                           .view(np.float64))
+                        np.matmul(flat, twice.T, out=sums[block])
+                    grams[p] = powers @ sums
+                else:  # an identity core meets the other on its diagonal
+                    weights = pool[index[second]].diagonal().real if second else 1.0
+                    grams[p] = (powers * weights) @ powers.T
+        return grams[at[:, 0], at[:, 1], at[:, 2]] / cfg.dim
+
     def run_slice(samples: range) -> np.ndarray:
-        # one pool per worker: fresh per-sample outputs grow the resident
-        # set without bound on glibc.  With dense letters its last row is
-        # the scratch, for one product or one entrywise pass at a time
-        pool = np.empty((len(index) + bool(index), cfg.dim, cfg.dim), np.complex128)
-        scratch = pool[-1] if index else None
+        # one pool of the cores per worker: fresh per-sample outputs grow
+        # the resident set without bound on glibc
+        pool = np.empty((len(index), cfg.dim, cfg.dim), np.complex128)
         grams = np.empty((len(pairs), len(exponents), len(exponents)))
-        rows = np.empty((len(samples), len(words)))
-        for row, sample in enumerate(samples):
-            mats = sample_generators(cfg, sample, pool)
-            # an overflowing ensemble gives a non-finite table, which the
-            # caller rejects; numpy's warnings would only precede that
-            with np.errstate(over="ignore", invalid="ignore"):
-                _half_products(mats, index, pool, scratch)
-                powers = mats[-1] ** exponents
-                twice = np.repeat(powers, 2, axis=1)
-                for p, (first, second) in enumerate(pairs):
-                    if first:  # two dense cores, real and imaginary parts interleaved
-                        flat = np.multiply(pool[index[first]].view(np.float64),
-                                           pool[index[second]].view(np.float64),
-                                           out=scratch.view(np.float64))
-                        grams[p] = powers @ flat @ twice.T
-                    else:  # an identity core meets the other on its diagonal
-                        weights = pool[index[second]].diagonal().real if second else 1.0
-                        grams[p] = (powers * weights) @ powers.T
-            rows[row] = grams[at[:, 0], at[:, 1], at[:, 2]] / cfg.dim
-        return rows
+        sums = np.empty((cfg.dim, len(exponents)))
+        return np.array([sample_row(sample, pool, grams, sums) for sample in samples])
 
     return np.concatenate(ordered_map(run_slice, _sample_slices(cfg)))
 

@@ -5,9 +5,9 @@ Two engines share the work:
 * a composite Gauss-Legendre rule on graded panels, built for smooth
   oscillatory integrands with a possible power singularity at the
   origin, for integrands that factor into rows times scalar factors:
-  every row-factor product is integrated by one matrix product of the
-  weighted factors against the rows, so the products themselves are
-  never formed; and
+  every row-factor product is integrated by matrix products of the
+  weighted factors against blocks of the rows, so the products
+  themselves are never formed; and
 * thin wrappers around scipy's adaptive QUADPACK routines for scalar
   integrals, used where an independent error estimate matters.  They
   import scipy on first use, so importing the package does not load it,
@@ -109,16 +109,20 @@ def gl_integrate(f, osc_scale: float, stop: float, start: float = 0.0):
     """Integrals over [start, stop] of every product factors[k] * rows[n].
 
     f maps the nodes of panel_nodes(osc_scale, stop, start) to a pair
-    (rows, factors), both with nodes on the last axis; the result,
-    indexed (k, n), is (factors * weights) @ rows.T.  The caller picks
-    stop past the support of its rows, and start and stop at the jumps
-    of its integrand.  QuadratureError is raised when the contraction is
-    not finite.
+    (blocks, factors): factors has nodes on the last axis and is
+    overwritten by factors * weights, and blocks yields the rows in
+    consecutive blocks, each with nodes on the last axis and contracted
+    before the next is asked for.  The result, indexed (k, n), is
+    (factors * weights) @ rows.T, one block of columns per block.  The
+    caller picks stop past the support of its rows, and start and stop
+    at the jumps of its integrand.  QuadratureError is raised when the
+    contraction is not finite.
     """
     nodes, weights = panel_nodes(osc_scale, stop, start)
-    rows, factors = f(nodes)
+    blocks, factors = f(nodes)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (factors * weights) @ rows.T
+        factors *= weights
+        out = np.concatenate([factors @ rows.T for rows in blocks], axis=1)
     if not np.isfinite(out).all():
         raise QuadratureError(
             f"integrand overflows on ({nodes[0]:.4g}, {nodes[-1]:.4g}): "

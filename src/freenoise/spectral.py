@@ -25,8 +25,9 @@ integrand matters past hermite.EXACT_TO is refused), and depend on t
 only through B(t) = max(1, 2^ceil(log2 |t|)) >= |t|:
 the times of one bucket share their nodes and Hermite rows, which are
 kept for the latest layout when they fit in 4 MiB (n_max up to ~145 at
-B = 1).  A pass's size is known before it is built, and one above
-256 MiB is rejected.
+B = 1); rows that do not fit are built and contracted 64 at a time.
+A pass's size is known before it is built, and one above 256 MiB is
+rejected.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DivergenceError, QuadratureError, ValidationError
-from .hermite import EXACT_TO, ZERO_PAST, check_index_bound, hermite_fn_matrix
+from .hermite import (EXACT_TO, ZERO_PAST, check_index_bound, hermite_fn_blocks,
+                      hermite_fn_matrix)
 from .quadrature import gl_integrate, layout_nodes, quad_cos_range, quad_scalar
 from .words import WeightSequence
 
@@ -305,23 +307,29 @@ def _osc_scale(n_max: int, t: float) -> float:
 
 # Read-only Hermite rows of the latest layout, by n_max and the layout
 # (osc_scale, start, stop), when they fit in _KEEP_BYTES, and beside them
-# the root of the density on the latest layout, by density and layout
+# the root of the density on the latest layout, by density and layout.
+# Rows that do not fit are built _BLOCK_ROWS at a time: a fixed count, so
+# that the bits of a pass do not depend on its node count
 _KEEP_BYTES = 4 << 20
+_BLOCK_ROWS = 64
 _kept_rows: dict = {}
 _kept_root: dict = {}
 
 
-def _hermite_rows(n_max: int, layout: tuple, nodes: np.ndarray) -> np.ndarray:
-    """hermite_fn_matrix(n_max, nodes) on the nodes of the layout."""
+def _hermite_rows(n_max: int, layout: tuple, nodes: np.ndarray):
+    """hermite_fn_matrix(n_max, nodes) on the nodes of the layout, in
+    blocks of rows: kept rows as one block, others _BLOCK_ROWS at a time
+    in one reused buffer."""
     key = (n_max, *layout)
     rows = _kept_rows.get(key)
     if rows is None:
         _kept_rows.clear()
-        rows = hermite_fn_matrix(n_max, nodes)
-        if rows.nbytes <= _KEEP_BYTES:
-            rows.setflags(write=False)
-            _kept_rows[key] = rows
-    return rows
+        if n_max * nodes.size * 8 > _KEEP_BYTES:
+            return hermite_fn_blocks(n_max, nodes, _BLOCK_ROWS)
+        rows, = hermite_fn_blocks(n_max, nodes, n_max)
+        rows.setflags(write=False)
+        _kept_rows[key] = rows
+    return (rows,)
 
 
 def _layout_root(dens: SpectralDensity, layout: tuple, nodes: np.ndarray) -> np.ndarray:
@@ -337,9 +345,11 @@ def _layout_root(dens: SpectralDensity, layout: tuple, nodes: np.ndarray) -> np.
 
 
 # Largest multiplier pass: its nodes times 8 bytes for each of the n_max
-# Hermite rows and for each node-length array held beside them at the
-# pass's peak (the layout, the factors and their temporaries: 13.1 arrays
-# traced at n_max 4 to 512, so 14 are counted)
+# Hermite rows, as if all were held, and for each of 14 node-length
+# arrays (the layout, the factors and their temporaries, of which 7.4 to
+# 9.1 are traced at n_max 4 to 512).  A pass whose rows are not kept holds
+# _BLOCK_ROWS of them and two carry rows at most, so above n_max 64 the
+# bound counts more than a pass holds
 _LAYOUT_BYTES = 256 << 20
 _PASS_ARRAYS = 14
 
@@ -349,7 +359,13 @@ def _require_resolved_edge(dens: SpectralDensity, n_max: int) -> None:
     """QuadratureError unless the envelope max_n |hfn_n| sqrt(m) at EXACT_TO,
     past which the rows lose bits and then vanish, is at most 1e-11 of its
     peak; falling log-concavely past the peak, it then leaves out ~1.5e-11.
-    An overflowing root compares inf > inf and is left to gl_integrate."""
+    A window that starts at or past EXACT_TO, where the envelope is zero
+    on [0, EXACT_TO], is refused.  An overflowing root compares inf > inf
+    and is left to gl_integrate."""
+    if dens.cutoff_low >= EXACT_TO:
+        raise QuadratureError(f"the window [{dens.cutoff_low:g}, {dens.cutoff_high:g}] "
+                              f"of {dens.label()} starts at or past u = {EXACT_TO}, "
+                              "past which the Hermite rows lose bits")
     u = np.linspace(EXACT_TO / 400, EXACT_TO, 400)
     with np.errstate(over="ignore"):
         env = np.abs(hermite_fn_matrix(n_max, u)).max(axis=0) * dens.root(u)

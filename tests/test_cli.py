@@ -372,6 +372,21 @@ def test_exponential_density_exits_three_where_its_pass_is_unresolved(
     assert err["kind"] == "numerical" and message in err["error"]
 
 
+@pytest.mark.parametrize("low", ["37.6", "37.7", "40"])
+@pytest.mark.parametrize("command", [["tmcoeff", "--t", "1"], ["tmcoeff", "--t", "1", "--certify"],
+                                     ["derivative-check", "--t", "1"], ["integrate"]],
+                         ids=["tmcoeff", "certify", "derivative-check", "integrate"])
+def test_window_past_the_exact_rows_exits_three(command, low, capsys):
+    # from EXACT_TO = 37.6 on the rows are subnormal, then +0.0: a window
+    # that starts there has no exact row to integrate
+    argv = command + ["--density", "lebesgue", "--cutoff-low", low, "--cutoff-high", "50",
+                      "--n-max", "16"]
+    assert run(argv) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "numerical"
+    assert f"the window [{low}, 50] of lebesgue starts at or past u = 37.6" in err["error"]
+
+
 def test_fbm_requires_hurst(capsys):
     assert run(["rfun", "--density", "fbm", "--t", "1.0"]) == 2
 

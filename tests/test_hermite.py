@@ -11,6 +11,7 @@ from freenoise.errors import DivergenceError, ValidationError
 from freenoise.hermite import (
     EXACT_TO,
     ZERO_PAST,
+    hermite_fn_blocks,
     hermite_fn_matrix,
     mehler_closed,
     mehler_sum,
@@ -73,6 +74,22 @@ def test_in_place_fill_is_bit_identical(n_max):
     nodes, _ = panel_nodes(2.0 * math.sqrt(400) + 2.0, 40.0)
     u = np.concatenate([nodes, [2.0 ** -60, 0.0, -0.3, -7.25], -nodes[::97]])
     assert hermite_fn_matrix(n_max, u).tobytes() == _allocating_fn_matrix(n_max, u).tobytes()
+
+
+@pytest.mark.parametrize("n_max", [1, 63, 64, 65, 128, 400, 512])
+def test_row_blocks_are_the_rows_of_the_matrix(n_max):
+    # 64 rows at a time, the last block shorter, every block written into
+    # one buffer of min(n_max, 64) rows and two carry rows when n_max > 64
+    nodes, _ = panel_nodes(2.0 * math.sqrt(400) + 2.0, ZERO_PAST)
+    u = np.concatenate([nodes, [0.0, -0.3, 40.0]])
+    views, copies = [], []
+    for block in hermite_fn_blocks(n_max, u, 64):
+        views.append(block)
+        copies.append(block.copy())
+    assert [len(b) for b in copies] == [min(64, n_max - lo) for lo in range(0, n_max, 64)]
+    assert np.concatenate(copies).tobytes() == hermite_fn_matrix(n_max, u).tobytes()
+    assert {id(v.base) for v in views} == {id(views[0].base)}
+    assert views[0].base.shape == (min(n_max, 64) + 2 * (n_max > 64), u.size)
 
 
 def test_underflowed_columns_are_bit_identical():

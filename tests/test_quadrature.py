@@ -42,7 +42,7 @@ def test_a_windowed_layout_starts_and_stops_at_its_ends(start, stop):
     assert math.fsum(weights) == pytest.approx(stop - start, rel=1e-14, abs=0.0)
     # e^u over the window, where it would jump to 0 past both ends
     def integrand(u):
-        return np.exp(u)[None, :], np.ones((1, u.size))
+        return [np.exp(u)[None, :]], np.ones((1, u.size))
 
     got = gl_integrate(integrand, osc, stop, start)[0, 0]
     assert got == pytest.approx(math.exp(stop) - math.exp(start), rel=1e-14, abs=0.0)
@@ -57,7 +57,7 @@ def test_panel_width_that_cannot_advance_an_edge_raises():
 def test_gl_integrate_contracts_every_factor_against_every_row():
     # rows e^{-u/40}, e^{-u}; factors 1, u: result[k, n] = int_0^60 factor_k row_n
     def integrand(u):
-        return np.stack([np.exp(-u / 40.0), np.exp(-u)]), np.stack([np.ones_like(u), u])
+        return [np.stack([np.exp(-u / 40.0), np.exp(-u)])], np.stack([np.ones_like(u), u])
 
     got = gl_integrate(integrand, 1.0, 60.0)
     assert got.shape == (2, 2)
@@ -70,7 +70,17 @@ def test_gl_integrate_raises_when_the_contraction_is_not_finite():
     # a factor that overflows where the row is 0 still gives inf * 0 = nan
     def integrand(u):
         rows = np.where(u < 20.0, np.exp(-u), 0.0)[None, :]
-        return rows, np.where(u > 25.0, np.inf, 1.0)[None, :]
+        return [rows], np.where(u > 25.0, np.inf, 1.0)[None, :]
+
+    with pytest.raises(QuadratureError, match="not finite"):
+        gl_integrate(integrand, 1.0, 30.0)
+
+
+def test_gl_integrate_raises_when_only_a_later_block_is_not_finite():
+    # the rows of the first two blocks are finite, the third's are not
+    def integrand(u):
+        rows = np.exp(-u)[None, :]
+        return [rows, rows, np.where(u > 25.0, np.inf, 1.0)[None, :]], np.ones((1, u.size))
 
     with pytest.raises(QuadratureError, match="not finite"):
         gl_integrate(integrand, 1.0, 30.0)

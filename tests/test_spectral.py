@@ -179,26 +179,27 @@ def test_multiplier_and_r_are_frozen(dens):
 
 # SHA-256 of the bytes of tm_values and alpha_vector at n_max 400,
 # (density, t) -> (tm, alpha), recorded on the bucketed panel layout
-# (the osc_scale of t = 0.5 uses B = 1, of t = 2.5 uses B = 4).
+# (the osc_scale of t = 0.5 uses B = 1, of t = 2.5 uses B = 4) with the
+# rows contracted 64 at a time.
 _FROZEN_N400 = {
     ("lebesgue", 0.5): (
-        "63f86360c19279c6b98d6999221497276dbe51a60dccb71de35df929ca16b40a",
-        "0908d979baf2dad654d9763edf968bba885be068ffb6f6e598875a7d395b6d58"),
+        "7b28150679333bb22a5e93f3ee17a247e9e7fe6c462fa0bab7da6d24d1fb5ab5",
+        "359eade2134c5b6d5b97f5ccee51e26299812ac74d7bb772352827fe19f11bf6"),
     ("lebesgue", 2.5): (
-        "6a7814705134cdd9ea9fc2c97bafcb873338749bfe7e401163714a21046837f0",
-        "4977a75a8eb617a17410cbfe26300cb65f59687a7316718de9461fd54f637d2b"),
+        "c22fe5c5c9eaad65b767ab074653afd6f517e3574ee3b752bae353a5920566ca",
+        "37f855f64652a98ffd72efa37c594696a750cd1f57ed23a1a08081fa551c7818"),
     ("fbm(H=0.3)", 0.5): (
-        "6aae70731ae761c9b0d9bb101b833d2cdefc483d9248949a2f1d4e28a7377940",
-        "024416d9060dad3198e2204fd1c54f17164b9fffeac142e7c6ec7fa593043ad7"),
+        "750a59ef6b55a629690900d98863f182e520e6d063031e6764380a8f5dd256ac",
+        "8d8203469bbb0dad36134564de40ca8d45125acc6031aed55e97b33500018855"),
     ("fbm(H=0.3)", 2.5): (
-        "6094378386db290877110180151f077f039d0a557c009c336b951a6a4c4735a4",
-        "5c9a331e3348f145b8975e5643f1759e5be31b28ecba5049f5ed4159122e4fba"),
+        "a391e609498f6108bd809872a4e3367d168a320e18ba57a0697f609c2fbb9976",
+        "24760e402f56eb8bdc553fe6a5f37ecbfb334bd9d94dd1a590bac06b003bf7a2"),
     ("fbm(H=0.75)", 0.5): (
-        "17b87ab3e891e7be51e172122b02c932c9029d381e8e6bcc3b51fc08269b66ff",
-        "5f31b643d0800c54bba18c3746246add1ec5c3176bab78acaec5494ba13ba3c5"),
+        "6107ff617d894ffb9c6a799178e48da9aadc597c7efecdd7726037a600b65b79",
+        "ab8276c9ffb072953fa6f0c45d4242891df38f24e76dbecd63f20d0178d348c2"),
     ("fbm(H=0.75)", 2.5): (
-        "8a77954c1cf0d1f4db0bea05c7a3c45f498fab780e317b68c8cc9f85e0acf3c3",
-        "131cfbd097e88da17983d6b98e2991cbb4049f56d217bab67ab233b1df79cae5"),
+        "73a33a166969b45c7b5a68c9abfd190d4731082c6b522e69f45f70a894300e85",
+        "c96e5aa25a48f8bde56fb95aaf48ec306b91efb339351f7a2f5b0a90c9046617"),
 }
 
 
@@ -228,9 +229,9 @@ def test_panel_layout_depends_on_t_only_through_its_power_of_two_bucket(t, bucke
 
 def _count_hermite_calls(monkeypatch):
     calls = []
-    real = spectral.hermite_fn_matrix
-    monkeypatch.setattr(spectral, "hermite_fn_matrix",
-                        lambda n, u: calls.append(len(u)) or real(n, u))
+    real = spectral.hermite_fn_blocks
+    monkeypatch.setattr(spectral, "hermite_fn_blocks",
+                        lambda n, u, block: calls.append(len(u)) or real(n, u, block))
     monkeypatch.setattr(spectral, "_kept_rows", {})
     spectral._require_resolved_edge.cache_clear()
     return calls
@@ -238,19 +239,35 @@ def _count_hermite_calls(monkeypatch):
 
 def test_times_of_one_bucket_share_their_hermite_rows(monkeypatch):
     # the 64 tags of a dyadic integral over [a, a + 1), a < 0.1, fall in
-    # two buckets of one layout each: 2 Hermite matrices, not 64, beside
-    # the one on the 400-node grid of the edge check
+    # two buckets of one layout each: 2 Hermite matrices, not 64
     leb = SpectralDensity.lebesgue()
     times = 0.0371 + np.arange(64) / 64.0
     calls = _count_hermite_calls(monkeypatch)
     shared = [_tm_and_alpha.__wrapped__(leb, t, 64) for t in times]
-    assert len(calls) == 3 and calls[0] == 400
+    assert len(calls) == 2
     # rows rebuilt on every pass give the same bits
-    monkeypatch.setattr(spectral, "_KEEP_BYTES", 0)
-    fresh = [_tm_and_alpha.__wrapped__(leb, t, 64) for t in times]
-    assert len(calls) == 3 + 64
+    fresh = []
+    for t in times:
+        spectral._kept_rows.clear()
+        fresh.append(_tm_and_alpha.__wrapped__(leb, t, 64))
+    assert len(calls) == 2 + 64
     for (tm, al), (tm0, al0) in zip(shared, fresh):
         assert (tm.tobytes(), al.tobytes()) == (tm0.tobytes(), al0.tobytes())
+
+
+@pytest.mark.parametrize("dens", [SpectralDensity.lebesgue(), SpectralDensity.fbm(0.3),
+                                  SpectralDensity.fbm(0.75), SpectralDensity.exponential(2.0)],
+                         ids=lambda d: d.label())
+def test_row_blocks_agree_with_the_whole_row_matrix(dens, monkeypatch):
+    # at n_max 400 the rows are contracted 64 at a time; one block of all
+    # 400 rows is the whole matrix, which only reorders the rounding
+    for t in (0.3, 0.7, 1.0, 2.5, 7.0):
+        blocked = _tm_and_alpha.__wrapped__(dens, t, 400)
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_BLOCK_ROWS", 400)
+            whole = _tm_and_alpha.__wrapped__(dens, t, 400)
+        for have, want in zip(blocked, whole):
+            assert np.max(np.abs(have - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_only_the_latest_layout_is_kept_and_only_under_4_mib(monkeypatch):
@@ -464,22 +481,46 @@ def test_largest_tier_one_layout_is_within_the_budget():
     assert len(nodes) * (512 + spectral._PASS_ARRAYS) * 8 <= 256 << 20
 
 
+def _traced_pass_peak(dens, t, n_max):
+    """Peak traced bytes of one pass from empty row and layout caches,
+    after the edge check of (dens, n_max) has run, and its node count."""
+    _tm_and_alpha.__wrapped__(dens, 0.25, n_max)
+    spectral._kept_rows.clear()
+    panel_nodes.cache_clear()
+    tracemalloc.start()
+    try:
+        _tm_and_alpha.__wrapped__(dens, t, n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, len(panel_nodes(_osc_scale(n_max, t), min(ZERO_PAST, dens.cutoff_high))[0])
+
+
 @pytest.mark.parametrize("n_max, bucket", [(4, 2.0 ** 14), (512, 2.0 ** 9)])
 def test_largest_accepted_pass_peaks_within_the_budget(n_max, bucket, monkeypatch):
-    # the largest bucket a pass accepts at n_max, traced from an empty
-    # layout cache: every array it holds counts toward the 256 MiB
+    # the largest bucket a pass accepts at n_max: every array it holds
+    # counts toward the 256 MiB.  The 4 rows of n_max 4 are one block,
+    # held whole; at n_max 512 a pass holds one block of 64 rows, two
+    # carry rows and the node-length arrays
     leb = SpectralDensity.lebesgue()
     with pytest.raises(ValidationError, match="above the bound of 256 MiB"):
         _tm_and_alpha.__wrapped__(leb, 2.0 * bucket, n_max)
     monkeypatch.setattr(spectral, "_kept_rows", {})
-    panel_nodes.cache_clear()
-    tracemalloc.start()
-    try:
-        _tm_and_alpha.__wrapped__(leb, bucket, n_max)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 128 << 20 < peak <= 256 << 20
+    peak, nodes = _traced_pass_peak(leb, bucket, n_max)
+    if n_max <= spectral._BLOCK_ROWS:
+        assert 128 << 20 < peak <= 256 << 20
+    else:
+        assert peak <= (spectral._BLOCK_ROWS + 2 + spectral._PASS_ARRAYS) * nodes * 8
+
+
+def test_pass_above_the_kept_rows_holds_one_block(monkeypatch):
+    # lebesgue at t = 0.5 and n_max 400: 5,200 nodes, so the whole row
+    # matrix is 16.6 MB; a pass holds one 64-row block, two carry rows
+    # and the node-length arrays, 3.3 MB
+    monkeypatch.setattr(spectral, "_kept_rows", {})
+    peak, nodes = _traced_pass_peak(SpectralDensity.lebesgue(), 0.5, 400)
+    assert nodes == 5200
+    assert peak <= (spectral._BLOCK_ROWS + 2 + spectral._PASS_ARRAYS) * nodes * 8
 
 
 @pytest.mark.parametrize("t", _FLAT_TIMES)
