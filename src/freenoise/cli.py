@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -333,6 +334,24 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     return 0 if res.converged else 3
 
 
+def _exact_float(value: Fraction, radius: float) -> float:
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise FreenoiseError(f"the exact trace at radius {radius:g} "
+                             f"is beyond the float range: {exc}") from exc
+
+
+def _finite_n_trace(terms: dict[tuple[int, ...], int], dim: int,
+                    radius: float) -> Fraction:
+    """E tr_N of a combination of monomials in independent GUE matrices:
+    sum_g c_g N^(-2g) per monomial (trace.trace_genus), times
+    (radius/2)^length."""
+    return sum((coeff * (Fraction(radius) / 2) ** len(mono)
+                * sum(Fraction(c, dim ** (2 * g)) for g, c in enumerate(trace.trace_genus(mono)))
+                for mono, coeff in terms.items()), Fraction(0))
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     word = words.parse_word(args.word)
     letters = word.letters()
@@ -343,22 +362,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.chebyshev:
         est = matmodel.estimate_trace_uword(cfg, word)
         exact = 1.0 if not word else 0.0
+        # the U-word is estimated on the radius-2 ensemble
+        terms, radius = matmodel._monomials(word), 2.0
     else:
         est = matmodel.estimate_trace(cfg, letters)
-        try:
-            exact = float(trace.trace_pairings(letters, radius=args.radius))
-        except OverflowError as exc:
-            raise FreenoiseError(f"the exact trace at radius {args.radius:g} "
-                                 f"is beyond the float range: {exc}") from exc
+        exact = _exact_float(trace.trace_pairings(letters, radius=args.radius), args.radius)
+        terms, radius = {letters: 1}, args.radius
     # one sample gives no standard error, and so no z-score
     se = est.se if cfg.n_samples > 1 else None
     if not (math.isfinite(est.mean) and math.isfinite(est.se)):
         raise FreenoiseError(f"the estimate is not finite: mean {est.mean}, "
                              f"standard error {est.se}")
-    z = None if se is None else ((est.mean - exact) / se if se > 0 else 0.0)
+    finite_n = _exact_float(_finite_n_trace(terms, cfg.dim, radius), radius)
+
+    def z_score(target: float) -> float | None:
+        return None if se is None else ((est.mean - target) / se if se > 0 else 0.0)
+
     _emit(args, {"word": str(word), "mode":
                  "chebyshev" if args.chebyshev else "monomial",
-                 "mean": est.mean, "se": se, "exact": exact, "z_score": z})
+                 "mean": est.mean, "se": se, "exact": exact, "z_score": z_score(exact),
+                 "exact_finite_n": finite_n, "z_score_finite_n": z_score(finite_n)})
     return 0
 
 
@@ -477,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest coefficients to include in the output")
 
     p = sub("simulate", cmd_simulate, has_rows=False,
-            help="random-matrix trace estimate against the exact value")
+            help="random-matrix trace estimate against the free limit "
+                 "and the exact finite-N value")
     p.add_argument("--word", required=True)
     p.add_argument("--dim", type=int, default=200)
     p.add_argument("--samples", type=int, default=20)

@@ -30,14 +30,17 @@ because the generators are Hermitian, the product of a reversed word is
 the conjugate transpose of the word's product, so tr(P_l P_r) is an
 entrywise inner product of P_l with P_reverse(r).  Each half is
 D^a c D^b, D the diagonal generator and c its core, which starts and
-ends with a dense letter or is the identity.  Only the cores are stored
-and multiplied, so only dense times dense is a matrix product, and the
-powers of D weight the inner product of each core pair.  A worker holds
-cores x dim^2 x 16 bytes, and beside them either the sampler's dim x dim
-float buffer or a 64 x dim scratch, in which a product with a power of D
-and the entrywise product of a core pair are formed a block of rows at
-a time: the cores of the 127 binary words up to length 6 are 0, 00, 000
-and 010.
+ends with a dense letter or is the identity.  Only the cores are
+multiplied, so only dense times dense is a matrix product, and the
+powers of D weight the inner product of each core pair.  The cores are
+formed 64 rows at a time, and each pair's inner product is summed from
+those rows before the next are formed.  A worker holds its dense
+letters, one 64 x dim slice per formed core and one of scratch, and
+the sampler's dim x dim float buffer while it draws: the 127 binary
+words up to length 6 form the cores 00, 000 and 010 from the letter 0.
+A palindromic core is Hermitian, and one that is no other core's
+prefix and meets only palindromes is formed only on and right of its
+diagonal block, as 000 and 010 are.
 
 U-words, the orthonormal basis elements p_{a1}(X_{i1}) ... p_{ak}(X_{ik})
 with p_n(x) = U_n(x / radius), do not depend on the radius: X / radius
@@ -76,7 +79,7 @@ __all__ = [
 # longest word a trace estimate accepts
 MAX_WORD_LEN = 12
 
-# rows of the scratch in which products and entrywise products are made
+# rows of a core formed at a time
 _BLOCK_ROWS = 64
 
 
@@ -180,61 +183,63 @@ def _split(half: tuple[int, ...], diag: int) -> tuple[int, tuple[int, ...], int]
     return a, half[a:len(half) - b], b
 
 
-def _pool_rows(cores: set[tuple[int, ...]],
-               n_letters: int) -> dict[tuple[int, ...], int]:
-    """Pool row of each stored core, ordered by (length, letters): every
-    dense letter, every core given but the identity, and the prefix core
-    c' of every row c = c' D^k x whose reverse is not a smaller row."""
-    diag = n_letters - 1
-    need = {(i,) for i in range(diag)} | (cores - {()})
-    # longest first: a length's rows are final before its prefixes join
-    for length in range(max(map(len, need), default=0), 1, -1):
-        for c in [c for c in need if len(c) == length]:
-            if not (c[::-1] in need and c[::-1] < c):
-                need.add(_split(c[:-1], diag)[1])
-    return {t: k for k, t in enumerate(sorted(need, key=lambda t: (len(t), t)))}
+def _core_plan(pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
+               symmetric: Sequence[bool], diag: int) -> dict[tuple[int, ...], bool]:
+    """Every core that is a matrix product, with whether it is formed only
+    on and right of its diagonal block.
+
+    These are the pairs' cores longer than one letter and the prefix core
+    c' of each core c = c' D^k x, ordered by (length, letters) so that a
+    prefix comes before the cores it starts.  A core is formed on and
+    right of its diagonal block when it is a palindrome, so Hermitian, no
+    core's prefix, and in no pair that symmetric marks False, one with a
+    non-palindrome (see _trace_table).
+    """
+    cores = {c for pair in pairs for c in pair if len(c) > 1}
+    prefixes = set()
+    for length in range(max(map(len, cores), default=0), 1, -1):
+        for c in [c for c in cores if len(c) == length]:
+            prefix = _split(c[:-1], diag)[1]
+            if len(prefix) > 1:
+                prefixes.add(prefix)
+                cores.add(prefix)
+    mixed = {c for pair, sym in zip(pairs, symmetric) if not sym for c in pair}
+    return {c: c == c[::-1] and c not in prefixes and c not in mixed
+            for c in sorted(cores, key=lambda t: (len(t), t))}
 
 
-def _row_blocks(scratch: np.ndarray) -> list[slice]:
-    """The rows of a dim x dim matrix, as many at a time as scratch has."""
-    dim, step = scratch.shape[1], len(scratch)
-    return [slice(lo, min(lo + step, dim)) for lo in range(0, dim, step)]
+def _row_blocks(dim: int) -> list[slice]:
+    """The rows of a dim x dim matrix, _BLOCK_ROWS at a time."""
+    return [slice(lo, min(lo + _BLOCK_ROWS, dim)) for lo in range(0, dim, _BLOCK_ROWS)]
 
 
 def _half_products(mats: Sequence[np.ndarray],
-                   index: dict[tuple[int, ...], int],
-                   pool: np.ndarray,
-                   scratch: np.ndarray,
+                   rows: slice,
+                   plan: dict[tuple[int, ...], bool],
+                   slices: np.ndarray,
                    ) -> dict[tuple[int, ...], np.ndarray]:
-    """Fill the pool rows past the letters with their core products.
+    """One row block of every letter and of every planned core.
 
-    Row index[c] of pool holds the product of core c, index being what
-    _pool_rows returned; the dense letters' rows are already in place,
-    and mats is what sample_generators returned.  A row whose reverse
-    is an earlier row is that row's conjugate transpose, as the
-    generators are Hermitian; every other row c = c' D^k x is
-    (P_c' D^k) @ X_x, made one block of rows at a time, with the prefix
-    core's columns scaled into scratch, when k > 0.  The returned dict
-    holds the letters and the matmul products only, so its length
-    beyond len(mats) is the number of matmuls made.
+    mats is what sample_generators returned, plan what _core_plan did,
+    and slices holds one _BLOCK_ROWS x dim slice per planned core and a
+    last one of scratch.  A core c = c' D^k x is (rows of c') D^k @ X_x,
+    the prefix core's columns scaled into the scratch when k > 0; a core
+    the plan marks is formed in the columns from the block's first row
+    index on, and its other columns are stale.  The returned dict is
+    keyed by letter and core, the diagonal letter giving its entries in
+    the rows, so its length beyond len(mats) is the number of matmuls
+    made.
     """
     diag = len(mats) - 1
-    memo = {(i,): m for i, m in enumerate(mats)}
-    for c, k in list(index.items())[diag:]:
-        rev = index.get(c[::-1], k)
-        if rev < k:
-            np.conjugate(pool[rev].T, out=pool[k])
-            continue
+    n, scratch = rows.stop - rows.start, slices[-1]
+    memo = {(i,): m[rows] for i, m in enumerate(mats)}
+    for (c, upper), out in zip(plan.items(), slices):
         _, prefix, power = _split(c[:-1], diag)
-        left, right = pool[index[prefix]], mats[c[-1]]
+        left, start = memo[prefix], rows.start if upper else 0
         if power:
-            weight = mats[diag] ** power
-            for rows in _row_blocks(scratch):
-                part = np.multiply(left[rows], weight, out=scratch[:rows.stop - rows.start])
-                np.matmul(part, right, out=pool[k, rows])
-        else:
-            np.matmul(left, right, out=pool[k])
-        memo[c] = pool[k]
+            left = np.multiply(left, mats[diag] ** power, out=scratch[:n])
+        np.matmul(left, mats[c[-1]][:, start:], out=out[:n, start:])
+        memo[c] = out[:n]
     return memo
 
 
@@ -260,11 +265,15 @@ def _trace_table(cfg: EnsembleConfig,
 
     entry (a + a', b + b') of V R V^T, where R holds the real parts of
     the entrywise products of the two cores and row p of V the powers
-    d_i^p.  Each core pair that some word needs makes one such table.
-    Sample streams are counter-based, so the worker count never changes
-    a digit.
+    d_i^p.  Each core pair that some word needs makes one such table,
+    summed over the row blocks of R as _half_products forms them.  When
+    both cores are palindromes they are Hermitian and R is symmetric, so
+    only its blocks on and right of the diagonal are read: the table is
+    M_diag + M_off + M_off^T, M_diag from the diagonal blocks and M_off
+    from those right of them.  Sample streams are counter-based, so the
+    worker count never changes a digit.
     """
-    diag = cfg.n_generators - 1
+    diag, dim = cfg.n_generators - 1, cfg.dim
     pairs: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     at = []  # per word: its core pair, smaller core first, and exponents
     for t in words:
@@ -273,42 +282,56 @@ def _trace_table(cfg: EnsembleConfig,
         (a, c, b), (a2, c2, b2) = _split(t[:mid], diag), _split(t[mid:][::-1], diag)
         at.append((pairs.setdefault((min(c, c2), max(c, c2)), len(pairs)), a + a2, b + b2))
     at = np.array(at, dtype=np.intp).reshape(-1, 3)
-    index = _pool_rows({c for pair in pairs for c in pair}, cfg.n_generators)
+    symmetric = [all(t == t[::-1] for t in pair) for pair in pairs]
+    plan = _core_plan(list(pairs), symmetric, diag)
     exponents = np.arange(at[:, 1:].max(initial=0) + 1.0)[:, None]
 
-    def sample_row(sample: int, pool: np.ndarray, grams: np.ndarray,
+    def sample_row(sample: int, letters: np.ndarray, slices: np.ndarray,
+                   grams: np.ndarray, halves: np.ndarray,
                    sums: np.ndarray) -> np.ndarray:
-        # the row-block scratch is made after the sampler's float buffer
-        # is freed, and freed on return, so the two are never both held
-        mats = sample_generators(cfg, sample, pool)
-        scratch = np.empty((min(_BLOCK_ROWS, cfg.dim), cfg.dim), np.complex128)
+        mats = sample_generators(cfg, sample, letters)
+        grams.fill(0.0)
+        halves.fill(0.0)
         # an overflowing ensemble gives a non-finite table, which the
         # caller rejects; numpy's warnings would only precede that
         with np.errstate(over="ignore", invalid="ignore"):
-            _half_products(mats, index, pool, scratch)
             powers = mats[-1] ** exponents
             twice = np.repeat(powers, 2, axis=1)
-            for p, (first, second) in enumerate(pairs):
-                if first:  # two dense cores, real and imaginary parts interleaved
-                    for block in _row_blocks(scratch):
-                        flat = np.multiply(pool[index[first], block].view(np.float64),
-                                           pool[index[second], block].view(np.float64),
-                                           out=scratch[:block.stop - block.start]
-                                           .view(np.float64))
-                        np.matmul(flat, twice.T, out=sums[block])
-                    grams[p] = powers @ sums
-                else:  # an identity core meets the other on its diagonal
-                    weights = pool[index[second]].diagonal().real if second else 1.0
-                    grams[p] = (powers * weights) @ powers.T
-        return grams[at[:, 0], at[:, 1], at[:, 2]] / cfg.dim
+            for rows in _row_blocks(dim):
+                lo, hi = rows.start, rows.stop
+                blocks = _half_products(mats, rows, plan, slices)
+                v, part = powers[:, rows], sums[:hi - lo]
+                for p, (first, second) in enumerate(pairs):
+                    if not first:  # an identity core meets the other on its diagonal
+                        weights = blocks[second][:, lo:hi].diagonal().real if second else 1.0
+                        grams[p] += (v * weights) @ v.T
+                        continue
+                    # columns start to cut count once, those past cut twice
+                    start, cut = (lo, hi) if symmetric[p] else (0, dim)
+                    # real and imaginary parts interleaved
+                    flat = np.multiply(blocks[first][:, start:].view(np.float64),
+                                       blocks[second][:, start:].view(np.float64),
+                                       out=slices[-1, :hi - lo, start:].view(np.float64))
+                    width = 2 * (cut - start)
+                    grams[p] += v @ np.matmul(flat[:, :width],
+                                              twice[:, 2 * start:2 * cut].T, out=part)
+                    if cut < dim:
+                        halves[p] += v @ np.matmul(flat[:, width:],
+                                                   twice[:, 2 * cut:].T, out=part)
+            grams += halves
+            grams += halves.transpose(0, 2, 1)
+        return grams[at[:, 0], at[:, 1], at[:, 2]] / dim
 
     def run_slice(samples: range) -> np.ndarray:
-        # one pool of the cores per worker: fresh per-sample outputs grow
-        # the resident set without bound on glibc
-        pool = np.empty((len(index), cfg.dim, cfg.dim), np.complex128)
+        # buffers per worker: fresh per-sample outputs grow the resident
+        # set without bound on glibc
+        letters = np.empty((diag, dim, dim), np.complex128)
+        slices = np.empty((len(plan) + 1, min(_BLOCK_ROWS, dim), dim), np.complex128)
         grams = np.empty((len(pairs), len(exponents), len(exponents)))
-        sums = np.empty((cfg.dim, len(exponents)))
-        return np.array([sample_row(sample, pool, grams, sums) for sample in samples])
+        halves = np.empty_like(grams)
+        sums = np.empty((len(slices[0]), len(exponents)))
+        return np.array([sample_row(sample, letters, slices, grams, halves, sums)
+                         for sample in samples])
 
     return np.concatenate(ordered_map(run_slice, _sample_slices(cfg)))
 

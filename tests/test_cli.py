@@ -598,11 +598,37 @@ def test_simulate_reports_z_score(capsys):
     assert set(out) >= {"config", "word", "mean", "se", "exact", "z_score"}
 
 
+@pytest.mark.parametrize("word, flags, finite_n", [
+    # genus counts (0, 1) and (2, 1): E tr_N = N^-2 and 2 + N^-2
+    ("z0 z1 z0 z1", [], 1 / 20 ** 2),
+    ("z0^4", ["--radius", "1.7"], 0.85 ** 4 * (2 + 1 / 20 ** 2)),
+    # U_4(x / 2) = x^4 - 3 x^2 + 1 on the radius-2 ensemble at any radius
+    ("z0^4", ["--chebyshev", "--radius", "1.7"], 1 / 20 ** 2),
+    ("z0^2 z1^2", ["--chebyshev"], 0.0),
+    ("1", ["--chebyshev"], 1.0),
+])
+def test_simulate_reports_the_exact_finite_n_trace(word, flags, finite_n, capsys):
+    assert run(["simulate", "--word", word, "--dim", "20", "--samples", "3",
+                "--seed", "3", *flags]) == 0
+    out = _json_out(capsys)
+    # the JSON output keeps 12 significant digits
+    assert out["exact_finite_n"] == pytest.approx(finite_n, rel=1e-11, abs=0.0)
+    if out["se"]:
+        assert out["z_score_finite_n"] == pytest.approx(
+            (out["mean"] - out["exact_finite_n"]) / out["se"], rel=1e-6)
+    # the free-limit fields are unchanged beside it
+    free = {"z0 z1 z0 z1": 0.0, "z0^4": 0.85 ** 4 * 2}.get(word, 0.0)
+    if "--chebyshev" in flags:
+        free = 1.0 if word == "1" else 0.0
+    assert out["exact"] == pytest.approx(free, rel=1e-11)
+
+
 def test_simulate_one_sample_has_no_standard_error(capsys):
     assert run(["simulate", "--word", "z0 z1 z0 z1", "--dim", "20",
                 "--samples", "1", "--seed", "3"]) == 0
     out = _json_out(capsys)
     assert out["se"] is None and out["z_score"] is None
+    assert out["z_score_finite_n"] is None
     assert math.isfinite(out["mean"])
 
 
@@ -692,7 +718,7 @@ def test_simulate_chebyshev_mode(capsys):
 
 
 def test_simulate_unallocatable_dimension_exits_two(capsys):
-    # two generators, so the first allocation is the dense pool
+    # two generators, so the first allocation is the dense letter's buffer
     assert run(["simulate", "--word", "z0 z1", "--dim", "100000000",
                 "--samples", "1"]) == 2
     assert json.loads(capsys.readouterr().err)["kind"] == "validation"

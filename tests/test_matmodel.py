@@ -10,8 +10,9 @@ from chebyshev_oracle import eval_u
 from freenoise.errors import FreenoiseError, ValidationError
 from freenoise.matmodel import (
     EnsembleConfig,
+    _core_plan,
     _half_products,
-    _pool_rows,
+    _row_blocks,
     _split,
     _stream,
     _trace_table,
@@ -207,54 +208,106 @@ def test_estimates_match_direct_products():
             vals.std(ddof=1) / np.sqrt(cfg.n_samples), abs=1e-12)
 
 
-def _core_pool(cfg, words):
-    # the pool of the words' half-word cores, filled from sample 0
-    diag = cfg.n_generators - 1
-    cores = {_split(h, diag)[1] for w in words
-             for h in (w[:(len(w) + 1) // 2], w[(len(w) + 1) // 2:][::-1])}
-    index = _pool_rows(cores, cfg.n_generators)
-    labels = list(index)
-    pool = np.full((len(labels) + 1, cfg.dim, cfg.dim), np.nan, np.complex128)
-    mats = sample_generators(cfg, 0, pool)
-    prods = _half_products(mats, index, pool, pool[-1])
-    return labels, pool, mats, prods
+def _direct_traces(cfg, words):
+    # samples x words: plain matmuls along the tree of prefixes, each
+    # word's trace read from its prefix's product and its last letter
+    longest = max(map(len, words))
+    table = []
+    for s in range(cfg.n_samples):
+        mats = _dense(sample_generators(cfg, s))
+        traces = {}
+
+        def walk(prefix, prod):
+            for i, m in enumerate(mats):
+                word = prefix + (i,)
+                traces[word] = np.sum(prod * m.T).real / cfg.dim
+                if len(word) < longest:
+                    walk(word, prod @ m)
+
+        walk((), np.eye(cfg.dim))
+        table.append([traces.get(w, 1.0) for w in words])
+    return np.asarray(table)
 
 
-def test_binary_words_pool_four_cores_and_make_three_products():
+@pytest.mark.parametrize("dim", [65, 150])
+@pytest.mark.parametrize("n_letters,max_len", [(3, 5), (2, 6)])
+def test_estimates_match_direct_products_across_row_blocks(dim, n_letters, max_len):
+    # as above, at dims of two and three 64-row blocks: cores formed on
+    # and right of the diagonal block, and pairs summed as
+    # M_diag + M_off + M_off^T, must cross block edges exactly
+    cfg = EnsembleConfig(dim=dim, n_generators=n_letters, n_samples=3,
+                         seed=29, radius=1.7)
+    words = _words_up_to(n_letters, max_len)
+    got = estimate_trace_many(cfg, words)
+    mean, se = _mean_se(_direct_traces(cfg, words))
+    assert [e.mean for e in got] == pytest.approx(mean, rel=0.0, abs=1e-12)
+    assert [e.se for e in got] == pytest.approx(se, rel=0.0, abs=1e-12)
+
+
+def _pairs(words, diag):
+    # the core pairs the words' halves make, smaller core first, and
+    # whether both cores of each are palindromes
+    pairs = {}
+    for w in words:
+        mid = (len(w) + 1) // 2
+        c, c2 = (_split(h, diag)[1] for h in (w[:mid], w[mid:][::-1]))
+        pairs[min(c, c2), max(c, c2)] = None
+    return list(pairs), [c == c[::-1] and c2 == c2[::-1] for c, c2 in pairs]
+
+
+def _check_row_blocks(cfg, plan):
+    # every core's row blocks, as _half_products forms them from sample
+    # 0, against the core's direct product: from the diagonal block on
+    # where the plan marks the core (its columns left of that are
+    # stale), whole rows elsewhere
+    gens = sample_generators(cfg, 0)
+    dense = _dense(gens)
+    slices = np.full((len(plan) + 1, 64, cfg.dim), np.nan, np.complex128)
+    for rows in _row_blocks(cfg.dim):
+        blocks = _half_products(gens, rows, plan, slices)
+        # the letters, then one matmul per planned core
+        assert list(blocks) == [(i,) for i in range(len(gens))] + list(plan)
+        for core, upper in plan.items():
+            direct = reduce(np.matmul, [dense[i] for i in core])
+            start = rows.start if upper else 0
+            assert np.allclose(blocks[core][:, start:], direct[rows, start:],
+                               rtol=0.0, atol=1e-13)
+
+
+def test_binary_words_form_three_cores_two_right_of_the_diagonal():
     # each half of the 127 binary words up to length 6 is D^a c D^b with
     # D the diagonal letter 1 and a core c among 0, 00, 000 and 010; all
-    # four are palindromes, so 00, 000 and 010 are the matrix products
-    cfg = EnsembleConfig(dim=16, n_generators=2, n_samples=1, seed=4)
-    labels, pool, mats, prods = _core_pool(cfg, _words_up_to(2, 6))
-    assert labels == [(0,), (0, 0), (0, 0, 0), (0, 1, 0)]
-    assert sorted(prods) == [(0,), (0, 0), (0, 0, 0), (0, 1, 0), (1,)]
-    dense = _dense(mats)
-    for label, row in zip(labels, pool):
-        direct = reduce(np.matmul, [dense[i] for i in label], np.eye(cfg.dim))
-        assert np.allclose(row, direct, rtol=0.0, atol=1e-13)
+    # are palindromes, so 000 and 010 are formed on and right of the
+    # diagonal block only, while 00 is 000's prefix and formed whole
+    cfg = EnsembleConfig(dim=150, n_generators=2, n_samples=1, seed=4)
+    plan = _core_plan(*_pairs(_words_up_to(2, 6), 1), 1)
+    assert plan == {(0, 0): False, (0, 0, 0): True, (0, 1, 0): True}
+    _check_row_blocks(cfg, plan)
 
 
-def test_weighted_gram_entries_match_direct_products():
-    # per word, the Gram entry it reads (its one-sample trace times dim)
-    # against Re <P_r, P_l> of its directly multiplied halves; runs of
-    # the diagonal letter 2 lead, trail and sit inside halves, and some
-    # cores are reverses of others
-    cfg = EnsembleConfig(dim=24, n_generators=3, n_samples=1, seed=8,
+def test_core_blocks_and_gram_entries_match_direct_products():
+    # runs of the diagonal letter 2 lead, trail and sit inside halves,
+    # some cores are reverses of others, and palindromes meet
+    # non-palindromes; per word, the Gram entry it reads (its one-sample
+    # trace times dim) against Re <P_r, P_l> of its direct halves
+    cfg = EnsembleConfig(dim=70, n_generators=3, n_samples=1, seed=8,
                          radius=1.7)
     words = _words_up_to(3, 4)
     words += [(0, 2, 1, 0, 2, 1), (0, 1, 2, 1, 0, 1, 2, 1),
               (2, 2, 0, 1, 0, 1, 2), (0, 2, 2, 1, 1, 2, 0, 2),
               (1, 0, 2, 2, 2, 0, 1, 2), (2, 0, 2, 1, 2, 2),
-              (2, 2, 2, 0, 2, 2, 2, 1), (2, 2, 2, 0, 0, 2, 2, 2), (2,) * 12]
-    labels, _, mats, prods = _core_pool(cfg, words)
-    # (1, 2, 0) and (1, 2, 1, 0) are conjugate transposes of products, so
-    # the prefix core (1, 2, 1) of the latter is no row
-    assert {(0, 2, 1), (1, 2, 0), (0, 1, 2, 1), (1, 2, 1, 0), (0, 2, 2, 1)} <= set(labels)
-    assert (1, 2, 1) not in labels
-    assert {(0, 2, 1), (0, 1, 2, 1)} <= set(prods)
-    assert not {(1, 2, 0), (1, 2, 1, 0)} & set(prods)
+              (2, 2, 2, 0, 2, 2, 2, 1), (2, 2, 2, 0, 0, 2, 2, 2), (2,) * 12,
+              (0, 1, 0, 0, 1, 0), (0, 2, 0, 0, 2, 1)]
+    plan = _core_plan(*_pairs(words, 2), 2)
+    # a core's reverse is formed on its own, and a prefix core such as
+    # (1, 2, 1) is formed although no half has it
+    assert {(0, 2, 1), (1, 2, 0), (0, 1, 2, 1), (1, 2, 1, 0), (1, 2, 1)} <= set(plan)
+    # (0, 1, 0) meets only itself, and the palindrome (0, 2, 0) meets
+    # (1, 2, 0), so it is formed whole
+    assert [c for c, upper in plan.items() if upper] == [(0, 1, 0)]
+    _check_row_blocks(cfg, plan)
     entries = _trace_table(cfg, words)[0] * cfg.dim
-    dense = _dense(mats)
+    dense = _dense(sample_generators(cfg, 0))
     for entry, letters in zip(entries, words):
         mid = (len(letters) + 1) // 2
         left, right = (reduce(np.matmul, [dense[i] for i in half], np.eye(cfg.dim))
@@ -262,14 +315,17 @@ def test_weighted_gram_entries_match_direct_products():
         assert entry == pytest.approx(np.vdot(right, left).real, rel=0.0, abs=1e-12)
 
 
-def test_trace_memory_is_the_core_pool(monkeypatch):
-    # the 127 binary words hold their 4 cores, and beside them either the
-    # sampler's temporaries (at most 1.25 float matrices, as the sampler
-    # test bounds them) or the 64-row scratch of the products, not both;
-    # the arrays of dim x exponents entries take under 1/32 of a matrix
+def test_trace_memory_is_the_letters_and_row_slices(monkeypatch):
+    # the 127 binary words hold their dense letter, the sampler's float
+    # buffer (at most 1.25 float matrices, as the sampler test bounds
+    # it), one 64-row slice for each of the 3 formed cores and one of
+    # scratch; the arrays of dim x exponents entries take under 1/32 of
+    # a matrix
     monkeypatch.setenv("FREENOISE_THREADS", "1")
     words = _words_up_to(2, 6)
     cfg = EnsembleConfig(dim=256, n_generators=2, n_samples=2, seed=3)
+    matrix = cfg.dim ** 2 * 16
+    bound = matrix + 1.25 * cfg.dim ** 2 * 8 + (3 + 1) * 64 * cfg.dim * 16 + matrix / 32
     # a first call imports scipy's LAPACK wrappers outside the trace
     estimate_trace_many(EnsembleConfig(dim=4, n_generators=2, n_samples=2), words)
     tracemalloc.start()
@@ -278,8 +334,7 @@ def test_trace_memory_is_the_core_pool(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    matrix = cfg.dim ** 2 * 16
-    assert peak <= 4 * matrix + max(1.25 * cfg.dim ** 2 * 8, 64 * cfg.dim * 16) + matrix / 32
+    assert peak <= bound
 
 
 def _reference_gue(cfg, sample, gen_index):
@@ -330,13 +385,15 @@ def test_thread_count_never_changes_results(monkeypatch):
     cfg = EnsembleConfig(dim=30, n_generators=2, n_samples=7, seed=5)
     words = [(0, 0), (0, 1, 0, 1)]
     word = normalize([0, 1, 0])
-    monkeypatch.setenv("FREENOISE_THREADS", "1")
-    base = estimate_trace_many(cfg, words)
-    base_u = estimate_trace_uword(cfg, word)
-    for threads in ("2", "3"):
+    # the 127 binary words over two row blocks
+    binary = EnsembleConfig(dim=70, n_generators=2, n_samples=7, seed=5)
+    table = {}
+    for threads in ("1", "2", "3"):
         monkeypatch.setenv("FREENOISE_THREADS", threads)
-        assert estimate_trace_many(cfg, words) == base
-        assert estimate_trace_uword(cfg, word) == base_u
+        table[threads] = (estimate_trace_many(cfg, words),
+                          estimate_trace_uword(cfg, word),
+                          _trace_table(binary, _words_up_to(2, 6)).tobytes())
+    assert table["1"] == table["2"] == table["3"]
 
 
 def test_moments_approach_free_limit():
