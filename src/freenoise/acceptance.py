@@ -318,8 +318,7 @@ def criterion_11():
         exact = float(trace.trace_pairings(letters))
         excesses.append(abs(est.mean - exact) - max(3.0 * est.se, 0.02))
         # reported only: |z| against the exact finite-N trace sum_g c_g N^(-2g)
-        finite_n = sum(c * cfg.dim ** (-2.0 * g)
-                       for g, c in enumerate(trace.trace_genus(letters)))
+        finite_n = float(trace.trace_finite_n(letters, cfg.dim))
         zs.append(abs(est.mean - finite_n) / est.se if est.se else 0.0)
     # a non-finite estimate gives a non-finite excess, outside the bound;
     # np.max keeps a nan that the builtin max would drop

@@ -342,16 +342,6 @@ def _exact_float(value: Fraction, radius: float) -> float:
                              f"is beyond the float range: {exc}") from exc
 
 
-def _finite_n_trace(terms: dict[tuple[int, ...], int], dim: int,
-                    radius: float) -> Fraction:
-    """E tr_N of a combination of monomials in independent GUE matrices:
-    sum_g c_g N^(-2g) per monomial (trace.trace_genus), times
-    (radius/2)^length."""
-    return sum((coeff * (Fraction(radius) / 2) ** len(mono)
-                * sum(Fraction(c, dim ** (2 * g)) for g, c in enumerate(trace.trace_genus(mono)))
-                for mono, coeff in terms.items()), Fraction(0))
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     word = words.parse_word(args.word)
     letters = word.letters()
@@ -363,7 +353,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         est = matmodel.estimate_trace_uword(cfg, word)
         exact = 1.0 if not word else 0.0
         # the U-word is estimated on the radius-2 ensemble
-        terms, radius = matmodel._monomials(word), 2.0
+        terms, radius = matmodel.uword_monomials(word), 2.0
     else:
         est = matmodel.estimate_trace(cfg, letters)
         exact = _exact_float(trace.trace_pairings(letters, radius=args.radius), args.radius)
@@ -373,7 +363,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not (math.isfinite(est.mean) and math.isfinite(est.se)):
         raise FreenoiseError(f"the estimate is not finite: mean {est.mean}, "
                              f"standard error {est.se}")
-    finite_n = _exact_float(_finite_n_trace(terms, cfg.dim, radius), radius)
+    finite_n = _exact_float(sum((coeff * trace.trace_finite_n(mono, cfg.dim, radius)
+                                 for mono, coeff in terms.items()), Fraction(0)), radius)
 
     def z_score(target: float) -> float | None:
         return None if se is None else ((est.mean - target) / se if se > 0 else 0.0)

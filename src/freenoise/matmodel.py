@@ -74,6 +74,7 @@ __all__ = [
     "estimate_trace",
     "estimate_trace_many",
     "estimate_trace_uword",
+    "uword_monomials",
 ]
 
 # longest word a trace estimate accepts
@@ -360,7 +361,7 @@ def estimate_trace(cfg: EnsembleConfig, letters: Sequence[int]) -> TraceEstimate
     return estimate_trace_many(cfg, [letters])[0]
 
 
-def _monomials(word: Word) -> dict[tuple[int, ...], int]:
+def uword_monomials(word: Word) -> dict[tuple[int, ...], int]:
     """Integer monomial coefficients of the U-word at radius 2, run by run."""
     terms = {(): 1}
     for letter, exp in word.runs:
@@ -382,7 +383,7 @@ def estimate_trace_uword(cfg: EnsembleConfig, word: Word) -> TraceEstimate:
     on the radius-2 ensemble, whatever cfg.radius is.
     """
     _check_word(cfg, word.letters())
-    terms = _monomials(word)
+    terms = uword_monomials(word)
     coeffs = np.array(list(terms.values()), float)
     traces = _trace_table(replace(cfg, radius=2.0), list(terms)) @ coeffs
     return _estimates(traces[:, None])[0]

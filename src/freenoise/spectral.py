@@ -23,9 +23,10 @@ The panels span the density's cutoff window, where sqrt(m) jumps, up to
 hermite.ZERO_PAST, from which on every Hermite row is +0.0 (a pass whose
 integrand matters past hermite.EXACT_TO is refused), and depend on t
 only through B(t) = max(1, 2^ceil(log2 |t|)) >= |t|:
-the times of one bucket share their nodes and Hermite rows, which are
-kept for the latest layout when they fit in 4 MiB (n_max up to ~145 at
-B = 1); rows that do not fit are built and contracted 64 at a time.
+the times of one bucket share their nodes.  One record, keyed by the
+density, n_max and the layout, keeps the root of the density and, when
+they fit in 4 MiB (n_max up to ~145 at B = 1), the Hermite rows; rows
+that do not fit are built and contracted 64 at a time.
 A pass's size is known before it is built, and one above 256 MiB is
 rejected.
 """
@@ -44,7 +45,7 @@ import numpy as np
 from .errors import DivergenceError, QuadratureError, ValidationError
 from .hermite import (EXACT_TO, ZERO_PAST, check_index_bound, hermite_fn_blocks,
                       hermite_fn_matrix)
-from .quadrature import gl_integrate, layout_nodes, quad_cos_range, quad_scalar
+from .quadrature import gl_integrate, layout_nodes, panel_nodes, quad_cos_range, quad_scalar
 from .words import WeightSequence
 
 __all__ = [
@@ -305,43 +306,26 @@ def _osc_scale(n_max: int, t: float) -> float:
     return 2.0 * math.sqrt(max(n_max, 1)) + bucket + 1.0
 
 
-# Read-only Hermite rows of the latest layout, by n_max and the layout
-# (osc_scale, start, stop), when they fit in _KEEP_BYTES, and beside them
-# the root of the density on the latest layout, by density and layout.
-# Rows that do not fit are built _BLOCK_ROWS at a time: a fixed count, so
-# that the bits of a pass do not depend on its node count
+# Rows above _KEEP_BYTES are not kept but built _BLOCK_ROWS at a time: a
+# fixed count, so that the bits of a pass do not depend on its node count
 _KEEP_BYTES = 4 << 20
 _BLOCK_ROWS = 64
-_kept_rows: dict = {}
-_kept_root: dict = {}
 
 
-def _hermite_rows(n_max: int, layout: tuple, nodes: np.ndarray):
-    """hermite_fn_matrix(n_max, nodes) on the nodes of the layout, in
-    blocks of rows: kept rows as one block, others _BLOCK_ROWS at a time
-    in one reused buffer."""
-    key = (n_max, *layout)
-    rows = _kept_rows.get(key)
-    if rows is None:
-        _kept_rows.clear()
-        if n_max * nodes.size * 8 > _KEEP_BYTES:
-            return hermite_fn_blocks(n_max, nodes, _BLOCK_ROWS)
-        rows, = hermite_fn_blocks(n_max, nodes, n_max)
-        rows.setflags(write=False)
-        _kept_rows[key] = rows
-    return (rows,)
-
-
-def _layout_root(dens: SpectralDensity, layout: tuple, nodes: np.ndarray) -> np.ndarray:
-    """dens.root(nodes) on the nodes of the layout."""
-    key = (dens, *layout)
-    root = _kept_root.get(key)
-    if root is None:
-        _kept_root.clear()
-        root = dens.root(nodes)
-        root.setflags(write=False)
-        _kept_root[key] = root
-    return root
+@lru_cache(maxsize=1)
+def _layout_arrays(dens: SpectralDensity, n_max: int, layout: tuple):
+    """The multiplier pass's one record, of its latest key: dens.root and
+    hermite_fn_matrix(n_max) on the nodes of the layout (osc_scale, start,
+    stop), read-only; the rows are None when they are above _KEEP_BYTES."""
+    osc, start, stop = layout
+    nodes = panel_nodes(osc, stop, start)[0]
+    root = dens.root(nodes)
+    root.setflags(write=False)
+    if n_max * nodes.size * 8 > _KEEP_BYTES:
+        return root, None
+    rows, = hermite_fn_blocks(n_max, nodes, n_max)
+    rows.setflags(write=False)
+    return root, rows
 
 
 # Largest multiplier pass: its nodes times 8 bytes for each of the n_max
@@ -413,6 +397,7 @@ def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarr
     _require_resolved_edge(dens, n_max)
 
     def integrand(nodes):
+        root, rows = _layout_arrays(dens, n_max, layout)
         # the factors in place, each with the operations of its formula
         tn = t * nodes
         factors = np.empty((4, nodes.size))
@@ -423,8 +408,9 @@ def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarr
         np.multiply(2.0, half, out=factors[3])
         factors[3] *= half
         factors[3] /= nodes
-        factors *= _layout_root(dens, layout, nodes)
-        return _hermite_rows(n_max, layout, nodes), factors
+        factors *= root
+        blocks = hermite_fn_blocks(n_max, nodes, _BLOCK_ROWS) if rows is None else (rows,)
+        return blocks, factors
 
     ints = _HALF_LINE_PREF * gl_integrate(integrand, osc, stop, start)
     signed = np.concatenate([ints, -ints])

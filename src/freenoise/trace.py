@@ -28,7 +28,8 @@ Engines:
 * ``trace_genus(letters)`` counts the letter-matched pair partitions of
   every genus, which gives the exact trace of GUE matrices at each
   finite size; its genus-0 count is the free trace.  It is not part of
-  ``trace_monomial_all``, whose engines answer the free trace alone.
+  ``trace_monomial_all``, whose engines answer the free trace alone;
+  ``trace_finite_n(letters, dim)`` sums its counts at one size.
 
 The Fock and U-word routes reuse affixes: a word starts from the
 vector of its longest proper suffix of at most 16 letters applied to
@@ -55,6 +56,7 @@ __all__ = [
     "trace_reduction",
     "trace_pairings",
     "trace_genus",
+    "trace_finite_n",
     "u_mult",
     "monomial_to_uwords",
     "trace_monomial_reduction",
@@ -243,6 +245,13 @@ def trace_genus(letters: Sequence[int]) -> tuple[int, ...]:
 
     pair(0)
     return tuple(counts)
+
+
+def trace_finite_n(letters: Sequence[int], dim: int, radius: Fraction | float = 2) -> Fraction:
+    """E tr_N(X_{i_1} ... X_{i_n}) of GUE matrices of size N = dim, exactly:
+    sum_g c_g N^(-2g) over the counts of trace_genus, times (radius/2)^n."""
+    return (Fraction(radius) / 2) ** len(letters) \
+        * sum(Fraction(c, dim ** (2 * g)) for g, c in enumerate(trace_genus(letters)))
 
 
 # 4,096 entries hold the 2,557 products that expanding every monomial of

@@ -50,7 +50,10 @@ def zeta(s: float) -> float:
     total += 0.5 * n ** float(-s) + n ** float(1 - s) / (s - 1)
     rising = s  # s (s+1) ... (s + 2j - 2)
     for j, b in enumerate(_BERNOULLI, start=1):
-        total += b / math.factorial(2 * j) * rising * n ** float(1 - s - 2 * j)
+        power = n ** float(1 - s - 2 * j)
+        if not power:  # every term from here on is 0, and rising may overflow
+            break
+        total += b / math.factorial(2 * j) * rising * power
         rising *= (s + 2 * j - 1) * (s + 2 * j)
     return total
 
@@ -92,7 +95,12 @@ class WeightSequence:
             return 2.0 ** (-d) * zeta(d)
         if d <= 0:
             return math.inf
-        return 1.0 / (2.0 ** d - 1.0)
+        try:
+            gap = 2.0 ** d - 1.0
+        except OverflowError:  # where 1 / (2^d - 1) rounds as 2^-d
+            return 2.0 ** -d
+        # 2^d rounds to 1 below d ~ 1.6e-16, where the sum is past the float range
+        return 1.0 / gap if gap else math.inf
 
 
 class Word(tuple):

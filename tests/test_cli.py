@@ -264,6 +264,25 @@ def test_vage_small_gap_exits_two(capsys):
     assert run(["vage", "--seq", "2n", "--d", "1", "--trials", "0"]) == 2
 
 
+@pytest.mark.parametrize("seq, d", [("2n", "5e28"), ("2^n", "1024")])
+def test_vage_gap_past_the_float_range_has_b_one(seq, d, capsys):
+    # the inverse power sum underflows to 0 (2n, where zeta's Bernoulli
+    # factor overflows) or below 2^-1023 (2^n, where 2^d overflows)
+    assert run(["vage", "--seq", seq, "--d", d, "--trials", "0"]) == 0
+    out = _json_out(capsys)
+    assert out["b"] == out["b_squared"] == 1.0
+
+
+def test_vage_gap_where_two_to_the_d_rounds_to_one_exits_two(capsys):
+    # 1 / (2^d - 1) is past the float range at d = 1e-320
+    assert run(["vage", "--seq", "2^n", "--d", "1e-320", "--trials", "0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {
+        "error": "inverse power sum at gap 1e-320 is inf, need strictly below 1",
+        "kind": "validation"}
+
+
 def test_rfun_lebesgue(capsys):
     assert run(["rfun", "--density", "lebesgue", "--t", "0.5,1.0,2.0"]) == 0
     out = _json_out(capsys)

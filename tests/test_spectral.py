@@ -232,7 +232,7 @@ def _count_hermite_calls(monkeypatch):
     real = spectral.hermite_fn_blocks
     monkeypatch.setattr(spectral, "hermite_fn_blocks",
                         lambda n, u, block: calls.append(len(u)) or real(n, u, block))
-    monkeypatch.setattr(spectral, "_kept_rows", {})
+    spectral._layout_arrays.cache_clear()
     spectral._require_resolved_edge.cache_clear()
     return calls
 
@@ -245,10 +245,12 @@ def test_times_of_one_bucket_share_their_hermite_rows(monkeypatch):
     calls = _count_hermite_calls(monkeypatch)
     shared = [_tm_and_alpha.__wrapped__(leb, t, 64) for t in times]
     assert len(calls) == 2
+    info = spectral._layout_arrays.cache_info()
+    assert (info.hits, info.misses) == (62, 2)
     # rows rebuilt on every pass give the same bits
     fresh = []
     for t in times:
-        spectral._kept_rows.clear()
+        spectral._layout_arrays.cache_clear()
         fresh.append(_tm_and_alpha.__wrapped__(leb, t, 64))
     assert len(calls) == 2 + 64
     for (tm, al), (tm0, al0) in zip(shared, fresh):
@@ -270,22 +272,49 @@ def test_row_blocks_agree_with_the_whole_row_matrix(dens, monkeypatch):
             assert np.max(np.abs(have - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _kept(dens, t, n_max):
+    """The record a pass at (dens, t, n_max) keeps, read as a cache hit;
+    keyed by the density, n_max and the layout: oscillation scale, start
+    and stop."""
+    layout = (_osc_scale(n_max, t), dens.cutoff_low, min(ZERO_PAST, dens.cutoff_high))
+    hits = spectral._layout_arrays.cache_info().hits
+    record = spectral._layout_arrays(dens, n_max, layout)
+    assert spectral._layout_arrays.cache_info().hits == hits + 1
+    return record
+
+
 def test_only_the_latest_layout_is_kept_and_only_under_4_mib(monkeypatch):
     leb = SpectralDensity.lebesgue()
     _count_hermite_calls(monkeypatch)
     _tm_and_alpha.__wrapped__(leb, 0.5, 64)
-    first = weakref.ref(next(iter(spectral._kept_rows.values())))
+    first = weakref.ref(_kept(leb, 0.5, 64)[1])
     _tm_and_alpha.__wrapped__(leb, 1.5, 64)
     gc.collect()
     assert first() is None
-    kept = spectral._kept_rows
-    # keyed by n_max and the layout: oscillation scale, start and stop
-    assert list(kept) == [(64, _osc_scale(64, 1.5), 0.0, ZERO_PAST)]
-    assert sum(r.nbytes for r in kept.values()) <= spectral._KEEP_BYTES == 4 << 20
-    assert not any(r.flags.writeable for r in kept.values())
-    # at n_max 400 the rows alone are about 17 MB: nothing is kept
+    assert spectral._layout_arrays.cache_info().currsize == 1
+    root, rows = _kept(leb, 1.5, 64)
+    assert rows.shape == (64, root.size)
+    assert rows.nbytes <= spectral._KEEP_BYTES == 4 << 20
+    assert not (root.flags.writeable or rows.flags.writeable)
+    # at n_max 400 the rows alone are about 17 MB: only the root is kept
     _tm_and_alpha.__wrapped__(leb, 0.5, 400)
-    assert spectral._kept_rows == {}
+    root, rows = _kept(leb, 0.5, 400)
+    assert rows is None and not root.flags.writeable
+
+
+def test_the_kept_record_is_keyed_by_the_density():
+    # lebesgue and fbm(0.3) passes alternate on one layout, so each pass
+    # misses the record of the other; every pass has the bits of a pass
+    # from an empty cache
+    leb, rough = SpectralDensity.lebesgue(), SpectralDensity.fbm(0.3)
+    passes = [(dens, t) for t in (0.3, 0.5, 0.7, 0.9) for dens in (leb, rough)]
+    spectral._layout_arrays.cache_clear()
+    warm = [_tm_and_alpha.__wrapped__(dens, t, 64) for dens, t in passes]
+    assert spectral._layout_arrays.cache_info().misses == len(passes)
+    for (dens, t), (tm, al) in zip(passes, warm):
+        spectral._layout_arrays.cache_clear()
+        tm0, al0 = _tm_and_alpha.__wrapped__(dens, t, 64)
+        assert (tm.tobytes(), al.tobytes()) == (tm0.tobytes(), al0.tobytes())
 
 
 def _folded_reference(rate, t, n_max, stop=60.0):
@@ -482,10 +511,10 @@ def test_largest_tier_one_layout_is_within_the_budget():
 
 
 def _traced_pass_peak(dens, t, n_max):
-    """Peak traced bytes of one pass from empty row and layout caches,
+    """Peak traced bytes of one pass from an empty record and node cache,
     after the edge check of (dens, n_max) has run, and its node count."""
     _tm_and_alpha.__wrapped__(dens, 0.25, n_max)
-    spectral._kept_rows.clear()
+    spectral._layout_arrays.cache_clear()
     panel_nodes.cache_clear()
     tracemalloc.start()
     try:
@@ -497,7 +526,7 @@ def _traced_pass_peak(dens, t, n_max):
 
 
 @pytest.mark.parametrize("n_max, bucket", [(4, 2.0 ** 14), (512, 2.0 ** 9)])
-def test_largest_accepted_pass_peaks_within_the_budget(n_max, bucket, monkeypatch):
+def test_largest_accepted_pass_peaks_within_the_budget(n_max, bucket):
     # the largest bucket a pass accepts at n_max: every array it holds
     # counts toward the 256 MiB.  The 4 rows of n_max 4 are one block,
     # held whole; at n_max 512 a pass holds one block of 64 rows, two
@@ -505,7 +534,6 @@ def test_largest_accepted_pass_peaks_within_the_budget(n_max, bucket, monkeypatc
     leb = SpectralDensity.lebesgue()
     with pytest.raises(ValidationError, match="above the bound of 256 MiB"):
         _tm_and_alpha.__wrapped__(leb, 2.0 * bucket, n_max)
-    monkeypatch.setattr(spectral, "_kept_rows", {})
     peak, nodes = _traced_pass_peak(leb, bucket, n_max)
     if n_max <= spectral._BLOCK_ROWS:
         assert 128 << 20 < peak <= 256 << 20
@@ -513,11 +541,10 @@ def test_largest_accepted_pass_peaks_within_the_budget(n_max, bucket, monkeypatc
         assert peak <= (spectral._BLOCK_ROWS + 2 + spectral._PASS_ARRAYS) * nodes * 8
 
 
-def test_pass_above_the_kept_rows_holds_one_block(monkeypatch):
+def test_pass_above_the_kept_rows_holds_one_block():
     # lebesgue at t = 0.5 and n_max 400: 5,200 nodes, so the whole row
     # matrix is 16.6 MB; a pass holds one 64-row block, two carry rows
     # and the node-length arrays, 3.3 MB
-    monkeypatch.setattr(spectral, "_kept_rows", {})
     peak, nodes = _traced_pass_peak(SpectralDensity.lebesgue(), 0.5, 400)
     assert nodes == 5200
     assert peak <= (spectral._BLOCK_ROWS + 2 + spectral._PASS_ARRAYS) * nodes * 8

@@ -15,6 +15,7 @@ from freenoise.trace import (
     _noncrossing_matched,
     monomial_to_uwords,
     trace_fock,
+    trace_finite_n,
     trace_genus,
     trace_monomial_all,
     trace_pairings,
@@ -323,6 +324,15 @@ def test_genus_counts_of_small_words():
     assert trace_genus([0] * 6) == (5, 10)
     assert trace_genus([0, 1, 0]) == (0,)
     assert trace_genus([0, 1]) == (0,)
+
+
+def test_finite_n_trace_sums_the_genus_counts_exactly():
+    # E tr_N A^4 = 2 + N^-2, E tr_N ABAB = N^-2, times (radius/2)^4
+    assert trace_finite_n([0, 0, 0, 0], 20) == 2 + Fraction(1, 400)
+    assert trace_finite_n([0, 1, 0, 1], 20) == Fraction(1, 400)
+    assert trace_finite_n([0, 0, 0, 0], 20, 1.7) == Fraction(1.7 / 2) ** 4 * (2 + Fraction(1, 400))
+    assert trace_finite_n([], 7, 3.0) == 1
+    assert trace_finite_n([0, 1, 0], 5) == 0
 
 
 def test_one_letter_genus_counts_follow_harer_zagier():
