@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -513,9 +514,14 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    except BrokenPipeError:  # a closed stdout; the flush at exit goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ValidationError as exc:
         print(json.dumps({"error": str(exc), "kind": "validation"}),
               file=sys.stderr)

@@ -1,29 +1,22 @@
-"""Half-line quadrature for spectral integrands.
+"""Half-line quadrature for spectral integrands: composite GL-16 rules.
 
-Two engines share the work:
-
-* a composite Gauss-Legendre rule on graded panels, built for smooth
-  oscillatory integrands with a possible power singularity at the
-  origin, for integrands that factor into rows times scalar factors:
-  every row-factor product is integrated by matrix products of the
-  weighted factors against blocks of the rows, so the products
-  themselves are never formed; and
-* thin wrappers around scipy's adaptive QUADPACK routines for scalar
-  integrals, used where an independent error estimate matters.  They
-  import scipy on first use, so importing the package does not load it,
-  and they judge each value and error estimate themselves, so QUADPACK's
-  own warnings are silenced.
-
-The panel layout grades geometrically toward zero (integrable
-singularities u^{-b}, b < 1), caps panel width by the oscillation
-scale of the integrand and runs from a start to a stop the caller
-picks: past the support of its rows, and at the jumps of its factors.
+The multiplier pass contracts rows against scalar factors (gl_integrate)
+by matrix products of the weighted factors against blocks of the rows,
+so the products are never formed.  Its panels grade geometrically toward
+zero (integrable singularities u^{-b}, b < 1), are capped in width by
+the oscillation scale of the integrand and run from a start to a stop
+the caller picks: past the support of its rows, and at the jumps of its
+factors.  Scalar integrals of vectorised integrands (quad_scalar, and
+quad_cos_range on rotated contours) carry the difference from the same
+panels halved as their error estimate, under one gate; the semicircle
+moments come from the Gauss rule of their weight.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-import warnings
+import sys
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
@@ -35,6 +28,7 @@ from .errors import QuadratureError
 __all__ = [
     "panel_nodes",
     "layout_nodes",
+    "bucket",
     "gl_integrate",
     "quad_scalar",
     "quad_cos_range",
@@ -130,63 +124,122 @@ def gl_integrate(f, osc_scale: float, stop: float, start: float = 0.0):
     return out
 
 
-def _quad(what: str, f, a: float, b: float, **options) -> tuple[float, float]:
-    """scipy's quad, silenced; a value or error estimate that is not
-    finite raises QuadratureError."""
-    from scipy.integrate import IntegrationWarning, quad
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(f, a, b, **options)
-    if not (math.isfinite(val) and math.isfinite(err)):
-        raise QuadratureError(f"{what} value {val} or error {err} is not finite")
-    return val, err
+# Largest scalar rule: 12 arrays of its nodes
+_RULE_BYTES = 256 << 20
 
 
-def _gated(what: str, f, a: float, b: float, abs_tol: float, **options) -> float:
-    """_quad with abs_tol as both tolerances; an error estimate above
-    50 max(abs_tol, abs_tol |value|) raises QuadratureError."""
-    val, err = _quad(what, f, a, b, epsabs=abs_tol, epsrel=abs_tol, limit=400, **options)
-    if err > max(abs_tol, abs_tol * abs(val)) * 50:
+def bucket(x: float) -> float:
+    """2^ceil(log2 x), infinite above the float range; 1 for x = 0.  Nearby
+    scales share the layout of their bucket."""
+    frac, exp = math.frexp(x)
+    return math.ldexp(1.0, exp - (frac == 0.5)) if x <= 2.0 ** 1023 else math.inf
+
+
+@lru_cache(maxsize=16)
+def _rule(power: float, cycles: float, near: float):
+    """Rows of 48 nodes and weights on [0, 1], GL-16 on a panel and on its
+    halves, for x^power h(x), h analytic but maybe at -near, in x = z^k,
+    k = 1 / (1 + power) for power < 0, which leaves k h(z^k).  Panels run
+    4:1 in x down to 2^-k, so that z^k is smooth on each; 2:1 in z down
+    to 2^-60 if the exponent left in z (k, or power >= 0) is fractional;
+    double from -near; and are cut into pieces at most 1 / cycles long.
+    A rule above _RULE_BYTES raises QuadratureError before it is built."""
+    k = 1.0 / (1.0 + power) if power < 0 else 1.0
+    edges = [0.0] + [4.0 ** -j for j in range(int(k // 2) + 1)]
+    if not float(k if power < 0 else power).is_integer():
+        edges += [2.0 ** (-j * k) for j in range(1, min(60, int(1000.0 / k)) + 1)]
+    edges += [near * (2.0 ** j - 1.0) for j in range(1, int(-math.log2(near or 1.0)) + 1)]
+    edges = np.unique(edges)
+    counts = np.maximum(np.ceil(np.diff(edges) * cycles), 1.0)
+    need = 3 * _GL_ORDER * counts.sum() * 8 * 12
+    if not need <= _RULE_BYTES:
+        raise QuadratureError(f"a quadrature rule needs {need / 2 ** 20:.3g} MiB, "
+                              f"above the bound of {_RULE_BYTES >> 20} MiB")
+    z = np.concatenate([np.linspace(lo, hi, int(n), endpoint=False) for lo, hi, n
+                        in zip(edges[:-1], edges[1:], counts)] + [edges[-1:]]) ** (1.0 / k)
+    halves = np.sort(np.concatenate([z, 0.5 * (z[1:] + z[:-1])]))
+    rows = [a.reshape(z.size - 1, -1) for a in _composite_rule(z) + _composite_rule(halves)]
+    nodes, weights = np.hstack(rows[0::2]), np.hstack(rows[1::2])
+    if k != 1.0:  # below z = 2^(-1000 / k) the integrand in z, k h(z^k), is k h(0)
+        nodes = np.maximum(nodes, 2.0 ** (-1000.0 / k))
+        weights *= k * nodes ** (k - 1.0)
+        nodes **= k
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _panels(f, a: float, length: float, power: float = 0.0, osc: float = 0.0,
+            near: float = 0.0):
+    """The integral of f over (a, a + length) by _rule in u = a + length x,
+    no panel across 6 radians at frequency osc: by GL-16 on the halves of
+    each panel, and the summed differences from the whole panels as its
+    error estimate.  QuadratureError if f is not finite."""
+    nodes, weights = _rule(float(power), bucket(max(1.0, osc * length / 6.0)),
+                           near and 1.0 / bucket(1.0 / near))
+    with np.errstate(all="ignore"):
+        parts = f(a + length * nodes) * weights * length
+    if not np.isfinite(parts).all():
+        raise QuadratureError("the integrand is not finite at a node")
+    halves = parts[:, _GL_ORDER:].sum(axis=1)
+    return halves, float(np.abs(parts[:, :_GL_ORDER].sum(axis=1) - halves).sum())
+
+
+def _accept(what: str, value: float, err: float, abs_tol: float, a: float, b: float):
+    """value, unless err is above 50 max(abs_tol, abs_tol |value|)."""
+    if err > max(abs_tol, abs_tol * abs(value)) * 50:
         raise QuadratureError(
-            f"{what} error {err:.2e} too large for integral {val:.6e} on [{a}, {b}]")
-    return val
+            f"{what} error {err:.2e} too large for integral {value:.6e} on [{a}, {b}]")
+    return value
 
 
-def quad_scalar(f, a: float, b: float, abs_tol: float = 1e-11) -> float:
-    """Integral of f over (a, b) by QUADPACK, abs_tol also the relative tolerance."""
-    return _gated("quad", f, a, b, abs_tol)
+def quad_scalar(f, a: float, b: float, abs_tol: float = 1e-11, *,
+                power: float = 0.0, osc: float = 0.0) -> float:
+    """Integral over (a, b), 0 <= a < b finite, of f, applied elementwise to
+    an array of nodes, that is (u - a)^power h(u), power > -1, with h
+    analytic on [a, b] but maybe at 0; by _panels, under _accept's gate."""
+    halves, err = _panels(f, a, b - a, power, abs(osc), a / (b - a))
+    return _accept("quad", float(halves.sum()), err, abs_tol, a, b)
 
 
 def quad_cos_range(f, omega: float, a: float, b: float,
                    abs_tol: float = 1e-11) -> float:
-    """Integral of f(u) cos(omega u) over (a, b), b possibly infinite.
-
-    Dispatches to the QUADPACK oscillatory rules, which take the cosine
-    as an analytic weight instead of sampling through the oscillation.
-    omega must be nonzero.  The gate is quad_scalar's.
-    """
-    return _gated("oscillatory quad", f, a, b, abs_tol, weight="cos", wvar=omega)
+    """Integral of f(u) cos(omega u) over (a, b), 0 < a < b <= inf, omega != 0,
+    for f applied elementwise, real on the real axis and analytic for Re u > 0,
+    Im u >= 0, where it grows at most like a power of |u|, and falls faster
+    than 1 / |u| if b is infinite.  At each finite end c (b with a minus sign)
+        int_c cos(omega u) f(u) du = Re[i e^{i omega c} int_0^inf e^{-omega y} f(c + iy) dy],
+    a Laplace integral that does not oscillate (Huybrechs & Vandewalle,
+    SIAM J. Numer. Anal. 44 (2006)), taken to e^{-omega y} < e^{-60} or to
+    y = c 2^1000, the rest of f's tail then extrapolated into the estimate."""
+    omega, value, err = abs(omega), 0.0, 0.0
+    if omega == 0.0:
+        raise QuadratureError("a cosine range needs a nonzero frequency")
+    for c, sign in ((a, 1.0), (b, -1.0)):
+        if c < math.inf:
+            stop = min(120.0 / bucket(omega), c * 2.0 ** 1000, sys.float_info.max)
+            halves, lap_err = _panels(lambda y: np.exp(-omega * y) * f(c + 1j * y), 0.0,
+                                      stop, osc=omega, near=c / stop)
+            last, before = abs(halves[-1]), abs(halves[-2])
+            if stop < 120.0 / bucket(omega) and last:
+                lap_err += last * last / (before - last) if before > last else math.inf
+            value += sign * (1j * cmath.exp(1j * omega * c) * halves.sum()).real
+            err += lap_err
+    return _accept("oscillatory quad", value, err, abs_tol, a, b)
 
 
 def quad_semicircle_moment(order: int, radius: float = 2.0) -> float:
-    """Moment of the semicircle law by an endpoint-weighted rule.
-
-    The density (2/(pi r^2)) sqrt(r^2 - x^2) carries square-root
-    endpoint factors; handing them to the algebraic weight leaves a
-    plain monomial the rule integrates to machine accuracy.
-    """
+    """Moment of the semicircle law by the n-point Gauss rule of its weight
+    (2/pi) sqrt(1 - y^2), exact to degree 2n - 1, n = order // 2 + 1: nodes
+    radius cos(k pi / (n + 1)), as sines odd in k to the bit, so that odd
+    moments are 0, and weights (2 / (n + 1)) sin^2(k pi / (n + 1))."""
     if order < 0:
         raise QuadratureError("moment order must be non-negative")
+    n = order // 2 + 1
+    angles = [(n + 1 - 2 * k) * math.pi / (2 * (n + 1)) for k in range(1, n + 1)]
     try:
-        pref = 2.0 / (math.pi * radius * radius)
-        if not math.isfinite(pref):
-            raise OverflowError(f"the prefactor is {pref}")
-        val, err = _quad("moment quad", lambda x: pref * x ** order, -radius, radius,
-                         weight="alg", wvar=(0.5, 0.5), epsabs=1e-13, epsrel=1e-11)
-    except (OverflowError, ZeroDivisionError) as exc:
+        return math.fsum(2.0 / (n + 1) * math.cos(x) ** 2 * (radius * math.sin(x)) ** order
+                         for x in angles)
+    except OverflowError as exc:
         raise QuadratureError(
             f"moment {order} at radius {radius:g} leaves the float range") from exc
-    if err > 1e-8 * max(1.0, abs(val)):
-        raise QuadratureError(f"moment quad error {err:.2e} too large")
-    return val

@@ -45,7 +45,7 @@ import numpy as np
 from .errors import DivergenceError, QuadratureError, ValidationError
 from .hermite import (EXACT_TO, ZERO_PAST, check_index_bound, hermite_fn_blocks,
                       hermite_fn_matrix)
-from .quadrature import gl_integrate, layout_nodes, panel_nodes, quad_cos_range, quad_scalar
+from .quadrature import bucket, gl_integrate, layout_nodes, panel_nodes, quad_cos_range, quad_scalar
 from .words import WeightSequence
 
 __all__ = [
@@ -197,24 +197,15 @@ class SpectralDensity:
                            out, 0.0)
         return out
 
-    def at(self, u: float) -> float:
-        """m(u) at one float, with math in place of numpy.
-
-        This is the evaluator for the QUADPACK callbacks, which call it
-        once per node.  It has the zeros, infinities and cutoff edges of
-        __call__; values agree except where libm pow rounds differently
-        from numpy's in the last bit.
-        """
-        u = abs(u)
-        if not self.cutoff_low <= u <= self.cutoff_high:
-            return 0.0
-        if u == 0.0 and self._power < 0:
-            return math.inf
-        try:
-            m = self.scale * u ** self._power * (1.0 + u * u) ** self._bracket
-            return m * math.exp(self.rate * u) if self.rate else m
-        except OverflowError:
-            return math.inf
+    def over_square(self, u):
+        """m(u) / u^2 by the law alone, scale u^(power - 2) (1 + u^2)^bracket
+        e^{rate u}, at u with Re u > 0, where it is analytic; 1 + u^2 enters
+        as (u - i)(u + i), which keeps the principal branch from overflow."""
+        u = np.asarray(u, dtype=complex)
+        log = (self._power - 2.0) * np.log(u) + self.rate * u
+        if self._bracket:
+            log += self._bracket * (np.log(u - 1j) + np.log(u + 1j))
+        return self.scale * np.exp(log)
 
 
 DensitySetting = namedtuple("DensitySetting", "key field default convert kinds help",
@@ -300,10 +291,7 @@ def build_density(**settings) -> SpectralDensity:
 def _osc_scale(n_max: int, t: float) -> float:
     """2 sqrt(n_max) + B(t) + 1, with B(t) = max(1, 2^ceil(log2 |t|)),
     infinite when 2^ceil(log2 |t|) is above the float range."""
-    frac, exp = math.frexp(abs(t))
-    exp = exp - 1 if frac == 0.5 else exp
-    bucket = max(1.0, math.ldexp(1.0, exp)) if exp < 1024 else math.inf
-    return 2.0 * math.sqrt(max(n_max, 1)) + bucket + 1.0
+    return 2.0 * math.sqrt(max(n_max, 1)) + max(1.0, bucket(abs(t))) + 1.0
 
 
 # Rows above _KEEP_BYTES are not kept but built _BLOCK_ROWS at a time: a
@@ -459,72 +447,37 @@ def _require_kernel_integrable(dens: SpectralDensity) -> None:
             f"covariance integral diverges at infinity for {dens.label()}")
 
 
-# Below this |t|, QUADPACK's Fourier rule on (1, hi) at frequency |t|
-# returns a wrong tail with a tiny error estimate (r(1e-6) read 1/pi for
-# the flat density, where it is 5e-7), so the tail is taken in v = |t| u.
-# A subnormal |t| stays with the rule: past v = 1, v / |t| would overflow.
-# On an unbounded tail the rule's cycle length overflows there too, and
-# it refuses the time with a QuadratureError.
-_SMALL_T = 1e-4
-
-
 @lru_cache(maxsize=4096)
 def _r_cached(dens: SpectralDensity, t: float, abs_tol: float) -> float:
+    """pi r(t): the integral of 2 sin^2(t u / 2) m(u) / u^2 over a bounded
+    window, or over an unbounded one below u = 1, with m ~ u^power at 0;
+    an unbounded window adds, over its part above u = 1, the mass minus
+    the wave, the integrals of m(u) / u^2 and of cos(t u) m(u) / u^2."""
     if t == 0.0:
         return 0.0
-    m = dens.at
-
-    def head(u):
-        half = math.sin(0.5 * t * u)
-        return 2.0 * half * half * m(u) / (u * u)
-
-    value = quad_scalar(head, 0.0, 1.0, abs_tol)
-    hi = dens.cutoff_high
-    if hi > 1.0 and sys.float_info.min <= t < _SMALL_T:
-        value += _r_small_t_tail(dens, t, abs_tol)
-    elif hi > 1.0:
-        value += _r_tail_mass(dens, abs_tol)
-        value -= quad_cos_range(_tail_amp(dens), t, 1.0, hi, abs_tol)
+    lo, hi = dens.cutoff_low, dens.cutoff_high
+    top, value = (hi if hi < math.inf else 1.0), 0.0
+    if lo < top:
+        # e^{rate u} is resolved like an oscillation at that frequency
+        value = quad_scalar(lambda u: 2.0 * (np.sin(0.5 * t * u) / u) ** 2 * dens(u), lo, top,
+                            abs_tol, osc=t + dens.rate, power=dens._power if lo == 0.0 else 0.0)
+    if hi == math.inf:
+        mass = _r_tail_mass(dens, abs_tol)
+        wave = quad_cos_range(dens.over_square, t, max(1.0, lo), hi, abs_tol)
+        value += mass - wave
+        # the two cancel as t -> 0, and their rounding must pass the gate too
+        lost = 8.0 * sys.float_info.epsilon * (abs(mass) + abs(wave))
+        if lost > 50.0 * max(abs_tol, abs_tol * abs(value)):
+            raise QuadratureError(f"r at t = {t:g} cancels below the rounding of its tail")
     return value / math.pi
-
-
-def _r_small_t_tail(dens: SpectralDensity, t: float, abs_tol: float) -> float:
-    """r's tail, the integral over (1, hi) of (1 - cos(t u)) m(u) / u^2,
-    for 0 < t < _SMALL_T.
-
-    In v = t u the integrand is t m(v / t) (1 - cos v) / v^2 on
-    (t, t hi), at frequency 1.  Up to v = 1 it is taken as
-    2 sin^2(v / 2) times the amplitude, with no cancellation; past v = 1
-    the mass and the cosine part are taken apart, the second by the
-    Fourier rule.
-    """
-    m = dens.at
-
-    def amp(v):
-        return t / v * m(v / t) / v
-
-    def near(v):
-        half = math.sin(0.5 * v)
-        return 2.0 * half * half * amp(v)
-
-    top = t * dens.cutoff_high
-    value = quad_scalar(near, t, min(1.0, top), abs_tol)
-    if top > 1.0:
-        value += quad_scalar(amp, 1.0, top, abs_tol)
-        value -= quad_cos_range(amp, 1.0, 1.0, top, abs_tol)
-    return value
-
-
-def _tail_amp(dens: SpectralDensity):
-    """The scalar integrand u |-> m(u) / u^2 of r's tail."""
-    m = dens.at
-    return lambda u: m(u) / (u * u)
 
 
 @lru_cache(maxsize=64)
 def _r_tail_mass(dens: SpectralDensity, abs_tol: float) -> float:
-    """The t-independent part of r's tail: integral over (1, hi) of m(u) / u^2."""
-    return quad_scalar(_tail_amp(dens), 1.0, dens.cutoff_high, abs_tol)
+    """The integral of m(u) / u^2 above u = 1 in v = 1 / u: that of m(1 / v),
+    ~ v^-a at 0 for the tail exponent a."""
+    return quad_scalar(lambda v: dens(1.0 / v), 0.0, 1.0 / max(1.0, dens.cutoff_low),
+                       abs_tol, power=-dens.tail_exponent)
 
 
 def r_function(dens: SpectralDensity, t: float, abs_tol: float = 1e-9) -> float:
@@ -538,7 +491,7 @@ def r_function(dens: SpectralDensity, t: float, abs_tol: float = 1e-9) -> float:
     if not (math.isfinite(abs_tol) and abs_tol > 0):
         raise ValidationError(f"tolerance must be finite and positive, got {abs_tol}")
     _require_kernel_integrable(dens)
-    # r is even: one cache entry, and one QUADPACK run, per |t|
+    # r is even: one cache entry, and one set of integrals, per |t|
     return _r_cached(dens, abs(float(t)), abs_tol)
 
 

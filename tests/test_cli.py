@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -167,10 +168,6 @@ def test_moments_rejects_a_radius_that_overflows_to_infinity(capsys):
 @pytest.mark.parametrize("radius, message", [
     # x^2 overflows a float on (-1e200, 1e200)
     ("1e200", "moment 2 at radius 1e+200 leaves the float range"),
-    # the radius squared underflows to 0 in the density's prefactor
-    ("1e-200", "moment 0 at radius 1e-200 leaves the float range"),
-    # the radius squared is subnormal, and the prefactor overflows to inf
-    ("1e-160", "moment 0 at radius 1e-160 leaves the float range"),
 ])
 def test_moments_quadrature_out_of_float_range_exits_three(radius, message, capsys):
     assert run(["moments", "--radius", radius]) == 3
@@ -179,26 +176,41 @@ def test_moments_quadrature_out_of_float_range_exits_three(radius, message, caps
     assert json.loads(out.err) == {"error": message, "kind": "numerical"}
 
 
+@pytest.mark.parametrize("radius", ["1e-200", "1e-160"])
+def test_moments_at_a_tiny_radius_match_the_exact_moments(radius, capsys):
+    # these exited 3 through the prefactor 2 / (pi r^2) of the density,
+    # which the Gauss rule of the unit semicircle does not have
+    assert run(["moments", "--radius", radius]) == 0
+    for row in _json_out(capsys)["rows"]:
+        exact = Fraction(row["moment_exact"])
+        assert row["quadrature"] == float(exact) == row["moment"]
+
+
 def test_rfun_non_finite_quadrature_error_exits_three(capsys):
-    # QAWF returns a nan error estimate at this time, which must not pass
-    assert run(["rfun", "--t", "5e-324"]) == 3
+    # e^{1000 u} overflows on the window (0, 2)
+    assert run(["rfun", "--density", "exp", "--rate", "1000", "--cutoff-high", "2",
+                "--t", "1"]) == 3
     out = capsys.readouterr()
     assert out.out == ""
-    assert json.loads(out.err)["kind"] == "numerical"
+    assert json.loads(out.err) == {"error": "the integrand is not finite at a node",
+                                   "kind": "numerical"}
 
 
 @pytest.mark.parametrize("argv, message", [
-    # QAWF reaches its cycle limit in both, with a nan error estimate in the first
-    (["rfun", "--t", "5e-324"], "oscillatory quad value nan or error nan is not finite"),
-    (["kernel", "--density", "lebesgue", "--scale", "1e300", "--t", "1"],
-     "oscillatory quad error 3.84e+296 too large for integral -8.439813e+298 on [1.0, inf]"),
-    # a tolerance QAWF cannot reach: its error estimate is above 50 x 5e-16
-    (["kernel", "--density", "lebesgue", "--t", "1", "--s", "0.5", "--tol", "5e-16"],
-     "oscillatory quad error 4.76e-14 too large for integral -8.441095e-02 on [1.0, inf]"),
+    # the head's panels, at most 6 radians of t u wide, would not fit
+    (["rfun", "--t", "1e300"],
+     "a quadrature rule needs 7.36e+296 MiB, above the bound of 256 MiB"),
+    # at a subnormal time the rotated tail of fbm(0.01), which falls like
+    # y^-2.02, does not fall off before y = 2^1000
+    (["kernel", "--density", "fbm", "--H", "0.01", "--t", "5e-324", "--s", "1"],
+     "oscillatory quad error 4.77e-05 too large for integral 4.999995e+01 on [1.0, inf]"),
+    # a tolerance below the rounding of the rule: its error estimate is above 50 x 1e-20
+    (["kernel", "--density", "lebesgue", "--t", "1", "--s", "0.5", "--tol", "1e-20"],
+     "oscillatory quad error 4.38e-17 too large for integral -8.441095e-02 on [1.0, inf]"),
 ], ids=["rfun", "kernel", "kernel-tol"])
 def test_quadrature_failure_prints_one_json_line_to_stderr(argv, message):
     # in a fresh interpreter, where no test runner records the warnings
-    # that scipy would print to stderr
+    # that numpy would print to stderr
     env = dict(os.environ, PYTHONPATH=str(Path(process.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-m", "freenoise.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
@@ -206,6 +218,39 @@ def test_quadrature_failure_prints_one_json_line_to_stderr(argv, message):
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1
     assert json.loads(proc.stderr) == {"error": message, "kind": "numerical"}
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["rfun", "--t", "5e-324"], 2.5e-324),
+    (["kernel", "--density", "lebesgue", "--scale", "1e300", "--t", "1"], 1e300),
+    (["kernel", "--density", "lebesgue", "--t", "1", "--s", "0.5", "--tol", "5e-16"], 0.5),
+], ids=["rfun", "kernel", "kernel-tol"])
+def test_former_quadpack_failures_match_the_closed_form_or_exit_three(argv, want, capsys):
+    # QUADPACK's Fourier rule refused these, with a nan error estimate, an
+    # estimate of 3.84e296 and one above 50 x 5e-16; r = |t| / 2 for the
+    # flat density, times its scale, and K(t, s) = min(t, s)
+    code = run(argv)
+    if code == 3:
+        assert json.loads(capsys.readouterr().err)["kind"] == "numerical"
+        return
+    assert code == 0
+    out = _json_out(capsys)
+    row = out["rows"][0]
+    got = row["r"] if "r" in row else row["K"]
+    assert abs(got - want) <= 50 * max(out["abs_tol"], out["abs_tol"] * abs(want))
+
+
+@pytest.mark.parametrize("argv", [["rfun", "--t", "0.5", "--format", "csv"],
+                                  ["tmcoeff", "--n-max", "400"]], ids=["rfun-csv", "tmcoeff"])
+def test_a_closed_stdout_exits_zero_with_nothing_on_stderr(argv):
+    # the reader is gone before the first write, as with `| head -c 5`
+    env = dict(os.environ, PYTHONPATH=str(Path(process.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "freenoise.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])

@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate as si
+from scipy import special as ssp
 
 import freenoise
 from freenoise.errors import QuadratureError
@@ -118,14 +121,73 @@ def test_each_layer_imports_only_what_it_uses():
                                           "quadrature", "parallel")} & set(layers)
 
 
+def test_no_subcommand_of_the_quadrature_layers_loads_scipy_integrate():
+    # r, the kernel, the semicircle moments and the multiplier pass run on
+    # the package's own rules
+    src = Path(freenoise.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "import contextlib, io, sys\n"
+        "from freenoise.cli import run\n"
+        "for argv in (['rfun', '--density', 'fbm', '--H', '0.3', '--t', '0.5'],\n"
+        "             ['kernel', '--t', '1', '--s', '0.5'], ['moments'], ['tmcoeff']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert run(argv) == 0, argv\n"
+        "print('scipy.integrate' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_the_only_scipy_import_in_the_package_is_lapack():
+    src = Path(freenoise.__file__).resolve().parent
+    imports = [(path.name, line.strip()) for path in sorted(src.glob("*.py"))
+               for line in path.read_text().splitlines()
+               if re.match(r"\s*(from|import)\s+scipy\b", line)]
+    assert imports == [("matmodel.py", "from scipy.linalg.lapack import dsterf")]
+
+
 def test_quad_scalar_raises_on_a_nan_result():
-    # QUADPACK returns (nan, nan), and nan fails every comparison
-    with pytest.raises(QuadratureError):
+    # an integrand that is nan at every node has no value and no estimate
+    with pytest.raises(QuadratureError, match="not finite"):
         quad_scalar(lambda u: math.nan, 0.0, 1.0)
 
 
 def test_quad_cos_range_raises_on_a_nan_error_estimate():
-    # at a subnormal frequency QAWF reaches its cycle limit and returns nan
-    with pytest.raises(QuadratureError):
-        quad_cos_range(lambda u: 1.0 / (u * u), 5e-324, 1.0, math.inf)
+    # a nan far out on the rotated contour makes the estimate nan
+    with pytest.raises(QuadratureError, match="not finite"):
+        quad_cos_range(lambda u: np.where(u.imag > 50.0, np.nan, 1.0 / (u * u)),
+                       1e-3, 1.0, math.inf)
 
+
+@pytest.mark.parametrize("omega", [5e-324, 1e-300, 1e-9, 0.3, 1.0, 12.0, 100.0])
+def test_quad_cos_range_on_an_unbounded_range_is_the_cosine_integral(omega):
+    # int_1^inf cos(omega u) / u^2 du = cos(omega) - omega (pi / 2 - Si(omega)),
+    # which QUADPACK's Fourier rule refused at a subnormal frequency
+    want = math.cos(omega) - omega * (math.pi / 2 - ssp.sici(omega)[0])
+    got = quad_cos_range(lambda u: 1.0 / (u * u), omega, 1.0, math.inf, 1e-12)
+    assert abs(got - want) <= 50e-12
+
+
+@pytest.mark.parametrize("omega", [20.0, 100.0])
+def test_quad_cos_range_on_a_bounded_range_rotates_at_both_ends(omega):
+    # int_1^50 cos(omega u) / u^2 du = [-cos(omega u) / u]_1^50 - omega [Si(omega u)]_1^50
+    want = (math.cos(omega) - math.cos(50.0 * omega) / 50.0
+            - omega * (ssp.sici(50.0 * omega)[0] - ssp.sici(omega)[0]))
+    got = quad_cos_range(lambda u: 1.0 / (u * u), omega, 1.0, 50.0, 1e-12)
+    assert abs(got - want) <= 50e-12
+
+
+@pytest.mark.parametrize("power", [-0.99, -0.5, 0.0, 0.4, 2.0])
+@pytest.mark.parametrize("osc", [0.0, 40.0])
+def test_quad_scalar_takes_the_power_at_the_start(power, osc):
+    # int_0^2 u^power cos(osc u) du, by its series for osc = 0 and against
+    # QUADPACK's algebraic weight otherwise
+    got = quad_scalar(lambda u: u ** power * np.cos(osc * u), 0.0, 2.0, 1e-13,
+                      power=power, osc=osc)
+    if osc == 0.0:
+        want = 2.0 ** (power + 1) / (power + 1)
+    else:
+        want = si.quad(lambda u: math.cos(osc * u), 0.0, 2.0, weight="alg",
+                       wvar=(power, 0.0), epsabs=1e-13, epsrel=1e-13, limit=400)[0]
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))

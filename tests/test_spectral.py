@@ -98,17 +98,28 @@ def _density_id(dens):
 
 @pytest.mark.parametrize("dens", _DENSITIES, ids=_density_id)
 def test_scalar_evaluator_matches_the_vector_one(dens):
-    # equal, or within 2 ulp where libm pow and numpy's pow may round apart
-    ulps = 2 if dens.kind in ("fbm", "custom") else 0
-    vector = dens(np.array(_AT_GRID))
-    for u, want in zip(_AT_GRID, vector):
-        got = dens.at(u)
-        assert type(got) is float
-        assert math.isinf(got) == math.isinf(want) and (got == 0.0) == (want == 0.0)
-        assert got == want or abs(got - want) <= ulps * math.ulp(want), u
+    # over_square, the law that r's tail evaluates off the real axis, is
+    # m(u) / u^2 on it inside the window, where that is a normal float; it
+    # is real there, and its values at conjugate points are conjugate
+    grid = np.array([u for u in _AT_GRID if dens.cutoff_low <= u <= dens.cutoff_high
+                     and u > 0.0])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        want = dens(grid) / grid ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = dens.over_square(grid)
+    normal = np.isfinite(want) & (want > 1e-300)
+    assert np.all(got.imag[normal] == 0.0)
+    assert np.allclose(got.real[normal], want[normal], rtol=1e-12, atol=0.0)
+    z = np.array([1.0 + 0.5j, 0.2 + 3.0j, 40.0 + 1e3j])
+    assert np.array_equal(dens.over_square(z.conj()), dens.over_square(z).conj())
+    # the principal branches of u^power and (1 + u^2)^bracket
+    direct = dens.scale * z ** (dens._power - 2.0) * (1.0 + z * z) ** dens._bracket \
+        * np.exp(dens.rate * z)
+    assert np.allclose(dens.over_square(z), direct, rtol=1e-12, atol=0.0)
     # the root is sqrt(m) bit for bit, except that the exponential factor
     # is halved instead of rooted
     grid = np.array(_AT_GRID)
+    vector = dens(grid)
     if dens.kind == "exponential":
         u = np.abs(grid)
         with np.errstate(over="ignore"):
@@ -122,23 +133,28 @@ def test_scalar_evaluator_matches_the_vector_one(dens):
 # tm_values(dens, 1.0, 8) and r_function(dens, 1.5) as float.hex, taken
 # from the per-kind evaluators before they became one formula; None
 # marks a covariance that diverges.  The multiplier pass is a BLAS
-# product, so a different BLAS build may move a last bit of tm.
+# product, so a different BLAS build may move a last bit of tm.  The r
+# values were re-recorded when r moved from QUADPACK to the package's
+# Gauss-Legendre rules: each is now within 1 ulp of its closed form
+# (lebesgue, fbm) or of the QUADPACK oracle of the window (test below),
+# where the QUADPACK values had missed the closed forms by 4.6e-13 to
+# 1.2e-12.
 _FROZEN = {
     "lebesgue[0,inf]": (
         ["0x1.d283bd5be9db6p-2", "0x1.49e02a22b61c1p-1", "0x1.49e02a22b61c2p-2",
          "-0x1.0d57a33d5d99ap-2", "-0x1.dc226d2886986p-2", "-0x1.e1d0706d250edp-5",
          "0x1.8fe09bd12e497p-2", "0x1.0d80ab07dd9a8p-2"],
-        "0x1.7ffffffffeff3p-1"),
+        "0x1.8000000000000p-1"),
     "fbm(H=0.3)[0,inf]": (
         ["0x1.72e47ec4f8e83p-2", "0x1.576731f6b4e51p-1", "0x1.3fa42cf432185p-2",
          "-0x1.59b0fae4afd58p-2", "-0x1.355de92da2c8fp-1", "-0x1.47fe8027ec257p-4",
          "0x1.eb7b63acd69d1p-2", "0x1.57c887e04249ep-2"],
-        "0x1.c3af329bcc721p-1"),
+        "0x1.c3af329bcf301p-1"),
     "fbm(H=0.75)[0,inf]": (
         ["0x1.499725c057184p-1", "0x1.3da2e26b7898ep-1", "0x1.923787abf8f7cp-2",
          "-0x1.6bb01bf5657bcp-3", "-0x1.1c4dad7e73144p-2", "-0x1.fd424862a2c91p-6",
          "0x1.63dd74fd31c05p-2", "0x1.9bd48b9489b79p-3"],
-        "0x1.f454378578a48p-1"),
+        "0x1.f454378577499p-1"),
     "exponential(rate=1)[0,inf]": (
         ["0x1.0ef213d49d8bcp-1", "0x1.4951ee010b88cp+0", "0x1.adc002494f54bp-1",
          "-0x1.d03f73320f536p-1", "-0x1.f3d94f851494ep+0", "-0x1.50a7e4756a35fp-2",
@@ -162,7 +178,7 @@ _FROZEN = {
         ["0x1.9ac268da23a4ap-3", "0x1.28d6ca992d26dp-1", "0x1.8e91df8e16ca8p-4",
          "-0x1.dfe1fafce8df5p-3", "-0x1.89df0e251fc49p-2", "-0x1.afed441a47432p-6",
          "-0x1.88dbe874fb9fdp-5", "0x1.93440674ea5c9p-7"],
-        "0x1.c6701377e3eaap-2"),
+        "0x1.c6701377e3eabp-2"),
 }
 
 
@@ -614,7 +630,7 @@ def _windowed_reference(dens, t, n_max):
         half = math.sin(0.5 * t * u)
         factors = np.array([math.cos(t * u), math.sin(t * u), math.sin(t * u) / u,
                             2.0 * half * half / u])
-        return np.outer(factors, hermite_fn_matrix(n_max, u)[:, 0]) * math.sqrt(dens.at(u))
+        return np.outer(factors, hermite_fn_matrix(n_max, u)[:, 0]) * math.sqrt(float(dens(u)))
 
     stop = min(dens.cutoff_high, ZERO_PAST)
     total = si.quad_vec(integrand, dens.cutoff_low, stop, epsabs=1e-15, epsrel=1e-15,
@@ -655,7 +671,7 @@ def test_windowed_flat_r_is_the_sine_integral_form(low, high):
     # r(t) = (1/pi) [t (Si(t high) - Si(t low)) - (1 - cos t high) / high
     #                + (1 - cos t low) / low], the last term 0 at low = 0
     dens = SpectralDensity("lebesgue", cutoff_low=low, cutoff_high=high)
-    for t in (1e-6, 0.3, 1.0, 4.0, 12.0):
+    for t in (5e-324, 1e-300, 1e-6, 0.3, 1.0, 4.0, 12.0, 100.0):
         si_high, si_low = ssp.sici(t * high)[0], ssp.sici(t * low)[0]
         at_low = (1.0 - math.cos(t * low)) / low if low else 0.0
         want = (t * (si_high - si_low) - (1.0 - math.cos(t * high)) / high + at_low) / math.pi
@@ -750,6 +766,102 @@ def test_fbm_r_function_closed_form():
             c_frozen * 2.0 ** (2.0 * hurst), rel=1e-8)
     assert r_function(SpectralDensity.fbm(0.5), -1.5) == r_function(
         SpectralDensity.fbm(0.5), 1.5)
+
+
+def _closed_form_r(hurst, t):
+    """r(t) = |t|^{2H} / (2 Gamma(2H + 1) sin(pi H)); |t| / 2 for H = 1/2."""
+    return abs(t) ** (2.0 * hurst) / (2.0 * math.gamma(2.0 * hurst + 1.0)
+                                      * math.sin(math.pi * hurst))
+
+
+def _r_or_refused(dens, t, abs_tol=1e-9):
+    """r(t), or None where the program exits 3."""
+    try:
+        return r_function(dens, t, abs_tol)
+    except QuadratureError:
+        return None
+
+
+# r must be within 50 abs_tol of its reference or be refused, and may be
+# refused only at the first two times
+_ORACLE_TIMES = (1e-300, 5e-324, 1e-9, 1e-4, 0.3, 1.0, 12.0, 100.0)
+
+
+@pytest.mark.parametrize("hurst", [0.5, 0.1, 0.3, 0.75, 0.9])
+def test_r_matches_its_closed_form(hurst):
+    dens = SpectralDensity.lebesgue() if hurst == 0.5 else SpectralDensity.fbm(hurst)
+    for i, t in enumerate(_ORACLE_TIMES):
+        got = _r_or_refused(dens, t)
+        assert got is not None or i < 2, t
+        assert got is None or abs(got - _closed_form_r(hurst, t)) <= 50e-9, t
+
+
+@pytest.mark.parametrize("b", [0.5, 0.9, 0.99])
+def test_custom_r_matches_quadpack_with_the_algebraic_weight(b):
+    # m(u) = u^-b (1 + u^2)^{b/2}: the head against QUADPACK's weight u^-b
+    # on (0, 1), the tail against its plain and Fourier rules on (1, inf)
+    dens = SpectralDensity("custom", origin_exponent=b)
+
+    def amp(u):
+        return (1.0 + u * u) ** (0.5 * b) * u ** -b / (u * u)
+
+    opts = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
+    mass = si.quad(amp, 1.0, math.inf, **opts)[0]
+    for t in (0.3, 1.0, 3.0, 12.0):
+        head = si.quad(lambda u: 2.0 * (math.sin(0.5 * t * u) / u if u else 0.5 * t) ** 2
+                       * (1.0 + u * u) ** (0.5 * b), 0.0, 1.0, weight="alg",
+                       wvar=(-b, 0.0), **opts)[0]
+        wave = si.quad(amp, 1.0, math.inf, weight="cos", wvar=t, epsabs=1e-13, limlst=100)[0]
+        got = _r_or_refused(dens, t)
+        assert got is not None and abs(got - (head + mass - wave) / math.pi) <= 50e-9, t
+
+
+@pytest.mark.parametrize("dens", [dataclasses.replace(d, cutoff_low=_EDGES[0],
+                                                      cutoff_high=_EDGES[1])
+                                  for d in (SpectralDensity.fbm(0.75), SpectralDensity(
+                                      "custom", origin_exponent=0.5, class_index=1))],
+                         ids=_density_id)
+def test_windowed_r_matches_quadpack(dens):
+    # the frozen r(1.5) of the windowed densities, by adaptive QUADPACK
+    want = si.quad(lambda u: 2.0 * (math.sin(0.75 * u) / u) ** 2 * float(dens(u)),
+                   *_EDGES, epsabs=1e-13, epsrel=1e-13, limit=400)[0] / math.pi
+    assert abs(r_function(dens, 1.5) - want) <= 1e-15
+
+
+# the times and densities of a scan that found r(5e-324) = 7.07e-17 for the
+# windowed custom density, where r is of order t^2
+_SCAN_TIMES = (5e-324, 1e-320, 1e-310, 1e-307, 1e-300, 1e-200, 1e-100, 1e-20, 1e-9,
+               1e-4, 1.0, 12.0)
+_SCAN_WINDOWED = SpectralDensity("custom", origin_exponent=0.5, cutoff_low=0.1,
+                                 cutoff_high=40.0)
+
+
+def _windowed_scan_reference(t):
+    """r of the windowed custom density: t^2 / (2 pi) times the integral of
+    m for t <= 1e-4, where the next term is below 1e-13, else QUADPACK."""
+    dens = _SCAN_WINDOWED
+    opts = dict(epsabs=1e-14, epsrel=1e-13, limit=1000)
+    if t <= 1e-4:
+        return t * t / (2.0 * math.pi) * si.quad(lambda u: float(dens(u)), 0.1, 40.0,
+                                                 **opts)[0]
+    return si.quad(lambda u: 2.0 * (math.sin(0.5 * t * u) / u) ** 2 * float(dens(u)),
+                   0.1, 40.0, **opts)[0] / math.pi
+
+
+@pytest.mark.parametrize("dens", [SpectralDensity.lebesgue(), SpectralDensity.fbm(0.3),
+                                  SpectralDensity.fbm(0.75), _SCAN_WINDOWED],
+                         ids=_density_id)
+def test_r_at_tiny_and_ordinary_times_is_right_or_refused(dens):
+    for t in _SCAN_TIMES:
+        got = _r_or_refused(dens, t)
+        if got is None:
+            continue
+        want = _windowed_scan_reference(t) if dens is _SCAN_WINDOWED \
+            else _closed_form_r(dens.hurst or 0.5, t)
+        assert abs(got - want) <= 50e-9, t
+    # a bounded window is taken on the real axis, with no cancellation
+    if dens is _SCAN_WINDOWED:
+        assert r_function(dens, 5e-324) == 0.0
 
 
 def test_r_of_minus_t_reuses_r_of_t():
