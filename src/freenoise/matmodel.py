@@ -21,9 +21,14 @@ unitarily invariant and independent of (U, D), so (U* A U, D) has the
 law of (A, D), and every trace expectation of words in the pair is
 unchanged.  D is the spectrum of the beta = 2 tridiagonal model of
 Dumitriu and Edelman ("Matrix models for beta ensembles", J. Math.
-Phys. 43, 2002), which needs no dim x dim matrix.  The finite-N traces
-this law gives are counted by genus in trace.trace_genus (Mingo and
-Speicher, "Free Probability and Random Matrices", 2017, ch. 1).
+Phys. 43, 2002), taken by numpy's eigvalsh from the tridiagonal matrix
+stored dense.  LAPACK reduces a matrix that is already tridiagonal with
+Householder reflectors of tau = 0, so the root-free QR it then runs
+sees the draws unchanged, and the spectrum briefly holds two dim x dim
+float matrices: the dense tridiagonal and LAPACK's copy of it.  The
+finite-N traces this law gives are counted by genus in
+trace.trace_genus (Mingo and Speicher, "Free Probability and Random
+Matrices", 2017, ch. 1).
 
 Traces of many words share each sample.  Words are split in half, and
 because the generators are Hermitian, the product of a reversed word is
@@ -133,20 +138,23 @@ def gue_spectrum(cfg: EnsembleConfig, sample: int, gen_index: int) -> np.ndarray
     The beta = 2 tridiagonal model has independent N(0, 1) diagonal
     entries and off-diagonal entries chi_{2k}/sqrt(2), k = dim-1, ..., 1;
     chi_{2k}^2 / 2 is a Gamma(k) variable.  Its eigenvalues have the law
-    of those of gue_matrix before scaling, and cost O(dim^2) through
-    LAPACK's root-free QR (dsterf, which scipy's eigvalsh_tridiagonal
-    also ends in).  The draws come from the (seed, sample, gen_index)
-    stream.
+    of those of gue_matrix before scaling.  numpy's eigvalsh takes them
+    from the matrix stored dense, the draws on its diagonal and first
+    subdiagonal: the reduction to tridiagonal form finds every
+    Householder tau = 0, so the values are those of LAPACK's root-free
+    QR on the draws themselves, and the call briefly holds two dim x dim
+    float matrices, this one and LAPACK's copy.  The draws come from the
+    (seed, sample, gen_index) stream.
     """
-    from scipy.linalg.lapack import dsterf
-
     rng = _stream(cfg.seed, sample, gen_index)
     d = cfg.dim
-    diag = rng.standard_normal(d)
-    off = np.sqrt(rng.standard_gamma(np.arange(d - 1, 0, -1, dtype=float)))
-    evals, info = dsterf(diag, off, overwrite_d=True)
-    if info != 0:
-        raise FreenoiseError(f"tridiagonal eigenvalues failed: dsterf info {info}")
+    tri = np.zeros((d, d))
+    tri.flat[::d + 1] = rng.standard_normal(d)
+    tri.flat[d::d + 1] = np.sqrt(rng.standard_gamma(np.arange(d - 1, 0, -1, dtype=float)))
+    try:
+        evals = np.linalg.eigvalsh(tri)
+    except np.linalg.LinAlgError as exc:
+        raise FreenoiseError(f"tridiagonal eigenvalues failed: {exc}") from exc
     evals *= cfg.radius / 2.0
     evals *= 1.0 / math.sqrt(d)
     return evals

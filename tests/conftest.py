@@ -17,7 +17,7 @@ settings.register_profile(
 settings.load_profile("default")
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
-# address space of a child CLI run: enough for numpy, scipy and every
+# address space of a child CLI run: enough for numpy and every
 # bounded input, so an unbounded one fails fast instead of paging
 _CHILD_ADDRESS_SPACE = 2 << 30
 

@@ -117,7 +117,7 @@ def test_spectrum_is_keyed_by_seed_sample_and_generator():
     assert not np.array_equal(gue_spectrum(cfg, 0, 0), again)
 
 
-@pytest.mark.parametrize("dim", [2, 4, 7, 64, 600])
+@pytest.mark.parametrize("dim", [2, 4, 7, 64, 600, 1000])
 def test_spectrum_matches_eigvalsh_tridiagonal(dim):
     # the same draws through scipy's general tridiagonal eigensolver
     from scipy.linalg import eigvalsh_tridiagonal
@@ -135,11 +135,12 @@ def test_spectrum_matches_eigvalsh_tridiagonal(dim):
 
 def test_spectrum_failure_raises(monkeypatch):
     # a LAPACK failure is a numerical error (CLI exit 3), never a fallback
-    import scipy.linalg.lapack as lapack
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(lapack, "dsterf", lambda d, e, overwrite_d: (d, 2))
+    monkeypatch.setattr("freenoise.matmodel.np.linalg.eigvalsh", fail)
     cfg = EnsembleConfig(dim=8, n_generators=1, n_samples=1)
-    with pytest.raises(FreenoiseError, match="dsterf info 2"):
+    with pytest.raises(FreenoiseError, match="did not converge"):
         gue_spectrum(cfg, 0, 0)
 
 
@@ -326,7 +327,7 @@ def test_trace_memory_is_the_letters_and_row_slices(monkeypatch):
     cfg = EnsembleConfig(dim=256, n_generators=2, n_samples=2, seed=3)
     matrix = cfg.dim ** 2 * 16
     bound = matrix + 1.25 * cfg.dim ** 2 * 8 + (3 + 1) * 64 * cfg.dim * 16 + matrix / 32
-    # a first call imports scipy's LAPACK wrappers outside the trace
+    # a first call imports numpy.random outside the trace
     estimate_trace_many(EnsembleConfig(dim=4, n_generators=2, n_samples=2), words)
     tracemalloc.start()
     try:

@@ -90,8 +90,7 @@ def test_gl_integrate_raises_when_only_a_later_block_is_not_finite():
 
 
 def test_importing_the_package_does_not_load_scipy_integrate():
-    # no scipy module at all: quadrature and the matrix model import it
-    # on first use
+    # no scipy module at all: no module of the package imports it
     src = Path(freenoise.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
@@ -123,28 +122,30 @@ def test_each_layer_imports_only_what_it_uses():
 
 def test_no_subcommand_of_the_quadrature_layers_loads_scipy_integrate():
     # r, the kernel, the semicircle moments and the multiplier pass run on
-    # the package's own rules
+    # the package's own rules, and the matrix model on numpy's eigvalsh
     src = Path(freenoise.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     script = (
         "import contextlib, io, sys\n"
         "from freenoise.cli import run\n"
         "for argv in (['rfun', '--density', 'fbm', '--H', '0.3', '--t', '0.5'],\n"
-        "             ['kernel', '--t', '1', '--s', '0.5'], ['moments'], ['tmcoeff']):\n"
+        "             ['kernel', '--t', '1', '--s', '0.5'], ['moments'], ['tmcoeff'],\n"
+        "             ['simulate', '--word', 'z0^2 z1 z0 z1',\n"
+        "              '--dim', '8', '--samples', '2']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert run(argv) == 0, argv\n"
-        "print('scipy.integrate' in sys.modules)\n")
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
-def test_the_only_scipy_import_in_the_package_is_lapack():
+def test_no_module_in_the_package_imports_scipy():
     src = Path(freenoise.__file__).resolve().parent
     imports = [(path.name, line.strip()) for path in sorted(src.glob("*.py"))
                for line in path.read_text().splitlines()
                if re.match(r"\s*(from|import)\s+scipy\b", line)]
-    assert imports == [("matmodel.py", "from scipy.linalg.lapack import dsterf")]
+    assert imports == []
 
 
 def test_quad_scalar_raises_on_a_nan_result():
