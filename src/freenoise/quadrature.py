@@ -1,15 +1,15 @@
-"""Half-line quadrature for spectral integrands: composite GL-16 rules.
-
-The multiplier pass contracts rows against scalar factors (gl_integrate)
-by matrix products of the weighted factors against blocks of the rows,
-so the products are never formed.  Its panels grade geometrically toward
-zero (integrable singularities u^{-b}, b < 1), are capped in width by
-the oscillation scale of the integrand and run from a start to a stop
-the caller picks: past the support of its rows, and at the jumps of its
-factors.  Scalar integrals of vectorised integrands (quad_scalar, and
-quad_cos_range on rotated contours) carry the difference from the same
-panels halved as their error estimate, under one gate; the semicircle
-moments come from the Gauss rule of their weight.
+"""Half-line quadrature for spectral integrands: one family of composite
+GL-16 rules, laid on [0, 1] alike (_edges): a power at 0 is taken by a
+substitution, panels grade toward 0 and toward a singularity before it,
+and each is cut into pieces of at most a given length.  The multiplier
+pass takes the whole panels (gl_rule) from a start to a stop the caller
+picks, past the support of its rows and at the jumps of its factors, and
+contracts rows against scalar factors on them (gl_integrate) by matrix
+products of the weighted factors against blocks of the rows, so the
+products are never formed.  Scalar integrals of vectorised integrands
+(quad_scalar, and quad_cos_range on rotated contours) take each panel
+and its halves (_rule), the difference as their error estimate, under
+one gate; the semicircle moments come from the Gauss rule of their weight.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 import numpy as np
@@ -26,9 +25,9 @@ from numpy.polynomial.legendre import leggauss
 from .errors import QuadratureError
 
 __all__ = [
-    "panel_nodes",
-    "layout_nodes",
     "bucket",
+    "rule_nodes",
+    "gl_rule",
     "gl_integrate",
     "quad_scalar",
     "quad_cos_range",
@@ -37,57 +36,6 @@ __all__ = [
 
 _GL_ORDER = 16
 _GL_X, _GL_W = leggauss(_GL_ORDER)
-
-# Edges of the graded region: 0, 2^-60, ..., 1/2, 1
-_GRADED_EDGES = [0.0] + [2.0 ** -j for j in range(60, -1, -1)]
-
-
-@lru_cache(maxsize=8)
-def panel_nodes(osc_scale: float, stop: float,
-                start: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite rule on [start, stop].
-
-    osc_scale bounds the panel width away from zero: panels are at most
-    ~6 / osc_scale wide so a GL-16 rule resolves the oscillation.  The
-    dyadic panels [2^-k, 2^-k+1] below 1 absorb origin singularities;
-    only the graded edges strictly between start and stop are kept, so
-    no panel straddles either end.  The 8 most recently used layouts
-    are kept, as read-only arrays.  A width that no longer advances an
-    edge raises QuadratureError.
-    """
-    if osc_scale <= 0:
-        raise QuadratureError("oscillation scale must be positive")
-    width = 6.0 / osc_scale
-    edges = _graded_edges(start, stop)
-    # oscillation-limited region out to stop
-    x = edges[-1]
-    while x < stop:
-        if x + width == x:
-            raise QuadratureError(
-                f"panel width {width:.3g} does not advance the edge at {x:g}")
-        x = min(x + width, stop)
-        edges.append(x)
-    nodes, weights = _composite_rule(np.asarray(edges))
-    keep = weights > 0
-    nodes, weights = nodes[keep], weights[keep]
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def _graded_edges(start: float, stop: float) -> list[float]:
-    """start, then the graded edges strictly between start and stop."""
-    return [start] + _GRADED_EDGES[bisect_right(_GRADED_EDGES, start):
-                                   bisect_left(_GRADED_EDGES, stop)]
-
-
-def layout_nodes(osc_scale: float, stop: float, start: float = 0.0) -> float:
-    """Node count of panel_nodes(osc_scale, stop, start), to within a
-    panel, before any node is built; a float, so a layout too large to
-    build still has one."""
-    edges = _graded_edges(start, stop)
-    panels = len(edges) - 1 + max(stop - edges[-1], 0.0) * osc_scale / 6.0 + 1.0
-    return _GL_ORDER * panels
 
 
 def _composite_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,20 +47,81 @@ def _composite_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def gl_integrate(f, osc_scale: float, stop: float, start: float = 0.0):
-    """Integrals over [start, stop] of every product factors[k] * rows[n].
+def bucket(x: float) -> float:
+    """2^ceil(log2 x), infinite above the float range; 1 for x = 0.  Nearby
+    scales share the layout of their bucket."""
+    frac, exp = math.frexp(x)
+    return math.ldexp(1.0, exp - (frac == 0.5)) if x <= 2.0 ** 1023 else math.inf
 
-    f maps the nodes of panel_nodes(osc_scale, stop, start) to a pair
-    (blocks, factors): factors has nodes on the last axis and is
-    overwritten by factors * weights, and blocks yields the rows in
-    consecutive blocks, each with nodes on the last axis and contracted
-    before the next is asked for.  The result, indexed (k, n), is
-    (factors * weights) @ rows.T, one block of columns per block.  The
-    caller picks stop past the support of its rows, and start and stop
-    at the jumps of its integrand.  QuadratureError is raised when the
-    contraction is not finite.
+
+def _edges(power: float, cycles: float, near: float):
+    """The panels on [0, 1] of a rule for x^power h(x), h analytic but maybe
+    at -near, in x = z^k, k = 1 / (1 + power) for power < 0, which leaves
+    k h(z^k): their edges in x, the pieces each is cut into, and k.  Panels
+    run 4:1 in x down to 2^-k, so that z^k is smooth on each; 2:1 in z down
+    to 2^-60 if the exponent left in z (k, or power >= 0) is fractional;
+    double from -near; and are cut into pieces at most 1 / cycles long."""
+    k = 1.0 / (1.0 + power) if power < 0 else 1.0
+    edges = [0.0] + [4.0 ** -j for j in range(min(int(k // 2), 537) + 1)]  # 0 past 4^-537
+    if not float(k if power < 0 else power).is_integer():
+        edges += [2.0 ** (-j * k) for j in range(1, min(60, int(1000.0 / k)) + 1)]
+    edges += [near * (2.0 ** j - 1.0) for j in range(1, int(-math.log2(near or 1.0)) + 1)]
+    edges = np.array(sorted(set(edges)))  # np.unique would load numpy.ma
+    return edges, np.maximum(np.ceil(np.diff(edges) * cycles), 1.0), k
+
+
+def _nodes(edges: np.ndarray, counts: np.ndarray, k: float, halves: bool,
+           start: float = 0.0, length: float = 1.0):
+    """GL-16 nodes and weights in u = start + length x, start = 0 unless
+    k = 1, on every piece of the panels of _edges, by the rule in z; in rows
+    of 48, a piece and its halves, if halves.  The pieces are mapped before
+    the rule, so that each node is rounded once in u."""
+    x = np.concatenate([np.linspace(lo, hi, int(n), endpoint=False) for lo, hi, n
+                        in zip(edges[:-1], edges[1:], counts)] + [edges[-1:]])
+    z = start + (length * x) ** (1.0 / k)
+    nodes, weights = _composite_rule(z)
+    if halves:
+        rows = [a.reshape(z.size - 1, -1) for a in (nodes, weights) + _composite_rule(
+            np.sort(np.concatenate([z, 0.5 * (z[1:] + z[:-1])])))]
+        nodes, weights = np.hstack(rows[0::2]), np.hstack(rows[1::2])
+    if k != 1.0:  # below z = 2^(-1000 / k) the integrand in z, k h(z^k), is k h(0)
+        nodes = np.maximum(nodes, 2.0 ** (-1000.0 / k))
+        weights *= k * nodes ** (k - 1.0)
+        nodes **= k
+    return nodes, weights
+
+
+def _window(start: float, stop: float, osc: float, power: float):
+    """_edges of gl_rule(start, stop, osc, power), on [0, 1]."""
+    length = stop - start
+    return _edges(power if start == 0.0 else 0.0, osc * length / 6.0, start / length)
+
+
+def rule_nodes(start: float, stop: float, osc: float, power: float = 0.0) -> float:
+    """Node count of gl_rule(start, stop, osc, power), before any node is
+    built; a float, so that a rule too large to build still has one."""
+    return _GL_ORDER * float(_window(start, stop, osc, power)[1].sum())
+
+
+def gl_rule(start: float, stop: float, osc: float, power: float = 0.0):
+    """GL-16 nodes and weights, new and writable, on the whole panels of
+    _rule in u = start + (stop - start) x, 0 <= start < stop, for integrands
+    analytic on [start, stop] but for a power u^power > -1 at u = 0: no
+    piece wider than 6 / osc, with cycles = osc (stop - start) / 6."""
+    return _nodes(*_window(start, stop, osc, power), False, start, stop - start)
+
+
+def gl_integrate(f, nodes: np.ndarray, weights: np.ndarray):
+    """Integrals by the rule (nodes, weights) of every product
+    factors[k] * rows[n].
+
+    f maps the nodes to a pair (blocks, factors): factors has nodes on the
+    last axis and is overwritten by factors * weights, and blocks yields
+    the rows in consecutive blocks, each with nodes on the last axis and
+    contracted before the next is asked for.  The result, indexed (k, n),
+    is (factors * weights) @ rows.T, one block of columns per block.
+    QuadratureError is raised when the contraction is not finite.
     """
-    nodes, weights = panel_nodes(osc_scale, stop, start)
     blocks, factors = f(nodes)
     with np.errstate(over="ignore", invalid="ignore"):
         factors *= weights
@@ -128,42 +137,17 @@ def gl_integrate(f, osc_scale: float, stop: float, start: float = 0.0):
 _RULE_BYTES = 256 << 20
 
 
-def bucket(x: float) -> float:
-    """2^ceil(log2 x), infinite above the float range; 1 for x = 0.  Nearby
-    scales share the layout of their bucket."""
-    frac, exp = math.frexp(x)
-    return math.ldexp(1.0, exp - (frac == 0.5)) if x <= 2.0 ** 1023 else math.inf
-
-
 @lru_cache(maxsize=16)
 def _rule(power: float, cycles: float, near: float):
-    """Rows of 48 nodes and weights on [0, 1], GL-16 on a panel and on its
-    halves, for x^power h(x), h analytic but maybe at -near, in x = z^k,
-    k = 1 / (1 + power) for power < 0, which leaves k h(z^k).  Panels run
-    4:1 in x down to 2^-k, so that z^k is smooth on each; 2:1 in z down
-    to 2^-60 if the exponent left in z (k, or power >= 0) is fractional;
-    double from -near; and are cut into pieces at most 1 / cycles long.
-    A rule above _RULE_BYTES raises QuadratureError before it is built."""
-    k = 1.0 / (1.0 + power) if power < 0 else 1.0
-    edges = [0.0] + [4.0 ** -j for j in range(int(k // 2) + 1)]
-    if not float(k if power < 0 else power).is_integer():
-        edges += [2.0 ** (-j * k) for j in range(1, min(60, int(1000.0 / k)) + 1)]
-    edges += [near * (2.0 ** j - 1.0) for j in range(1, int(-math.log2(near or 1.0)) + 1)]
-    edges = np.unique(edges)
-    counts = np.maximum(np.ceil(np.diff(edges) * cycles), 1.0)
+    """Rows of 48 nodes and weights on [0, 1], GL-16 on each panel of
+    _edges(power, cycles, near) and on its halves, read-only.  A rule above
+    _RULE_BYTES raises QuadratureError before it is built."""
+    edges, counts, k = _edges(power, cycles, near)
     need = 3 * _GL_ORDER * counts.sum() * 8 * 12
     if not need <= _RULE_BYTES:
         raise QuadratureError(f"a quadrature rule needs {need / 2 ** 20:.3g} MiB, "
                               f"above the bound of {_RULE_BYTES >> 20} MiB")
-    z = np.concatenate([np.linspace(lo, hi, int(n), endpoint=False) for lo, hi, n
-                        in zip(edges[:-1], edges[1:], counts)] + [edges[-1:]]) ** (1.0 / k)
-    halves = np.sort(np.concatenate([z, 0.5 * (z[1:] + z[:-1])]))
-    rows = [a.reshape(z.size - 1, -1) for a in _composite_rule(z) + _composite_rule(halves)]
-    nodes, weights = np.hstack(rows[0::2]), np.hstack(rows[1::2])
-    if k != 1.0:  # below z = 2^(-1000 / k) the integrand in z, k h(z^k), is k h(0)
-        nodes = np.maximum(nodes, 2.0 ** (-1000.0 / k))
-        weights *= k * nodes ** (k - 1.0)
-        nodes **= k
+    nodes, weights = _nodes(edges, counts, k, halves=True)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

@@ -19,12 +19,14 @@ cosine and sine integrals.  All coefficient vectors at one time point
 come from a single composite Gauss-Legendre pass whose integrands
 factor into Hermite rows times four scalar factors, so the pass is one
 matrix product of the weighted factors against the Hermite matrix.
-The panels span the density's cutoff window, where sqrt(m) jumps, up to
-hermite.ZERO_PAST, from which on every Hermite row is +0.0 (a pass whose
-integrand matters past hermite.EXACT_TO is refused), and depend on t
-only through B(t) = max(1, 2^ceil(log2 |t|)) >= |t|:
-the times of one bucket share their nodes.  One record, keyed by the
-density, n_max and the layout, keeps the root of the density and, when
+The pass runs on r's rule family (quadrature.gl_rule), with the power
+of sqrt(m) at 0 taken by substitution, over the density's cutoff window,
+where sqrt(m) jumps, up to hermite.ZERO_PAST, from which on every
+Hermite row is +0.0 (a pass whose integrand matters past
+hermite.EXACT_TO is refused); it depends on t only through
+B(t) = max(1, 2^ceil(log2 |t|)) >= |t|: the times of one bucket share
+their nodes.  One record, keyed by the density, n_max and the rule,
+keeps the nodes, the root of the density and, when
 they fit in 4 MiB (n_max up to ~145 at B = 1), the Hermite rows; rows
 that do not fit are built and contracted 64 at a time.
 A pass's size is known before it is built, and one above 256 MiB is
@@ -45,7 +47,7 @@ import numpy as np
 from .errors import DivergenceError, QuadratureError, ValidationError
 from .hermite import (EXACT_TO, ZERO_PAST, check_index_bound, hermite_fn_blocks,
                       hermite_fn_matrix)
-from .quadrature import bucket, gl_integrate, layout_nodes, panel_nodes, quad_cos_range, quad_scalar
+from .quadrature import bucket, gl_integrate, gl_rule, quad_cos_range, quad_scalar, rule_nodes
 from .words import WeightSequence
 
 __all__ = [
@@ -178,20 +180,19 @@ class SpectralDensity:
         return self._evaluate(u, root=False)
 
     def root(self, u):
-        """sqrt(m(u)) on an array; the exponential factor is halved,
-        e^{rate |u| / 2}, so it stays finite twice as far out as m."""
+        """sqrt(m(u)) on an array, as the law with halved exponents: finite
+        wherever m / u^2 is, and the exponential factor twice as far as m."""
         return self._evaluate(u, root=True)
 
     def _evaluate(self, u, root):
         u = np.abs(np.asarray(u, dtype=float))
+        half = 0.5 if root else 1.0
         with np.errstate(divide="ignore", over="ignore"):
-            out = self.scale * np.power(u, self._power) \
-                * np.power(1.0 + u * u, self._bracket)
-            if root:
-                out = np.sqrt(out)
+            out = (math.sqrt(self.scale) if root else self.scale) \
+                * np.power(u, half * self._power) * np.power(1.0 + u * u, half * self._bracket)
             # a zero rate has no factor, not even exp(0 * inf) = nan at |u| = inf
             if self.rate:
-                out = out * np.exp((0.5 * self.rate if root else self.rate) * u)
+                out = out * np.exp(half * self.rate * u)
         if self.cutoff_low > 0.0 or self.cutoff_high < math.inf:
             out = np.where((u >= self.cutoff_low) & (u <= self.cutoff_high),
                            out, 0.0)
@@ -300,20 +301,25 @@ _KEEP_BYTES = 4 << 20
 _BLOCK_ROWS = 64
 
 
-@lru_cache(maxsize=1)
-def _layout_arrays(dens: SpectralDensity, n_max: int, layout: tuple):
-    """The multiplier pass's one record, of its latest key: dens.root and
-    hermite_fn_matrix(n_max) on the nodes of the layout (osc_scale, start,
-    stop), read-only; the rows are None when they are above _KEEP_BYTES."""
-    osc, start, stop = layout
-    nodes = panel_nodes(osc, stop, start)[0]
-    root = dens.root(nodes)
-    root.setflags(write=False)
-    if n_max * nodes.size * 8 > _KEEP_BYTES:
-        return root, None
-    rows, = hermite_fn_blocks(n_max, nodes, n_max)
-    rows.setflags(write=False)
-    return root, rows
+# The multiplier pass's one record, {(dens, n_max, rule): its arrays}
+_RECORD: dict = {}
+
+
+def _layout_arrays(dens: SpectralDensity, n_max: int, rule: tuple):
+    """The pass's record of its latest key, read-only: gl_rule(*rule), and
+    dens.root and hermite_fn_matrix(n_max) on its nodes, the rows None above
+    _KEEP_BYTES.  Another key's record goes before this one is built."""
+    key = (dens, n_max, rule)
+    if key not in _RECORD:
+        _RECORD.clear()
+        nodes, weights = gl_rule(*rule)
+        rows = None
+        if n_max * nodes.size * 8 <= _KEEP_BYTES:
+            rows, = hermite_fn_blocks(n_max, nodes, n_max)
+        _RECORD[key] = nodes, weights, dens.root(nodes), rows
+        for array in (a for a in _RECORD[key] if a is not None):
+            array.setflags(write=False)
+    return _RECORD[key]
 
 
 # Largest multiplier pass: its nodes times 8 bytes for each of the n_max
@@ -366,26 +372,26 @@ def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarr
     One composite pass contracts the Hermite rows against the four
     factors sqrt(m) * {cos, sin, sin / u, 2 sin^2(u t / 2) / u}; the
     four-periodic phase pattern then picks the signed cosine or sine
-    integral per index.  The layout spans the density's window up to
+    integral per index.  The rule spans the density's window up to
     ZERO_PAST, past which every Hermite row is +0.0, so that no panel
-    straddles a cutoff, where sqrt(m) jumps.  A pass that would hold
+    straddles a cutoff, where sqrt(m) jumps, and takes the power of sqrt(m)
+    at 0 by substitution.  After the edge check, a pass that would hold
     more than _LAYOUT_BYTES is rejected before any node is built.
     """
     if not math.isfinite(t):
         raise ValidationError(f"time must be finite, got {t}")
     check_index_bound(n_max)
-    osc = _osc_scale(n_max, t)
-    start, stop = dens.cutoff_low, min(ZERO_PAST, dens.cutoff_high)
-    layout = (osc, start, stop)
-    need = layout_nodes(osc, stop, start) * (n_max + _PASS_ARRAYS) * 8
+    _require_resolved_edge(dens, n_max)
+    rule = (dens.cutoff_low, min(ZERO_PAST, dens.cutoff_high), _osc_scale(n_max, t),
+            0.5 * dens._power)
+    need = rule_nodes(*rule) * (n_max + _PASS_ARRAYS) * 8
     if need > _LAYOUT_BYTES:
         raise ValidationError(
             f"the multiplier layout at t = {t:g}, n_max {n_max} needs "
             f"{need / 2 ** 20:.3g} MiB, above the bound of {_LAYOUT_BYTES >> 20} MiB")
-    _require_resolved_edge(dens, n_max)
+    nodes, weights, root, rows = _layout_arrays(dens, n_max, rule)
 
     def integrand(nodes):
-        root, rows = _layout_arrays(dens, n_max, layout)
         # the factors in place, each with the operations of its formula
         tn = t * nodes
         factors = np.empty((4, nodes.size))
@@ -400,7 +406,7 @@ def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarr
         blocks = hermite_fn_blocks(n_max, nodes, _BLOCK_ROWS) if rows is None else (rows,)
         return blocks, factors
 
-    ints = _HALF_LINE_PREF * gl_integrate(integrand, osc, stop, start)
+    ints = _HALF_LINE_PREF * gl_integrate(integrand, nodes, weights)
     signed = np.concatenate([ints, -ints])
     pick, cols = _phase_picks(n_max)
     tm, al = signed[pick, cols], signed[pick + 2, cols]

@@ -558,6 +558,15 @@ def test_tmcoeff_certified_exit(capsys):
     assert out["certificate"]["status"] == "certified"
 
 
+def test_tmcoeff_of_the_flat_density_at_a_large_time_prints_zero(capsys):
+    # tm_n(100) is the Hermite function h_n(100), 0 in floats; graded
+    # panels that spanned 50 radians of cos(100 u) printed tm_1 = -1.2e-3
+    assert run(["tmcoeff", "--t", "100", "--n-max", "4"]) == 0
+    rows = _json_out(capsys)["rows"]
+    assert [row["n"] for row in rows] == [1, 2, 3, 4]
+    assert all(abs(row["tm"]) <= 1e-15 for row in rows)
+
+
 def test_tmcoeff_above_the_hermite_bound_exits_two(capsys):
     # the recurrence reads 0 where hfn_n is O(0.1) once n passes ~750
     assert run(["tmcoeff", "--n-max", "800"]) == 2
@@ -751,13 +760,13 @@ def test_simulate_chebyshev_at_extreme_radii_prints_the_radius_2_estimate(cli_ch
 
 
 @pytest.mark.parametrize("argv, message", [
-    # 6.57e6 panels; numpy used to fail to allocate 619 MiB after 4.6 s
+    # 6.75e6 panels; numpy used to fail to allocate 619 MiB after 4.6 s
     (["tmcoeff", "--t", "1e6", "--n-max", "4"],
-     "the multiplier layout at t = 1e+06, n_max 4 needs 1.44e+04 MiB, "
+     "the multiplier layout at t = 1e+06, n_max 4 needs 1.48e+04 MiB, "
      "above the bound of 256 MiB"),
     # a panel width below half an ulp, which used to loop without end
     (["tmcoeff", "--t", "1e18", "--n-max", "16"],
-     "the multiplier layout at t = 1e+18, n_max 16 needs 2.65e+16 MiB, "
+     "the multiplier layout at t = 1e+18, n_max 16 needs 2.72e+16 MiB, "
      "above the bound of 256 MiB"),
     # 2^30 tags, which used to run out of memory
     (["integrate", "--n-max", "16", "--levels", "30"],

@@ -16,7 +16,7 @@ from freenoise.hermite import (
     mehler_closed,
     mehler_sum,
 )
-from freenoise.quadrature import _composite_rule, panel_nodes
+from freenoise.quadrature import _composite_rule, gl_rule
 
 
 def hermite_fn(k, u):
@@ -71,7 +71,7 @@ def _allocating_fn_matrix(n_max, u):
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 400])
 def test_in_place_fill_is_bit_identical(n_max):
-    nodes, _ = panel_nodes(2.0 * math.sqrt(400) + 2.0, 40.0)
+    nodes, _ = gl_rule(0.0, 40.0, 2.0 * math.sqrt(400) + 2.0)
     u = np.concatenate([nodes, [2.0 ** -60, 0.0, -0.3, -7.25], -nodes[::97]])
     assert hermite_fn_matrix(n_max, u).tobytes() == _allocating_fn_matrix(n_max, u).tobytes()
 
@@ -80,7 +80,7 @@ def test_in_place_fill_is_bit_identical(n_max):
 def test_row_blocks_are_the_rows_of_the_matrix(n_max):
     # 64 rows at a time, the last block shorter, every block written into
     # one buffer of min(n_max, 64) rows and two carry rows when n_max > 64
-    nodes, _ = panel_nodes(2.0 * math.sqrt(400) + 2.0, ZERO_PAST)
+    nodes, _ = gl_rule(0.0, ZERO_PAST, 2.0 * math.sqrt(400) + 2.0)
     u = np.concatenate([nodes, [0.0, -0.3, 40.0]])
     views, copies = [], []
     for block in hermite_fn_blocks(n_max, u, 64):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,13 @@ from scipy import special as ssp
 import freenoise
 from freenoise.errors import QuadratureError
 from freenoise.quadrature import (
+    _GL_X,
+    _rule,
     gl_integrate,
-    layout_nodes,
-    panel_nodes,
+    gl_rule,
     quad_cos_range,
     quad_scalar,
+    rule_nodes,
 )
 
 
@@ -26,35 +29,88 @@ from freenoise.quadrature import (
     (18.0, 30.0), (2.0 * math.sqrt(512) + 17.0, math.sqrt(1025.0) + 12.0),
     (2.0 * math.sqrt(400) + 1.0 + 2.0 ** 10, 40.3), (0.1, 60.0)])
 def test_layout_node_count_is_known_before_the_layout_is_built(osc, stop):
-    nodes, weights = panel_nodes(osc, stop)
-    assert abs(layout_nodes(osc, stop) - len(nodes)) <= 16
-    # kept and shared read-only: a caller cannot change a later pass
-    assert panel_nodes(osc, stop)[0] is nodes
-    assert not nodes.flags.writeable and not weights.flags.writeable
+    # the count from the edges alone is that of the rule once built, with
+    # or without a power at 0, and no panel is wider than 6 / osc
+    for power in (0.0, 0.2, -0.25, -0.95):
+        nodes, weights = gl_rule(0.0, stop, osc, power)
+        assert rule_nodes(0.0, stop, osc, power) == len(nodes)
+        panels = nodes.reshape(-1, 16)
+        widths = (panels[:, -1] - panels[:, 0]) / (_GL_X[-1] - _GL_X[0])
+        assert np.all(widths <= 6.0 / osc * (1.0 + 1e-12))
+        assert math.fsum(weights) == pytest.approx(stop, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("start, stop", [(0.0, 0.7), (0.0, 5.3), (0.3, 5.3), (1e-3, 1.0),
-                                         (1.5, 38.61), (2.5, 2.6), (3.0, 3.0)])
+                                         (1.5, 38.61), (2.5, 2.6)])
 def test_a_windowed_layout_starts_and_stops_at_its_ends(start, stop):
     # no panel straddles either end, so a jump of the integrand there is
     # an end of the rule, which GL-16 integrates to rounding
     osc = 2.0 * math.sqrt(16) + 2.0
-    nodes, weights = panel_nodes(osc, stop, start)
-    assert abs(layout_nodes(osc, stop, start) - len(nodes)) <= 16
+    nodes, weights = gl_rule(start, stop, osc)
+    assert rule_nodes(start, stop, osc) == len(nodes)
     assert np.all((nodes > start) & (nodes < stop))
     assert math.fsum(weights) == pytest.approx(stop - start, rel=1e-14, abs=0.0)
     # e^u over the window, where it would jump to 0 past both ends
     def integrand(u):
         return [np.exp(u)[None, :]], np.ones((1, u.size))
 
-    got = gl_integrate(integrand, osc, stop, start)[0, 0]
+    got = gl_integrate(integrand, nodes, weights)[0, 0]
     assert got == pytest.approx(math.exp(stop) - math.exp(start), rel=1e-14, abs=0.0)
 
 
-def test_panel_width_that_cannot_advance_an_edge_raises():
-    # a width below half an ulp of 1 would append the same edge forever
-    with pytest.raises(QuadratureError, match="does not advance"):
-        panel_nodes(6.0 / 1e-17, 30.0)
+@pytest.mark.parametrize("power", [-0.95, -0.5, 0.2])
+@pytest.mark.parametrize("start", [0.0, 1e-3, 0.3])
+def test_the_rule_takes_a_power_at_zero_in_or_before_its_window(start, power):
+    # u^power cos(u) on (start, 5.3): at start = 0 by the substitution, and
+    # before a window that starts past 0 by panels that double from 0
+    stop, osc = 5.3, 10.0
+    nodes, weights = gl_rule(start, stop, osc, power)
+
+    def integrand(u):
+        return [(u ** power * np.cos(u))[None, :]], np.ones((1, u.size))
+
+    def from_zero(x):  # QUADPACK's algebraic weight u^power on (0, x)
+        return si.quad(np.cos, 0.0, x, weight="alg", wvar=(power, 0.0), epsabs=0.0,
+                       epsrel=1e-13)[0] if x else 0.0
+
+    got = gl_integrate(integrand, nodes, weights)[0, 0]
+    assert got == pytest.approx(from_zero(stop) - from_zero(start), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("power", [0.0, 0.2, -0.25, -0.95])
+def test_the_pass_rule_is_the_whole_panels_of_the_scalar_rule(power):
+    # one rule family: on (0, 1) with 8 cycles, a power of two as _panels
+    # rounds it, the pass's rule has the bits of the first 16 nodes and
+    # weights of each row of _rule; on (0.25, 1.25) it is _rule's moved
+    # there, to rounding, since its pieces move before their nodes form
+    nodes, weights = gl_rule(0.0, 1.0, 48.0, power)
+    rows = _rule(power, 8.0, 0.0)
+    assert nodes.tobytes() == rows[0][:, :16].ravel().tobytes()
+    assert weights.tobytes() == rows[1][:, :16].ravel().tobytes()
+    nodes, weights = gl_rule(0.25, 1.25, 48.0, power)
+    rows = _rule(0.0, 8.0, 0.25)
+    assert np.max(np.abs(nodes - (0.25 + rows[0][:, :16].ravel()))) <= 4 * np.spacing(1.25)
+    assert np.allclose(weights, rows[1][:, :16].ravel(), rtol=1e-14, atol=0.0)
+
+
+def test_a_rule_too_large_to_build_still_has_a_node_count():
+    # pieces below half an ulp of the window, which an earlier layout
+    # appended without end, and an infinite oscillation scale
+    assert rule_nodes(0.0, 30.0, 6.0 / 1e-17) == pytest.approx(16 * 3e18, rel=1e-12)
+    assert rule_nodes(0.0, 30.0, math.inf) == math.inf
+
+
+def test_a_power_near_minus_one_grades_only_down_to_the_float_range():
+    # the 4:1 panels run down to 2^-k, k = 1 / (1 + power) = 1e7 here (b
+    # of 2 - 2e-7 for the pass, 1 - 1e-7 for r), but 4^-j is 0 past
+    # j = 537: some 540 edges are formed, not a list of 5e6 (160 MB)
+    tracemalloc.start()
+    try:
+        count = rule_nodes(0.0, 1.0, 6.0, -(1.0 - 1e-7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count <= 16 * 600 and peak <= 1 << 20
 
 
 def test_gl_integrate_contracts_every_factor_against_every_row():
@@ -62,7 +118,7 @@ def test_gl_integrate_contracts_every_factor_against_every_row():
     def integrand(u):
         return [np.stack([np.exp(-u / 40.0), np.exp(-u)])], np.stack([np.ones_like(u), u])
 
-    got = gl_integrate(integrand, 1.0, 60.0)
+    got = gl_integrate(integrand, *gl_rule(0.0, 60.0, 1.0))
     assert got.shape == (2, 2)
     cut = math.exp(-1.5)
     assert got == pytest.approx(np.array([[40.0 * (1.0 - cut), 1.0],
@@ -76,7 +132,7 @@ def test_gl_integrate_raises_when_the_contraction_is_not_finite():
         return [rows], np.where(u > 25.0, np.inf, 1.0)[None, :]
 
     with pytest.raises(QuadratureError, match="not finite"):
-        gl_integrate(integrand, 1.0, 30.0)
+        gl_integrate(integrand, *gl_rule(0.0, 30.0, 1.0))
 
 
 def test_gl_integrate_raises_when_only_a_later_block_is_not_finite():
@@ -86,7 +142,7 @@ def test_gl_integrate_raises_when_only_a_later_block_is_not_finite():
         return [rows, rows, np.where(u > 25.0, np.inf, 1.0)[None, :]], np.ones((1, u.size))
 
     with pytest.raises(QuadratureError, match="not finite"):
-        gl_integrate(integrand, 1.0, 30.0)
+        gl_integrate(integrand, *gl_rule(0.0, 30.0, 1.0))
 
 
 def test_importing_the_package_does_not_load_scipy_integrate():

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+import sys
 import tracemalloc
 import weakref
 
@@ -13,7 +14,7 @@ from scipy import special as ssp
 from freenoise import acceptance, spectral
 from freenoise.errors import DivergenceError, QuadratureError, ValidationError
 from freenoise.hermite import ZERO_PAST, hermite_fn_matrix
-from freenoise.quadrature import _composite_rule, panel_nodes
+from freenoise.quadrature import _composite_rule, gl_rule
 from freenoise.spectral import (
     _HALF_LINE_PREF,
     SpectralDensity,
@@ -116,18 +117,21 @@ def test_scalar_evaluator_matches_the_vector_one(dens):
     direct = dens.scale * z ** (dens._power - 2.0) * (1.0 + z * z) ** dens._bracket \
         * np.exp(dens.rate * z)
     assert np.allclose(dens.over_square(z), direct, rtol=1e-12, atol=0.0)
-    # the root is sqrt(m) bit for bit, except that the exponential factor
-    # is halved instead of rooted
+    # the root is the law with every exponent halved, bit for bit, and
+    # sqrt(m) to 4 ulp wherever that is a normal float
     grid = np.array(_AT_GRID)
-    vector = dens(grid)
-    if dens.kind == "exponential":
-        u = np.abs(grid)
-        with np.errstate(over="ignore"):
-            want = math.sqrt(dens.scale) * np.exp(0.5 * dens.rate * u)
-        want = np.where((u >= dens.cutoff_low) & (u <= dens.cutoff_high), want, 0.0)
-    else:
-        want = np.sqrt(vector)
+    u = np.abs(grid)
+    with np.errstate(divide="ignore", over="ignore"):
+        want = math.sqrt(dens.scale) * u ** (0.5 * dens._power) \
+            * (1.0 + u * u) ** (0.5 * dens._bracket)
+        if dens.rate:
+            want = want * np.exp(0.5 * dens.rate * u)
+        rooted = np.sqrt(dens(grid))
+    want = np.where((u >= dens.cutoff_low) & (u <= dens.cutoff_high), want, 0.0)
     assert np.array_equal(dens.root(grid), want)
+    normal = np.isfinite(rooted) & (rooted >= sys.float_info.min)
+    assert normal.sum() >= 10
+    assert np.all(np.abs(want[normal] - rooted[normal]) <= 4.0 * np.spacing(rooted[normal]))
 
 
 # tm_values(dens, 1.0, 8) and r_function(dens, 1.5) as float.hex, taken
@@ -138,46 +142,51 @@ def test_scalar_evaluator_matches_the_vector_one(dens):
 # Gauss-Legendre rules: each is now within 1 ulp of its closed form
 # (lebesgue, fbm) or of the QUADPACK oracle of the window (test below),
 # where the QUADPACK values had missed the closed forms by 4.6e-13 to
-# 1.2e-12.
+# 1.2e-12.  The tm values were re-recorded when the pass moved onto r's
+# rule family, which takes the power of sqrt(m) at 0 by substitution and
+# cuts every panel to 6 / osc: each moved by at most 4.5e-15 of itself
+# (1.8e-15 absolute), the flat row is still the Hermite functions to
+# 3.3e-16, and the windowed rows still agree with _windowed_reference to
+# 2.0e-16 of the largest entry.
 _FROZEN = {
     "lebesgue[0,inf]": (
-        ["0x1.d283bd5be9db6p-2", "0x1.49e02a22b61c1p-1", "0x1.49e02a22b61c2p-2",
-         "-0x1.0d57a33d5d99ap-2", "-0x1.dc226d2886986p-2", "-0x1.e1d0706d250edp-5",
-         "0x1.8fe09bd12e497p-2", "0x1.0d80ab07dd9a8p-2"],
+        ["0x1.d283bd5be9db6p-2", "0x1.49e02a22b61c3p-1", "0x1.49e02a22b61c1p-2",
+         "-0x1.0d57a33d5d999p-2", "-0x1.dc226d2886984p-2", "-0x1.e1d0706d25113p-5",
+         "0x1.8fe09bd12e49ep-2", "0x1.0d80ab07dd9a7p-2"],
         "0x1.8000000000000p-1"),
     "fbm(H=0.3)[0,inf]": (
         ["0x1.72e47ec4f8e83p-2", "0x1.576731f6b4e51p-1", "0x1.3fa42cf432185p-2",
-         "-0x1.59b0fae4afd58p-2", "-0x1.355de92da2c8fp-1", "-0x1.47fe8027ec257p-4",
-         "0x1.eb7b63acd69d1p-2", "0x1.57c887e04249ep-2"],
+         "-0x1.59b0fae4afd58p-2", "-0x1.355de92da2c8ep-1", "-0x1.47fe8027ec269p-4",
+         "0x1.eb7b63acd69d1p-2", "0x1.57c887e0424a1p-2"],
         "0x1.c3af329bcf301p-1"),
     "fbm(H=0.75)[0,inf]": (
         ["0x1.499725c057184p-1", "0x1.3da2e26b7898ep-1", "0x1.923787abf8f7cp-2",
-         "-0x1.6bb01bf5657bcp-3", "-0x1.1c4dad7e73144p-2", "-0x1.fd424862a2c91p-6",
-         "0x1.63dd74fd31c05p-2", "0x1.9bd48b9489b79p-3"],
+         "-0x1.6bb01bf5657b8p-3", "-0x1.1c4dad7e73143p-2", "-0x1.fd424862a2cb3p-6",
+         "0x1.63dd74fd31c08p-2", "0x1.9bd48b9489b7dp-3"],
         "0x1.f454378577499p-1"),
     "exponential(rate=1)[0,inf]": (
-        ["0x1.0ef213d49d8bcp-1", "0x1.4951ee010b88cp+0", "0x1.adc002494f54bp-1",
-         "-0x1.d03f73320f536p-1", "-0x1.f3d94f851494ep+0", "-0x1.50a7e4756a35fp-2",
-         "0x1.17c1739118f8ep+1", "0x1.bdd7adef3dd61p+0"],
+        ["0x1.0ef213d49d8bbp-1", "0x1.4951ee010b88cp+0", "0x1.adc002494f54ap-1",
+         "-0x1.d03f73320f536p-1", "-0x1.f3d94f851494dp+0", "-0x1.50a7e4756a36ep-2",
+         "0x1.17c1739118f92p+1", "0x1.bdd7adef3dd61p+0"],
         None),
     "custom[0,inf]": (
-        ["0x1.617a617214af4p-1", "0x1.298596d963bdep+0", "0x1.8c7e0c2135340p-1",
-         "-0x1.78e274bb25034p-1", "-0x1.5a39717b5e4b0p+0", "-0x1.6146ce8c01099p-3",
-         "0x1.7c155967f3bcdp+0", "0x1.06ae632232956p+0"],
+        ["0x1.617a617214af6p-1", "0x1.298596d963bddp+0", "0x1.8c7e0c213533ep-1",
+         "-0x1.78e274bb25032p-1", "-0x1.5a39717b5e4afp+0", "-0x1.6146ce8c010adp-3",
+         "0x1.7c155967f3bcep+0", "0x1.06ae632232956p+0"],
         None),
     # the windowed rows were re-recorded once the panels were laid over
     # the window: they agree with _windowed_reference to 3e-16 of the
     # largest entry, where the earlier values, from panels that straddled
     # the cutoffs, missed it by 4.1e-2 and 1.9e-2
     "custom[0.5,3]": (
-        ["0x1.e20bdcd14b41bp-3", "0x1.1f5f5ea40b26ep+0", "0x1.932dea14f0cd1p-2",
-         "-0x1.b068586b79b6ap-1", "-0x1.1689063af5c99p+0", "0x1.10fe271a31691p-4",
-         "0x1.6c4fb020e9370p-3", "0x1.1cf88b181db10p-3"],
+        ["0x1.e20bdcd14b41dp-3", "0x1.1f5f5ea40b26fp+0", "0x1.932dea14f0cd1p-2",
+         "-0x1.b068586b79b6bp-1", "-0x1.1689063af5c97p+0", "0x1.10fe271a3167fp-4",
+         "0x1.6c4fb020e936cp-3", "0x1.1cf88b181db0ep-3"],
         "0x1.cf20d1ceec043p+0"),
     "fbm(H=0.75)[0.5,3]": (
-        ["0x1.9ac268da23a4ap-3", "0x1.28d6ca992d26dp-1", "0x1.8e91df8e16ca8p-4",
-         "-0x1.dfe1fafce8df5p-3", "-0x1.89df0e251fc49p-2", "-0x1.afed441a47432p-6",
-         "-0x1.88dbe874fb9fdp-5", "0x1.93440674ea5c9p-7"],
+        ["0x1.9ac268da23a4cp-3", "0x1.28d6ca992d26dp-1", "0x1.8e91df8e16ca6p-4",
+         "-0x1.dfe1fafce8df5p-3", "-0x1.89df0e251fc48p-2", "-0x1.afed441a4744ap-6",
+         "-0x1.88dbe874fba01p-5", "0x1.93440674ea5c7p-7"],
         "0x1.c6701377e3eabp-2"),
 }
 
@@ -194,44 +203,53 @@ def test_multiplier_and_r_are_frozen(dens):
 
 
 # SHA-256 of the bytes of tm_values and alpha_vector at n_max 400,
-# (density, t) -> (tm, alpha), recorded on the bucketed panel layout
-# (the osc_scale of t = 0.5 uses B = 1, of t = 2.5 uses B = 4) with the
-# rows contracted 64 at a time.
+# (density, t) -> (tm, alpha), recorded on the pass's rule, that of r
+# (the osc_scale of t = 0.5 uses B = 1, of t = 2.5 uses B = 4), with the
+# rows contracted 64 at a time.  Re-recorded when the pass left its own
+# graded panels for that rule: tm moved by at most 2.6e-14 and alpha by
+# 6.0e-15 of the largest entry.
 _FROZEN_N400 = {
     ("lebesgue", 0.5): (
-        "7b28150679333bb22a5e93f3ee17a247e9e7fe6c462fa0bab7da6d24d1fb5ab5",
-        "359eade2134c5b6d5b97f5ccee51e26299812ac74d7bb772352827fe19f11bf6"),
+        "5b37644a120414b15f8ef92e9cf8baa8caca76348e2d471679c8b9fcfe109d91",
+        "884936a009e2c05bfad5361627850502dffdc00924a4c179cfe83477fa99e16c"),
     ("lebesgue", 2.5): (
-        "c22fe5c5c9eaad65b767ab074653afd6f517e3574ee3b752bae353a5920566ca",
-        "37f855f64652a98ffd72efa37c594696a750cd1f57ed23a1a08081fa551c7818"),
+        "7250dccb23066bb19a6f5883609ba0baaac5b8ca2b128df5255ebd8d9f66dc70",
+        "5649eb7383494e4fe7463ea6c57754d787f56b4ceaddf0d804da12d1110b1cad"),
     ("fbm(H=0.3)", 0.5): (
-        "750a59ef6b55a629690900d98863f182e520e6d063031e6764380a8f5dd256ac",
-        "8d8203469bbb0dad36134564de40ca8d45125acc6031aed55e97b33500018855"),
+        "942b769d6b725a43e4652f142988ba6a7e6ffe2cb0cb4d49d46847c2356ceaf9",
+        "c0f9cbd4b5a5b097b30863279e13974fb4be98ad9166ad9eaf3ad18d5377cf99"),
     ("fbm(H=0.3)", 2.5): (
-        "a391e609498f6108bd809872a4e3367d168a320e18ba57a0697f609c2fbb9976",
-        "24760e402f56eb8bdc553fe6a5f37ecbfb334bd9d94dd1a590bac06b003bf7a2"),
+        "ccd05b083acf168d54de4185de5fe8609dc2821fcdb5e3edd91fba7efa4990be",
+        "aea5844357d388a40bb066bc837edc64643d75c7e3613023ecc2ba6250778434"),
     ("fbm(H=0.75)", 0.5): (
-        "6107ff617d894ffb9c6a799178e48da9aadc597c7efecdd7726037a600b65b79",
-        "ab8276c9ffb072953fa6f0c45d4242891df38f24e76dbecd63f20d0178d348c2"),
+        "d39cf6dd024cc4654e6066730a0136b465a00c1c5f38bbdd0f196602a939ee8c",
+        "40a20a794b0a902e539562b64c764c169bedfa168a86c90fa35d4e86bacf4a99"),
     ("fbm(H=0.75)", 2.5): (
-        "73a33a166969b45c7b5a68c9abfd190d4731082c6b522e69f45f70a894300e85",
-        "c96e5aa25a48f8bde56fb95aaf48ec306b91efb339351f7a2f5b0a90c9046617"),
+        "82e17c830245d3cb631aca25b78ee581ba86f1a0f6123e6dfcc54a8819b23643",
+        "6b3a7baf0239bd0d45b3614be00051eafba9f20804a9a18e2f7b1e0ffa8bbc34"),
 }
 
 
 @pytest.mark.parametrize("dens", [SpectralDensity.lebesgue(), SpectralDensity.fbm(0.3),
                                   SpectralDensity.fbm(0.75)], ids=lambda d: d.label())
 def test_skipping_underflowed_tail_spans_changes_no_bit(dens, monkeypatch):
-    # the layout stops at ZERO_PAST; at n_max 400 the pass must give the
-    # bytes recorded when it also contracted the span (40.3, 80.6], and
-    # the same bytes when its layout runs on through that span
+    # the rule stops at ZERO_PAST; at n_max 400 the pass must give the
+    # recorded bytes, and the same bytes when its rule runs on through
+    # the span (ZERO_PAST, 80.6], where every row is +0.0
+    def longer(start, stop, osc, power):
+        nodes, weights = gl_rule(start, stop, osc, power)
+        tail, tail_weights = gl_rule(stop, 80.6, osc)
+        return np.concatenate([nodes, tail]), np.concatenate([weights, tail_weights])
+
     for t in (0.5, 2.5):
         tm, al = tm_values(dens, t, 400), alpha_vector(dens, t, 400)
         digests = tuple(hashlib.sha256(v.tobytes()).hexdigest() for v in (tm, al))
         assert digests == _FROZEN_N400[(dens.label(), t)]
+        spectral._RECORD.clear()
         with monkeypatch.context() as m:
-            m.setattr(spectral, "ZERO_PAST", 80.6)
+            m.setattr(spectral, "gl_rule", longer)
             full_tm, full_al = _tm_and_alpha.__wrapped__(dens, t, 400)
+        spectral._RECORD.clear()
         assert (tm.tobytes(), al.tobytes()) == (full_tm.tobytes(), full_al.tobytes())
 
 
@@ -248,7 +266,7 @@ def _count_hermite_calls(monkeypatch):
     real = spectral.hermite_fn_blocks
     monkeypatch.setattr(spectral, "hermite_fn_blocks",
                         lambda n, u, block: calls.append(len(u)) or real(n, u, block))
-    spectral._layout_arrays.cache_clear()
+    spectral._RECORD.clear()
     spectral._require_resolved_edge.cache_clear()
     return calls
 
@@ -260,13 +278,11 @@ def test_times_of_one_bucket_share_their_hermite_rows(monkeypatch):
     times = 0.0371 + np.arange(64) / 64.0
     calls = _count_hermite_calls(monkeypatch)
     shared = [_tm_and_alpha.__wrapped__(leb, t, 64) for t in times]
-    assert len(calls) == 2
-    info = spectral._layout_arrays.cache_info()
-    assert (info.hits, info.misses) == (62, 2)
+    assert len(calls) == 2 and len(spectral._RECORD) == 1
     # rows rebuilt on every pass give the same bits
     fresh = []
     for t in times:
-        spectral._layout_arrays.cache_clear()
+        spectral._RECORD.clear()
         fresh.append(_tm_and_alpha.__wrapped__(leb, t, 64))
     assert len(calls) == 2 + 64
     for (tm, al), (tm0, al0) in zip(shared, fresh):
@@ -289,13 +305,10 @@ def test_row_blocks_agree_with_the_whole_row_matrix(dens, monkeypatch):
 
 
 def _kept(dens, t, n_max):
-    """The record a pass at (dens, t, n_max) keeps, read as a cache hit;
-    keyed by the density, n_max and the layout: oscillation scale, start
-    and stop."""
-    layout = (_osc_scale(n_max, t), dens.cutoff_low, min(ZERO_PAST, dens.cutoff_high))
-    hits = spectral._layout_arrays.cache_info().hits
-    record = spectral._layout_arrays(dens, n_max, layout)
-    assert spectral._layout_arrays.cache_info().hits == hits + 1
+    """The record a pass at (dens, t, n_max) keeps: the one record, keyed
+    by the density, n_max and the rule, which reads t through osc_scale."""
+    (key, record), = spectral._RECORD.items()
+    assert key == (dens, n_max, (0.0, ZERO_PAST, _osc_scale(n_max, t), 0.5 * dens._power))
     return record
 
 
@@ -303,32 +316,33 @@ def test_only_the_latest_layout_is_kept_and_only_under_4_mib(monkeypatch):
     leb = SpectralDensity.lebesgue()
     _count_hermite_calls(monkeypatch)
     _tm_and_alpha.__wrapped__(leb, 0.5, 64)
-    first = weakref.ref(_kept(leb, 0.5, 64)[1])
+    first = weakref.ref(_kept(leb, 0.5, 64)[3])
     _tm_and_alpha.__wrapped__(leb, 1.5, 64)
     gc.collect()
     assert first() is None
-    assert spectral._layout_arrays.cache_info().currsize == 1
-    root, rows = _kept(leb, 1.5, 64)
+    nodes, weights, root, rows = _kept(leb, 1.5, 64)
+    assert nodes.shape == weights.shape == root.shape
     assert rows.shape == (64, root.size)
     assert rows.nbytes <= spectral._KEEP_BYTES == 4 << 20
-    assert not (root.flags.writeable or rows.flags.writeable)
-    # at n_max 400 the rows alone are about 17 MB: only the root is kept
+    # kept read-only: a caller cannot change a later pass
+    assert not any(a.flags.writeable for a in (nodes, weights, root, rows))
+    # at n_max 400 the rows alone are about 14 MB: only the root is kept
     _tm_and_alpha.__wrapped__(leb, 0.5, 400)
-    root, rows = _kept(leb, 0.5, 400)
+    nodes, weights, root, rows = _kept(leb, 0.5, 400)
     assert rows is None and not root.flags.writeable
 
 
-def test_the_kept_record_is_keyed_by_the_density():
-    # lebesgue and fbm(0.3) passes alternate on one layout, so each pass
-    # misses the record of the other; every pass has the bits of a pass
-    # from an empty cache
+def test_the_kept_record_is_keyed_by_the_density(monkeypatch):
+    # lebesgue and fbm(0.3) passes alternate on one oscillation scale, so
+    # each pass misses the record of the other; every pass has the bits of
+    # a pass from an empty record
     leb, rough = SpectralDensity.lebesgue(), SpectralDensity.fbm(0.3)
     passes = [(dens, t) for t in (0.3, 0.5, 0.7, 0.9) for dens in (leb, rough)]
-    spectral._layout_arrays.cache_clear()
+    calls = _count_hermite_calls(monkeypatch)
     warm = [_tm_and_alpha.__wrapped__(dens, t, 64) for dens, t in passes]
-    assert spectral._layout_arrays.cache_info().misses == len(passes)
+    assert len(calls) == len(passes)
     for (dens, t), (tm, al) in zip(passes, warm):
-        spectral._layout_arrays.cache_clear()
+        spectral._RECORD.clear()
         tm0, al0 = _tm_and_alpha.__wrapped__(dens, t, 64)
         assert (tm.tobytes(), al.tobytes()) == (tm0.tobytes(), al0.tobytes())
 
@@ -336,8 +350,8 @@ def test_the_kept_record_is_keyed_by_the_density():
 def _folded_reference(rate, t, n_max, stop=60.0):
     """tm and alpha of exponential(rate) from Hermite rows seeded with
     e^{-u^2/2 + rate u/2}, which stay exact well past ZERO_PAST, on the
-    pass's panels run on to stop."""
-    nodes, weights = panel_nodes(_osc_scale(n_max, t), stop)
+    pass's rule run on to stop."""
+    nodes, weights = gl_rule(0.0, stop, _osc_scale(n_max, t))
     rows = np.empty((n_max, nodes.size))
     rows[0] = math.pi ** -0.25 * np.exp(nodes * (0.5 * rate - 0.5 * nodes))
     rows[1] = math.sqrt(2.0) * nodes * rows[0]
@@ -508,10 +522,57 @@ def test_flat_multiplier_is_the_hermite_function_at_the_n_max_bound(t):
         tm_values(leb, t, 513)
 
 
+@pytest.mark.parametrize("t", [30.0, 100.0, 1000.0])
+def test_flat_multiplier_at_a_large_time_is_the_hermite_function(t):
+    # no panel of the rule spans more than 6 radians of cos(t u): graded
+    # panels up to [1/2, 1] spanned t / 2 of them, and tm_1 read -1.2e-3 at
+    # t = 100, where h_1 is 0.  Past u = 12 every h_n, n <= 16, is below
+    # 1e-22, so alpha is the integral of h_n over [0, 12]
+    leb = SpectralDensity.lebesgue()
+    tm, al = _tm_and_alpha.__wrapped__(leb, t, 16)
+    assert np.max(np.abs(tm - hermite_fn_matrix(16, [t])[:, 0])) <= 5e-14
+    x, w = np.polynomial.legendre.leggauss(200)
+    expected = hermite_fn_matrix(16, 6.0 * (x + 1.0)) @ (6.0 * w)
+    assert np.max(np.abs(al - expected)) <= 1e-12
+
+
+def _first_row_reference(b, t):
+    """tm_1 and alpha_1 of custom(b) at t by mpmath at 30 digits: below
+    u = 1 in u = v^k, k = 1 / (1 - b / 2), which takes u^(-b/2) of sqrt(m)
+    into the smooth k g(v^k), and the smooth rest above u = 1 as it is."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        b, t = mpmath.mpf(b), mpmath.mpf(t)
+        k = 1 / (1 - b / 2)
+        pref = 2 / mpmath.sqrt(2 * mpmath.pi) * mpmath.pi ** mpmath.mpf(-0.25)
+        out = []
+        for factor in (lambda u: mpmath.cos(t * u), lambda u: mpmath.sin(t * u) / u):
+            def g(u, factor=factor):  # sqrt(m) h_1 times the factor, over u^(-b/2)
+                return (1 + u * u) ** (b / 4) * mpmath.exp(-u * u / 2) * factor(u)
+
+            head = mpmath.quad(lambda v: k * g(v ** k), [0, 1])
+            tail = mpmath.quad(lambda u: u ** (-b / 2) * g(u), [1, 4, 10, 40])
+            out.append(float(pref * (head + tail)))
+    return out
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0, 1.5, 1.8, 1.9, 1.99])
+def test_origin_power_is_taken_by_substitution(b):
+    # sqrt(m) ~ u^(-b/2) at 0: graded panels down to 2^-60 missed tm_1 by
+    # 9.0e-2 at b = 1.9 and 0.79 at b = 1.99, and sqrt(m) itself overflowed
+    # at the rule's node floor 2^-1000 from b = 1.8 on
+    dens = SpectralDensity("custom", origin_exponent=b)
+    tm, al = _tm_and_alpha.__wrapped__(dens, 1.0, 4)
+    want_tm, want_al = _first_row_reference(b, 1.0)
+    assert abs(tm[0] - want_tm) <= 1e-12 * abs(want_tm)
+    assert abs(al[0] - want_al) <= 1e-12 * abs(want_al)
+
+
 def test_layout_above_the_budget_is_rejected_before_it_is_built(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the layout was built")
 
+    monkeypatch.setattr(spectral, "gl_rule", refuse)
     monkeypatch.setattr(spectral, "gl_integrate", refuse)
     leb = SpectralDensity.lebesgue()
     for t, n_max in [(1e6, 4), (1e18, 16), (-1e300, 512), (1.7e308, 1)]:
@@ -520,25 +581,25 @@ def test_layout_above_the_budget_is_rejected_before_it_is_built(monkeypatch):
 
 
 def test_largest_tier_one_layout_is_within_the_budget():
-    # lebesgue at t = 12 and n_max 512: 452 panels, 29 MiB counted
-    nodes, _ = panel_nodes(_osc_scale(512, 12.0), ZERO_PAST)
-    assert len(nodes) == 452 * 16
+    # lebesgue at t = 12 and n_max 512: 401 panels, 26 MiB counted
+    nodes, _ = gl_rule(0.0, ZERO_PAST, _osc_scale(512, 12.0))
+    assert len(nodes) == 401 * 16
     assert len(nodes) * (512 + spectral._PASS_ARRAYS) * 8 <= 256 << 20
 
 
 def _traced_pass_peak(dens, t, n_max):
-    """Peak traced bytes of one pass from an empty record and node cache,
-    after the edge check of (dens, n_max) has run, and its node count."""
+    """Peak traced bytes of one pass from an empty record, after the edge
+    check of (dens, n_max) has run, and its node count."""
     _tm_and_alpha.__wrapped__(dens, 0.25, n_max)
-    spectral._layout_arrays.cache_clear()
-    panel_nodes.cache_clear()
+    spectral._RECORD.clear()
     tracemalloc.start()
     try:
         _tm_and_alpha.__wrapped__(dens, t, n_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak, len(panel_nodes(_osc_scale(n_max, t), min(ZERO_PAST, dens.cutoff_high))[0])
+    (record,) = spectral._RECORD.values()
+    return peak, record[0].size
 
 
 @pytest.mark.parametrize("n_max, bucket", [(4, 2.0 ** 14), (512, 2.0 ** 9)])
@@ -557,12 +618,34 @@ def test_largest_accepted_pass_peaks_within_the_budget(n_max, bucket):
         assert peak <= (spectral._BLOCK_ROWS + 2 + spectral._PASS_ARRAYS) * nodes * 8
 
 
+def test_a_new_record_drops_the_old_one_before_it_is_built():
+    # flat density at n_max 64 over times that cross t = 1, from the B = 1
+    # record into the B = 2 one: the first is gone before the second is
+    # built, so the sequence peaks where one pass from an empty record does
+    # (holding both read 1.83 -> 3.08 MiB in one process)
+    leb = SpectralDensity.lebesgue()
+
+    def peak(times):
+        spectral._RECORD.clear()
+        tracemalloc.start()
+        try:
+            for t in times:
+                _tm_and_alpha.__wrapped__(leb, t, 64)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    _tm_and_alpha.__wrapped__(leb, 1.5, 64)  # the edge check, outside the trace
+    alone = peak([1.5])
+    assert peak([0.25, 0.5, 0.75, 1.0, 1.25, 1.5]) <= 1.2 * alone
+
+
 def test_pass_above_the_kept_rows_holds_one_block():
-    # lebesgue at t = 0.5 and n_max 400: 5,200 nodes, so the whole row
-    # matrix is 16.6 MB; a pass holds one 64-row block, two carry rows
-    # and the node-length arrays, 3.3 MB
+    # lebesgue at t = 0.5 and n_max 400: 4,336 nodes, so the whole row
+    # matrix is 13.9 MB; a pass holds one 64-row block, two carry rows
+    # and the node-length arrays, 2.8 MB
     peak, nodes = _traced_pass_peak(SpectralDensity.lebesgue(), 0.5, 400)
-    assert nodes == 5200
+    assert nodes == 4336
     assert peak <= (spectral._BLOCK_ROWS + 2 + spectral._PASS_ARRAYS) * nodes * 8
 
 
@@ -578,7 +661,7 @@ def test_flat_alpha_is_the_integral_of_the_hermite_function_to_n_400(t):
 def _stacked_reference(dens, t, n_max):
     """tm and alpha with every integrand product formed, then contracted.
 
-    The same panels as gl_integrate up to its own stop, past which
+    The pass's rule up to its own stop, past which
     spans of doubling length are added until one contributes less than
     1e-11 of the total; the four (n_max x nodes) integrands are built
     and stacked before the weighted sum over the nodes.
@@ -591,7 +674,7 @@ def _stacked_reference(dens, t, n_max):
         return np.stack([base * g for g in factors])
 
     osc, stop = _osc_scale(n_max, t), max(30.0, math.sqrt(2.0 * n_max + 1.0) + 12.0)
-    nodes, weights = panel_nodes(osc, stop)
+    nodes, weights = gl_rule(0.0, stop, osc, 0.5 * dens._power)
     total = integrand(nodes) @ weights
     start, span = stop, stop
     while True:
