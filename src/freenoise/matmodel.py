@@ -12,7 +12,8 @@ standard_normal of that stream.  A Hermitian sample is H = (A + A*)/2
 with A filled by independent standard complex normals, so off-diagonal
 entries have unit second moment and the spectrum of H/sqrt(dim) fills
 the radius-2 semicircle; the configured radius rescales that support.
-Samples are written in place into caller buffers.
+Samples are written in place into caller buffers, the normals drawn 64
+rows at a time into one 64 x dim float block.
 
 The last generator of a sample is drawn diagonal, with the same law.
 Write a GUE matrix B as U D U* with U Haar and D its eigenvalues, and
@@ -25,8 +26,10 @@ Phys. 43, 2002), taken by numpy's eigvalsh from the tridiagonal matrix
 stored dense.  LAPACK reduces a matrix that is already tridiagonal with
 Householder reflectors of tau = 0, so the root-free QR it then runs
 sees the draws unchanged, and the spectrum briefly holds two dim x dim
-float matrices: the dense tridiagonal and LAPACK's copy of it.  The
-finite-N traces this law gives are counted by genus in
+float matrices: the dense tridiagonal and LAPACK's copy of it.  A worker
+takes its samples 64 at a time and their spectra before anything else
+of the chunk, so those two matrices never sit on top of its buffers.
+The finite-N traces this law gives are counted by genus in
 trace.trace_genus (Mingo and Speicher, "Free Probability and Random
 Matrices", 2017, ch. 1).
 
@@ -40,12 +43,12 @@ multiplied, so only dense times dense is a matrix product, and the
 powers of D weight the inner product of each core pair.  The cores are
 formed 64 rows at a time, and each pair's inner product is summed from
 those rows before the next are formed.  A worker holds its dense
-letters, one 64 x dim slice per formed core and one of scratch, and
-the sampler's dim x dim float buffer while it draws: the 127 binary
-words up to length 6 form the cores 00, 000 and 010 from the letter 0.
-A palindromic core is Hermitian, and one that is no other core's
-prefix and meets only palindromes is formed only on and right of its
-diagonal block, as 000 and 010 are.
+letters, one 64 x dim slice per formed core and one of scratch, the
+chunk's spectra, and the sampler's 64 x dim float block while it
+draws: the 127 binary words up to length 6 form the cores 00, 000 and
+010 from the letter 0.  A palindromic core is Hermitian, and one that
+is no other core's prefix and meets only palindromes is formed only on
+and right of its diagonal block, as 000 and 010 are.
 
 U-words, the orthonormal basis elements p_{a1}(X_{i1}) ... p_{ak}(X_{ik})
 with p_n(x) = U_n(x / radius), do not depend on the radius: X / radius
@@ -122,11 +125,24 @@ def gue_matrix(cfg: EnsembleConfig, sample: int, gen_index: int,
     rng = _stream(cfg.seed, sample, gen_index)
     d = cfg.dim
     h = np.empty((d, d), np.complex128) if out is None else out
-    # one float buffer for both draws: out= refuses the strided h.real
-    normals = rng.standard_normal((d, d))
-    np.add(normals, normals.T, out=h.real)
-    rng.standard_normal(out=normals)
-    np.subtract(normals, normals.T, out=h.imag)
+    # N + N^T, then N' - N'^T.  Each plane first takes its normals as
+    # drawn, row-major through one 64-row float block; then each block of
+    # rows is finished against its column strip, copied transposed into
+    # the block.  From the strip's diagonal tile on, the rows below still
+    # hold draws, so an entry is N_ij +- N_ji; left of it the rows above
+    # are finished, and -0 + S_ji or 0 - S_ji rounds exactly as N_ij +- N_ji
+    # does.  Assignments and whole rows take no numpy iteration buffer
+    block = np.empty((min(_BLOCK_ROWS, d), d))
+    for plane, op, zero in ((h.real, np.add, -0.0), (h.imag, np.subtract, 0.0)):
+        for rows in _row_blocks(d):
+            normals = block[:rows.stop - rows.start]
+            rng.standard_normal(out=normals)
+            plane[rows] = normals
+        for rows in _row_blocks(d):
+            strip = block[:rows.stop - rows.start]
+            strip[...] = plane[:, rows].T
+            plane[rows, :rows.start] = zero
+            op(plane[rows], strip, out=plane[rows])
     flat = h.view(np.float64)
     flat *= 0.25 * cfg.radius / math.sqrt(d)
     return h
@@ -143,7 +159,8 @@ def gue_spectrum(cfg: EnsembleConfig, sample: int, gen_index: int) -> np.ndarray
     subdiagonal: the reduction to tridiagonal form finds every
     Householder tau = 0, so the values are those of LAPACK's root-free
     QR on the draws themselves, and the call briefly holds two dim x dim
-    float matrices, this one and LAPACK's copy.  The draws come from the
+    float matrices, this one and LAPACK's copy; _trace_table takes its
+    spectra before it allocates its buffers.  The draws come from the
     (seed, sample, gen_index) stream.
     """
     rng = _stream(cfg.seed, sample, gen_index)
@@ -161,17 +178,19 @@ def gue_spectrum(cfg: EnsembleConfig, sample: int, gen_index: int) -> np.ndarray
 
 
 def sample_generators(cfg: EnsembleConfig, sample: int,
-                      out: np.ndarray | None = None) -> list[np.ndarray]:
+                      out: np.ndarray | None = None,
+                      spectrum: np.ndarray | None = None) -> list[np.ndarray]:
     """The sample's generators: gue_matrix draws, then one gue_spectrum.
 
     The last generator is the diagonal matrix of its gue_spectrum draw
-    and is returned as that real vector; the others are dense, and are
-    written into the leading rows of out when it is given.
+    and is returned as that real vector, spectrum itself when given; the
+    others are dense, and are written into the leading rows of out when
+    it is given.
     """
     last = cfg.n_generators - 1
     mats = [gue_matrix(cfg, sample, g, None if out is None else out[g])
             for g in range(last)]
-    return mats + [gue_spectrum(cfg, sample, last)]
+    return mats + [gue_spectrum(cfg, sample, last) if spectrum is None else spectrum]
 
 
 def _check_word(cfg: EnsembleConfig, letters: tuple[int, ...]) -> None:
@@ -279,8 +298,8 @@ def _trace_table(cfg: EnsembleConfig,
     both cores are palindromes they are Hermitian and R is symmetric, so
     only its blocks on and right of the diagonal are read: the table is
     M_diag + M_off + M_off^T, M_diag from the diagonal blocks and M_off
-    from those right of them.  Sample streams are counter-based, so the
-    worker count never changes a digit.
+    from those right of them.  Sample streams are counter-based, so
+    neither the worker count nor the 64-sample chunks change a digit.
     """
     diag, dim = cfg.n_generators - 1, cfg.dim
     pairs: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
@@ -295,10 +314,10 @@ def _trace_table(cfg: EnsembleConfig,
     plan = _core_plan(list(pairs), symmetric, diag)
     exponents = np.arange(at[:, 1:].max(initial=0) + 1.0)[:, None]
 
-    def sample_row(sample: int, letters: np.ndarray, slices: np.ndarray,
-                   grams: np.ndarray, halves: np.ndarray,
+    def sample_row(sample: int, spectrum: np.ndarray, letters: np.ndarray,
+                   slices: np.ndarray, grams: np.ndarray, halves: np.ndarray,
                    sums: np.ndarray) -> np.ndarray:
-        mats = sample_generators(cfg, sample, letters)
+        mats = sample_generators(cfg, sample, letters, spectrum)
         grams.fill(0.0)
         halves.fill(0.0)
         # an overflowing ensemble gives a non-finite table, which the
@@ -331,16 +350,25 @@ def _trace_table(cfg: EnsembleConfig,
             grams += halves.transpose(0, 2, 1)
         return grams[at[:, 0], at[:, 1], at[:, 2]] / dim
 
-    def run_slice(samples: range) -> np.ndarray:
-        # buffers per worker: fresh per-sample outputs grow the resident
+    def run_chunk(samples: range) -> list[np.ndarray]:
+        # the chunk's spectra first, so that the dense tridiagonal and
+        # LAPACK's copy of it never sit on top of the buffers below, which
+        # go when the call returns, before the next chunk's spectra
+        spectra = [gue_spectrum(cfg, sample, diag) for sample in samples]
+        # buffers per chunk: fresh per-sample outputs grow the resident
         # set without bound on glibc
         letters = np.empty((diag, dim, dim), np.complex128)
         slices = np.empty((len(plan) + 1, min(_BLOCK_ROWS, dim), dim), np.complex128)
         grams = np.empty((len(pairs), len(exponents), len(exponents)))
         halves = np.empty_like(grams)
         sums = np.empty((len(slices[0]), len(exponents)))
-        return np.array([sample_row(sample, letters, slices, grams, halves, sums)
-                         for sample in samples])
+        return [sample_row(sample, spectrum, letters, slices, grams, halves, sums)
+                for sample, spectrum in zip(samples, spectra)]
+
+    def run_slice(samples: range) -> np.ndarray:
+        # _BLOCK_ROWS samples at a time, so the spectra held stay bounded
+        return np.array([row for lo in range(0, len(samples), _BLOCK_ROWS)
+                         for row in run_chunk(samples[lo:lo + _BLOCK_ROWS])])
 
     return np.concatenate(ordered_map(run_slice, _sample_slices(cfg)))
 

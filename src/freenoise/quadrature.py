@@ -25,6 +25,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import QuadratureError
 
 __all__ = [
+    "MEMORY_BOUND",
     "bucket",
     "rule_nodes",
     "gl_rule",
@@ -133,20 +134,21 @@ def gl_integrate(f, nodes: np.ndarray, weights: np.ndarray):
     return out
 
 
-# Largest scalar rule: 12 arrays of its nodes
-_RULE_BYTES = 256 << 20
+# The bytes one rule may take, here a scalar rule as 12 arrays of its
+# nodes and in spectral a multiplier pass with its rows
+MEMORY_BOUND = 256 << 20
 
 
 @lru_cache(maxsize=16)
 def _rule(power: float, cycles: float, near: float):
     """Rows of 48 nodes and weights on [0, 1], GL-16 on each panel of
     _edges(power, cycles, near) and on its halves, read-only.  A rule above
-    _RULE_BYTES raises QuadratureError before it is built."""
+    MEMORY_BOUND raises QuadratureError before it is built."""
     edges, counts, k = _edges(power, cycles, near)
     need = 3 * _GL_ORDER * counts.sum() * 8 * 12
-    if not need <= _RULE_BYTES:
+    if not need <= MEMORY_BOUND:
         raise QuadratureError(f"a quadrature rule needs {need / 2 ** 20:.3g} MiB, "
-                              f"above the bound of {_RULE_BYTES >> 20} MiB")
+                              f"above the bound of {MEMORY_BOUND >> 20} MiB")
     nodes, weights = _nodes(edges, counts, k, halves=True)
     nodes.setflags(write=False)
     weights.setflags(write=False)

@@ -47,7 +47,8 @@ import numpy as np
 from .errors import DivergenceError, QuadratureError, ValidationError
 from .hermite import (EXACT_TO, ZERO_PAST, check_index_bound, hermite_fn_blocks,
                       hermite_fn_matrix)
-from .quadrature import bucket, gl_integrate, gl_rule, quad_cos_range, quad_scalar, rule_nodes
+from .quadrature import (MEMORY_BOUND, bucket, gl_integrate, gl_rule, quad_cos_range, quad_scalar,
+                         rule_nodes)
 from .words import WeightSequence
 
 __all__ = [
@@ -322,13 +323,12 @@ def _layout_arrays(dens: SpectralDensity, n_max: int, rule: tuple):
     return _RECORD[key]
 
 
-# Largest multiplier pass: its nodes times 8 bytes for each of the n_max
-# Hermite rows, as if all were held, and for each of 14 node-length
-# arrays (the layout, the factors and their temporaries, of which 7.4 to
-# 9.1 are traced at n_max 4 to 512).  A pass whose rows are not kept holds
-# _BLOCK_ROWS of them and two carry rows at most, so above n_max 64 the
-# bound counts more than a pass holds
-_LAYOUT_BYTES = 256 << 20
+# A multiplier pass counts against MEMORY_BOUND its nodes times 8 bytes
+# for each of the n_max Hermite rows, as if all were held, and for each of
+# 14 node-length arrays (the layout, the factors and their temporaries, of
+# which 7.4 to 9.1 are traced at n_max 4 to 512).  A pass whose rows are
+# not kept holds _BLOCK_ROWS of them and two carry rows at most, so above
+# n_max 64 the bound counts more than a pass holds
 _PASS_ARRAYS = 14
 
 
@@ -376,7 +376,7 @@ def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarr
     ZERO_PAST, past which every Hermite row is +0.0, so that no panel
     straddles a cutoff, where sqrt(m) jumps, and takes the power of sqrt(m)
     at 0 by substitution.  After the edge check, a pass that would hold
-    more than _LAYOUT_BYTES is rejected before any node is built.
+    more than MEMORY_BOUND is rejected before any node is built.
     """
     if not math.isfinite(t):
         raise ValidationError(f"time must be finite, got {t}")
@@ -385,10 +385,10 @@ def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarr
     rule = (dens.cutoff_low, min(ZERO_PAST, dens.cutoff_high), _osc_scale(n_max, t),
             0.5 * dens._power)
     need = rule_nodes(*rule) * (n_max + _PASS_ARRAYS) * 8
-    if need > _LAYOUT_BYTES:
+    if need > MEMORY_BOUND:
         raise ValidationError(
             f"the multiplier layout at t = {t:g}, n_max {n_max} needs "
-            f"{need / 2 ** 20:.3g} MiB, above the bound of {_LAYOUT_BYTES >> 20} MiB")
+            f"{need / 2 ** 20:.3g} MiB, above the bound of {MEMORY_BOUND >> 20} MiB")
     nodes, weights, root, rows = _layout_arrays(dens, n_max, rule)
 
     def integrand(nodes):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -317,16 +318,20 @@ def test_core_blocks_and_gram_entries_match_direct_products():
 
 
 def test_trace_memory_is_the_letters_and_row_slices(monkeypatch):
-    # the 127 binary words hold their dense letter, the sampler's float
-    # buffer (at most 1.25 float matrices, as the sampler test bounds
-    # it), one 64-row slice for each of the 3 formed cores and one of
-    # scratch; the arrays of dim x exponents entries take under 1/32 of
-    # a matrix
+    # the 127 binary words hold their dense letter, the sampler's 64-row
+    # float block (at most 1.25 blocks, as the sampler test bounds it),
+    # one 64-row slice for each of the 3 formed cores and one of scratch,
+    # and the chunk's spectra; the arrays of dim x exponents entries take
+    # under 1/32 of a matrix, and the contraction's strided multiply takes
+    # numpy's iteration buffers, at most np.getbufsize() floats for each
+    # of its three operands whatever the dim.  The spectrum's dense
+    # tridiagonal is gone before the letter and the slices are allocated
     monkeypatch.setenv("FREENOISE_THREADS", "1")
     words = _words_up_to(2, 6)
     cfg = EnsembleConfig(dim=256, n_generators=2, n_samples=2, seed=3)
     matrix = cfg.dim ** 2 * 16
-    bound = matrix + 1.25 * cfg.dim ** 2 * 8 + (3 + 1) * 64 * cfg.dim * 16 + matrix / 32
+    bound = (matrix + 1.25 * 64 * cfg.dim * 8 + (3 + 1) * 64 * cfg.dim * 16
+             + cfg.n_samples * cfg.dim * 8 + matrix / 32 + 3 * np.getbufsize() * 8)
     # a first call imports numpy.random outside the trace
     estimate_trace_many(EnsembleConfig(dim=4, n_generators=2, n_samples=2), words)
     tracemalloc.start()
@@ -336,6 +341,48 @@ def test_trace_memory_is_the_letters_and_row_slices(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+@pytest.mark.parametrize("n_generators", [1, 2, 3])
+def test_spectra_are_taken_before_the_pool(monkeypatch, n_generators):
+    # at every eigvalsh call of a trace table, the traced memory is the
+    # dense tridiagonal, the spectra taken so far and bookkeeping under a
+    # quarter of one 64-row slice: no letter buffer, core slice or
+    # scratch slice is alive while LAPACK works
+    monkeypatch.setenv("FREENOISE_THREADS", "1")
+    cfg = EnsembleConfig(dim=256, n_generators=n_generators, n_samples=3, seed=3)
+    words = _words_up_to(n_generators, 4)
+    eigvalsh, seen = np.linalg.eigvalsh, []
+
+    def spy(a):
+        seen.append(tracemalloc.get_traced_memory()[0])
+        return eigvalsh(a)
+
+    monkeypatch.setattr("freenoise.matmodel.np.linalg.eigvalsh", spy)
+    # a first call imports numpy.random outside the trace
+    _trace_table(replace(cfg, dim=4), words)
+    seen.clear()
+    tracemalloc.start()
+    try:
+        _trace_table(cfg, words)
+    finally:
+        tracemalloc.stop()
+    bound = cfg.dim ** 2 * 8 + cfg.n_samples * cfg.dim * 8 + 64 * cfg.dim * 16 / 4
+    assert len(seen) == cfg.n_samples
+    assert max(seen) <= bound
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sample_chunks_keep_every_row(monkeypatch, threads):
+    # 130 samples cross the 64-sample chunk edges at 64 and 128, and over
+    # two workers at 64 and 129: every row of the table against the
+    # sample's direct products
+    monkeypatch.setenv("FREENOISE_THREADS", threads)
+    cfg = EnsembleConfig(dim=6, n_generators=3, n_samples=130, seed=37, radius=1.7)
+    words = _words_up_to(3, 4)
+    table = _trace_table(cfg, words)
+    assert table.shape == (cfg.n_samples, len(words))
+    assert table == pytest.approx(_direct_traces(cfg, words), rel=0.0, abs=1e-12)
 
 
 def _reference_gue(cfg, sample, gen_index):
@@ -348,9 +395,10 @@ def _reference_gue(cfg, sample, gen_index):
     return (a + a.conj().T) * (0.25 * cfg.radius / math.sqrt(d))
 
 
-@pytest.mark.parametrize("dim", [7, 64])
+@pytest.mark.parametrize("dim", [7, 64, 65, 130])
 @pytest.mark.parametrize("radius", [2.0, 1.7])
 def test_in_place_sampler_is_bit_identical(dim, radius):
+    # 65 and 130 cross the sampler's 64-row block edges
     cfg = EnsembleConfig(dim=dim, n_generators=2, n_samples=1, seed=2026,
                          radius=radius)
     for g in range(2):
@@ -361,9 +409,9 @@ def test_in_place_sampler_is_bit_identical(dim, radius):
         assert out.tobytes() == ref.tobytes()
 
 
-def test_sampler_memory_is_one_float_buffer():
-    # into a caller buffer, gue_matrix holds one dim x dim float buffer
-    # for its normals and no other matrix-sized temporary
+def test_sampler_memory_is_one_row_block():
+    # into a caller buffer, gue_matrix holds one 64 x dim float block for
+    # its normals and no other temporary of that size
     cfg = EnsembleConfig(dim=256, n_generators=1, n_samples=1, seed=3)
     out = np.empty((cfg.dim, cfg.dim), np.complex128)
     gue_matrix(cfg, 0, 0, out)
@@ -373,7 +421,7 @@ def test_sampler_memory_is_one_float_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * cfg.dim ** 2 * 8
+    assert peak <= 1.25 * 64 * cfg.dim * 8
 
 
 def test_empty_word_is_exact():
