@@ -11,24 +11,25 @@ limit of left-tagged dyadic Riemann sums
     sum_j Y(u_j) (x) (W(u_j) f) * delta,
 
 measured in a weighted norm two levels above the state's own, where
-the tensor-product inequality controls each term.  The integral stays
+the tensor-product inequality controls each term.  The path is one
+coefficient matrix over its tags, built once, and the integral stays
 on coefficient arrays from its tags to its result: the noise rows are
 Z = T M_f, the multiplier values at the tags times the matrix of the
 field operator on f, since W(u) f is linear in tm(u); each dyadic
-level's sum is one matrix product Y^T Z of the integrand's and the
-noise's rows, folded onto the product words, and all levels are rows
-over one list of words.  The distance between consecutive levels is
-one weighted norm of the difference of their rows, and only the finest
-sum and its extrapolation become Fock elements.
+level's sum is one matrix product Y^T Z of the path's rows at its
+tags and the noise's rows, folded onto the product words, and all
+levels are rows over one list of words.  The distance between
+consecutive levels is one weighted norm of the difference of their
+rows, and only the finest sum and its extrapolation become Fock
+elements.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress, pairwise
+from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -154,18 +155,16 @@ def derivative_order(state: ProcessState, t: float,
     return errors, -spectral.fit_power_law([1.0 / h for h in steps], errors).exponent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegrandPath:
-    """Operator-integrand samples Y(t_i) on a strictly increasing grid."""
+    """An operator-integrand path Y as one coefficient matrix over its tags:
+    rows[k] holds the coefficients of Y(times[k]) over words, the union
+    support of the samples in first-seen order.  A Riemann sum reads its
+    tags as row indices, so each of its tags must be one of times."""
 
     times: tuple[float, ...]
-    values: tuple[FockElement, ...]
-
-    def __post_init__(self):
-        if len(self.times) != len(self.values) or not self.times:
-            raise ValidationError("need matching, nonempty times and values")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValidationError("sample times must be strictly increasing")
+    words: tuple[Word, ...]
+    rows: np.ndarray
 
     @classmethod
     def dyadic(cls, fn: Callable[[float], FockElement], a: float, b: float,
@@ -179,23 +178,25 @@ class IntegrandPath:
         if not 0 <= levels <= _MAX_LEVELS:
             raise ValidationError(
                 f"levels must be between 0 and {_MAX_LEVELS}, got {levels}")
-        if not b > a:
-            raise ValidationError("need b > a")
+        _check_interval(a, b)
         n = 1 << levels
         step = (b - a) / n
         times = tuple(a + j * step for j in range(n))
-        return cls(times, tuple(fn(t) for t in times))
+        if any(u <= t for t, u in zip(times, times[1:])):
+            raise ValidationError(f"[{a!r}, {b!r}] is too short for {n} distinct tags")
+        values = [fn(t) for t in times]
+        index: dict[Word, int] = {}
+        cols = [index.setdefault(w, len(index)) for v in values for w in v.coeffs]
+        rows = np.zeros((n, len(index)), dtype=complex)
+        rows[np.repeat(np.arange(n), [len(v.coeffs) for v in values]), cols] = \
+            [c for v in values for c in v.coeffs.values()]
+        rows.flags.writeable = False
+        return cls(times, tuple(index), rows)
 
-    def value_at(self, t: float) -> FockElement:
-        """The sample nearest t, which must lie within 1e-6 of the gaps to
-        its neighbours (within 1e-9 on a one-sample path)."""
-        times = self.times
-        k = bisect.bisect_left(times, t)
-        k = min((j for j in (k - 1, k) if 0 <= j < len(times)), key=lambda j: abs(times[j] - t))
-        gaps = [b - a for a, b in pairwise(times[max(k - 1, 0):k + 2])]
-        if abs(times[k] - t) <= (1e-6 * min(gaps) if gaps else 1e-9):
-            return self.values[k]
-        raise ValidationError(f"path not sampled at t = {t!r}")
+
+def _check_interval(a: float, b: float) -> None:
+    if not (math.isfinite(a) and math.isfinite(b - a) and b > a):
+        raise ValidationError(f"need finite a < b, got a = {a!r}, b = {b!r}")
 
 
 @dataclass(frozen=True)
@@ -231,9 +232,9 @@ def _riemann_sums(state: ProcessState, path: IntegrandPath, f: FockElement,
     """The sums at n_intervals / 2^k intervals, for k = depth - 1, ..., 0,
     as coefficient rows over one list of words.
 
-    The integrand values at the tags of the finest partition are the
-    rows of Y over their union support, and the noise values the rows of
-    Z (``_noise_rows``).  The sum that takes every 2^k-th tag is
+    Y is the path's rows at the tags of the finest partition, each tag
+    looked up exactly among its times, and Z the noise rows
+    (``_noise_rows``).  The sum that takes every 2^k-th tag is
     step * Y[::2^k]^T Z[::2^k], one matrix product whose entry (i, j)
     lands on the product word of left word i and right word j; entries
     on one word are added in pair order.
@@ -244,9 +245,15 @@ def _riemann_sums(state: ProcessState, path: IntegrandPath, f: FockElement,
     the level-``level`` weight of each word, weight(l) * weight(r) of
     the first pair (l, r) that lands on it.
     """
+    _check_interval(a, b)
     step = (b - a) / n_intervals
     tags = [a + j * step for j in range(n_intervals)]
-    left, y = _rows([path.value_at(u) for u in tags])
+    index = {t: k for k, t in enumerate(path.times)}
+    try:
+        ks = [index[u] for u in tags]
+    except KeyError as e:
+        raise ValidationError(f"path not sampled at t = {e.args[0]!r}") from None
+    left, y = path.words, path.rows[ks]
     right, z = _noise_rows(state, tags, f)
     words, slots = fock.tensor_slots(left, right)
     slots = np.asarray(slots, dtype=np.intp)
@@ -303,17 +310,6 @@ def _noise_rows(state: ProcessState, tags: Sequence[float],
     order = np.flatnonzero(z.any(axis=0))
     words = list(index)
     return [words[i] for i in order.tolist()], z.take(order, axis=1)
-
-
-def _rows(values: Sequence[FockElement]) -> tuple[list[Word], np.ndarray]:
-    """Union support of values in first-seen order, and one complex
-    coefficient row per value over it."""
-    index: dict[Word, int] = {}
-    cols = [index.setdefault(w, len(index)) for v in values for w in v.coeffs]
-    rows = np.zeros((len(values), len(index)), dtype=complex)
-    rows[np.repeat(np.arange(len(values)), [len(v.coeffs) for v in values]), cols] = \
-        [c for v in values for c in v.coeffs.values()]
-    return list(index), rows
 
 
 def _element(words: Sequence[Word], row: np.ndarray, dropped_mass: float = 0.0) -> FockElement:

@@ -114,34 +114,100 @@ def test_derivative_errors_fall_with_the_step():
 
 
 def test_path_validation():
+    # dyadic, the one constructor, refuses an empty, reversed or
+    # non-finite interval, and one too short for distinct tags
     e = vacuum()
-    with pytest.raises(ValidationError):
-        IntegrandPath((), ())
-    with pytest.raises(ValidationError):
-        IntegrandPath((0.0, 1.0), (e,))
-    with pytest.raises(ValidationError):
-        IntegrandPath((0.0, 0.0), (e, e))
-    with pytest.raises(ValidationError):
-        IntegrandPath.dyadic(lambda t: e, 1.0, 1.0, 3)
+    for a, b in ((1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (0.0, math.inf), (-1e308, 1e308)):
+        with pytest.raises(ValidationError, match="need finite a < b"):
+            IntegrandPath.dyadic(lambda t: e, a, b, 3)
+    with pytest.raises(ValidationError, match="distinct tags"):
+        IntegrandPath.dyadic(lambda t: e, 1e16, 1e16 + 2.0, 3)
 
 
 def test_dyadic_path_uses_left_tags():
+    state = ProcessState(SpectralDensity.lebesgue(), n_max=16)
     path = IntegrandPath.dyadic(lambda t: vacuum(), 0.0, 1.0, 3)
     assert path.times == tuple(j / 8 for j in range(8))
-    assert path.value_at(0.0) is path.values[0]
-    with pytest.raises(ValidationError):
-        path.value_at(1.0)
-    with pytest.raises(ValidationError):
-        path.value_at(0.3)
+    assert path.words == (Word(()),) and path.rows.tolist() == [[1.0]] * 8
+    # the right end 1.0 and 0.3 are not tags
+    for a, b, n, t in ((0.5, 1.5, 2, "1.0"), (0.3, 0.55, 1, "0.3")):
+        with pytest.raises(ValidationError, match=f"not sampled at t = {t}$"):
+            riemann_sum(state, path, vacuum(), a, b, n)
 
 
-def test_value_at_returns_each_tag_of_a_fine_grid():
-    # the tag step is 6.1e-13: an absolute tolerance of 1e-9 spans over a
-    # thousand samples, so only the nearest one is the sample asked for
-    path = IntegrandPath.dyadic(lambda t: basis_vector(normalize([0])) * t, 0.0, 1e-8, 14)
-    assert all(path.value_at(t) is v for t, v in zip(path.times, path.values))
-    with pytest.raises(ValidationError):
-        path.value_at(0.5 * (path.times[5] + path.times[6]))
+def _digit_letters(t, step):
+    """The letters 4i + d_i, d_i the base-4 digits of the index t / step."""
+    k = round(t / step)
+    return [4 * i + (k >> 2 * i) % 4 for i in range(7)]
+
+
+def test_each_tag_of_a_fine_grid_reads_its_own_row(monkeypatch):
+    # the tag step is 6.1e-13: an absolute tolerance of 1e-9 would span
+    # over a thousand samples, and the lookup is exact.  Path and noise
+    # both carry the base-4 digits of the tag's index, so the sum is that
+    # of Y(u_j) (x) Y(u_j) only if tag j reads row j: a tag that read
+    # another row would put a word (4i + d, 4i + d') with d != d' into it
+    state = ProcessState(SpectralDensity.lebesgue(), n_max=16)
+    step = 1e-8 / (1 << 14)
+
+    def digits(t):
+        return FockElement({Word((i,)): 1.0 for i in _digit_letters(t, step)})
+
+    def digit_rows(state, tags, f):
+        rows = np.zeros((len(tags), 28))
+        for row, u in zip(rows, tags):
+            row[_digit_letters(u, step)] = 1.0
+        return [Word((i,)) for i in range(28)], rows
+
+    path = IntegrandPath.dyadic(digits, 0.0, 1e-8, 14)
+    monkeypatch.setattr(process, "_noise_rows", digit_rows)
+    got = riemann_sum(state, path, vacuum(), 0.0, 1e-8, 1 << 14).coeffs
+    assert all(w[0] // 4 != w[1] // 4 or w[0] == w[1] for w in got)
+    assert all(got[Word((i, i))] == step * (1 << 12) for i in range(28))
+    mid = 0.5 * (path.times[5] + path.times[6])
+    with pytest.raises(ValidationError, match="not sampled"):
+        riemann_sum(state, path, vacuum(), mid, mid + step, 1)
+
+
+def test_path_rows_are_its_samples_over_first_seen_words():
+    # _uneven_integrand lists z3 first at the tags 1 and 2 mod 4, so the
+    # first-seen order is not the order of any one sample
+    path = IntegrandPath.dyadic(_uneven_integrand, 0.0, 1.0, 4)
+    samples = [_uneven_integrand(t) for t in path.times]
+    assert path.words == tuple(dict.fromkeys(w for v in samples for w in v.coeffs))
+    assert path.rows.shape == (16, len(path.words))
+    for row, v in zip(path.rows, samples):
+        assert row.tolist() == [v.coeffs.get(w, 0j) for w in path.words]
+
+
+@pytest.mark.parametrize("a, b, n", [(0.3, 1.0, 4), (0.0, 1.0, 3), (0.0, 2.0, 16)],
+                         ids=["off-grid-a", "thirds", "past-the-end"])
+def test_tags_that_are_not_samples_raise_before_any_noise(a, b, n, monkeypatch):
+    state = ProcessState(SpectralDensity.lebesgue(), n_max=16)
+    path = IntegrandPath.dyadic(_mixed_integrand, 0.0, 1.0, 3)
+    calls = []
+    real = spectral.tm_values
+    monkeypatch.setattr(spectral, "tm_values", lambda *args: calls.append(args) or real(*args))
+    with pytest.raises(ValidationError, match="not sampled"):
+        riemann_sum(state, path, vacuum(), a, b, n)
+    assert calls == []
+
+
+def test_riemann_sum_refuses_a_reversed_empty_or_non_finite_interval():
+    # every tag of these partitions is a sample of the path on [0, 2]
+    state = ProcessState(SpectralDensity.lebesgue(), n_max=16)
+    path = IntegrandPath.dyadic(lambda t: vacuum(), 0.0, 2.0, 3)
+    for a, b, n in ((1.0, 0.0, 4), (0.5, 0.5, 1), (math.nan, 1.0, 1), (0.0, math.inf, 4)):
+        with pytest.raises(ValidationError, match="need finite a < b"):
+            riemann_sum(state, path, vacuum(), a, b, n)
+
+
+def test_stochastic_integral_refuses_a_reversed_empty_or_non_finite_interval():
+    state = ProcessState(SpectralDensity.lebesgue(), n_max=16)
+    path = IntegrandPath.dyadic(lambda t: vacuum(), 0.0, 2.0, 3)
+    for a, b in ((1.75, -0.25), (0.5, 0.5), (-math.inf, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValidationError, match="need finite a < b"):
+            stochastic_integral(state, path, vacuum(), a, b, 3)
 
 
 def test_riemann_sum_additive_over_matching_partitions():
@@ -159,7 +225,7 @@ def test_riemann_sum_additive_over_matching_partitions():
 def test_single_term_obeys_product_bound():
     state = ProcessState(SpectralDensity.lebesgue(), n_max=32)
     y = vacuum() + basis_vector(normalize([1, 0])) * 0.5
-    path = IntegrandPath((0.25,), (y,))
+    path = IntegrandPath.dyadic(lambda t: y, 0.25, 0.75, 0)
     f = vacuum() + basis_vector(normalize([2])) * 0.3
     term = riemann_sum(state, path, f, 0.25, 0.75, 1)
     p = float(state.level)
@@ -191,7 +257,7 @@ def test_integral_levels_and_q_validation():
 
 def test_integral_and_sum_bound_their_tags_before_building_them():
     # a 6-level path with levels=24 used to build 16.8M tags (2.2 s)
-    # before value_at failed
+    # before the tag lookup failed
     state = ProcessState(SpectralDensity.lebesgue(), n_max=32)
     path = IntegrandPath.dyadic(lambda t: vacuum(), 0.0, 1.0, 6)
     start = time.perf_counter()
@@ -257,10 +323,10 @@ def _integral_with_distances(distances):
     v = np.ones(1 << levels)
     for k in range(1, levels + 1):
         v[1 << (levels - k)] += 2.0 ** k * q[k] - 2.0 ** (k - 1) * q[k - 1]
-    times = tuple(j / (1 << levels) for j in range(1 << levels))
+    times = [j / (1 << levels) for j in range(1 << levels)]
     noise = [spectral.tm_values(state.density, u, 1)[0] for u in times]
-    path = IntegrandPath(times, tuple(FockElement({Word(()): float(vj / n)})
-                                      for vj, n in zip(v, noise)))
+    values = {u: FockElement({Word(()): float(vj / n)}) for u, vj, n in zip(times, v, noise)}
+    path = IntegrandPath.dyadic(values.__getitem__, 0.0, 1.0, levels)
     return stochastic_integral(state, path, basis_vector(Word((0,))), 0.0, 1.0, levels)
 
 
@@ -318,14 +384,13 @@ def test_integral_obeys_the_free_ito_product_rule(dens, a, b):
     assert 1.8 <= fine7 / fine8 <= 2.2
 
 
-def _tensor_loop(state, path, f, a, b, n_intervals, cap):
-    """The per-tag loop riemann_sum replaces: sum_j step * tensor(Y(u_j), W(u_j) f)."""
+def _tensor_loop(state, fn, f, a, b, n_intervals, cap):
+    """The per-tag loop riemann_sum replaces: sum_j step * tensor(fn(u_j), W(u_j) f)."""
     step = (b - a) / n_intervals
     total = FockElement()
     for j in range(n_intervals):
         u = a + j * step
-        total = total + step * fock.tensor(path.value_at(u),
-                                           apply_whitenoise(state, u, f), cap)
+        total = total + step * fock.tensor(fn(u), apply_whitenoise(state, u, f), cap)
     return total
 
 
@@ -347,22 +412,20 @@ def _mixed_integrand(t):
 @pytest.mark.parametrize("cap", [12, 3])
 def test_riemann_sum_equals_per_tag_tensor_loop(f, cap):
     state = ProcessState(SpectralDensity.lebesgue(), n_max=16, degree_cap=cap)
-    grid = IntegrandPath.dyadic(_mixed_integrand, 0.0, 1.0, 3)
     # the tag at 0.375 carries the zero element
-    values = tuple(FockElement() if t == 0.375 else v
-                   for t, v in zip(grid.times, grid.values))
-    path = IntegrandPath(grid.times, values)
+    fn = lambda t: FockElement() if t == 0.375 else _mixed_integrand(t)
+    path = IntegrandPath.dyadic(fn, 0.0, 1.0, 3)
     for n in (1, 2, 8):
         got = riemann_sum(state, path, f, 0.0, 1.0, n)
-        want = _tensor_loop(state, path, f, 0.0, 1.0, n, cap)
+        want = _tensor_loop(state, fn, f, 0.0, 1.0, n, cap)
         _assert_close(got, want)
-        full = _tensor_loop(state, path, f, 0.0, 1.0, n, None)
+        full = _tensor_loop(state, fn, f, 0.0, 1.0, n, None)
         discarded = full - want
         assert got.dropped_mass == pytest.approx(norm(discarded) ** 2, rel=1e-12)
         assert (got.dropped_mass > 0) == (cap == 3)
 
 
-def _per_level_riemann_sum(state, path, f, a, b, n_intervals):
+def _per_level_riemann_sum(state, fn, f, a, b, n_intervals):
     """riemann_sum as a separate pass per partition, with its own rows:
     the oracle for the sums that one pass over the tags gives every level."""
     step = (b - a) / n_intervals
@@ -378,7 +441,7 @@ def _per_level_riemann_sum(state, path, f, a, b, n_intervals):
             out[j, [index[w] for w in v.coeffs]] = list(v.coeffs.values())
         return list(index), out
 
-    left, y = rows([path.value_at(u) for u in tags])
+    left, y = rows([fn(u) for u in tags])
     right, z = rows([apply_whitenoise(state, u, f) for u in tags])
     words, slots = fock.tensor_slots(left, right)
     acc_re = np.zeros(len(words))
@@ -440,7 +503,7 @@ def test_one_pass_gives_every_level_the_sum_of_its_own_pass(f, cap, monkeypatch)
         pass
     ((words, rows, dropped, _),) = seen
     for k, row in enumerate(rows):
-        want = _per_level_riemann_sum(state, path, f, 0.0, 1.0, 1 << k)
+        want = _per_level_riemann_sum(state, _uneven_integrand, f, 0.0, 1.0, 1 << k)
         _assert_close(_level_element(words, row), want)
         _assert_close(riemann_sum(state, path, f, 0.0, 1.0, 1 << k), want)
     # degrees reach 3 + the top degree of f, so cap 3 drops terms unless f is the vacuum
@@ -599,10 +662,10 @@ def _third_chaos(state, levels):
     # I_3 = int_0^1 I_2 dX Omega, each the Riemann sum on the tags of the
     # finest partition of [0, 1] at this level
     path = IntegrandPath.dyadic(lambda t: apply_process(state, t, vacuum()), 0.0, 1.0, levels)
-    second = [FockElement()] + [riemann_sum(state, path, vacuum(), 0.0, u, k)
-                                for k, u in enumerate(path.times) if k]
-    return riemann_sum(state, IntegrandPath(path.times, tuple(second)), vacuum(),
-                       0.0, 1.0, len(path.times))
+    second = {u: riemann_sum(state, path, vacuum(), 0.0, u, k) if k else FockElement()
+              for k, u in enumerate(path.times)}
+    outer = IntegrandPath.dyadic(second.__getitem__, 0.0, 1.0, levels)
+    return riemann_sum(state, outer, vacuum(), 0.0, 1.0, len(path.times))
 
 
 @_PRESETS
