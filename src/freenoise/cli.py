@@ -31,7 +31,7 @@ from .words import WeightSequence
 CSV_FORMAT = "freenoise-csv/1"
 
 _EPILOG = """\
-density flags (kernel, rfun, tmcoeff, derivative-check, integrate):
+density flags (kernel, rfun, tmcoeff, growth, derivative-check, integrate):
   --density lebesgue|fbm|exp|custom, with --H (fbm), --rate (exp),
   --origin-exponent and --class-index (custom), --scale (every kind),
   --cutoff-low / --cutoff-high.
@@ -243,6 +243,10 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     s_grid = _parse_grid(args.s, "--s") if args.s is not None else t_grid
     rows = [{"t": t, "s": s, "K": spectral.kernel(dens, t, s, abs_tol=args.tol)}
             for t in t_grid for s in s_grid]
+    if args.n_max is not None:
+        for row in rows:
+            row["K_N"] = spectral.dual_route_kernel(dens, row["t"], row["s"], args.n_max)
+            row["abs_err"] = abs(row["K"] - row["K_N"])
     try:
         cutoff = spectral.frequency_cutoff(dens)
     except (ValueError, ZeroDivisionError, OverflowError):
@@ -262,8 +266,6 @@ def cmd_rfun(args: argparse.Namespace) -> int:
 
 def cmd_tmcoeff(args: argparse.Namespace) -> int:
     dens = _resolve_density(args)
-    if args.n_max < 1:
-        raise ValidationError("--n-max must be positive")
     tm = spectral.tm_values(dens, args.t, args.n_max)
     al = spectral.alpha_vector(dens, args.t, args.n_max)
     rows = [{"n": n + 1, "tm": float(tm[n]), "alpha": float(al[n])}
@@ -284,6 +286,17 @@ def cmd_tmcoeff(args: argparse.Namespace) -> int:
     return status
 
 
+def cmd_growth(args: argparse.Namespace) -> int:
+    dens = _resolve_density(args)
+    sups, fit = spectral.sup_growth_fit(dens, args.n_max, _parse_grid(args.t, "--t"),
+                                        args.fit_from)
+    _emit(args, {"density": dens.label(),
+                 "fit_kind": "power" if dens.growth == "polynomial" else "sqrt-exponential",
+                 "exponent": fit.exponent, "r_squared": fit.r_squared},
+          [{"n": n, "sup": float(v)} for n, v in enumerate(sups, start=1)])
+    return 0
+
+
 def cmd_derivative_check(args: argparse.Namespace) -> int:
     dens = _resolve_density(args)
     state = process.ProcessState(dens, n_max=args.n_max, degree_cap=6)
@@ -298,8 +311,6 @@ def cmd_derivative_check(args: argparse.Namespace) -> int:
 
 def cmd_integrate(args: argparse.Namespace) -> int:
     dens = _resolve_density(args)
-    if args.b <= args.a:
-        raise ValidationError("need --b greater than --a")
     if args.max_terms < 0:
         raise ValidationError("--max-terms must be non-negative")
     state = process.ProcessState(dens, n_max=args.n_max, degree_cap=6,
@@ -453,6 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", required=True)
     p.add_argument("--s", default=None)
     p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--n-max", type=int, default=None,
+                   help="add the coefficient route K_N, truncated at N, and |K - K_N|")
 
     p = sub("rfun", cmd_rfun, help="second-moment function r(t) on a grid")
     _density_flags(p)
@@ -467,6 +480,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certify", action="store_true")
     p.add_argument("--p", type=int, default=3, help="weight level to certify")
     p.add_argument("--seq", default="2n", choices=list(_WEIGHT_SEQS))
+
+    p = sub("growth", cmd_growth,
+            help="growth of sup_t |tm_n(t)| in n and its fitted law")
+    _density_flags(p)
+    p.add_argument("--t", default="0:12:121", help="time grid of the sup")
+    p.add_argument("--n-max", type=int, default=60)
+    p.add_argument("--fit-from", type=int, default=12,
+                   help="first index of the growth fit")
 
     p = sub("derivative-check", cmd_derivative_check,
             help="finite differences of the process against the white noise")

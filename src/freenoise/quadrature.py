@@ -145,7 +145,8 @@ def _rule(power: float, cycles: float, near: float):
     _edges(power, cycles, near) and on its halves, read-only.  A rule above
     MEMORY_BOUND raises QuadratureError before it is built."""
     edges, counts, k = _edges(power, cycles, near)
-    need = 3 * _GL_ORDER * counts.sum() * 8 * 12
+    # a Python float, which overflows to inf without a numpy warning on stderr
+    need = 3 * _GL_ORDER * float(counts.sum()) * 8 * 12
     if not need <= MEMORY_BOUND:
         raise QuadratureError(f"a quadrature rule needs {need / 2 ** 20:.3g} MiB, "
                               f"above the bound of {MEMORY_BOUND >> 20} MiB")

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from freenoise import process, spectral, trace
@@ -200,6 +201,8 @@ def test_rfun_non_finite_quadrature_error_exits_three(capsys):
     # the head's panels, at most 6 radians of t u wide, would not fit
     (["rfun", "--t", "1e300"],
      "a quadrature rule needs 7.36e+296 MiB, above the bound of 256 MiB"),
+    # the byte count itself overflows, to inf and without a numpy warning
+    (["rfun", "--t", "1e308"], "a quadrature rule needs inf MiB, above the bound of 256 MiB"),
     # at a subnormal time the rotated tail of fbm(0.01), which falls like
     # y^-2.02, does not fall off before y = 2^1000
     (["kernel", "--density", "fbm", "--H", "0.01", "--t", "5e-324", "--s", "1"],
@@ -207,7 +210,7 @@ def test_rfun_non_finite_quadrature_error_exits_three(capsys):
     # a tolerance below the rounding of the rule: its error estimate is above 50 x 1e-20
     (["kernel", "--density", "lebesgue", "--t", "1", "--s", "0.5", "--tol", "1e-20"],
      "oscillatory quad error 4.38e-17 too large for integral -8.441095e-02 on [1.0, inf]"),
-], ids=["rfun", "kernel", "kernel-tol"])
+], ids=["rfun", "rfun-overflow", "kernel", "kernel-tol"])
 def test_quadrature_failure_prints_one_json_line_to_stderr(argv, message):
     # in a fresh interpreter, where no test runner records the warnings
     # that numpy would print to stderr
@@ -463,6 +466,71 @@ def test_kernel_grid(capsys):
     for row in out["rows"]:
         assert float(row["K"]) == pytest.approx(
             min(row["t"], row["s"]), abs=1e-8)
+
+
+def test_kernel_n_max_adds_the_coefficient_route(capsys):
+    assert run(["kernel", "--density", "fbm", "--H", "0.6", "--t", "0.7,1.5", "--s", "0.4",
+                "--n-max", "8"]) == 0
+    out = _json_out(capsys)
+    dens = spectral.SpectralDensity.fbm(0.6)
+    for row in out["rows"]:
+        k_n = spectral.dual_route_kernel(dens, row["t"], row["s"], 8)
+        assert row["K_N"] == float(f"{k_n:.12g}")
+        assert row["abs_err"] == float(f"{abs(spectral.kernel(dens, row['t'], row['s']) - k_n):.12g}")
+    assert out["config"]["n_max"] == 8
+    # without the flag the rows are the kernel's alone
+    assert run(["kernel", "--t", "1"]) == 0
+    out = _json_out(capsys)
+    assert list(out["rows"][0]) == ["t", "s", "K"] and out["config"]["n_max"] is None
+
+
+@pytest.mark.parametrize("density, flags", [
+    (spectral.SpectralDensity.lebesgue(), ["--density", "lebesgue"]),
+    (spectral.SpectralDensity.exponential(1.0), ["--density", "exp"]),
+], ids=["lebesgue", "exp"])
+def test_growth_prints_the_sup_growth_fit(density, flags, capsys):
+    assert run(["growth", *flags]) == 0
+    out = _json_out(capsys)
+    sups, fit = spectral.sup_growth_fit(density, 60, np.linspace(0, 12, 121), 12)
+    assert [row["n"] for row in out["rows"]] == list(range(1, 61))
+    assert [row["sup"] for row in out["rows"]] == [float(f"{v:.12g}") for v in sups]
+    assert out["fit_kind"] == ("power" if density.growth == "polynomial" else "sqrt-exponential")
+    assert out["exponent"] == float(f"{fit.exponent:.12g}")
+    assert out["r_squared"] == float(f"{fit.r_squared:.12g}")
+    assert out["density"] == density.label()
+
+
+def test_growth_csv_has_the_fit_in_its_header(capsys):
+    assert run(["growth", "--density", "fbm", "--H", "0.25", "--n-max", "20",
+                "--fit-from", "8", "--t", "0:8:21", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"# {CSV_FORMAT}"
+    sups, fit = spectral.sup_growth_fit(spectral.SpectralDensity.fbm(0.25), 20,
+                                        np.linspace(0, 8, 21), 8)
+    assert lines[2:6] == ['# density "fbm(H=0.25)"', '# fit_kind "power"',
+                          f"# exponent {float(f'{fit.exponent:.12g}')}",
+                          f"# r_squared {float(f'{fit.r_squared:.12g}')}"]
+    assert lines[6] == "n,sup"
+    assert lines[7:] == [f"{n},{v:.12g}" for n, v in enumerate(sups, start=1)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["growth", "--fit-from", "59"], "need at least 3 points for a growth fit"),
+    (["growth", "--n-max", "513"], "n_max 513 is above 512, the bound of the Hermite recurrence"),
+    (["growth", "--t", "nan"], "time must be finite, got nan"),
+    (["kernel", "--t", "1", "--n-max", "0"], "n_max must be >= 1"),
+    (["kernel", "--density", "exp", "--t", "1", "--n-max", "8"],
+     "covariance integral diverges at infinity for exponential(rate=1)"),
+    (["integrate", "--a", "1", "--b", "0.5"], "need finite a < b, got a = 1.0, b = 0.5"),
+    (["integrate", "--a", "nan", "--b", "1"], "need finite a < b, got a = nan, b = 1.0"),
+    (["tmcoeff", "--n-max", "0"], "n_max must be >= 1"),
+], ids=["growth-fit-from", "growth-n-max", "growth-nan", "kernel-n-max", "kernel-exp",
+        "integrate-reversed", "integrate-nan", "tmcoeff-n-max"])
+def test_the_library_refuses_the_input_and_the_cli_exits_two(argv, message, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {"error": message, "kind": "validation"}
 
 
 def test_density_config_file(tmp_path, capsys):

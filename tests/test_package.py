@@ -30,14 +30,14 @@ def _mentions(text: str, name: str) -> int:
 @pytest.mark.parametrize("name", MODULES[1:])
 def test_every_exported_name_is_used(name):
     # A name in a submodule's __all__ must be used beyond its definition:
-    # in its own module, another module under src/, scripts/, perfbench/
-    # or README.md.  The export lists do not count, and neither do the
+    # in its own module, another module under src/, perfbench/ or
+    # README.md.  The export lists do not count, and neither do the
     # tests, so a helper only tests call fails.
     module = importlib.import_module(name)
     path = Path(module.__file__)
     own = re.sub(r"__all__ = \[.*?\]", "", path.read_text(), flags=re.S)
     others = [p for p in path.parent.glob("*.py") if p.name not in (path.name, "__init__.py")]
-    others += [*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py"), ROOT / "README.md"]
+    others += [*ROOT.glob("perfbench/*.py"), ROOT / "README.md"]
     texts = [p.read_text() for p in others]
     unused = [n for n in getattr(module, "__all__", ())
               if _mentions(own, n) < 2 and not any(_mentions(t, n) for t in texts)]
@@ -47,13 +47,12 @@ def test_every_exported_name_is_used(name):
 @pytest.mark.parametrize("cls", [Word, FockElement], ids=lambda c: c.__name__)
 def test_every_public_member_is_read(cls):
     # A public method or property of Word or FockElement must be read as
-    # ``.name`` somewhere under src/, scripts/, perfbench/ or README.md.
+    # ``.name`` somewhere under src/, perfbench/ or README.md.
     # A definition is not a read, and tests do not count, so a member
     # only tests call fails.
     members = [n for n, v in vars(cls).items() if not n.startswith("_")
                and (callable(v) or isinstance(v, (property, classmethod)))]
-    paths = [*ROOT.glob("src/freenoise/*.py"), *ROOT.glob("scripts/*.py"),
-             *ROOT.glob("perfbench/*.py"), ROOT / "README.md"]
+    paths = [*ROOT.glob("src/freenoise/*.py"), *ROOT.glob("perfbench/*.py"), ROOT / "README.md"]
     texts = [p.read_text() for p in paths if not p.name.startswith("test_")]
     unread = [n for n in members if not any(re.search(rf"\.{n}\b", t) for t in texts)]
     assert not unread

@@ -1,6 +1,8 @@
 """Every command-line example of the README runs as written: exit 0 and
-output that parses (JSON, or the selftest's report lines)."""
+output that parses (JSON, or the selftest's report lines); every
+subcommand has one."""
 
+import argparse
 import json
 import re
 import shlex
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from freenoise.cli import run
+from freenoise.cli import build_parser, run
 from freenoise.spectral import DENSITY_SETTINGS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -22,6 +24,12 @@ def _examples() -> list[str]:
 
 def test_the_readme_has_examples():
     assert len(_examples()) >= 12
+
+
+def test_every_subcommand_has_an_example():
+    subs = next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    assert {shlex.split(line)[1] for line in _examples()} == set(subs.choices)
 
 
 @pytest.mark.parametrize("line", _examples())
