@@ -247,12 +247,8 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         for row in rows:
             row["K_N"] = spectral.dual_route_kernel(dens, row["t"], row["s"], args.n_max)
             row["abs_err"] = abs(row["K"] - row["K_N"])
-    try:
-        cutoff = spectral.frequency_cutoff(dens)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        cutoff = None
     _emit(args, {"density": dens.label(), "abs_tol": args.tol,
-                 "frequency_cutoff": cutoff}, rows)
+                 "frequency_cutoff": spectral.frequency_cutoff(dens)}, rows)
     return 0
 
 
@@ -277,8 +273,8 @@ def cmd_tmcoeff(args: argparse.Namespace) -> int:
                                     seq=_WEIGHT_SEQS[args.seq]())
         payload["certificate"] = {
             "status": rep.status, "level": rep.level,
-            "tail_bound": rep.tail_bound, "fit_kind": rep.fit_kind,
-            "fit_exponent": rep.fit_exponent, "r_squared": rep.r_squared,
+            "tail_bound": rep.tail_bound, "fit_kind": rep.fit.kind,
+            "fit_exponent": rep.fit.exponent, "r_squared": rep.fit.r_squared,
             "detail": rep.detail,
         }
         status = {"certified": 0, "uncertified": 2, "failed": 3}[rep.status]
@@ -291,7 +287,7 @@ def cmd_growth(args: argparse.Namespace) -> int:
     sups, fit = spectral.sup_growth_fit(dens, args.n_max, _parse_grid(args.t, "--t"),
                                         args.fit_from)
     _emit(args, {"density": dens.label(),
-                 "fit_kind": "power" if dens.growth == "polynomial" else "sqrt-exponential",
+                 "fit_kind": fit.kind,
                  "exponent": fit.exponent, "r_squared": fit.r_squared},
           [{"n": n, "sup": float(v)} for n, v in enumerate(sups, start=1)])
     return 0

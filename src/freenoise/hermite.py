@@ -60,8 +60,10 @@ ZERO_PAST = 38.61
 
 
 def check_index_bound(n_max: int) -> None:
-    """Raise ValidationError when n_max is above 512, the largest index
+    """Raise ValidationError unless 1 <= n_max <= 512, the largest index
     the recurrence resolves."""
+    if n_max < 1:
+        raise ValidationError("n_max must be >= 1")
     if n_max > _N_MAX_BOUND:
         raise ValidationError(f"n_max {n_max} is above {_N_MAX_BOUND}, the bound "
                               "of the Hermite recurrence")
@@ -84,8 +86,6 @@ def hermite_fn_blocks(n_max: int, u: np.ndarray, block: int):
     block must be used before the next is asked for.  The rows are the
     same bits whatever the block.
     """
-    if n_max < 1:
-        raise ValueError("need at least one function")
     check_index_bound(n_max)
     carry = 2 if n_max > block else 0
     buf = np.empty((min(n_max, block) + carry, u.size))

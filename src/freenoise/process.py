@@ -152,7 +152,7 @@ def derivative_order(state: ProcessState, t: float,
         raise ValidationError(
             f"the slope fit needs at least 3 step sizes, got {len(steps)}")
     errors = derivative_errors(state, t, steps)
-    return errors, -spectral.fit_power_law([1.0 / h for h in steps], errors).exponent
+    return errors, -spectral.fit_growth("power", [1.0 / h for h in steps], errors).exponent
 
 
 @dataclass(frozen=True, eq=False)

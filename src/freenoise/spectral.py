@@ -64,8 +64,7 @@ __all__ = [
     "dual_route_kernel",
     "frequency_cutoff",
     "PowerFit",
-    "fit_power_law",
-    "fit_sqrt_exponential",
+    "fit_growth",
     "sup_growth_fit",
     "TailReport",
     "certify_tail",
@@ -353,34 +352,23 @@ def _require_resolved_edge(dens: SpectralDensity, n_max: int) -> None:
                               "past which the Hermite rows lose bits")
 
 
-@lru_cache(maxsize=8)
-def _phase_picks(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns that read tm off the signed integrals: of the rows
-    cos, sin, s, k and their negatives, index n takes the row of its
-    phase n % 4, cos, sin, -cos, -sin, and alpha the row two on."""
-    pick = np.array([0, 1, 4, 5])[np.arange(n_max) % 4]
-    cols = np.arange(n_max)
-    pick.setflags(write=False)
-    cols.setflags(write=False)
-    return pick, cols
-
-
 @lru_cache(maxsize=512)
 def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Multiplier values and their time integrals for indices 1..n_max.
 
     One composite pass contracts the Hermite rows against the four
     factors sqrt(m) * {cos, sin, sin / u, 2 sin^2(u t / 2) / u}; the
-    four-periodic phase pattern then picks the signed cosine or sine
-    integral per index.  The rule spans the density's window up to
-    ZERO_PAST, past which every Hermite row is +0.0, so that no panel
-    straddles a cutoff, where sqrt(m) jumps, and takes the power of sqrt(m)
-    at 0 by substitution.  After the edge check, a pass that would hold
-    more than MEMORY_BOUND is rejected before any node is built.
+    four-periodic phase pattern then picks the cosine or sine integral per
+    index, by n % 2, and its sign, + where n % 4 < 2 and - otherwise.  The
+    rule spans the density's window up to ZERO_PAST, past which every
+    Hermite row is +0.0, so that no panel straddles a cutoff, where sqrt(m)
+    jumps, and takes the power of sqrt(m) at 0 by substitution.  After the
+    edge check, a pass that would hold more than MEMORY_BOUND is rejected
+    before any node is built.
     """
+    check_index_bound(n_max)
     if not math.isfinite(t):
         raise ValidationError(f"time must be finite, got {t}")
-    check_index_bound(n_max)
     _require_resolved_edge(dens, n_max)
     rule = (dens.cutoff_low, min(ZERO_PAST, dens.cutoff_high), _osc_scale(n_max, t),
             0.5 * dens._power)
@@ -407,9 +395,11 @@ def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarr
         return blocks, factors
 
     ints = _HALF_LINE_PREF * gl_integrate(integrand, nodes, weights)
-    signed = np.concatenate([ints, -ints])
-    pick, cols = _phase_picks(n_max)
-    tm, al = signed[pick, cols], signed[pick + 2, cols]
+    # of the rows cos, sin, s, k, index n (from 0) reads tm off row n % 2
+    # and alpha off row n % 2 + 2; a sign of +-1 is exact
+    n = np.arange(n_max)
+    sign = np.where(n % 4 < 2, 1.0, -1.0)
+    tm, al = sign * ints[n % 2, n], sign * ints[n % 2 + 2, n]
     tm.setflags(write=False)
     al.setflags(write=False)
     return tm, al
@@ -417,8 +407,6 @@ def _tm_and_alpha(dens: SpectralDensity, t: float, n_max: int) -> tuple[np.ndarr
 
 def tm_values(dens: SpectralDensity, t: float, n_max: int) -> np.ndarray:
     """Multiplier applied to Hermite functions 1..n_max, evaluated at t."""
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
     return _tm_and_alpha(dens, float(t), int(n_max))[0]
 
 
@@ -429,8 +417,7 @@ def alpha_vector(dens: SpectralDensity, t: float, n_max: int) -> np.ndarray:
     analytically in the frequency domain so a single quadrature pass
     serves the whole vector; alpha_n(0) = 0.
     """
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
+    check_index_bound(n_max)
     if t == 0.0:
         return np.zeros(n_max)
     return _tm_and_alpha(dens, float(t), int(n_max))[1]
@@ -438,10 +425,7 @@ def alpha_vector(dens: SpectralDensity, t: float, n_max: int) -> np.ndarray:
 
 def tm_sup_over_t(dens: SpectralDensity, n_max: int, t_grid) -> np.ndarray:
     """max over the grid of |multiplier value|, per index 1..n_max."""
-    sup = np.zeros(n_max)
-    for t in t_grid:
-        sup = np.maximum(sup, np.abs(tm_values(dens, float(t), n_max)))
-    return sup
+    return np.max([np.abs(tm_values(dens, float(t), n_max)) for t in t_grid], axis=0)
 
 
 def _require_kernel_integrable(dens: SpectralDensity) -> None:
@@ -525,17 +509,37 @@ def frequency_cutoff(dens: SpectralDensity, tol: float = 1e-10) -> float:
         return dens.cutoff_high
     a = dens.tail_exponent
     amp = 4.0 * dens.scale
-    # integral_U^inf amp * u^(a-2) du = amp * U^(a-1) / (1-a)
-    return (tol * (1.0 - a) / amp) ** (1.0 / (a - 1.0))
+    # integral_U^inf amp * u^(a-2) du = amp * U^(a-1) / (1-a); the U that
+    # solves it is inf where it passes the float range, or amp does
+    try:
+        return (tol * (1.0 - a) / amp) ** (1.0 / (a - 1.0))
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 class PowerFit(NamedTuple):
+    """A growth fit: the line of log|y| against the axis of its law, log n
+    for kind "power" and sqrt(n) for "sqrt-exponential"; the exponent is
+    its slope."""
+    kind: str
     exponent: float
     log_scale: float
     r_squared: float
 
 
-def _fit_line(x: np.ndarray, y: np.ndarray) -> PowerFit:
+# growth law -> the axis in n that log|y| is fitted against
+_GROWTH_AXES = {"power": np.log, "sqrt-exponential": np.sqrt}
+
+
+def fit_growth(kind: str, n_values, y_values) -> PowerFit:
+    """Least-squares fit of log|y| against the axis of the law `kind`,
+    "power" or "sqrt-exponential", over the indices where y is nonzero."""
+    if kind not in _GROWTH_AXES:
+        raise ValidationError(f"unknown growth law {kind!r}")
+    n = np.asarray(n_values, dtype=float)
+    y = np.abs(np.asarray(y_values, dtype=float))
+    keep = y > 0
+    x, y = _GROWTH_AXES[kind](n[keep]), np.log(y[keep])
     if len(x) < 3:
         raise ValidationError("need at least 3 points for a growth fit")
     slope, intercept = np.polyfit(x, y, 1)
@@ -543,35 +547,25 @@ def _fit_line(x: np.ndarray, y: np.ndarray) -> PowerFit:
     total = y - np.mean(y)
     denom = float(total @ total)
     r2 = 1.0 - float(resid @ resid) / denom if denom > 0 else 1.0
-    return PowerFit(float(slope), float(intercept), r2)
+    return PowerFit(kind, float(slope), float(intercept), r2)
 
 
-def fit_power_law(n_values, y_values) -> PowerFit:
-    """Least-squares fit of log|y| against log n; exponent is the slope."""
-    n = np.asarray(n_values, dtype=float)
-    y = np.abs(np.asarray(y_values, dtype=float))
-    keep = y > 0
-    return _fit_line(np.log(n[keep]), np.log(y[keep]))
-
-
-def fit_sqrt_exponential(n_values, y_values) -> PowerFit:
-    """Fit of log|y| against sqrt(n); exponent is the sqrt-rate."""
-    n = np.asarray(n_values, dtype=float)
-    y = np.abs(np.asarray(y_values, dtype=float))
-    keep = y > 0
-    return _fit_line(np.sqrt(n[keep]), np.log(y[keep]))
+def _growth_kind(dens: SpectralDensity, seq: WeightSequence | None = None) -> str:
+    """The law that the coefficients of dens are fitted by: a power law for
+    a polynomial-class density under linear weights (the default), a
+    sqrt-exponential one otherwise."""
+    linear = seq is None or seq.kind == "linear"
+    return "power" if dens.growth == "polynomial" and linear else "sqrt-exponential"
 
 
 def sup_growth_fit(dens: SpectralDensity, n_top: int, t_grid,
                    fit_from: int) -> tuple[np.ndarray, PowerFit]:
     """sup over the grid of |tm_n|, n = 1..n_top, and its growth fit over
-    n >= fit_from: a power law for a polynomial-class density, a
-    sqrt-exponential law for an exponential one."""
+    n >= fit_from by the law of the density's growth class."""
     sups = tm_sup_over_t(dens, n_top, t_grid)
     ns = np.arange(1, n_top + 1)
     keep = ns >= fit_from
-    fit = fit_power_law if dens.growth == "polynomial" else fit_sqrt_exponential
-    return sups, fit(ns[keep], sups[keep])
+    return sups, fit_growth(_growth_kind(dens), ns[keep], sups[keep])
 
 
 @dataclass(frozen=True)
@@ -582,13 +576,12 @@ class TailReport:
     bound under a level meeting the regularity threshold, "uncertified"
     when the level is too low or the weights too weak, and "failed"
     when the empirical growth exceeds what the density's class admits.
+    fit is the growth fit of the upper half of the coefficients.
     """
     status: str
     level: int
     tail_bound: float
-    fit_kind: str
-    fit_exponent: float
-    r_squared: float
+    fit: PowerFit
     detail: str
 
     @property
@@ -618,50 +611,42 @@ def certify_tail(dens: SpectralDensity, p: int, t: float, n_max: int = 240,
     coeffs = np.abs(tm_values(dens, t, n_max))
     ns = np.arange(1, n_max + 1)
     upper = ns > n_max // 2
+    fit = fit_growth(_growth_kind(dens, seq), ns[upper], coeffs[upper])
+    # the majorant constant is taken over the asymptotic fit region only
+    keep = upper & (coeffs > 0)
 
-    def report(status, tail_bound, fit, fit_kind, detail):
-        return TailReport(status=status, level=p, tail_bound=tail_bound,
-                          fit_kind=fit_kind, fit_exponent=fit.exponent,
-                          r_squared=fit.r_squared, detail=detail)
+    def report(status, tail_bound, detail):
+        return TailReport(status, p, tail_bound, fit, detail)
 
     if seq.kind == "linear":
-        if dens.growth == "exponential":
-            fit = fit_sqrt_exponential(ns[upper], coeffs[upper])
-            return report("failed", math.inf, fit, "sqrt-exponential",
+        if fit.kind == "sqrt-exponential":
+            return report("failed", math.inf,
                           "exponentially growing coefficients defeat every "
                           "polynomial-type weight level")
-        fit = fit_power_law(ns[upper], coeffs[upper])
         template = 0.5 * (dens.class_index + 1)
         if fit.exponent > template + 0.3:
-            return report("failed", math.inf, fit, "power",
+            return report("failed", math.inf,
                           f"fitted growth {fit.exponent:.3f} exceeds the "
                           f"class template {template:.3f}")
         if p < dens.class_index + 3:
-            return report("uncertified", math.inf, fit, "power",
+            return report("uncertified", math.inf,
                           f"level {p} below the regularity threshold "
                           f"{dens.class_index + 3}")
         beta = p - 2.0 * fit.exponent
         if beta <= 1.0:
-            return report("uncertified", math.inf, fit, "power",
-                          "weights too weak for the fitted growth")
-        # majorant constant taken over the asymptotic fit region only
-        keep = upper & (coeffs > 0)
+            return report("uncertified", math.inf, "weights too weak for the fitted growth")
         majorant = float(np.max(coeffs[keep] / ns[keep] ** fit.exponent))
         tail = (majorant ** 2) * 2.0 ** (-p) \
             * n_max ** (1.0 - beta) / (beta - 1.0)
-        return report("certified", tail, fit, "power",
-                      f"tail beyond n = {n_max} bounded by {tail:.3e}")
+        return report("certified", tail, f"tail beyond n = {n_max} bounded by {tail:.3e}")
 
-    fit = fit_sqrt_exponential(ns[upper], coeffs[upper])
     rate = max(fit.exponent, 0.0)
     ratio = math.exp(rate / math.sqrt(n_max)) * 2.0 ** (-p)
     if ratio >= 1.0:
-        return report("uncertified", math.inf, fit, "sqrt-exponential",
+        return report("uncertified", math.inf,
                       "geometric weights do not dominate the fitted growth")
-    keep = upper & (coeffs > 0)
     majorant = float(np.max(coeffs[keep] * np.exp(-fit.exponent * np.sqrt(ns[keep]))))
     first = (majorant ** 2) * math.exp(2.0 * fit.exponent * math.sqrt(n_max + 1.0)) \
         * 2.0 ** (-p * (n_max + 1.0))
     tail = first / (1.0 - ratio)
-    return report("certified", tail, fit, "sqrt-exponential",
-                  f"geometric domination with ratio {ratio:.3e}")
+    return report("certified", tail, f"geometric domination with ratio {ratio:.3e}")

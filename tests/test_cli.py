@@ -468,6 +468,17 @@ def test_kernel_grid(capsys):
             min(row["t"], row["s"]), abs=1e-8)
 
 
+@pytest.mark.parametrize("flags", [["--density", "fbm", "--H", "0.001"],
+                                   ["--density", "lebesgue", "--scale", "1e300"],
+                                   ["--density", "lebesgue", "--scale", "1e308"]],
+                         ids=["fbm-0.001", "scale-1e300", "scale-1e308"])
+def test_kernel_frequency_cutoff_past_the_float_range_reads_inf(flags, capsys):
+    # the bound on the tail frequency is past the float range, which the
+    # strict JSON prints as "inf", not as a silent null
+    assert run(["kernel", "--t", "1", *flags]) == 0
+    assert _json_out(capsys)["frequency_cutoff"] == "inf"
+
+
 def test_kernel_n_max_adds_the_coefficient_route(capsys):
     assert run(["kernel", "--density", "fbm", "--H", "0.6", "--t", "0.7,1.5", "--s", "0.4",
                 "--n-max", "8"]) == 0
@@ -514,9 +525,22 @@ def test_growth_csv_has_the_fit_in_its_header(capsys):
     assert lines[7:] == [f"{n},{v:.12g}" for n, v in enumerate(sups, start=1)]
 
 
+@pytest.mark.parametrize("flags", [["--density", "lebesgue"], ["--density", "fbm", "--H", "0.25"],
+                                   ["--density", "fbm", "--H", "0.75"],
+                                   ["--density", "exp", "--rate", "1"]],
+                         ids=["lebesgue", "fbm-0.25", "fbm-0.75", "exp"])
+def test_growth_and_the_certificate_fit_by_the_same_law(flags, capsys):
+    # under the linear weights --seq 2n, the law is the growth class's alone
+    run(["tmcoeff", *flags, "--certify", "--seq", "2n"])
+    certified = _json_out(capsys)["certificate"]["fit_kind"]
+    assert run(["growth", *flags, "--n-max", "20", "--fit-from", "8", "--t", "0:4:5"]) == 0
+    assert _json_out(capsys)["fit_kind"] == certified
+
+
 @pytest.mark.parametrize("argv, message", [
     (["growth", "--fit-from", "59"], "need at least 3 points for a growth fit"),
     (["growth", "--n-max", "513"], "n_max 513 is above 512, the bound of the Hermite recurrence"),
+    (["growth", "--n-max", "-3"], "n_max must be >= 1"),
     (["growth", "--t", "nan"], "time must be finite, got nan"),
     (["kernel", "--t", "1", "--n-max", "0"], "n_max must be >= 1"),
     (["kernel", "--density", "exp", "--t", "1", "--n-max", "8"],
@@ -524,7 +548,7 @@ def test_growth_csv_has_the_fit_in_its_header(capsys):
     (["integrate", "--a", "1", "--b", "0.5"], "need finite a < b, got a = 1.0, b = 0.5"),
     (["integrate", "--a", "nan", "--b", "1"], "need finite a < b, got a = nan, b = 1.0"),
     (["tmcoeff", "--n-max", "0"], "n_max must be >= 1"),
-], ids=["growth-fit-from", "growth-n-max", "growth-nan", "kernel-n-max", "kernel-exp",
+], ids=["growth-fit-from", "growth-n-max", "growth-negative-n-max", "growth-nan", "kernel-n-max", "kernel-exp",
         "integrate-reversed", "integrate-nan", "tmcoeff-n-max"])
 def test_the_library_refuses_the_input_and_the_cli_exits_two(argv, message, capsys):
     assert run(argv) == 2

@@ -171,6 +171,14 @@ def test_index_validation():
         hermite_fn_matrix(0, np.zeros(3))
 
 
+def test_blocks_refuse_an_empty_index_range():
+    # the range check is hermite.check_index_bound's, and it runs when the
+    # generator is first iterated
+    blocks = hermite_fn_blocks(0, np.zeros(3), 64)
+    with pytest.raises(ValidationError, match="n_max must be >= 1"):
+        next(blocks)
+
+
 def test_recurrence_refuses_indices_above_its_bound():
     # at n = 1000 the rows seeded by an underflowed first row read 0.0
     # where hfn_1000(40) is about 0.17

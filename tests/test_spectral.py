@@ -26,8 +26,7 @@ from freenoise.spectral import (
     certify_tail,
     density_settings,
     dual_route_kernel,
-    fit_power_law,
-    fit_sqrt_exponential,
+    fit_growth,
     frequency_cutoff,
     kernel,
     r_function,
@@ -520,6 +519,20 @@ def test_flat_multiplier_is_the_hermite_function_at_the_n_max_bound(t):
     assert np.max(np.abs(tm_values(leb, t, 512) - expected)) <= 5e-14
     with pytest.raises(ValidationError, match="above 512"):
         tm_values(leb, t, 513)
+
+
+@pytest.mark.parametrize("n_max, message", [(0, "n_max must be >= 1"), (-3, "n_max must be >= 1"),
+                                            (513, "n_max 513 is above 512")])
+def test_coefficient_vectors_refuse_an_index_out_of_range(n_max, message):
+    # hermite.check_index_bound is the one owner of the range; alpha_vector
+    # asks it before its t = 0 branch, which builds no pass
+    leb = SpectralDensity.lebesgue()
+    for t in (0.0, 1.0):
+        for vector in (tm_values, alpha_vector):
+            with pytest.raises(ValidationError, match=message):
+                vector(leb, t, n_max)
+    with pytest.raises(ValidationError, match=message):
+        spectral.tm_sup_over_t(leb, n_max, [0.0, 1.0])
 
 
 @pytest.mark.parametrize("t", [30.0, 100.0, 1000.0])
@@ -1046,9 +1059,19 @@ def test_frequency_cutoff_bounds_the_tail():
     assert frequency_cutoff(capped) == 7.0
 
 
+@pytest.mark.parametrize("dens", [SpectralDensity.fbm(0.001), SpectralDensity.lebesgue(1e300),
+                                  SpectralDensity.lebesgue(1e308)],
+                         ids=["fbm-0.001", "scale-1e300", "scale-1e308"])
+def test_frequency_cutoff_past_the_float_range_is_inf(dens):
+    # U = (tol (1 - a) / (4 scale))^(1 / (a - 1)) overflows for fbm(0.001)
+    # and scale 1e300; at scale 1e308, 4 scale is already inf
+    assert frequency_cutoff(dens) == math.inf
+
+
 def test_fit_power_law_recovers_synthetic_exponent():
     n = np.arange(4, 80)
-    fit = fit_power_law(n, 3.0 * n ** -0.7)
+    fit = fit_growth("power", n, 3.0 * n ** -0.7)
+    assert fit.kind == "power"
     assert fit.exponent == pytest.approx(-0.7, abs=1e-9)
     assert math.exp(fit.log_scale) == pytest.approx(3.0, rel=1e-9)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -1056,9 +1079,15 @@ def test_fit_power_law_recovers_synthetic_exponent():
 
 def test_fit_sqrt_exponential_recovers_synthetic_rate():
     n = np.arange(4, 80)
-    fit = fit_sqrt_exponential(n, 2.0 * np.exp(-0.3 * np.sqrt(n)))
+    fit = fit_growth("sqrt-exponential", n, 2.0 * np.exp(-0.3 * np.sqrt(n)))
+    assert fit.kind == "sqrt-exponential"
     assert fit.exponent == pytest.approx(-0.3, abs=1e-9)
     assert math.exp(fit.log_scale) == pytest.approx(2.0, rel=1e-9)
+
+
+def test_fit_growth_refuses_an_unknown_law():
+    with pytest.raises(ValidationError, match="unknown growth law 'linear'"):
+        fit_growth("linear", [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
 
 
 def test_flat_density_supremum_decays_at_the_plancherel_rotach_rate():
@@ -1073,17 +1102,37 @@ def test_flat_density_supremum_decays_at_the_plancherel_rotach_rate():
 
 def test_sup_growth_fit_picks_the_fit_of_the_growth_class():
     grid = np.linspace(0.0, 6.0, 13)
-    for dens, fit in ((SpectralDensity.fbm(0.75), fit_power_law),
-                      (SpectralDensity.exponential(1.0), fit_sqrt_exponential)):
+    for dens, kind in ((SpectralDensity.fbm(0.75), "power"),
+                       (SpectralDensity.exponential(1.0), "sqrt-exponential")):
         sups, got = spectral.sup_growth_fit(dens, 20, grid, 8)
         ns = np.arange(1, 21)
         assert sups.tolist() == spectral.tm_sup_over_t(dens, 20, grid).tolist()
-        assert got == fit(ns[ns >= 8], sups[ns >= 8])
+        assert got.kind == kind
+        assert got == fit_growth(kind, ns[ns >= 8], sups[ns >= 8])
+
+
+# sup_growth_fit's exponent and R^2 at the settings of criteria 10a and
+# 10b (n_max 60, acceptance._SUP_GRID, fit from n = 12), as hex floats,
+# recorded when the fit became one function of its law
+_FROZEN_GROWTH = {
+    "lebesgue": ("-0x1.7972c434aefa5p-4", "0x1.fecb87d00035ep-1"),
+    "fbm(H=0.25)": ("-0x1.ca36607e91c22p-5", "0x1.d197070f57f69p-1"),
+    "fbm(H=0.75)": ("-0x1.08b01278e024cp-3", "0x1.d98e5b0c0730bp-1"),
+    "exponential(rate=1)": ("0x1.3b10be5dd8b98p-1", "0x1.ff85a06cd9721p-1"),
+}
+
+
+@pytest.mark.parametrize("dens", [SpectralDensity.lebesgue(), SpectralDensity.fbm(0.25),
+                                  SpectralDensity.fbm(0.75), SpectralDensity.exponential(1.0)],
+                         ids=lambda d: d.label())
+def test_sup_growth_fit_is_frozen(dens):
+    fit = spectral.sup_growth_fit(dens, 60, acceptance._SUP_GRID, 12)[1]
+    assert (fit.exponent.hex(), fit.r_squared.hex()) == _FROZEN_GROWTH[dens.label()]
 
 
 def test_fit_needs_enough_points():
     with pytest.raises(ValidationError):
-        fit_power_law([1.0, 2.0], [1.0, 2.0])
+        fit_growth("power", [1.0, 2.0], [1.0, 2.0])
 
 
 @pytest.mark.parametrize("n_max", [16, 64, 200])
@@ -1119,6 +1168,23 @@ def test_certify_tail_report_fields():
     assert rep.certified
     assert rep.level == 3
     assert rep.tail_bound < math.inf
+
+
+@pytest.mark.parametrize("dens, seq, kind, status", [
+    (SpectralDensity.lebesgue(), WeightSequence.linear(), "power", None),
+    (SpectralDensity.exponential(1.0), WeightSequence.linear(), "sqrt-exponential", "failed"),
+    (SpectralDensity.exponential(1.0), WeightSequence.exponential(), "sqrt-exponential",
+     "certified"),
+    (SpectralDensity.lebesgue(), WeightSequence.exponential(), "sqrt-exponential", None),
+], ids=["lebesgue-2n", "exp-2n", "exp-2^n", "lebesgue-2^n"])
+def test_certify_tail_fits_by_the_law_of_the_class_and_weights(dens, seq, kind, status):
+    # the certificate holds the one fit it made, of the upper half of the
+    # coefficients, by the law that the density and the weights pick
+    rep = certify_tail(dens, 3, 1.0, n_max=64, seq=seq)
+    ns = np.arange(33, 65)
+    assert rep.fit == fit_growth(kind, ns, tm_values(dens, 1.0, 64)[32:])
+    if status is not None:
+        assert rep.status == status
 
 
 def test_certify_tail_validation():
